@@ -205,6 +205,7 @@ def _optimization_payload(result: OptimizationResult) -> dict:
         ),
         "violation_found": bool(result.violation_found),
         "starts": int(result.starts),
+        "starts_at_best": int(result.starts_at_best),
         "converged": bool(result.converged),
         "seed": int(result.seed),
         "best_settings": _settings_payload(result.best_settings),
@@ -297,7 +298,10 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[dict, int]:
     spec = load_state_spec(args.path, normalize=args.normalize)
-    result = minimize_bell(spec.ket, starts=args.starts, seed=args.seed, tol=args.tol)
+    try:
+        result = minimize_bell(spec.ket, starts=args.starts, seed=args.seed, tol=args.tol)
+    except ValueError as exc:
+        raise CliError(f"invalid optimizer argument: {exc}", EXIT_PARSE) from exc
     report = _base_report("optimize", args, spec)
     if spec.canonical is not None:
         report["class"] = classify(spec.canonical).value
@@ -365,6 +369,8 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[dict | None, int]:
             EXIT_PARSE,
         )
     axes = _parse_grid(args.grid)
+    if args.optimize and args.starts < 1:
+        raise CliError(f"--starts must be at least 1, got {args.starts}", EXIT_PARSE)
     for record in scan_family(
         FAMILIES[args.family],
         axes,

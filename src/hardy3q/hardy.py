@@ -28,7 +28,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg
 from .bell import hardy_probabilities
@@ -558,6 +557,9 @@ def search_hardy_observables(
     None when every attempt fails (expected for fully product states and
     for maximally entangled pairs).
     """
+    # imported here: scipy.optimize costs most of the package's import time
+    from scipy.optimize import minimize
+
     vec = linalg.ket(psi)
     if vec.shape[0] != 8:
         raise DimensionError("search expects a three-qubit ket")

@@ -51,3 +51,36 @@ def oracle_hardy_probabilities(state, settings):
         (pairs[0].u.plus_ket, pairs[1].u.plus_ket, pairs[2].u.plus_ket),
     ]
     return np.array([oracle_joint_probability(state, kets) for kets in picks])
+
+
+def oracle_bell_of_kets(state, kets):
+    """B via the kron oracle for raw plus-kets (3, 2, 2): qubit, U/D, component."""
+    kets = [[k / np.linalg.norm(k) for k in pair] for pair in kets]
+    (u1, d1), (u2, d2), (u3, d3) = kets
+    m1, m2, m3 = (np.array([-np.conj(d[1]), np.conj(d[0])]) for d in (d1, d2, d3))
+    p = [
+        oracle_joint_probability(state, ks)
+        for ks in ((m1, m2, m3), (d1, u2, u3), (u1, d2, u3), (u1, u2, d3), (u1, u2, u3))
+    ]
+    return p[0] + p[1] + p[2] + p[3] - p[4]
+
+
+def nelder_mead_bell(state, starts, seed):
+    """Independent minimizer: seeded multistart Nelder-Mead over 12 Bloch angles."""
+    from scipy.optimize import minimize
+
+    def objective(x):
+        theta, phi = x[0::2], x[1::2]
+        kets = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
+        return oracle_bell_of_kets(state, kets.reshape(3, 2, 2))
+
+    best = np.inf
+    for child in np.random.SeedSequence(seed).spawn(starts):
+        res = minimize(
+            objective,
+            random_angles(np.random.default_rng(child)),
+            method="Nelder-Mead",
+            options={"maxiter": 4000, "fatol": 1e-12, "xatol": 1e-9, "adaptive": True},
+        )
+        best = min(best, float(res.fun))
+    return best

@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -211,6 +214,24 @@ class TestOptimize:
         _, b, _ = run(capsys, argv)
         assert a == b
 
+    def test_reports_starts_at_best(self, tmp_path, capsys):
+        code, report, _ = run(
+            capsys, ["optimize", ghz_file(tmp_path), "--starts", "8", "--seed", "0"]
+        )
+        assert code == EXIT_OK
+        assert 1 <= report["optimization"]["starts_at_best"] <= 8
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--starts", "0"], ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"]],
+        ids=["starts0", "tol0", "tol-1", "tolnan"],
+    )
+    def test_bad_optimizer_arguments_exit_parse(self, tmp_path, capsys, flags):
+        code, report, err = run(capsys, ["optimize", ghz_file(tmp_path)] + flags)
+        assert code == EXIT_PARSE
+        assert report is None
+        assert json.loads(err)["exit_code"] == EXIT_PARSE
+
 
 class TestLhv:
     def test_summary(self, capsys):
@@ -280,6 +301,26 @@ class TestScan:
     def test_bad_grid_spec(self, capsys):
         code = main(["scan", "--family", "ghz", "--grid", "t=0..1"])
         assert code == EXIT_PARSE
+
+    def test_optimize_with_zero_starts(self, capsys):
+        argv = ["scan", "--family", "ghz", "--grid", "t=0.5:0.5:1", "--optimize", "--starts", "0"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert json.loads(captured.err)["exit_code"] == EXIT_PARSE
+
+
+def test_cli_import_skips_scipy_optimize():
+    # scipy.optimize is loaded only when the fallback witness search runs
+    code = "import sys, hardy3q.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestReportRoundTrip:

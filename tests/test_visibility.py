@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from hardy3q.bell import bell_value
 from hardy3q.errors import VisibilityUndefinedError
 from hardy3q.hardy import build_witness
 from hardy3q.states import CanonicalState, random_canonical
+from hardy3q.observables import WINDOW_TOL
 from hardy3q.visibility import (
     FAMILIES,
     GridAxis,
@@ -15,9 +17,11 @@ from hardy3q.visibility import (
     scan_family,
     threshold_visibility,
     threshold_visibility_bisection,
+    _min_eigpair,
+    _sweep,
 )
 
-from conftest import random_settings
+from conftest import nelder_mead_bell, oracle_bell_of_kets, random_ket, random_settings
 
 INV_SQRT2 = 2**-0.5
 GHZ = CanonicalState((INV_SQRT2, 0, 0, 0, INV_SQRT2), 0.0)
@@ -33,6 +37,19 @@ def w_ket():
     w = np.zeros(8, complex)
     w[1] = w[2] = w[4] = 3**-0.5
     return w
+
+
+def rotated_w_ket():
+    from scipy.stats import unitary_group
+
+    u = [unitary_group.rvs(2, random_state=42 + i) for i in range(3)]
+    return np.kron(np.kron(u[0], u[1]), u[2]) @ w_ket()
+
+
+def product_ket():
+    psi = np.zeros(8, complex)
+    psi[0] = 1.0
+    return psi
 
 
 class TestThresholdFormula:
@@ -106,6 +123,92 @@ class TestMinimizeBell:
         rotated = np.kron(np.kron(u[0], u[1]), u[2]) @ w_ket()
         value = minimize_bell(rotated, starts=24, seed=0).best_value
         assert value == pytest.approx(base, abs=2e-3)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_w_global_minimum_at_eight_starts(self, seed):
+        # most single descents on W stop at the local minimum B = -0.186791
+        assert minimize_bell(w_ket(), starts=8, seed=seed).best_value == pytest.approx(
+            W_BEST, abs=1e-6
+        )
+
+    def test_rotated_w_global_minimum_at_eight_starts(self):
+        result = minimize_bell(rotated_w_ket(), starts=8, seed=0)
+        assert result.best_value == pytest.approx(W_BEST, abs=1e-6)
+
+    def test_start_values_and_starts_at_best(self):
+        result = minimize_bell(w_ket(), starts=8, seed=0)
+        assert len(result.start_values) == 8
+        assert min(result.start_values) == pytest.approx(result.best_value, abs=1e-12)
+        at_best = [v for v in result.start_values if abs(v - result.best_value) <= 1e-9]
+        assert result.starts_at_best == len(at_best) >= 1
+        assert result.converged
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"starts": 0},
+            {"starts": -3},
+            {"tol": 0.0},
+            {"tol": -1.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+        ],
+    )
+    def test_rejects_bad_arguments(self, kwargs):
+        with pytest.raises(ValueError):
+            minimize_bell(GHZ.to_ket(), **kwargs)
+
+
+class TestSeeSaw:
+    def test_min_eigpair_matches_eigh(self, rng):
+        m = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+        m = m + np.conj(np.swapaxes(m, 1, 2))
+        m[:10] = np.diag([0.3, -0.7])  # diagonal, both orderings of the gap
+        m[10:20] = np.diag([-0.7, 0.3])
+        fallback = np.tile([1.0 + 0j, 0.0], (200, 1))
+        lam, vec = _min_eigpair(m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1], fallback)
+        ref_lam, ref_vec = np.linalg.eigh(m)
+        np.testing.assert_allclose(lam, ref_lam[:, 0], atol=1e-12)
+        overlap = np.abs(np.einsum("si,si->s", np.conj(vec), ref_vec[:, :, 0]))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
+
+    def test_min_eigpair_keeps_fallback_for_multiples_of_identity(self):
+        fallback = np.array([[0.6, 0.8j]])
+        lam, vec = _min_eigpair(np.array([0.25]), np.array([0.25]), np.array([0j]), fallback)
+        assert lam[0] == 0.25
+        np.testing.assert_array_equal(vec, fallback)
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_sweep_never_raises_b(self, seed):
+        rng = np.random.default_rng(seed)
+        psi = random_ket(rng, 8)
+        kets = np.stack([random_ket(rng, 2) for _ in range(12)]).reshape(2, 3, 2, 2)
+        new, value = _sweep(psi.reshape(2, 2, 2), kets)
+        for s in range(2):
+            after = oracle_bell_of_kets(psi, new[s])
+            assert after == pytest.approx(value[s], abs=1e-12)
+            assert after <= oracle_bell_of_kets(psi, kets[s]) + 1e-12
+
+    @pytest.mark.parametrize("psi", [GHZ.to_ket(), w_ket()], ids=["ghz", "w"])
+    def test_starts_independent_of_batch_size(self, psi):
+        few = minimize_bell(psi, starts=4, seed=5).start_values
+        many = minimize_bell(psi, starts=12, seed=5).start_values
+        assert few == many[:4]
+
+    def test_product_state_settings_inside_window(self):
+        psi = product_ket()
+        result = minimize_bell(psi, starts=8, seed=0)
+        for pair in result.best_settings.pairs:
+            assert WINDOW_TOL < pair.overlap < 1 - WINDOW_TOL
+        reported = bell_value(psi, result.best_settings).bell_value
+        assert reported == pytest.approx(result.best_value, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_not_worse_than_nelder_mead_oracle(self, seed):
+        psi = random_ket(np.random.default_rng(seed), 8)
+        oracle = nelder_mead_bell(psi, starts=2, seed=seed)
+        assert minimize_bell(psi, starts=8, seed=seed).best_value <= oracle + 1e-9
 
 
 class TestScan:
