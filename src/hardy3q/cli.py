@@ -138,10 +138,12 @@ def load_state_spec(path: str, normalize: bool = False) -> StateSpec:
         vec = np.array([complex(float(p[0]), float(p[1])) for p in amps])
     except (TypeError, ValueError, IndexError) as exc:
         raise CliError(f"invalid amplitude entry: {exc}", EXIT_PARSE) from exc
+    if not np.isfinite(vec).all():
+        raise CliError("amplitude entries must be finite numbers", EXIT_PARSE)
     nrm = float(np.linalg.norm(vec))
     if normalize:
-        if nrm <= 0.0 or not math.isfinite(nrm):
-            raise CliError("cannot normalize all-zero amplitudes", EXIT_PARSE)
+        if not 0.0 < nrm < math.inf:
+            raise CliError(f"cannot normalize amplitudes of norm {nrm!r}", EXIT_PARSE)
         vec = vec / nrm
         factor = nrm
     elif abs(nrm - 1.0) > 1e-9:
@@ -150,6 +152,13 @@ def load_state_spec(path: str, normalize: bool = False) -> StateSpec:
             EXIT_PARSE,
         )
     return StateSpec(raw, None, linalg.ket(vec), label, factor)
+
+
+def require_positive(flag: str, value: float, upper: float = math.inf) -> None:
+    """Reject a numeric flag outside (0, upper), NaN included, with exit 2."""
+    if not 0.0 < value < upper:
+        bound = "finite" if upper == math.inf else f"below {upper}"
+        raise CliError(f"{flag} must be positive and {bound}, got {value!r}", EXIT_PARSE)
 
 
 def require_canonical(spec: StateSpec, command: str) -> CanonicalState:
@@ -257,6 +266,7 @@ def _witness_payload(built: WitnessConstruction, psi: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
+    require_positive("--eps", args.eps)
     spec = load_state_spec(args.path, normalize=args.normalize)
     if spec.canonical is None:
         raise CliError("classification requires canonical form", EXIT_FORM)
@@ -271,6 +281,8 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
+    # a zero-probability tolerance of 1 or more can never certify P5 > tol
+    require_positive("--tol", args.tol, upper=1.0)
     spec = load_state_spec(args.path, normalize=args.normalize)
     state = require_canonical(spec, "witness")
     cls = classify(state)
@@ -329,6 +341,7 @@ def _cmd_lhv(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_sample(args: argparse.Namespace) -> tuple[dict, int]:
+    require_positive("--shots", args.shots)
     spec = load_state_spec(args.path, normalize=args.normalize)
     state = require_canonical(spec, "sample")
     cls = classify(state)
@@ -354,11 +367,17 @@ def _parse_grid(values: list[str]) -> list[GridAxis]:
         try:
             name, rest = spec.split("=", 1)
             start, stop, steps = rest.split(":")
-            axes.append(GridAxis(name.strip(), float(start), float(stop), int(steps)))
+            axis = GridAxis(name.strip(), float(start), float(stop), int(steps))
         except ValueError as exc:
             raise CliError(
                 f"grid spec {spec!r} must look like name=start:stop:steps", EXIT_PARSE
             ) from exc
+        if not (math.isfinite(axis.start) and math.isfinite(axis.stop) and axis.steps >= 1):
+            raise CliError(
+                f"grid spec {spec!r} needs finite start and stop and at least 1 step",
+                EXIT_PARSE,
+            )
+        axes.append(axis)
     return axes
 
 

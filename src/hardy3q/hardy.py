@@ -504,38 +504,157 @@ def state_satisfying_hardy(settings: MeasurementSettings) -> np.ndarray:
     return linalg.orthogonal_complement_pick(zeros, target)
 
 
-def _u_kets_from_angles(x: np.ndarray) -> np.ndarray:
-    kets = np.empty((3, 2), dtype=complex)
-    theta = x[0::2]
-    kets[:, 0] = np.cos(theta / 2.0)
-    kets[:, 1] = np.exp(1j * x[1::2]) * np.sin(theta / 2.0)
-    return kets
+#: Armijo constant of the search's backtracking: a step of length t must
+#: lower |r|^2 to at most (1 - 2 ARMIJO t) |r|^2
+ARMIJO = 1e-4
+#: step lengths 1, 1/2, ... tried before an attempt counts as stalled
+MAX_HALVINGS = 32
+#: step lengths tried in one batched residual evaluation
+HALVINGS_AT_ONCE = 4
+#: an attempt whose 2x2 Gram matrix J J^T has det <= SINGULAR_TOL * trace^2
+#: has a singular Jacobian
+SINGULAR_TOL = 1e-24
+#: contraction vectors shorter than this fix no D direction
+VANISHING_NORM = 1e-14
+#: qubit j's contraction vector does not depend on qubit j's own angles;
+#: row i is angle i = (theta_j, phi_j) for j = i // 2
+_OWN_QUBIT = np.repeat(np.eye(3, dtype=bool), 2, axis=0)
 
 
-def _derived_d_directions(psi3: np.ndarray, us: np.ndarray):
-    """Contraction vectors m_j; D_j+ must be orthogonal to m_j.
+def _u_kets(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U+ kets (A, 3, 2) of Bloch angles (A, 6) and their derivatives.
 
-    m1[a] = sum_{b,c} conj(u2[b] u3[c]) psi[a,b,c] and cyclically; choosing
-    D_j+ = perp(m_j) zeroes the three mixed conditions exactly, leaving only
-    the all-minus condition |<m1_hat m2_hat m3_hat|psi>|^2 to drive to zero.
+    The derivatives are (A, 6, 2): d u_j / d theta_j and d u_j / d phi_j in
+    the angle order of ``x``.
     """
-    u1, u2, u3 = us
-    t3 = psi3 @ u3.conj()  # indices (a, b)
-    m1 = t3 @ u2.conj()
-    m2 = u1.conj() @ t3
-    t1 = (u1.conj() @ psi3.reshape(2, 4)).reshape(2, 2)  # indices (b, c)
-    m3 = u2.conj() @ t1
-    return m1, m2, m3
+    c, s = np.cos(0.5 * x[:, 0::2]), np.sin(0.5 * x[:, 0::2])
+    e = np.exp(1j * x[:, 1::2])
+    us = np.empty((len(x), 3, 2), dtype=complex)
+    us[..., 0] = c
+    us[..., 1] = e * s
+    dus = np.zeros((len(x), 3, 2, 2), dtype=complex)
+    dus[:, :, 0, 0] = -0.5 * s
+    dus[:, :, 0, 1] = 0.5 * e * c
+    dus[:, :, 1, 1] = 1j * us[..., 1]
+    return us, dus.reshape(len(x), 6, 2)
 
 
-def _search_objective(x: np.ndarray, psi3: np.ndarray) -> float:
-    us = _u_kets_from_angles(x)
-    m1, m2, m3 = _derived_d_directions(psi3, us)
-    n1, n2, n3 = np.linalg.norm(m1), np.linalg.norm(m2), np.linalg.norm(m3)
-    if min(n1, n2, n3) < 1e-14:
-        return 1.0  # degenerate contraction; worst-case objective
-    amp = (m1 / n1).conj() @ ((psi3 @ (m3 / n3).conj()) @ (m2 / n2).conj())
-    return float(abs(amp) ** 2)
+def _derived_d_directions(psi3: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """Contraction vectors m (..., 3, 2) of psi with ``bras`` (..., 3, 2).
+
+    m[..., j, :] contracts psi with the bras of the two other qubits;
+    ``bras = conj(u)`` gives m1[a] = sum_{b,c} conj(u2[b] u3[c]) psi[a,b,c]
+    and cyclically.  Choosing D_j+ = perp(m_j) zeroes the three mixed
+    conditions exactly.  Only elementwise arithmetic is used, so each
+    leading index is computed on its own.
+    """
+    b = bras[..., None]
+    t = psi3[:, :, 0] * b[..., 2, 0, :, None] + psi3[:, :, 1] * b[..., 2, 1, :, None]
+    s = psi3[0] * b[..., 0, 0, :, None] + psi3[1] * b[..., 0, 1, :, None]
+    m = np.empty(bras.shape, dtype=complex)
+    m[..., 0, :] = t[..., 0] * b[..., 1, 0, :] + t[..., 1] * b[..., 1, 1, :]
+    m[..., 1, :] = t[..., 0, :] * b[..., 0, 0, :] + t[..., 1, :] * b[..., 0, 1, :]
+    m[..., 2, :] = s[..., 0, :] * b[..., 1, 0, :] + s[..., 1, :] * b[..., 1, 1, :]
+    return m
+
+
+def _residual(psi3: np.ndarray, x: np.ndarray, jacobian: bool = False):
+    """The remaining condition r = <m1_hat m2_hat m3_hat|psi> per attempt.
+
+    Returns (us, m, r, ok) and, with ``jacobian``, the complex derivatives
+    dr/dx (A, 6) as well.  ``ok`` is False where a contraction vector
+    vanishes; r is then meaningless.  With m_hat = m / |m| and g_j the
+    contraction of psi with conj(m_hat) of the other two qubits,
+    r = <m_hat_j|g_j> for every j, and a change dm_j moves r by
+    (<dm_j|g_j> - Re<m_hat_j|dm_j> r) / |m_j|.
+    """
+    us, dus = _u_kets(x)
+    m = _derived_d_directions(psi3, np.conj(us))
+    n = np.sqrt((m.real**2 + m.imag**2).sum(axis=-1))
+    ok = (n > VANISHING_NORM).all(axis=-1)
+    n = np.where(ok[:, None], n, 1.0)
+    mh = m / n[..., None]
+    g = _derived_d_directions(psi3, np.conj(mh))
+    r = (np.conj(mh[:, 0]) * g[:, 0]).sum(axis=-1)
+    if not jacobian:
+        return us, m, r, ok
+    # bras with qubit i // 2 swapped for the derivative of its U+ ket
+    bras = np.where(_OWN_QUBIT[..., None], np.conj(dus)[:, :, None], np.conj(us)[:, None])
+    dm = np.where(_OWN_QUBIT[..., None], 0.0, _derived_d_directions(psi3, bras))
+    moved = (np.conj(dm) * g[:, None]).sum(axis=-1)
+    along = (np.conj(mh[:, None]) * dm).sum(axis=-1).real
+    dr = ((moved - along * r[:, None, None]) / n[:, None]).sum(axis=-1)
+    return us, m, r, ok, dr
+
+
+def _gauss_newton_step(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solution dx of J dx = -(Re r, Im r) per attempt.
+
+    J is the 2x6 real Jacobian (Re dr, Im dr).  Returns (dx, singular).
+    """
+    jr, ji = dr.real, dr.imag
+    a, b, c = (jr * jr).sum(axis=-1), (jr * ji).sum(axis=-1), (ji * ji).sum(axis=-1)
+    det = a * c - b * b
+    singular = ~(det > SINGULAR_TOL * (a + c) ** 2)
+    det = np.where(singular, 1.0, det)
+    y0 = (c * r.real - b * r.imag) / det
+    y1 = (a * r.imag - b * r.real) / det
+    return -(jr * y0[:, None] + ji * y1[:, None]), singular
+
+
+def _backtrack(psi3, x, f, dx):
+    """Armijo backtracking from each row of ``x`` along ``dx``.
+
+    Takes the first t of 1, 1/2, ... (MAX_HALVINGS values, HALVINGS_AT_ONCE
+    per residual evaluation) with |r(x + t dx)|^2 <= (1 - 2 ARMIJO t) f.
+    Returns the new rows and which rows found such a t; the rest stalled.
+    """
+    new = x.copy()
+    pending = np.arange(len(x))
+    for first in range(0, MAX_HALVINGS, HALVINGS_AT_ONCE):
+        t = 0.5 ** np.arange(first, first + HALVINGS_AT_ONCE)
+        trial = x[pending, None] + t[:, None] * dx[pending, None]
+        _, _, r, ok = _residual(psi3, trial.reshape(-1, 6))
+        f_trial = (r.real**2 + r.imag**2).reshape(len(pending), HALVINGS_AT_ONCE)
+        good = ok.reshape(f_trial.shape) & (
+            f_trial <= (1.0 - 2.0 * ARMIJO * t) * f[pending, None]
+        )
+        found = good.any(axis=1)
+        new[pending[found]] = trial[found, good[found].argmax(axis=1)]
+        pending = pending[~found]
+        if pending.size == 0:
+            break
+    moved = np.ones(len(x), dtype=bool)
+    moved[pending] = False
+    return new, moved
+
+
+def _accepted_settings(vec, us, m, zero_tol) -> MeasurementSettings | None:
+    """Settings of one converged attempt if they pass the window and verify_hardy."""
+    try:
+        settings = settings_from_plus_kets(
+            [(us[j], linalg.perp_qubit(linalg.normalize(m[j]))) for j in range(3)]
+        )
+    except (WindowViolationError, NormalizationError):
+        return None
+    return settings if verify_hardy(vec, settings, zero_tol).satisfied else None
+
+
+def _start_angles(seed: int, attempts: int) -> np.ndarray:
+    """Starting Bloch angles (attempts, 6), one generator per attempt.
+
+    Attempt i draws from SeedSequence(seed).spawn(attempts)[i]: thetas
+    arccos(uniform(-1, 1)), then phis uniform(0, 2 pi).  The doubles are
+    those rng.uniform(-1.0, 1.0, 3) and rng.uniform(0.0, 2 pi, 3) return,
+    computed from one rng.random(6) call.
+    """
+    d = np.array(
+        [np.random.default_rng(c).random(6) for c in np.random.SeedSequence(seed).spawn(attempts)]
+    ).reshape(attempts, 6)
+    x = np.empty((attempts, 6))
+    x[:, 0::2] = np.arccos(-1.0 + 2.0 * d[:, :3])
+    x[:, 1::2] = (2.0 * np.pi) * d[:, 3:]
+    return x
 
 
 def search_hardy_observables(
@@ -550,53 +669,45 @@ def search_hardy_observables(
     Only the three U observables are free parameters (six Bloch angles);
     each D observable is derived as the orthogonal complement of the
     corresponding contraction vector, which makes three of the four zero
-    conditions exact by construction.  The remaining scalar condition is
-    minimized with derivative-free simplex descent.  Starts are consumed in
-    seeded order and the first certificate-satisfying settings are
-    returned, so the result is deterministic for a fixed seed.  Returns
-    None when every attempt fails (expected for fully product states and
-    for maximally entangled pairs).
+    conditions exact by construction.  The remaining complex condition r,
+    whose zeros form a four-dimensional manifold, is solved by damped
+    Gauss-Newton: minimum-norm steps of the 2x6 real Jacobian with Armijo
+    backtracking, so |r|^2 never rises, for at most ``maxiter`` iterations
+    per attempt.  All attempts run together as one array.  An attempt
+    fails when its Jacobian turns singular, a contraction vector vanishes
+    or no halved step lowers |r|^2 enough.  An attempt is accepted when
+    |r|^2 <= zero_tol / 10, its settings lie in the window and they pass
+    verify_hardy at ``zero_tol``; the first accepted attempt in seeded order
+    wins, so the result is deterministic for a fixed seed and the same for
+    any number of attempts that includes the winner.  Returns None when
+    every attempt fails (expected for fully product states and for
+    maximally entangled pairs).
     """
-    # imported here: scipy.optimize costs most of the package's import time
-    from scipy.optimize import minimize
-
     vec = linalg.ket(psi)
     if vec.shape[0] != 8:
         raise DimensionError("search expects a three-qubit ket")
     linalg.require_normalized(vec, atol=1e-9)
     psi3 = vec.reshape(2, 2, 2)
 
-    for child in np.random.SeedSequence(seed).spawn(int(attempts)):
-        rng = np.random.default_rng(child)
-        x0 = np.empty(6)
-        x0[0::2] = np.arccos(rng.uniform(-1.0, 1.0, 3))
-        x0[1::2] = rng.uniform(0.0, 2.0 * np.pi, 3)
-        res = minimize(
-            _search_objective,
-            x0,
-            args=(psi3,),
-            method="Nelder-Mead",
-            options={
-                "maxiter": maxiter,
-                "fatol": 1e-16,
-                "xatol": 1e-10,
-                "adaptive": True,
-            },
-        )
-        if res.fun > zero_tol * 0.1:
-            continue
-        us = _u_kets_from_angles(res.x)
-        m1, m2, m3 = _derived_d_directions(psi3, us)
-        try:
-            settings = settings_from_plus_kets(
-                [
-                    (us[0], linalg.perp_qubit(linalg.normalize(m1))),
-                    (us[1], linalg.perp_qubit(linalg.normalize(m2))),
-                    (us[2], linalg.perp_qubit(linalg.normalize(m3))),
-                ]
-            )
-        except (WindowViolationError, NormalizationError):
-            continue
-        if verify_hardy(vec, settings, zero_tol).satisfied:
-            return settings
-    return None
+    x = _start_angles(seed, int(attempts))
+    active = np.arange(len(x))  # attempts still iterating, in seeded order
+    winner: tuple[int, MeasurementSettings] | None = None
+    for iteration in range(int(maxiter) + 1):
+        us, m, r, ok, dr = _residual(psi3, x[active], jacobian=True)
+        f = r.real**2 + r.imag**2
+        done = ok & (f <= 0.1 * zero_tol)
+        # every active attempt precedes the winner so far, so the first
+        # accepted one here becomes the winner
+        for k in np.flatnonzero(done):
+            settings = _accepted_settings(vec, us[k], m[k], zero_tol)
+            if settings is not None:
+                winner = (int(active[k]), settings)
+                break
+        dx, singular = _gauss_newton_step(r, dr)
+        keep = ok & ~done & ~singular & (active < (len(x) if winner is None else winner[0]))
+        if iteration == maxiter or not keep.any():
+            break
+        active = active[keep]
+        x[active], moved = _backtrack(psi3, x[active], f[keep], dx[keep])
+        active = active[moved]
+    return None if winner is None else winner[1]

@@ -115,9 +115,11 @@ def normalized_canonical(lams, phi: float = 0.0) -> tuple[CanonicalState, float]
     Returns the state and the applied factor (divide raw values by it).
     """
     raw = np.asarray(lams, dtype=float)
+    if not np.isfinite(raw).all():
+        raise NormalizationError("amplitudes must be finite numbers")
     scale = float(np.linalg.norm(raw))
-    if scale <= 0.0 or not math.isfinite(scale):
-        raise NormalizationError("cannot normalize all-zero amplitudes")
+    if not 0.0 < scale < math.inf:
+        raise NormalizationError(f"cannot normalize amplitudes of norm {scale!r}")
     return CanonicalState(tuple(raw / scale), phi), scale
 
 

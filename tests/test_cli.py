@@ -49,6 +49,22 @@ def w_amplitudes_file(tmp_path):
     return write_state(tmp_path, {"amplitudes": amps, "label": "w"})
 
 
+def assert_rejected(capsys, argv, code=EXIT_PARSE):
+    """The command exits with ``code``, prints no report and a JSON error."""
+    got, report, err = run(capsys, argv)
+    assert got == code
+    assert report is None
+    assert json.loads(err)["exit_code"] == code
+    return json.loads(err)["error"]
+
+
+#: an entangled GHZ-type state, smallest amplitude 3e-5, for which neither the
+#: recipe nor the search finds settings with P5 > 1e-9
+FOUND_GHZ = {"lambda": [3e-05, 0, 0, 0, 0.99999999955], "phi": 0.0}
+
+NAN_AMPLITUDES = {"amplitudes": [["NaN", 0.0]] + [[0.0, 0.0]] * 7}
+
+
 class TestClassify:
     def test_ghz(self, tmp_path, capsys):
         code, report, _ = run(capsys, ["classify", ghz_file(tmp_path)])
@@ -89,6 +105,21 @@ class TestClassify:
         assert code == EXIT_OK
         assert report["normalization_factor"] == pytest.approx(np.sqrt(2))
         assert report["class"] == "A.1"
+
+    @pytest.mark.parametrize("eps", ["-1", "nan", "0", "inf"])
+    def test_bad_eps_exit_parse(self, tmp_path, capsys, eps):
+        assert "--eps" in assert_rejected(capsys, ["classify", ghz_file(tmp_path), "--eps", eps])
+
+    @pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["plain", "normalize"])
+    def test_non_finite_amplitudes_exit_parse(self, tmp_path, capsys, flags):
+        path = write_state(tmp_path, NAN_AMPLITUDES)
+        error = assert_rejected(capsys, ["optimize", path, "--starts", "1"] + flags)
+        assert "finite" in error
+
+    def test_non_finite_lambda_with_normalize_exit_parse(self, tmp_path, capsys):
+        path = write_state(tmp_path, {"lambda": [float("nan"), 0, 0, 0, 1]})
+        error = assert_rejected(capsys, ["classify", path, "--normalize"])
+        assert "finite" in error
 
 
 class TestWitness:
@@ -179,6 +210,22 @@ class TestWitness:
     def test_amplitudes_form_rejected(self, tmp_path, capsys):
         code, _, _ = run(capsys, ["witness", w_amplitudes_file(tmp_path)])
         assert code == EXIT_FORM
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "1"])
+    def test_bad_tol_rejected_before_construction(self, tmp_path, capsys, monkeypatch, tol):
+        import hardy3q.cli as cli_mod
+
+        def unreachable(*args, **kw):
+            raise AssertionError("build_witness ran despite an invalid --tol")
+
+        monkeypatch.setattr(cli_mod, "build_witness", unreachable)
+        error = assert_rejected(capsys, ["witness", ghz_file(tmp_path), "--tol", tol])
+        assert "--tol" in error
+
+    def test_found_ghz_state_exits_construction(self, tmp_path, capsys):
+        path = write_state(tmp_path, FOUND_GHZ)
+        error = assert_rejected(capsys, ["witness", path], code=EXIT_CONSTRUCTION)
+        assert "no valid witness" in error
 
 
 class TestOptimize:
@@ -281,6 +328,11 @@ class TestSample:
         code, _, _ = run(capsys, ["sample", w_amplitudes_file(tmp_path)])
         assert code == EXIT_FORM
 
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_bad_shots_exit_parse(self, tmp_path, capsys, shots):
+        error = assert_rejected(capsys, ["sample", ghz_file(tmp_path), "--shots", shots])
+        assert "--shots" in error
+
 
 class TestScan:
     def test_ghz_line_records(self, capsys):
@@ -302,6 +354,10 @@ class TestScan:
         code = main(["scan", "--family", "ghz", "--grid", "t=0..1"])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("grid", ["t=0:1:0", "t=0:1:-2", "t=nan:1:2", "t=0:inf:2"])
+    def test_bad_grid_values_exit_parse(self, capsys, grid):
+        assert_rejected(capsys, ["scan", "--family", "ghz", "--grid", grid])
+
     def test_optimize_with_zero_starts(self, capsys):
         argv = ["scan", "--family", "ghz", "--grid", "t=0.5:0.5:1", "--optimize", "--starts", "0"]
         code = main(argv)
@@ -312,8 +368,15 @@ class TestScan:
 
 
 def test_cli_import_skips_scipy_optimize():
-    # scipy.optimize is loaded only when the fallback witness search runs
-    code = "import sys, hardy3q.cli; print('scipy.optimize' in sys.modules)"
+    # no scipy module is loaded, not even by a witness that falls back to the search
+    code = (
+        "import sys, hardy3q.cli\n"
+        "from hardy3q import CanonicalState, build_witness\n"
+        "lams = (1.8934886471581971e-06, 0.5699086041234884, 0.5530539525508347,\n"
+        "        0.4079416872214782, 0.4504654130310388)\n"
+        "assert build_witness(CanonicalState(lams, 0.22468093746170578)).used_fallback\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

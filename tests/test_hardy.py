@@ -29,7 +29,7 @@ from hardy3q.linalg import schmidt_decompose
 from hardy3q.observables import observable_pair, settings_from_coefficient_rows
 from hardy3q.states import CanonicalState, StateClass, classify, sample_class
 
-from conftest import oracle_hardy_probabilities
+from conftest import nelder_mead_search, oracle_hardy_probabilities, random_ket
 
 INV_SQRT2 = 2**-0.5
 
@@ -57,6 +57,36 @@ def retired_d3_row(lams):
         (l1 * tau - l3 * eps_, l3 * tau + l1 * eps_, l3, -l1),
         (l1 + l2, l2 - l1, l2, -l1),
     )
+
+
+#: deck index 846 of the near-boundary benchmark deck for seed 5001, a D.1
+#: state on which undamped Gauss-Newton steps converge slowly or not at all
+STIFF_D1_LAMS = (
+    1.8934886471581971e-06,
+    0.5699086041234884,
+    0.5530539525508347,
+    0.4079416872214782,
+    0.4504654130310388,
+)
+STIFF_D1_PHI = 0.22468093746170578
+
+
+def near_boundary_deck(rng, count):
+    """D.1/D.2 states with one of l0, l1, l2 scaled by 10^-6 .. 10^-3.5.
+
+    Most of them fail their recipe's P5 > 1e-9 check and fall back to the
+    search.  States whose class changes on scaling are redrawn.
+    """
+    deck = []
+    while len(deck) < count:
+        cls = (StateClass.D1, StateClass.D2)[len(deck) % 2]
+        state = sample_class(cls, rng)
+        lams = np.array(state.lams)
+        lams[rng.integers(3)] *= 10.0 ** rng.uniform(-6.0, -3.5)
+        scaled = CanonicalState(tuple(lams / np.linalg.norm(lams)), state.phi)
+        if classify(scaled) is cls:
+            deck.append(scaled)
+    return deck
 
 
 class TestObservablePair:
@@ -378,6 +408,81 @@ class TestSearch:
         for pa, pb in zip(a.pairs, b.pairs):
             assert np.array_equal(pa.u.plus_ket, pb.u.plus_ket)
             assert np.array_equal(pa.d.plus_ket, pb.d.plus_ket)
+
+    def test_residual_jacobian_matches_central_differences(self, rng):
+        psi3 = random_ket(rng, 8).reshape(2, 2, 2)
+        x = rng.uniform(0.2, 3.0, (5, 6))
+        _, _, r, ok, dr = hardy._residual(psi3, x, jacobian=True)
+        assert ok.all()
+        h = 1e-6
+        for i in range(6):
+            e = np.zeros(6)
+            e[i] = h
+            central = (hardy._residual(psi3, x + e)[2] - hardy._residual(psi3, x - e)[2]) / (2 * h)
+            assert np.abs(dr[:, i] - central).max() <= 1e-8
+
+    def test_start_angles_match_per_attempt_uniform_draws(self):
+        x = hardy._start_angles(7, 25)
+        for row, child in zip(x, np.random.SeedSequence(7).spawn(25)):
+            rng = np.random.default_rng(child)
+            assert np.array_equal(row[0::2], np.arccos(rng.uniform(-1.0, 1.0, 3)))
+            assert np.array_equal(row[1::2], rng.uniform(0.0, 2.0 * np.pi, 3))
+
+    @pytest.mark.parametrize(
+        "lams",
+        [(1, 0, 0, 0, 0), (INV_SQRT2, 0, 0, INV_SQRT2, 0), (3e-5, 0, 0, 0, 0.99999999955)],
+        ids=["product", "maximal-pair", "ghz-3e-5"],
+    )
+    def test_degenerate_inputs_fail_cleanly(self, lams):
+        # vanishing contractions and singular Jacobians mark attempts failed;
+        # no division by zero or invalid value occurs on the way
+        psi = CanonicalState(lams, 0.0).to_ket()
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            assert search_hardy_observables(psi, seed=0, zero_tol=1e-9) is None
+
+    def test_attempt_count_does_not_change_winner(self):
+        checked = 0
+        for state in near_boundary_deck(np.random.default_rng(31), 12):
+            psi = state.to_ket()
+            a = search_hardy_observables(psi, attempts=10, seed=0, zero_tol=1e-9)
+            if a is None:
+                continue
+            b = search_hardy_observables(psi, attempts=40, seed=0, zero_tol=1e-9)
+            for pa, pb in zip(a.pairs, b.pairs):
+                assert np.array_equal(pa.u.plus_ket, pb.u.plus_ket)
+                assert np.array_equal(pa.d.plus_ket, pb.d.plus_ket)
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_damped_steps_solve_stiff_d1_state_quickly(self, seed):
+        # undamped Gauss-Newton steps bounce on this state: from the seed-0
+        # start they need 565 iterations, and from 8 of the 40 starts they
+        # do not converge in 800; with Armijo backtracking each start needs
+        # about 6 to 10
+        state = CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI)
+        found = search_hardy_observables(
+            state.to_ket(), attempts=1, seed=seed, zero_tol=1e-9, maxiter=25
+        )
+        assert found is not None
+        probs = oracle_hardy_probabilities(state.to_ket(), found)
+        assert max(probs[:4]) <= 1e-9 < probs[4]
+
+    def test_succeeds_wherever_nelder_mead_oracle_does(self):
+        deck = near_boundary_deck(np.random.default_rng(17), 24)
+        deck.append(CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI))
+        oracle_hits = 0
+        for state in deck:
+            psi = state.to_ket()
+            oracle = nelder_mead_search(psi, attempts=8, seed=0, zero_tol=1e-9)
+            found = search_hardy_observables(psi, attempts=8, seed=0, zero_tol=1e-9)
+            if oracle is None:
+                continue
+            oracle_hits += 1
+            assert found is not None, state
+            probs = oracle_hardy_probabilities(psi, found)
+            assert max(probs[:4]) <= 1e-9 < probs[4]
+        assert oracle_hits >= len(deck) - 2
 
 
 class TestWindowInvariant:
