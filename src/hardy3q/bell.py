@@ -16,7 +16,6 @@ realistic model obeys B >= 0; this module also contains the exhaustive
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -38,10 +37,54 @@ BELL_TERMS: tuple[tuple[tuple[str, int], ...], ...] = (
 #: Bell value of the maximally mixed state I/8 (four terms of 1/8 minus 1/8)
 WHITE_NOISE_BELL_VALUE = 3.0 / 8.0
 
+#: index of each BELL_TERMS kind and sign in an eigenket stack
+_KIND = {"U": 0, "D": 1}
+_SIGN = {+1: 0, -1: 1}
+_QUBITS = np.arange(3)
+_TERM_KINDS = np.array([[_KIND[k] for k, _ in term] for term in BELL_TERMS])
+_TERM_SIGNS = np.array([[_SIGN[s] for _, s in term] for term in BELL_TERMS])
+#: the eight outcome signs of a context, bit b=0 -> +1, b=1 -> -1 in qubit order
+_OUTCOME_SIGNS = np.array(list(product((0, 1), repeat=3)))
+#: each term's outcome index within its context
+_TERM_OUTCOMES = _TERM_SIGNS @ (4, 2, 1)
 
-def _amp(psi3: np.ndarray, k1: np.ndarray, k2: np.ndarray, k3: np.ndarray) -> complex:
-    # <k1 k2 k3 | psi> via two tiny contractions
-    return k1.conj() @ ((psi3 @ k3.conj()) @ k2.conj())
+
+def _eigenkets(settings: MeasurementSettings) -> np.ndarray:
+    """All twelve eigenkets (3, 2, 2, 2): qubit, U/D, +/-, component."""
+    return np.array(
+        [[(o.plus_ket, o.minus_ket) for o in (p.u, p.d)] for p in settings.pairs]
+    )
+
+
+def _term_kets(settings: MeasurementSettings) -> np.ndarray:
+    """Eigenket triples (5, 3, 2) of the five terms, in BELL_TERMS order."""
+    return _eigenkets(settings)[_QUBITS, _TERM_KINDS, _TERM_SIGNS]
+
+
+def _product_vectors(kets: np.ndarray) -> np.ndarray:
+    """Product vectors k1 x k2 x k3 (..., 8) of eigenkets (..., 3, 2)."""
+    v = kets[..., 0, :, None, None] * kets[..., 1, None, :, None] * kets[..., 2, None, None, :]
+    return v.reshape(kets.shape[:-2] + (8,))
+
+
+def _product_probabilities(state, kets: np.ndarray) -> np.ndarray:
+    """Outcome probabilities (...) of eigenket triples (..., 3, 2).
+
+    |<v|psi>|^2 for a ket psi and Re <v|rho|v> for a density rho, where v is
+    the product vector of each triple.  Unclamped.
+    """
+    arr = np.asarray(state, dtype=complex)
+    v = _product_vectors(kets)
+    if arr.ndim == 1:
+        if arr.shape[0] != 8:
+            raise DimensionError("pure state must be an 8-dimensional ket")
+        amp = v.conj() @ arr
+        return amp.real**2 + amp.imag**2
+    if arr.ndim == 2:
+        if arr.shape != (8, 8):
+            raise DimensionError("density operator must be 8x8")
+        return (v.conj() * (v @ arr.T)).sum(axis=-1).real
+    raise DimensionError("state must be a ket or a density operator")
 
 
 def joint_probability(state, picks) -> float:
@@ -58,51 +101,12 @@ def joint_probability(state, picks) -> float:
         kets.append(obs.eigenket(sign))
     if len(kets) != 3:
         raise ValueError("exactly three outcome picks are required")
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        if arr.shape[0] != 8:
-            raise DimensionError("pure state must be an 8-dimensional ket")
-        return float(abs(_amp(arr.reshape(2, 2, 2), *kets)) ** 2)
-    if arr.ndim == 2:
-        if arr.shape != (8, 8):
-            raise DimensionError("density operator must be 8x8")
-        v = np.kron(np.kron(kets[0], kets[1]), kets[2])
-        return float(np.vdot(v, arr @ v).real)
-    raise DimensionError("state must be a ket or a density operator")
+    return float(_product_probabilities(state, np.array(kets)))
 
 
 def hardy_probabilities(state, settings: MeasurementSettings) -> np.ndarray:
     """The five canonical-order joint probabilities, unclamped."""
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1 and arr.shape[0] == 8:
-        psi3 = arr.reshape(2, 2, 2)
-        (u1, d1), (u2, d2), (u3, d3) = (
-            (p.u.plus_ket, p.d.plus_ket) for p in settings.pairs
-        )
-        d1m = settings.pairs[0].d.minus_ket
-        d2m = settings.pairs[1].d.minus_ket
-        d3m = settings.pairs[2].d.minus_ket
-        a_u3 = psi3 @ u3.conj()
-        a_d3 = psi3 @ d3.conj()
-        out = np.empty(5, dtype=float)
-        out[0] = abs(d1m.conj() @ ((psi3 @ d3m.conj()) @ d2m.conj())) ** 2
-        out[1] = abs(d1.conj() @ (a_u3 @ u2.conj())) ** 2
-        out[2] = abs(u1.conj() @ (a_u3 @ d2.conj())) ** 2
-        out[3] = abs(u1.conj() @ (a_d3 @ u2.conj())) ** 2
-        out[4] = abs(u1.conj() @ (a_u3 @ u2.conj())) ** 2
-        return out
-    return np.array(
-        [
-            joint_probability(
-                arr,
-                [
-                    (settings.observable(q, kind), sign)
-                    for q, (kind, sign) in enumerate(term)
-                ],
-            )
-            for term in BELL_TERMS
-        ]
-    )
+    return _product_probabilities(state, _term_kets(settings))
 
 
 def _clamp01(p: float) -> float:
@@ -139,13 +143,12 @@ def outcome_distribution(state, settings: MeasurementSettings, kinds) -> np.ndar
     ``kinds`` picks 'U' or 'D' per qubit; entry index encodes the outcome
     signs via bit b=0 -> +1, b=1 -> -1 in qubit order.
     """
-    probs = np.empty(8, dtype=float)
-    for idx, signs in enumerate(product((+1, -1), repeat=3)):
-        picks = [
-            (settings.observable(q, kinds[q]), signs[q]) for q in range(3)
-        ]
-        probs[idx] = joint_probability(state, picks)
-    return probs
+    if len(kinds) != 3 or not set(kinds) <= set(_KIND):
+        raise ValueError(f"kinds must be three of 'U' or 'D', got {kinds!r}")
+    kind_index = [_KIND[k] for k in kinds]
+    return _product_probabilities(
+        state, _eigenkets(settings)[_QUBITS, kind_index, _OUTCOME_SIGNS]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +231,22 @@ class SampleStatistics:
 def sample_statistics(state, settings: MeasurementSettings, shots: int, seed: int) -> SampleStatistics:
     """Simulate ``shots`` runs of each measurement context.
 
-    One multinomial draw is made per distinct observable-kind triple (a
-    physical measurement context); all terms sharing a context reuse the
-    same draw.  Deterministic for a fixed seed.
+    The five terms have five distinct observable-kind triples (physical
+    measurement contexts), so each term is read off one multinomial draw
+    over its own context's eight outcomes, drawn in term order.
+    Deterministic for a fixed seed.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     rng = np.random.default_rng(seed)
-    counts_by_context: dict[tuple[str, str, str], np.ndarray] = {}
-    freqs = []
-    errs = []
-    for term in BELL_TERMS:
-        kinds = tuple(kind for kind, _ in term)
-        if kinds not in counts_by_context:
-            probs = np.clip(outcome_distribution(state, settings, kinds), 0.0, None)
-            probs = probs / probs.sum()
-            counts_by_context[kinds] = rng.multinomial(shots, probs)
-        counts = counts_by_context[kinds]
-        target = 0
-        for _, sign in term:
-            target = (target << 1) | (0 if sign == +1 else 1)
-        p_hat = counts[target] / shots
-        freqs.append(float(p_hat))
-        errs.append(float(math.sqrt(p_hat * (1.0 - p_hat) / shots)))
+    kets = _eigenkets(settings)[_QUBITS, _TERM_KINDS[:, None], _OUTCOME_SIGNS]
+    probs = np.clip(_product_probabilities(state, kets), 0.0, None)
+    p_hat = np.array(
+        [rng.multinomial(shots, p / p.sum())[t] for p, t in zip(probs, _TERM_OUTCOMES)]
+    ) / shots
     return SampleStatistics(
-        frequencies=tuple(freqs),
-        standard_errors=tuple(errs),
+        frequencies=tuple(float(f) for f in p_hat),
+        standard_errors=tuple(float(e) for e in np.sqrt(p_hat * (1.0 - p_hat) / shots)),
         shots=int(shots),
         seed=int(seed),
     )

@@ -12,7 +12,7 @@ through exit codes:
 
     0  success
     2  parse error (unreadable file, malformed JSON, invalid values)
-    3  classification gap
+    3  classification gap or overlap
     4  wrong input form for the command
     5  witness expectation mismatch
     6  internal construction failure
@@ -42,6 +42,7 @@ from .bell import (
 )
 from .errors import (
     ClassificationGapError,
+    ClassificationOverlapError,
     ConstructionFailureError,
     Hardy3QError,
     NoWitnessError,
@@ -270,10 +271,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     spec = load_state_spec(args.path, normalize=args.normalize)
     if spec.canonical is None:
         raise CliError("classification requires canonical form", EXIT_FORM)
-    try:
-        cls = classify(spec.canonical, eps=args.eps)
-    except ClassificationGapError as exc:
-        raise CliError(str(exc), EXIT_GAP) from exc
+    cls = classify(spec.canonical, eps=args.eps)
     report = _base_report("classify", args, spec)
     report["class"] = cls.value
     report["major_class"] = cls.major
@@ -476,6 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(json.dumps({"error": str(exc), "exit_code": exc.code}), file=sys.stderr)
         return exc.code
+    except (ClassificationGapError, ClassificationOverlapError) as exc:
+        print(json.dumps({"error": str(exc), "exit_code": EXIT_GAP}), file=sys.stderr)
+        return EXIT_GAP
     except NoWitnessError as exc:  # pragma: no cover - defensive
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_OK

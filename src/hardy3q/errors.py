@@ -29,7 +29,7 @@ class ClassificationGapError(Hardy3QError):
 
 
 class ClassificationOverlapError(Hardy3QError):
-    """More than one classification row matched (exclusivity audit)."""
+    """More than one classification row matched."""
 
     def __init__(self, lams, phi, labels):
         self.lams = tuple(float(x) for x in lams)

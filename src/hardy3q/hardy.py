@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bell import hardy_probabilities
+from .bell import _product_vectors, _term_kets, hardy_probabilities
 from .errors import (
     ConstructionFailureError,
     DimensionError,
@@ -491,17 +491,9 @@ def state_satisfying_hardy(settings: MeasurementSettings) -> np.ndarray:
     projection of the fifth product vector onto their orthogonal complement
     is such a state.
     """
-    (u1, d1), (u2, d2), (u3, d3) = (
-        (p.u, p.d) for p in settings.pairs
-    )
-    zeros = [
-        linalg.tensor(d1.plus_ket, u2.plus_ket, u3.plus_ket),
-        linalg.tensor(u1.plus_ket, d2.plus_ket, u3.plus_ket),
-        linalg.tensor(u1.plus_ket, u2.plus_ket, d3.plus_ket),
-        linalg.tensor(d1.minus_ket, d2.minus_ket, d3.minus_ket),
-    ]
-    target = linalg.tensor(u1.plus_ket, u2.plus_ket, u3.plus_ket)
-    return linalg.orthogonal_complement_pick(zeros, target)
+    vectors = _product_vectors(_term_kets(settings))
+    # the first four terms are the zero conditions, the fifth the success
+    return linalg.orthogonal_complement_pick(vectors[:4], vectors[4])
 
 
 #: Armijo constant of the search's backtracking: a step of length t must

@@ -1,8 +1,7 @@
 """Dense complex linear algebra for one, two and three qubits.
 
-Kets are plain 1-d complex numpy arrays of length 2, 4 or 8; operators are
-square complex matrices of the same sizes.  Basis ordering for multi-qubit
-kets is |abc> <-> index 4a + 2b + c.  All functions are pure and never
+Kets are plain 1-d complex numpy arrays of length 2, 4 or 8.  Basis
+ordering for multi-qubit kets is |abc> <-> index 4a + 2b + c.  All functions are pure and never
 mutate their inputs.
 """
 
@@ -16,8 +15,6 @@ from .errors import DimensionError, NormalizationError, SpanError
 
 #: default absolute tolerance for numerical comparisons
 ATOL = 1e-10
-#: absolute tolerance for norm checks on state-role kets
-NORM_ATOL = 1e-12
 
 _ALLOWED_DIMS = (2, 4, 8)
 _ZERO = 1e-150
@@ -35,22 +32,6 @@ def ket(values) -> np.ndarray:
     return arr
 
 
-def operator(values) -> np.ndarray:
-    """Coerce to a finite square complex matrix of dimension 2, 4 or 8."""
-    arr = np.array(values, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] not in _ALLOWED_DIMS:
-        raise DimensionError(
-            f"operator must be square of size 2, 4 or 8, got shape {arr.shape}"
-        )
-    if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
-        raise ValueError("operator contains non-finite entries")
-    return arr
-
-
-def norm(k) -> float:
-    return float(np.linalg.norm(k))
-
-
 def normalize(k) -> np.ndarray:
     """Return k / ||k||; rejects (near-)zero vectors."""
     arr = np.asarray(k, dtype=complex)
@@ -58,10 +39,6 @@ def normalize(k) -> np.ndarray:
     if n < _ZERO:
         raise NormalizationError("cannot normalize a zero vector")
     return arr / n
-
-
-def is_normalized(k, atol: float = NORM_ATOL) -> bool:
-    return abs(np.linalg.norm(k) - 1.0) <= atol
 
 
 def require_normalized(k, atol: float = 1e-9) -> np.ndarray:
@@ -79,11 +56,6 @@ def fix_global_phase(k, tiny: float = 1e-12) -> np.ndarray:
         if abs(amp) > tiny:
             return arr * np.conj(amp / abs(amp))
     return arr.copy()
-
-
-def inner(a, b) -> complex:
-    """Hermitian inner product <a|b> (conjugate-linear in the first slot)."""
-    return complex(np.vdot(a, b))
 
 
 def tensor(*factors) -> np.ndarray:
@@ -113,52 +85,12 @@ def projector(k) -> np.ndarray:
     return np.outer(arr, arr.conj())
 
 
-def basis_ket(dim: int, index: int) -> np.ndarray:
-    if dim not in _ALLOWED_DIMS:
-        raise DimensionError(f"dimension must be 2, 4 or 8, got {dim}")
-    if not 0 <= index < dim:
-        raise DimensionError(f"basis index {index} out of range for dim {dim}")
-    out = np.zeros(dim, dtype=complex)
-    out[index] = 1.0
-    return out
-
-
-def qubit_ket(c0, c1) -> np.ndarray:
-    """Normalized single-qubit ket c0|0> + c1|1>."""
-    return normalize(np.array([c0, c1], dtype=complex))
-
-
 def perp_qubit(k) -> np.ndarray:
     """The unique (up to phase) single-qubit ket orthogonal to k."""
     arr = np.asarray(k, dtype=complex)
     if arr.shape != (2,):
         raise DimensionError("perp_qubit expects a single-qubit ket")
     return np.array([-np.conj(arr[1]), np.conj(arr[0])], dtype=complex)
-
-
-KET0 = basis_ket(2, 0)
-KET1 = basis_ket(2, 1)
-KET0.setflags(write=False)
-KET1.setflags(write=False)
-
-
-def is_hermitian(m, atol: float = ATOL) -> bool:
-    arr = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(arr - arr.conj().T)) <= atol)
-
-
-def is_projector(m, atol: float = ATOL) -> bool:
-    arr = np.asarray(m, dtype=complex)
-    return is_hermitian(arr, atol) and bool(np.max(np.abs(arr @ arr - arr)) <= atol)
-
-
-def is_density(m, atol: float = ATOL) -> bool:
-    arr = np.asarray(m, dtype=complex)
-    if not is_hermitian(arr, atol):
-        return False
-    if abs(np.trace(arr).real - 1.0) > atol:
-        return False
-    return bool(np.linalg.eigvalsh(arr).min() >= -1e-10)
 
 
 @dataclass(frozen=True)

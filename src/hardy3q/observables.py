@@ -38,10 +38,6 @@ class DichotomicObservable:
             raise DimensionError("observable eigenstates must be single-qubit kets")
         return cls(plus_ket=p, minus_ket=linalg.fix_global_phase(linalg.perp_qubit(p)))
 
-    @classmethod
-    def from_coefficients(cls, c0, c1) -> "DichotomicObservable":
-        return cls.from_plus_ket(np.array([c0, c1], dtype=complex))
-
     def eigenket(self, sign: int) -> np.ndarray:
         if sign not in (+1, -1):
             raise ValueError(f"outcome sign must be +1 or -1, got {sign!r}")
@@ -59,8 +55,8 @@ class ObservablePair:
     def overlap(self) -> float:
         return float(abs(np.vdot(self.u.plus_ket, self.d.plus_ket)))
 
-    def window_ok(self, tol: float = WINDOW_TOL) -> bool:
-        return tol < self.overlap < 1.0 - tol
+    def window_ok(self) -> bool:
+        return WINDOW_TOL < self.overlap < 1.0 - WINDOW_TOL
 
 
 @dataclass(frozen=True)
@@ -72,23 +68,12 @@ class MeasurementSettings:
     def __post_init__(self):
         if len(self.pairs) != 3:
             raise ValueError("exactly three observable pairs are required")
-        self.validate()
-
-    def validate(self, tol: float = WINDOW_TOL) -> None:
         for j, pair in enumerate(self.pairs):
-            if not pair.window_ok(tol):
+            if not pair.window_ok():
                 raise WindowViolationError(j, pair.overlap)
 
-    def observable(self, qubit: int, kind: str) -> DichotomicObservable:
-        pair = self.pairs[qubit]
-        if kind == "U":
-            return pair.u
-        if kind == "D":
-            return pair.d
-        raise ValueError(f"observable kind must be 'U' or 'D', got {kind!r}")
 
-
-def observable_pair(alpha, beta, gamma, delta, window_tol: float = WINDOW_TOL) -> ObservablePair:
+def observable_pair(alpha, beta, gamma, delta) -> ObservablePair:
     """Build and validate one (U, D) pair from unnormalized coefficients.
 
     U+ is proportional to alpha|0> + beta|1> and D+ to gamma|0> + delta|1>;
@@ -96,41 +81,32 @@ def observable_pair(alpha, beta, gamma, delta, window_tol: float = WINDOW_TOL) -
     or the pair falls outside the open non-commutation window.
     """
     pair = ObservablePair(
-        u=DichotomicObservable.from_coefficients(alpha, beta),
-        d=DichotomicObservable.from_coefficients(gamma, delta),
+        u=DichotomicObservable.from_plus_ket((alpha, beta)),
+        d=DichotomicObservable.from_plus_ket((gamma, delta)),
     )
-    if not pair.window_ok(window_tol):
+    if not pair.window_ok():
         raise WindowViolationError(0, pair.overlap)
     return pair
 
 
-def settings_from_plus_kets(kets, window_tol: float = WINDOW_TOL) -> MeasurementSettings:
+def settings_from_plus_kets(kets) -> MeasurementSettings:
     """Settings from three (u_plus, d_plus) ket pairs in qubit order."""
     if len(kets) != 3:
         raise ValueError("expected three (u_plus, d_plus) pairs")
-    pairs = []
-    for j, (u, d) in enumerate(kets):
-        pair = ObservablePair(
-            u=DichotomicObservable.from_plus_ket(u),
-            d=DichotomicObservable.from_plus_ket(d),
+    return MeasurementSettings(
+        pairs=tuple(
+            ObservablePair(
+                u=DichotomicObservable.from_plus_ket(u),
+                d=DichotomicObservable.from_plus_ket(d),
+            )
+            for u, d in kets
         )
-        if not pair.window_ok(window_tol):
-            raise WindowViolationError(j, pair.overlap)
-        pairs.append(pair)
-    return MeasurementSettings(pairs=tuple(pairs))
+    )
 
 
-def settings_from_coefficient_rows(rows, window_tol: float = WINDOW_TOL) -> MeasurementSettings:
+def settings_from_coefficient_rows(rows) -> MeasurementSettings:
     """Settings from three (alpha, beta, gamma, delta) coefficient rows."""
-    if len(rows) != 3:
-        raise ValueError("expected three coefficient rows")
-    pairs = []
-    for j, (alpha, beta, gamma, delta) in enumerate(rows):
-        try:
-            pairs.append(observable_pair(alpha, beta, gamma, delta, window_tol))
-        except WindowViolationError as exc:
-            raise WindowViolationError(j, exc.overlap) from None
-    return MeasurementSettings(pairs=tuple(pairs))
+    return settings_from_plus_kets([((a, b), (g, d)) for a, b, g, d in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +117,6 @@ def settings_from_coefficient_rows(rows, window_tol: float = WINDOW_TOL) -> Meas
 # |k> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 
 N_SETTINGS_ANGLES = 12
-
-
-def ket_from_bloch(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex
-    )
 
 
 def bloch_from_ket(k) -> tuple[float, float]:
@@ -169,13 +139,13 @@ def kets_from_angles(x: np.ndarray) -> np.ndarray:
     return kets
 
 
-def settings_from_angles(x, window_tol: float = WINDOW_TOL) -> MeasurementSettings:
+def settings_from_angles(x) -> MeasurementSettings:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (N_SETTINGS_ANGLES,):
         raise ValueError(f"expected {N_SETTINGS_ANGLES} angles, got shape {arr.shape}")
     kets = kets_from_angles(arr)
     return settings_from_plus_kets(
-        [(kets[0], kets[1]), (kets[2], kets[3]), (kets[4], kets[5])], window_tol
+        [(kets[0], kets[1]), (kets[2], kets[3]), (kets[4], kets[5])]
     )
 
 

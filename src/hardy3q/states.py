@@ -70,14 +70,6 @@ class StateClass(enum.Enum):
 
 
 CLASS_ORDER: tuple[StateClass, ...] = tuple(StateClass)
-_CLASS_BY_LABEL = {c.value: c for c in StateClass}
-
-
-def class_from_label(label: str) -> StateClass:
-    try:
-        return _CLASS_BY_LABEL[label]
-    except KeyError:
-        raise Hardy3QError(f"unknown state class label {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -144,183 +136,20 @@ def _pair_matrix(l1: float, l2: float, l3: float, l4: float, phi: float) -> np.n
     return np.array([[l1 * np.exp(1j * phi), l2], [l3, l4]], dtype=complex)
 
 
-def _l0_zero_branch(l1, l2, l3, l4, phi_eff, eps):
-    det = abs(l1 * l4 * np.exp(1j * phi_eff) - l2 * l3)
-    if det < eps:
-        return StateClass.A3
-    m = _pair_matrix(l1, l2, l3, l4, phi_eff)
-    gap = np.max(np.abs(2.0 * (m @ m.conj().T) - np.eye(2)))
-    if gap < eps:
-        return StateClass.C3
-    return StateClass.B5
+def _match_rows(lam: np.ndarray, phi, eps: float):
+    """Indices into ``CLASS_ORDER`` of canonical parameters, one per row.
 
-
-def classify_lambdas(lams, phi: float, eps: float = CLASS_EPS, audit: bool = False) -> StateClass:
-    """Classify canonical parameters into exactly one table row.
-
-    ``eps`` defines both "zero" (l_j < eps) and "equal" (|x - y| < eps).
-    With ``audit=True`` all 25 row predicates are evaluated independently
-    and a gap or overlap raises instead of being silently resolved.
+    ``lam`` is (n, 5) with ``phi`` (n,), or (5,) of numpy floats with a
+    numpy-float ``phi`` (so that ``~`` is a logical not).  ``eps`` defines
+    both "zero" (l_j < eps) and "equal" (|x - y| < eps).  All 25 row
+    predicates are evaluated; a row with no match (gap) or more than one
+    (overlap) raises.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    l0, l1, l2, l3, l4 = (float(x) for x in lams)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    l0, l1, l2, l3, l4 = lam.T
     # phi multiplies only l1 in the canonical form, so it is unobservable
     # (treated as zero) when l1 vanishes
-    phi_eff = float(phi) if l1 >= eps else 0.0
-
-    if l0 < eps:
-        result = _l0_zero_branch(l1, l2, l3, l4, phi_eff, eps)
-    else:
-        zero = (l1 < eps, l2 < eps, l3 < eps, l4 < eps)
-        if zero == (True, True, True, True):
-            result = StateClass.A2
-        elif zero == (False, True, True, True):
-            result = StateClass.A1
-        elif zero == (True, False, True, True):
-            result = StateClass.C1 if abs(l0 * l2 - 0.5) < eps else StateClass.B3
-        elif zero == (True, True, False, True):
-            result = StateClass.C2 if abs(l0 * l3 - 0.5) < eps else StateClass.B4
-        elif zero == (True, True, True, False):
-            result = StateClass.D14
-        elif zero == (False, False, True, True):
-            result = StateClass.B1
-        elif zero == (False, True, False, True):
-            result = StateClass.B2
-        elif zero == (False, True, True, False):
-            result = StateClass.D8
-        elif zero == (True, False, False, True):
-            result = StateClass.D12
-        elif zero == (True, False, True, False):
-            result = StateClass.D13
-        elif zero == (True, True, False, False):
-            result = StateClass.D9
-        elif zero == (False, False, False, True):
-            result = StateClass.D4
-        elif zero == (False, False, True, False):
-            result = StateClass.D5
-        elif zero == (False, True, False, False):
-            result = StateClass.D7 if abs(l0 - l4) < eps else StateClass.D6
-        elif zero == (True, False, False, False):
-            result = StateClass.D11 if abs(l2 - l4) < eps else StateClass.D10
-        else:  # all four non-zero
-            if phi_eff >= eps:
-                result = StateClass.D1
-            elif abs(l2 * l3 - l1 * l4) < eps:
-                result = StateClass.D3
-            else:
-                result = StateClass.D2
-
-    if audit:
-        matched = matching_rows(lams, phi, eps)
-        if not matched:
-            raise ClassificationGapError(lams, phi)
-        if len(matched) > 1:
-            raise ClassificationOverlapError(lams, phi, [c.value for c in matched])
-        if matched[0] is not result:  # pragma: no cover - defensive
-            raise ClassificationOverlapError(
-                lams, phi, [result.value, matched[0].value]
-            )
-    return result
-
-
-def classify(state: CanonicalState, eps: float = CLASS_EPS, audit: bool = False) -> StateClass:
-    return classify_lambdas(state.lams, state.phi, eps=eps, audit=audit)
-
-
-def row_matches(cls: StateClass, lams, phi: float, eps: float = CLASS_EPS) -> bool:
-    """Literal predicate for one classification row, independent of the tree."""
-    l0, l1, l2, l3, l4 = (float(x) for x in lams)
-    phi_eff = float(phi) if l1 >= eps else 0.0
-
-    def nz(*xs):
-        return all(x >= eps for x in xs)
-
-    def z(*xs):
-        return all(x < eps for x in xs)
-
-    if cls is StateClass.A1:
-        return nz(l0, l1) and z(l2, l3, l4)
-    if cls is StateClass.A2:
-        return nz(l0) and z(l1, l2, l3, l4)
-    if cls is StateClass.A3:
-        return z(l0) and abs(l1 * l4 * np.exp(1j * phi_eff) - l2 * l3) < eps
-    if cls is StateClass.B1:
-        return nz(l0, l1, l2) and z(l3, l4)
-    if cls is StateClass.B2:
-        return nz(l0, l1, l3) and z(l2, l4)
-    if cls is StateClass.B3:
-        return nz(l0, l2) and z(l1, l3, l4) and not abs(l0 * l2 - 0.5) < eps
-    if cls is StateClass.B4:
-        return nz(l0, l3) and z(l1, l2, l4) and not abs(l0 * l3 - 0.5) < eps
-    if cls is StateClass.B5:
-        if not z(l0):
-            return False
-        det = abs(l1 * l4 * np.exp(1j * phi_eff) - l2 * l3)
-        m = _pair_matrix(l1, l2, l3, l4, phi_eff)
-        gap = np.max(np.abs(2.0 * (m @ m.conj().T) - np.eye(2)))
-        return det >= eps and gap >= eps
-    if cls is StateClass.C1:
-        return nz(l0, l2) and z(l1, l3, l4) and abs(l0 * l2 - 0.5) < eps
-    if cls is StateClass.C2:
-        return nz(l0, l3) and z(l1, l2, l4) and abs(l0 * l3 - 0.5) < eps
-    if cls is StateClass.C3:
-        if not z(l0):
-            return False
-        m = _pair_matrix(l1, l2, l3, l4, phi_eff)
-        return np.max(np.abs(2.0 * (m @ m.conj().T) - np.eye(2))) < eps
-    if cls is StateClass.D1:
-        return nz(l0, l1, l2, l3, l4) and phi_eff >= eps
-    if cls is StateClass.D2:
-        return (
-            nz(l0, l1, l2, l3, l4)
-            and phi_eff < eps
-            and not abs(l2 * l3 - l1 * l4) < eps
-        )
-    if cls is StateClass.D3:
-        return nz(l0, l1, l2, l3, l4) and phi_eff < eps and abs(l2 * l3 - l1 * l4) < eps
-    if cls is StateClass.D4:
-        return nz(l0, l1, l2, l3) and z(l4)
-    if cls is StateClass.D5:
-        return nz(l0, l1, l2, l4) and z(l3)
-    if cls is StateClass.D6:
-        return nz(l0, l1, l3, l4) and z(l2) and not abs(l0 - l4) < eps
-    if cls is StateClass.D7:
-        return nz(l0, l1, l3, l4) and z(l2) and abs(l0 - l4) < eps
-    if cls is StateClass.D8:
-        return nz(l0, l1, l4) and z(l2, l3)
-    if cls is StateClass.D9:
-        return nz(l0, l3, l4) and z(l1, l2)
-    if cls is StateClass.D10:
-        return nz(l0, l2, l3, l4) and z(l1) and not abs(l2 - l4) < eps
-    if cls is StateClass.D11:
-        return nz(l0, l2, l3, l4) and z(l1) and abs(l2 - l4) < eps
-    if cls is StateClass.D12:
-        return nz(l0, l2, l3) and z(l1, l4)
-    if cls is StateClass.D13:
-        return nz(l0, l2, l4) and z(l1, l3)
-    if cls is StateClass.D14:
-        return nz(l0, l4) and z(l1, l2, l3)
-    raise Hardy3QError(f"unknown class {cls}")  # pragma: no cover
-
-
-def matching_rows(lams, phi: float, eps: float = CLASS_EPS) -> list[StateClass]:
-    return [cls for cls in CLASS_ORDER if row_matches(cls, lams, phi, eps)]
-
-
-def classify_batch(lams: np.ndarray, phis: np.ndarray, eps: float = CLASS_EPS) -> np.ndarray:
-    """Vectorized classification of many parameter rows at once.
-
-    ``lams`` has shape (n, 5), ``phis`` shape (n,).  Returns indices into
-    ``CLASS_ORDER``.  Raises on the first row with no match (gap) or more
-    than one match (exclusivity violation), mirroring the audit mode of
-    :func:`classify_lambdas`.
-    """
-    lam = np.asarray(lams, dtype=float)
-    phi = np.asarray(phis, dtype=float)
-    if lam.ndim != 2 or lam.shape[1] != 5 or phi.shape != (lam.shape[0],):
-        raise ValueError("expected lams of shape (n, 5) and phis of shape (n,)")
-    l0, l1, l2, l3, l4 = (lam[:, j] for j in range(5))
     phi_eff = np.where(l1 >= eps, phi, 0.0)
     e_phi = np.exp(1j * phi_eff)
 
@@ -342,43 +171,73 @@ def classify_batch(lams: np.ndarray, phis: np.ndarray, eps: float = CLASS_EPS) -
     eq24 = np.abs(l2 - l4) < eps
     phi_zero = phi_eff < eps
 
-    preds = {
-        StateClass.A1: nz0 & nz1 & z2 & z3 & z4,
-        StateClass.A2: nz0 & z1 & z2 & z3 & z4,
-        StateClass.A3: z0 & singular,
-        StateClass.B1: nz0 & nz1 & nz2 & z3 & z4,
-        StateClass.B2: nz0 & nz1 & z2 & nz3 & z4,
-        StateClass.B3: nz0 & z1 & nz2 & z3 & z4 & ~eq02,
-        StateClass.B4: nz0 & z1 & z2 & nz3 & z4 & ~eq03,
-        StateClass.B5: z0 & ~singular & ~unitary,
-        StateClass.C1: nz0 & z1 & nz2 & z3 & z4 & eq02,
-        StateClass.C2: nz0 & z1 & z2 & nz3 & z4 & eq03,
-        StateClass.C3: z0 & unitary,
-        StateClass.D1: nz0 & nz1 & nz2 & nz3 & nz4 & ~phi_zero,
-        StateClass.D2: nz0 & nz1 & nz2 & nz3 & nz4 & phi_zero & ~eq_cross,
-        StateClass.D3: nz0 & nz1 & nz2 & nz3 & nz4 & phi_zero & eq_cross,
-        StateClass.D4: nz0 & nz1 & nz2 & nz3 & z4,
-        StateClass.D5: nz0 & nz1 & nz2 & z3 & nz4,
-        StateClass.D6: nz0 & nz1 & z2 & nz3 & nz4 & ~eq04,
-        StateClass.D7: nz0 & nz1 & z2 & nz3 & nz4 & eq04,
-        StateClass.D8: nz0 & nz1 & z2 & z3 & nz4,
-        StateClass.D9: nz0 & z1 & z2 & nz3 & nz4,
-        StateClass.D10: nz0 & z1 & nz2 & nz3 & nz4 & ~eq24,
-        StateClass.D11: nz0 & z1 & nz2 & nz3 & nz4 & eq24,
-        StateClass.D12: nz0 & z1 & nz2 & nz3 & z4,
-        StateClass.D13: nz0 & z1 & nz2 & z3 & nz4,
-        StateClass.D14: nz0 & z1 & z2 & z3 & nz4,
-    }
-    table = np.stack([preds[c] for c in CLASS_ORDER], axis=1)
+    preds = (
+        nz0 & nz1 & z2 & z3 & z4,  # A.1
+        nz0 & z1 & z2 & z3 & z4,  # A.2
+        z0 & singular,  # A.3
+        nz0 & nz1 & nz2 & z3 & z4,  # B.1
+        nz0 & nz1 & z2 & nz3 & z4,  # B.2
+        nz0 & z1 & nz2 & z3 & z4 & ~eq02,  # B.3
+        nz0 & z1 & z2 & nz3 & z4 & ~eq03,  # B.4
+        z0 & ~singular & ~unitary,  # B.5
+        nz0 & z1 & nz2 & z3 & z4 & eq02,  # C.1
+        nz0 & z1 & z2 & nz3 & z4 & eq03,  # C.2
+        z0 & unitary,  # C.3
+        nz0 & nz1 & nz2 & nz3 & nz4 & ~phi_zero,  # D.1
+        nz0 & nz1 & nz2 & nz3 & nz4 & phi_zero & ~eq_cross,  # D.2
+        nz0 & nz1 & nz2 & nz3 & nz4 & phi_zero & eq_cross,  # D.3
+        nz0 & nz1 & nz2 & nz3 & z4,  # D.4
+        nz0 & nz1 & nz2 & z3 & nz4,  # D.5
+        nz0 & nz1 & z2 & nz3 & nz4 & ~eq04,  # D.6
+        nz0 & nz1 & z2 & nz3 & nz4 & eq04,  # D.7
+        nz0 & nz1 & z2 & z3 & nz4,  # D.8
+        nz0 & z1 & z2 & nz3 & nz4,  # D.9
+        nz0 & z1 & nz2 & nz3 & nz4 & ~eq24,  # D.10
+        nz0 & z1 & nz2 & nz3 & nz4 & eq24,  # D.11
+        nz0 & z1 & nz2 & nz3 & z4,  # D.12
+        nz0 & z1 & nz2 & z3 & nz4,  # D.13
+        nz0 & z1 & z2 & z3 & nz4,  # D.14
+    )
+    # filled row by row: np.stack takes about 35 us on 25 numpy scalars
+    table = np.empty(np.shape(l0) + (len(CLASS_ORDER),), dtype=bool)
+    for k, pred in enumerate(preds):
+        table[..., k] = pred
+    table = table.reshape(-1, len(CLASS_ORDER))
     counts = table.sum(axis=1)
-    if np.any(counts == 0):
-        i = int(np.argmax(counts == 0))
-        raise ClassificationGapError(lam[i], phi[i])
-    if np.any(counts > 1):
-        i = int(np.argmax(counts > 1))
+    if (counts != 1).any():
+        gap = counts == 0
+        i = int(np.argmax(gap if gap.any() else counts > 1))
+        row_lam, row_phi = lam.reshape(-1, 5)[i], np.reshape(phi, -1)[i]
+        if gap[i]:
+            raise ClassificationGapError(row_lam, row_phi)
         labels = [CLASS_ORDER[j].value for j in np.flatnonzero(table[i])]
-        raise ClassificationOverlapError(lam[i], phi[i], labels)
-    return np.argmax(table, axis=1)
+        raise ClassificationOverlapError(row_lam, row_phi, labels)
+    return table.argmax(axis=1)
+
+
+def classify(state: CanonicalState, eps: float = CLASS_EPS, audit: bool = True) -> StateClass:
+    """The one classification-table row matching a canonical state.
+
+    Raises ``ClassificationGapError`` or ``ClassificationOverlapError`` when
+    no row or several rows match at this ``eps``.  ``audit`` has no effect:
+    every call checks all 25 rows.
+    """
+    lam = np.array(state.lams, dtype=np.float64)
+    return CLASS_ORDER[int(_match_rows(lam, np.float64(state.phi), eps)[0])]
+
+
+def classify_batch(lams: np.ndarray, phis: np.ndarray, eps: float = CLASS_EPS) -> np.ndarray:
+    """Vectorized classification of many parameter rows at once.
+
+    ``lams`` has shape (n, 5), ``phis`` shape (n,).  Returns indices into
+    ``CLASS_ORDER``.  Raises on the first row with no match (gap), else on
+    the first with more than one match (overlap).
+    """
+    lam = np.asarray(lams, dtype=float)
+    phi = np.asarray(phis, dtype=float)
+    if lam.ndim != 2 or lam.shape[1] != 5 or phi.shape != (lam.shape[0],):
+        raise ValueError("expected lams of shape (n, 5) and phis of shape (n,)")
+    return _match_rows(lam, phi, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +256,6 @@ def mix_with_white_noise(psi, v: float) -> np.ndarray:
             raise ValueError("white-noise mixing expects a three-qubit state")
         linalg.require_normalized(vec, atol=1e-9)
     return v * np.outer(vec, vec.conj()) + (1.0 - v) / 8.0 * np.eye(8, dtype=complex)
-
-
-@dataclass(frozen=True)
-class NoisyState:
-    """Pure state mixed with white noise at visibility v."""
-
-    psi: CanonicalState
-    visibility: float
-
-    def density(self) -> np.ndarray:
-        return mix_with_white_noise(self.psi, self.visibility)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from hardy3q.observables import random_angles, settings_from_angles
 from hardy3q.errors import WindowViolationError
+from hardy3q.states import StateClass
 
 
 @pytest.fixture
@@ -19,6 +20,41 @@ def random_ket(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def basis_ket(dim, index):
+    out = np.zeros(dim, dtype=complex)
+    out[index] = 1.0
+    return out
+
+
+KET0 = basis_ket(2, 0)
+KET1 = basis_ket(2, 1)
+
+
+def qubit_ket(c0, c1):
+    """Normalized single-qubit ket c0|0> + c1|1>."""
+    k = np.array([c0, c1], dtype=complex)
+    return k / np.linalg.norm(k)
+
+
+def is_hermitian(m, atol=1e-10):
+    m = np.asarray(m, dtype=complex)
+    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+
+
+def is_projector(m, atol=1e-10):
+    m = np.asarray(m, dtype=complex)
+    return is_hermitian(m, atol) and bool(np.max(np.abs(m @ m - m)) <= atol)
+
+
+def is_density(m, atol=1e-10):
+    m = np.asarray(m, dtype=complex)
+    return (
+        is_hermitian(m, atol)
+        and abs(np.trace(m).real - 1.0) <= atol
+        and bool(np.linalg.eigvalsh(m).min() >= -1e-10)
+    )
+
+
 def random_settings(rng):
     """Random windowed settings (redraws on window violations)."""
     while True:
@@ -26,6 +62,65 @@ def random_settings(rng):
             return settings_from_angles(random_angles(rng))
         except WindowViolationError:
             continue
+
+
+def oracle_classify(lams, phi, eps=1e-9):
+    """Independent classifier: the decision tree over the classification table.
+
+    Branches on l0, then on the zero pattern of l1..l4, then on the equality
+    surfaces; ``eps`` defines both "zero" (l_j < eps) and "equal"
+    (|x - y| < eps).  Every input resolves to one row, so this oracle never
+    reports a gap or an overlap.
+    """
+    l0, l1, l2, l3, l4 = (float(x) for x in lams)
+    # phi multiplies only l1 in the canonical form, so it is unobservable
+    # (treated as zero) when l1 vanishes
+    phi_eff = float(phi) if l1 >= eps else 0.0
+
+    if l0 < eps:
+        det = abs(l1 * l4 * np.exp(1j * phi_eff) - l2 * l3)
+        if det < eps:
+            return StateClass.A3
+        m = np.array([[l1 * np.exp(1j * phi_eff), l2], [l3, l4]], dtype=complex)
+        gap = np.max(np.abs(2.0 * (m @ m.conj().T) - np.eye(2)))
+        return StateClass.C3 if gap < eps else StateClass.B5
+    zero = (l1 < eps, l2 < eps, l3 < eps, l4 < eps)
+    if zero == (True, True, True, True):
+        return StateClass.A2
+    if zero == (False, True, True, True):
+        return StateClass.A1
+    if zero == (True, False, True, True):
+        return StateClass.C1 if abs(l0 * l2 - 0.5) < eps else StateClass.B3
+    if zero == (True, True, False, True):
+        return StateClass.C2 if abs(l0 * l3 - 0.5) < eps else StateClass.B4
+    if zero == (True, True, True, False):
+        return StateClass.D14
+    if zero == (False, False, True, True):
+        return StateClass.B1
+    if zero == (False, True, False, True):
+        return StateClass.B2
+    if zero == (False, True, True, False):
+        return StateClass.D8
+    if zero == (True, False, False, True):
+        return StateClass.D12
+    if zero == (True, False, True, False):
+        return StateClass.D13
+    if zero == (True, True, False, False):
+        return StateClass.D9
+    if zero == (False, False, False, True):
+        return StateClass.D4
+    if zero == (False, False, True, False):
+        return StateClass.D5
+    if zero == (False, True, False, False):
+        return StateClass.D7 if abs(l0 - l4) < eps else StateClass.D6
+    if zero == (True, False, False, False):
+        return StateClass.D11 if abs(l2 - l4) < eps else StateClass.D10
+    # all four non-zero
+    if phi_eff >= eps:
+        return StateClass.D1
+    if abs(l2 * l3 - l1 * l4) < eps:
+        return StateClass.D3
+    return StateClass.D2
 
 
 def oracle_joint_probability(state, kets):

@@ -1,5 +1,7 @@
 """Tests for joint probabilities, the Bell expression, LHV bound, sampling."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -23,7 +25,7 @@ from hardy3q.bell import (
 from hardy3q.observables import DichotomicObservable, settings_from_plus_kets
 from hardy3q.states import CanonicalState, mix_with_white_noise, random_canonical
 
-from conftest import oracle_hardy_probabilities, random_settings
+from conftest import oracle_hardy_probabilities, oracle_joint_probability, random_settings
 
 INV_SQRT2 = 2**-0.5
 
@@ -122,6 +124,30 @@ class TestOutcomeDistribution:
         for kinds in {tuple(k for k, _ in term) for term in BELL_TERMS}:
             probs = outcome_distribution(psi, settings, kinds)
             assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("visibility", [None, 0.4], ids=["ket", "white-noise"])
+    def test_entries_match_kron_oracle(self, rng, visibility):
+        state = random_canonical(rng)
+        target = state.to_ket() if visibility is None else mix_with_white_noise(state, visibility)
+        settings = random_settings(rng)
+        for term in BELL_TERMS:
+            kinds = [kind for kind, _ in term]
+            probs = outcome_distribution(target, settings, kinds)
+            for idx, signs in enumerate(product((+1, -1), repeat=3)):
+                kets = [
+                    (pair.u if kind == "U" else pair.d).eigenket(sign)
+                    for pair, kind, sign in zip(settings.pairs, kinds, signs)
+                ]
+                assert probs[idx] == pytest.approx(
+                    oracle_joint_probability(target, kets), abs=1e-12
+                )
+
+    def test_rejects_bad_kinds(self, rng):
+        settings = random_settings(rng)
+        psi = random_canonical(rng).to_ket()
+        for kinds in (("U", "D"), ("U", "D", "X")):
+            with pytest.raises(ValueError):
+                outcome_distribution(psi, settings, kinds)
 
 
 class TestAffinity:

@@ -110,6 +110,12 @@ class TestClassify:
     def test_bad_eps_exit_parse(self, tmp_path, capsys, eps):
         assert "--eps" in assert_rejected(capsys, ["classify", ghz_file(tmp_path), "--eps", eps])
 
+    def test_overlap_exit_gap(self, tmp_path, capsys):
+        # at eps = 0.6 the maximal pair is both singular (A.3) and unitary (C.3)
+        path = write_state(tmp_path, {"lambda": [0, INV_SQRT2, 0, 0, INV_SQRT2], "phi": 0.0})
+        error = assert_rejected(capsys, ["classify", path, "--eps", "0.6"], code=EXIT_GAP)
+        assert "A.3" in error and "C.3" in error
+
     @pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["plain", "normalize"])
     def test_non_finite_amplitudes_exit_parse(self, tmp_path, capsys, flags):
         path = write_state(tmp_path, NAN_AMPLITUDES)

@@ -7,26 +7,35 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from hardy3q import linalg
 from hardy3q.errors import DimensionError, NormalizationError, SpanError
 
-from conftest import random_ket, random_settings
+from conftest import (
+    KET0,
+    KET1,
+    basis_ket,
+    is_density,
+    is_projector,
+    qubit_ket,
+    random_ket,
+    random_settings,
+)
 
 
 def basis8(i):
-    return linalg.basis_ket(8, i)
+    return basis_ket(8, i)
 
 
 class TestTensor:
     def test_basis_product_000(self):
-        out = linalg.tensor(linalg.KET0, linalg.KET0, linalg.KET0)
+        out = linalg.tensor(KET0, KET0, KET0)
         assert np.allclose(out, basis8(0))
 
     def test_basis_product_101(self):
-        out = linalg.tensor(linalg.KET1, linalg.KET0, linalg.KET1)
+        out = linalg.tensor(KET1, KET0, KET1)
         assert np.allclose(out, basis8(5))
 
     def test_ghz_construction(self):
         ghz = (
-            linalg.tensor(linalg.KET0, linalg.KET0, linalg.KET0)
-            + linalg.tensor(linalg.KET1, linalg.KET1, linalg.KET1)
+            linalg.tensor(KET0, KET0, KET0)
+            + linalg.tensor(KET1, KET1, KET1)
         ) / np.sqrt(2)
         expected = np.zeros(8, complex)
         expected[0] = expected[7] = 2**-0.5
@@ -34,11 +43,11 @@ class TestTensor:
 
     def test_dimension_overflow_rejected(self):
         with pytest.raises(DimensionError):
-            linalg.tensor(linalg.KET0, linalg.KET0, linalg.KET0, linalg.KET0)
+            linalg.tensor(KET0, KET0, KET0, KET0)
 
     def test_mixed_ranks_rejected(self):
         with pytest.raises(DimensionError):
-            linalg.tensor(linalg.KET0, np.eye(2))
+            linalg.tensor(KET0, np.eye(2))
 
     @hyp_settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -56,14 +65,14 @@ class TestTensor:
 
 class TestProjector:
     def test_ket0(self):
-        assert np.allclose(linalg.projector(linalg.KET0), np.diag([1.0, 0.0]))
+        assert np.allclose(linalg.projector(KET0), np.diag([1.0, 0.0]))
 
     def test_plus(self):
-        plus = linalg.qubit_ket(1, 1)
+        plus = qubit_ket(1, 1)
         assert np.allclose(linalg.projector(plus), np.full((2, 2), 0.5))
 
     def test_circular(self):
-        k = linalg.qubit_ket(1, 1j)
+        k = qubit_ket(1, 1j)
         expected = np.array([[0.5, -0.5j], [0.5j, 0.5]])
         assert np.allclose(linalg.projector(k), expected)
 
@@ -77,7 +86,7 @@ class TestProjector:
         k = random_ket(np.random.default_rng(seed), dim)
         p = linalg.projector(k)
         assert np.max(np.abs(p @ k - k)) <= 1e-12
-        assert linalg.is_projector(p, atol=1e-12)
+        assert is_projector(p, atol=1e-12)
 
 
 class TestSchmidt:
@@ -194,5 +203,5 @@ class TestPhaseAndValidation:
 
     def test_is_density(self):
         rho = np.eye(8) / 8.0
-        assert linalg.is_density(rho)
-        assert not linalg.is_density(np.eye(8))
+        assert is_density(rho)
+        assert not is_density(np.eye(8))

@@ -7,22 +7,21 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from hardy3q import linalg
-from hardy3q.errors import NormalizationError
+from hardy3q.errors import ClassificationOverlapError, NormalizationError
 from hardy3q.states import (
     CLASS_ORDER,
     CanonicalState,
-    NoisyState,
     StateClass,
     classify,
     classify_batch,
-    classify_lambdas,
-    matching_rows,
     mix_with_white_noise,
     normalized_canonical,
     random_canonical,
     sample_class,
     to_ket,
 )
+
+from conftest import basis_ket, is_density, oracle_classify
 
 INV_SQRT2 = 2**-0.5
 
@@ -60,7 +59,7 @@ class TestToKet:
 
     def test_000(self):
         psi = to_ket(CanonicalState((1, 0, 0, 0, 0), 0.0))
-        assert np.allclose(psi, linalg.basis_ket(8, 0))
+        assert np.allclose(psi, basis_ket(8, 0))
 
     def test_w_up_to_local_bit_flip(self):
         s = 3**-0.5
@@ -115,7 +114,7 @@ class TestClassifyTargeted:
     def test_sampler_lands_in_class(self, cls, rng):
         for _ in range(200):
             state = sample_class(cls, rng)
-            assert classify(state, audit=True) is cls
+            assert classify(state) is cls
 
     def test_perturbation_stability_away_from_boundaries(self, rng):
         eps = 1e-9
@@ -123,13 +122,15 @@ class TestClassifyTargeted:
         for _ in range(300):
             cls = stable_classes[int(rng.integers(len(stable_classes)))]
             state = sample_class(cls, rng)
-            base = classify(state)
+            base = classify(state, eps=eps)
+            assert oracle_classify(state.lams, state.phi, eps) is base
             lams = np.array(state.lams)
             jitter = rng.uniform(-eps / 10, eps / 10, 5)
             jittered = np.clip(lams + jitter, 0.0, None)
             # renormalization keeps the perturbation at the eps/10 scale
             jittered /= np.linalg.norm(jittered)
-            assert classify_lambdas(jittered, state.phi, eps=eps) is base
+            assert classify(CanonicalState(tuple(jittered), state.phi), eps=eps) is base
+            assert oracle_classify(jittered, state.phi, eps) is base
 
 
 class TestClassifyProperties:
@@ -137,9 +138,10 @@ class TestClassifyProperties:
     @given(st.integers(0, 2**31 - 1))
     def test_uniform_draws_match_exactly_one_row(self, seed):
         state = random_canonical(np.random.default_rng(seed))
-        rows = matching_rows(state.lams, state.phi)
-        assert len(rows) == 1
-        assert classify(state, audit=True) is rows[0]
+        # both raise unless exactly one row matches
+        cls = classify(state)
+        assert CLASS_ORDER[classify_batch(np.array([state.lams]), np.array([state.phi]))[0]] is cls
+        assert cls is oracle_classify(state.lams, state.phi)
 
     def test_batch_agrees_with_scalar(self, rng):
         states = [random_canonical(rng) for _ in range(500)]
@@ -149,6 +151,25 @@ class TestClassifyProperties:
         codes = classify_batch(lams, phis)
         for state, code in zip(states, codes):
             assert CLASS_ORDER[code] is classify(state)
+            assert CLASS_ORDER[code] is oracle_classify(state.lams, state.phi)
+
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_bad_eps_rejected_by_both_entry_points(self, eps):
+        ghz = canonical([1, 0, 0, 0, 1])
+        with pytest.raises(ValueError, match="eps"):
+            classify(ghz, eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            classify_batch(np.array([ghz.lams]), np.array([ghz.phi]), eps=eps)
+
+    def test_overlap_raises_in_both_entry_points(self):
+        # at eps = 0.6 the maximal pair (|00> + |11>)/sqrt(2) is both
+        # singular (A.3) and unitary (C.3)
+        state = CanonicalState((0.0, INV_SQRT2, 0.0, 0.0, INV_SQRT2), 0.0)
+        with pytest.raises(ClassificationOverlapError) as scalar:
+            classify(state, eps=0.6)
+        with pytest.raises(ClassificationOverlapError) as batch:
+            classify_batch(np.array([state.lams]), np.array([state.phi]), eps=0.6)
+        assert scalar.value.labels == batch.value.labels == ("A.3", "C.3")
 
 
 class TestWhiteNoise:
@@ -173,12 +194,12 @@ class TestWhiteNoise:
 
     def test_noisy_state_density_is_valid(self, rng):
         state = random_canonical(rng)
-        rho = NoisyState(state, 0.37).density()
-        assert linalg.is_density(rho)
+        rho = mix_with_white_noise(state, 0.37)
+        assert is_density(rho)
 
     def test_accepts_raw_ket(self):
         w = np.zeros(8, complex)
         w[1] = w[2] = w[4] = 3**-0.5
         rho = mix_with_white_noise(w, 0.25)
-        assert linalg.is_density(rho)
+        assert is_density(rho)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
