@@ -9,12 +9,18 @@ A fallback rate of 100% flags a defective tabulated recipe for that row.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from hardy3q.bell import bell_value
-from hardy3q.hardy import build_witness
-from hardy3q.states import CLASS_ORDER, sample_class
+# run from a checkout: import the package from its src/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hardy3q.bell import bell_value  # noqa: E402
+from hardy3q.hardy import build_witness  # noqa: E402
+from hardy3q.states import CLASS_ORDER, sample_class  # noqa: E402
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)

@@ -3,16 +3,23 @@
 
 Runs the multistart see-saw Bell-value minimizer on both states and prints the
 optimized values next to the reference numbers for this inequality
-(GHZ: -0.175459 / 0.68125, W: -0.192608 / 0.6606676).
+(GHZ: -0.175459 / 0.68125, W: -0.192608 / 0.6606676).  With ``--seeds N`` it
+runs seeds ``seed .. seed + N - 1`` and prints, per seed and summed, how many
+starts reached the best value and how many batched see-saw sweeps it took.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from hardy3q.states import CanonicalState
-from hardy3q.visibility import minimize_bell
+# run from a checkout: import the package from its src/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hardy3q.states import CanonicalState  # noqa: E402
+from hardy3q.visibility import minimize_bell  # noqa: E402
 
 REFERENCES = {
     "GHZ": {"best": -0.175459, "threshold": 0.68125},
@@ -33,25 +40,36 @@ def w_ket():
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--starts", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="first seed")
+    parser.add_argument("--seeds", type=int, default=1, help="number of seeds")
     args = parser.parse_args()
+    if args.starts < 1 or args.seeds < 1:
+        parser.error("--starts and --seeds must be at least 1")
 
     for name, psi in (("GHZ", ghz_ket()), ("W", w_ket())):
-        started = time.perf_counter()
-        result = minimize_bell(psi, starts=args.starts, seed=args.seed)
-        elapsed = time.perf_counter() - started
         ref = REFERENCES[name]
-        print(f"{name}:")
-        print(
-            f"  best B        = {result.best_value:+.7f}   "
-            f"(reference {ref['best']:+.6f}, diff {result.best_value - ref['best']:+.2e})"
-        )
-        print(
-            f"  threshold v   = {result.threshold_visibility:.7f}    "
-            f"(reference {ref['threshold']:.7f})"
-        )
-        print(f"  at best       = {result.starts_at_best} of {result.starts} starts")
-        print(f"  starts / time = {result.starts} / {elapsed:.1f}s")
+        print(f"{name}:  reference B = {ref['best']:+.6f}, v_thr = {ref['threshold']:.7f}")
+        print(f"  {'seed':>6} {'best B':>11} {'diff':>9} {'v_thr':>10} {'at best':>9} {'sweeps':>7} {'time':>7}")
+        at_best = sweeps = 0
+        elapsed = 0.0
+        for seed in range(args.seed, args.seed + args.seeds):
+            started = time.perf_counter()
+            result = minimize_bell(psi, starts=args.starts, seed=seed)
+            took = time.perf_counter() - started
+            v_thr = result.threshold_visibility
+            print(
+                f"  {seed:>6} {result.best_value:+.8f} {result.best_value - ref['best']:+.2e} "
+                f"{'-' if v_thr is None else format(v_thr, '.7f'):>10} "
+                f"{result.starts_at_best:>4} / {result.starts:<2} {result.sweeps:>7} {took:>6.2f}s"
+            )
+            at_best += result.starts_at_best
+            sweeps += result.sweeps
+            elapsed += took
+        if args.seeds > 1:
+            print(
+                f"  {'sum':>6} {'':>11} {'':>9} {'':>10} "
+                f"{at_best:>4} / {args.starts * args.seeds:<2} {sweeps:>7} {elapsed:>6.2f}s"
+            )
 
 
 if __name__ == "__main__":

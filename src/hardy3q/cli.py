@@ -68,6 +68,13 @@ class CliError(Exception):
         super().__init__(message)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 2 with a JSON error."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}", EXIT_PARSE)
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Parsed state file: raw echo plus the realized state objects."""
@@ -128,7 +135,7 @@ def load_state_spec(path: str, normalize: bool = False) -> StateSpec:
                 state, factor = normalized_canonical([float(x) for x in lams], float(phi))
             else:
                 state = CanonicalState(tuple(float(x) for x in lams), float(phi))
-        except (ValueError, Hardy3QError) as exc:
+        except (TypeError, ValueError, OverflowError, Hardy3QError) as exc:
             raise CliError(f"invalid canonical parameters: {exc}", EXIT_PARSE) from exc
         return StateSpec(raw, state, state.to_ket(), label, factor)
 
@@ -137,11 +144,12 @@ def load_state_spec(path: str, normalize: bool = False) -> StateSpec:
         raise CliError("'amplitudes' must be a list of eight [re, im] pairs", EXIT_PARSE)
     try:
         vec = np.array([complex(float(p[0]), float(p[1])) for p in amps])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise CliError(f"invalid amplitude entry: {exc}", EXIT_PARSE) from exc
     if not np.isfinite(vec).all():
         raise CliError("amplitude entries must be finite numbers", EXIT_PARSE)
-    nrm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        nrm = float(np.linalg.norm(vec))
     if normalize:
         if not 0.0 < nrm < math.inf:
             raise CliError(f"cannot normalize amplitudes of norm {nrm!r}", EXIT_PARSE)
@@ -405,7 +413,7 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[dict | None, int]:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hardy3q",
         description=(
             "Classify three-qubit pure states, build Hardy-type nonlocality "
@@ -467,9 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report, code = args.func(args)
     except CliError as exc:
         print(json.dumps({"error": str(exc), "exit_code": exc.code}), file=sys.stderr)

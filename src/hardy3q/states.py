@@ -109,7 +109,8 @@ def normalized_canonical(lams, phi: float = 0.0) -> tuple[CanonicalState, float]
     raw = np.asarray(lams, dtype=float)
     if not np.isfinite(raw).all():
         raise NormalizationError("amplitudes must be finite numbers")
-    scale = float(np.linalg.norm(raw))
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        scale = float(np.linalg.norm(raw))
     if not 0.0 < scale < math.inf:
         raise NormalizationError(f"cannot normalize amplitudes of norm {scale!r}")
     return CanonicalState(tuple(raw / scale), phi), scale

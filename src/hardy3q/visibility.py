@@ -14,6 +14,12 @@ third are the minimum eigenvectors of two 2x2 Hermitian matrices.  All
 seeded starts run together as one array, and each start escapes local
 minima by seeded basin hops: random rotations of its kets, each kept only
 when the re-descent ends lower.
+
+Plain sweeps converge linearly, and slowly near the optimum, so each
+descent is a safeguarded Anderson acceleration (Walker & Ni, SIAM J.
+Numer. Anal. 49, 1715, 2011) of the sweep fixed point: in its linear-rate
+tail a start sweeps from a combination of its last few iterates, which is
+kept only when it lowers B.
 """
 
 from __future__ import annotations
@@ -47,6 +53,16 @@ HOPS = 4
 KICK_ANGLE = 1.5
 #: stopping tolerance of the descents before the final polish to ``tol``
 LOOSE_TOL = 1e-6
+#: iterates per start that the Anderson extrapolation combines, and the
+#: plain-sweep gain below which a start begins to extrapolate.  At 8 starts,
+#: seeds 0-29, plain sweeps take 22,809 batched sweeps on W (163 starts reach
+#: the global minimum) and 3,646 on GHZ.  Depth 3, 5 and 8 at onset 1e-4 take
+#: 11,190, 11,125 and 10,641 on W (175, 174 and 167 starts).  At depth 5,
+#: onset 1e-3, 1e-4 and 1e-5 take 10,476, 11,125 and 13,130 on W (181, 174
+#: and 164 starts) and 3,371, 3,009 and 3,191 on GHZ; extrapolating from the
+#: second sweep on takes 10,182 on W but 4,056 on GHZ, more than plain sweeps.
+ANDERSON_DEPTH = 5
+ANDERSON_ONSET = 1e-4
 #: starts whose final B is this close to the best count as reaching it
 AT_BEST_TOL = 1e-9
 
@@ -64,6 +80,8 @@ class OptimizationResult:
     best_angles: tuple[float, ...]
     #: final B of every start, in start order
     start_values: tuple[float, ...]
+    #: batched sweeps run over all descents
+    sweeps: int
 
     @property
     def violation_found(self) -> bool:
@@ -91,20 +109,13 @@ def _min_eigpair(p, r, q, fallback):
     half = 0.5 * (p - r)
     h = np.sqrt(half * half + _norm2(q))
     lam = 0.5 * (p + r) - h
-    upper = (half >= 0.0)[..., None]
-    v = np.where(
-        upper,
-        np.stack([q, -(half + h) + 0j], axis=-1),
-        np.stack([(h - half) + 0j, -np.conj(q)], axis=-1),
-    )
+    upper = half >= 0.0
+    v = np.empty(q.shape + (2,), complex)
+    v[..., 0] = np.where(upper, q, (h - half) + 0j)
+    v[..., 1] = np.where(upper, -(half + h) + 0j, -np.conj(q))
     n2 = _norm2(v).sum(axis=-1, keepdims=True)
     ok = n2 > 0.0
     return lam, np.where(ok, v / np.sqrt(np.where(ok, n2, 1.0)), fallback)
-
-
-def _perp(k: np.ndarray) -> np.ndarray:
-    """The orthogonal complement of each qubit ket in (..., 2)."""
-    return np.stack([-np.conj(k[..., 1]), np.conj(k[..., 0])], axis=-1)
 
 
 def _sweep(psi3: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,58 +128,125 @@ def _sweep(psi3: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     with a = <D-D-|psi>, b = <U+U+|psi>, c3 = <D+U+|psi> and c4 = <U+D+|psi>
     contracted over the other two qubits in order.  Both brackets are
-    minimized exactly.  Returns the new kets and B after the sweep.  Only
+    minimized exactly, by one ``_min_eigpair`` call on the stacked U and D
+    matrices.  Returns the new kets and B after the sweep.  Only
     elementwise arithmetic is used, so a start's result does not depend on
     the other starts in the batch.
     """
     kets = kets.copy()
-    for j in range(3):
-        o, t = [k for k in range(3) if k != j]
-        tensor = np.moveaxis(psi3, j, 0)  # axes (j, o, t)
-        u_o, d_o = kets[:, o, 0], kets[:, o, 1]
-        u_t, d_t = kets[:, t, 0], kets[:, t, 1]
+    count = len(kets)
+    bra_t = np.empty((count, 3, 2), complex)  # <U+|, <D+|, <D-| of qubit t
+    bra_o = np.empty((count, 4, 2), complex)  # <D-|, <U+|, <D+|, <U+| of qubit o
+    diag = np.empty((count, 2, 2))  # U/D, diagonal entry
+    off = np.empty((count, 2), complex)  # U/D
+    for j, o, t in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        tensor = psi3.transpose(j, o, t)
+        # <D-| is the conjugate of the complement (-conj(d1), conj(d0))
+        bra_t[:, :2] = np.conj(kets[:, t])
+        bra_t[:, 2, 0], bra_t[:, 2, 1] = -kets[:, t, 1, 1], kets[:, t, 1, 0]
+        bra_o[:, 0, 0], bra_o[:, 0, 1] = -kets[:, o, 1, 1], kets[:, o, 1, 0]
+        bra_o[:, 1:3] = np.conj(kets[:, o])
+        bra_o[:, 3] = bra_o[:, 1]
         # contract qubit t with U+, D+, D- -> (S, 3, j, o)
-        bra_t = np.conj(np.stack([u_t, d_t, _perp(d_t)], axis=1))
         part = (tensor[None, None] * bra_t[:, :, None, None, :]).sum(axis=-1)
         # contract qubit o: a = <D- D-|, b = <U+ U+|, c3 = <D+ U+|, c4 = <U+ D+|
-        bra_o = np.conj(np.stack([_perp(d_o), u_o, d_o, u_o], axis=1))
-        a, b, c3, c4 = np.moveaxis(
-            (part[:, [2, 0, 0, 1]] * bra_o[:, :, None, :]).sum(axis=-1), 1, 0
-        )
-        na, nb, n3, n4 = _norm2(a), _norm2(b), _norm2(c3), _norm2(c4)
-        lam_d, kets[:, j, 1] = _min_eigpair(
-            nb[:, 0] - na[:, 0],
-            nb[:, 1] - na[:, 1],
-            b[:, 0] * np.conj(b[:, 1]) - a[:, 0] * np.conj(a[:, 1]),
-            kets[:, j, 1],
-        )
-        lam_u, kets[:, j, 0] = _min_eigpair(
-            n3[:, 0] + n4[:, 0] - nb[:, 0],
-            n3[:, 1] + n4[:, 1] - nb[:, 1],
+        amps = (part[:, [2, 0, 0, 1]] * bra_o[:, :, None, :]).sum(axis=-1)
+        a, b, c3, c4 = amps.transpose(1, 0, 2)
+        na, nb, n3, n4 = _norm2(amps).transpose(1, 0, 2)
+        diag[:, 0] = n3 + n4 - nb
+        diag[:, 1] = nb - na
+        off[:, 0] = (
             c3[:, 0] * np.conj(c3[:, 1]) + c4[:, 0] * np.conj(c4[:, 1])
-            - b[:, 0] * np.conj(b[:, 1]),
-            kets[:, j, 0],
+            - b[:, 0] * np.conj(b[:, 1])
         )
-    return kets, na.sum(axis=-1) + lam_d + lam_u
+        off[:, 1] = b[:, 0] * np.conj(b[:, 1]) - a[:, 0] * np.conj(a[:, 1])
+        lam, kets[:, j] = _min_eigpair(diag[..., 0], diag[..., 1], off, kets[:, j])
+    return kets, na.sum(axis=-1) + lam[:, 1] + lam[:, 0]
+
+
+def _extrapolate(f_hist: np.ndarray, g_hist: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Anderson extrapolation of the sweep map for every start at once.
+
+    ``g_hist`` holds a start's last sweep outputs G(x_i) as 24 reals and
+    ``f_hist`` the residuals G(x_i) - x_i, latest first; only the first
+    ``depth`` of each are valid.  With differences dF_i = f_0 - f_i and
+    dG_i = g_0 - g_i, gamma solves the ridge-regularized normal equations
+    of min |f_0 - dF gamma| and the result is g_0 - dG gamma, returned as
+    (S, 3, 2, 2) unit kets.  The normal equations are built from
+    elementwise products and sums, and solved per start, so a start's
+    result does not depend on the batch.
+    """
+    valid = (np.arange(1, ANDERSON_DEPTH) < depth[:, None])[..., None]
+    df = (f_hist[:, :1] - f_hist[:, 1:]) * valid
+    dg = (g_hist[:, :1] - g_hist[:, 1:]) * valid
+    gram = (df[:, :, None, :] * df[:, None, :, :]).sum(axis=-1)
+    trace = np.diagonal(gram, axis1=1, axis2=2).sum(axis=-1)
+    # a relative ridge, and a unit diagonal on unused differences (gamma_i = 0)
+    ridge = (1e-10 * trace + np.finfo(float).tiny)[:, None] + ~valid[..., 0]
+    gram = gram + ridge[:, :, None] * np.eye(ANDERSON_DEPTH - 1)
+    rhs = (df * f_hist[:, :1]).sum(axis=-1)
+    gamma = np.linalg.solve(gram, rhs[..., None])
+    x = (g_hist[:, 0] - (gamma * dg).sum(axis=1)).view(complex).reshape(-1, 3, 2, 2)
+    return x / np.sqrt(_norm2(x).sum(axis=-1, keepdims=True))
 
 
 def _descend(psi3, kets, tol, maxiter):
-    """Sweep each start until a sweep lowers its B by at most ``tol``.
+    """Sweep each start until a plain sweep lowers its B by at most ``tol``.
 
-    Returns the kets, the final B and the last sweep's improvement per start.
+    The sweeps are a safeguarded Anderson iteration (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 1715, 2011) on the sweep map, which sends a start's
+    kets, viewed as 24 reals, to the kets after one ``_sweep``.  Once a
+    plain sweep of a start gains less than ANDERSON_ONSET, its inputs are
+    extrapolated from its last ANDERSON_DEPTH iterates.  An extrapolated
+    input is kept only if the sweep from it lowers B; otherwise the start
+    goes back to its last kept kets and value, forgets its history and
+    sweeps plainly.  A sweep from an extrapolated input never stops a
+    start, and one that gains at most ``tol`` is followed by a plain sweep,
+    so the returned gain is always a plain sweep's.  ``maxiter`` caps the
+    batched sweeps.
+
+    Returns the kets, the final B and the last plain sweep's improvement
+    per start, and the number of batched sweeps run.
     """
-    kets = kets.copy()
-    value = np.full(len(kets), np.inf)
-    gain = np.full(len(kets), np.inf)
-    active = np.arange(len(kets))
-    for _ in range(maxiter):
-        kets[active], new_value = _sweep(psi3, kets[active])
-        gain[active] = value[active] - new_value
-        value[active] = new_value
-        active = active[gain[active] > tol]
-        if active.size == 0:
-            break
-    return kets, value, gain
+    count = len(kets)
+    kets = kets.copy()  # last kept sweep output (the start kets at first)
+    inputs = kets.copy()  # next sweep input of every start
+    value = np.full(count, np.inf)
+    gain = np.full(count, np.inf)  # last plain sweep's
+    onset = np.zeros(count, bool)
+    extrapolated = np.zeros(count, bool)
+    depth = np.zeros(count, int)
+    f_hist = np.zeros((count, ANDERSON_DEPTH, 24))
+    g_hist = np.zeros((count, ANDERSON_DEPTH, 24))
+    active = np.arange(count)
+    sweeps = 0
+    while active.size and sweeps < maxiter:
+        sweeps += 1
+        out, new = _sweep(psi3, inputs[active])
+        plain = ~extrapolated[active]
+        lowered = value[active] - new
+        kept = plain | (lowered > 0.0)
+        keep = active[kept]
+        gain[active[plain]] = lowered[plain]
+        onset[active[plain & (lowered < ANDERSON_ONSET)]] = True
+        value[keep], kets[keep] = new[kept], out[kept]
+        g_new = out[kept].view(float).reshape(-1, 24)
+        f_hist[keep, 1:], g_hist[keep, 1:] = f_hist[keep, :-1], g_hist[keep, :-1]
+        f_hist[keep, 0] = g_new - inputs[keep].view(float).reshape(-1, 24)
+        g_hist[keep, 0] = g_new
+        depth[keep] = np.minimum(depth[keep] + 1, ANDERSON_DEPTH)
+        depth[active[~kept]] = 0
+
+        going = ~plain | (lowered > tol)
+        active, lowered = active[going], lowered[going]
+        inputs[active] = kets[active]
+        extrapolated[:] = False
+        # a rejected start has depth 0; one whose sweep gained at most tol sweeps plainly
+        fast = active[onset[active] & (depth[active] >= 2) & (lowered > tol)]
+        if fast.size:
+            inputs[fast] = _extrapolate(f_hist[fast], g_hist[fast], depth[fast])
+            extrapolated[fast] = True
+    return kets, value, gain, sweeps
 
 
 def _kick(kets: np.ndarray, rngs) -> np.ndarray:
@@ -220,8 +298,9 @@ def minimize_bell(
     Start ``i`` draws its first settings and its hop rotations from the
     generator of child ``i`` of ``SeedSequence(seed)``.  Every start
     descends to LOOSE_TOL, takes HOPS basin hops (a hop is kept only when
-    it ends lower), and is polished until a sweep improves B by at most
-    ``tol``; ``maxiter`` caps the sweeps of each descent.  The first start
+    it ends lower), and is polished until a plain sweep improves B by at
+    most ``tol`` (see ``_descend``); ``maxiter`` caps the sweeps of each
+    descent.  The first start
     with the lowest B wins, so the outcome is deterministic for fixed
     (starts, seed), and a start's result does not depend on how many run
     beside it.  The winner's settings are moved inside the non-commutation
@@ -239,12 +318,15 @@ def minimize_bell(
 
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(int(starts))]
     kets = np.stack([kets_from_angles(random_angles(rng)).reshape(3, 2, 2) for rng in rngs])
-    kets, value, _ = _descend(psi3, kets, LOOSE_TOL, maxiter)
+    kets, value, _, sweeps = _descend(psi3, kets, LOOSE_TOL, maxiter)
     for _ in range(HOPS):
-        hopped, hopped_value, _ = _descend(psi3, _kick(kets, rngs), LOOSE_TOL, maxiter)
+        hopped, hopped_value, _, hop_sweeps = _descend(
+            psi3, _kick(kets, rngs), LOOSE_TOL, maxiter
+        )
         lower = hopped_value < value
         kets[lower], value[lower] = hopped[lower], hopped_value[lower]
-    kets, value, gain = _descend(psi3, kets, tol, maxiter)
+        sweeps += hop_sweeps
+    kets, value, gain, polish_sweeps = _descend(psi3, kets, tol, maxiter)
 
     best = int(np.argmin(value))  # the first of equal values, in start order
     settings = settings_from_plus_kets(
@@ -263,6 +345,7 @@ def minimize_bell(
         seed=int(seed),
         best_angles=tuple(float(v) for v in angles_from_settings(settings)),
         start_values=tuple(float(v) for v in value),
+        sweeps=sweeps + polish_sweeps,
     )
 
 

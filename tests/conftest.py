@@ -160,6 +160,59 @@ def oracle_bell_of_kets(state, kets):
     return p[0] + p[1] + p[2] + p[3] - p[4]
 
 
+def reference_sweep(psi3, kets):
+    """The see-saw sweep as first written: two eigenpair calls per party and
+    freshly stacked kets.  ``visibility._sweep`` must match it bit for bit."""
+
+    def _norm2(z):
+        return z.real * z.real + z.imag * z.imag
+
+    def _min_eigpair(p, r, q, fallback):
+        half = 0.5 * (p - r)
+        h = np.sqrt(half * half + _norm2(q))
+        lam = 0.5 * (p + r) - h
+        upper = (half >= 0.0)[..., None]
+        v = np.where(
+            upper,
+            np.stack([q, -(half + h) + 0j], axis=-1),
+            np.stack([(h - half) + 0j, -np.conj(q)], axis=-1),
+        )
+        n2 = _norm2(v).sum(axis=-1, keepdims=True)
+        ok = n2 > 0.0
+        return lam, np.where(ok, v / np.sqrt(np.where(ok, n2, 1.0)), fallback)
+
+    def perp(k):
+        return np.stack([-np.conj(k[..., 1]), np.conj(k[..., 0])], axis=-1)
+
+    kets = kets.copy()
+    for j in range(3):
+        o, t = [k for k in range(3) if k != j]
+        tensor = np.moveaxis(psi3, j, 0)
+        u_o, d_o = kets[:, o, 0], kets[:, o, 1]
+        u_t, d_t = kets[:, t, 0], kets[:, t, 1]
+        bra_t = np.conj(np.stack([u_t, d_t, perp(d_t)], axis=1))
+        part = (tensor[None, None] * bra_t[:, :, None, None, :]).sum(axis=-1)
+        bra_o = np.conj(np.stack([perp(d_o), u_o, d_o, u_o], axis=1))
+        a, b, c3, c4 = np.moveaxis(
+            (part[:, [2, 0, 0, 1]] * bra_o[:, :, None, :]).sum(axis=-1), 1, 0
+        )
+        na, nb, n3, n4 = _norm2(a), _norm2(b), _norm2(c3), _norm2(c4)
+        lam_d, kets[:, j, 1] = _min_eigpair(
+            nb[:, 0] - na[:, 0],
+            nb[:, 1] - na[:, 1],
+            b[:, 0] * np.conj(b[:, 1]) - a[:, 0] * np.conj(a[:, 1]),
+            kets[:, j, 1],
+        )
+        lam_u, kets[:, j, 0] = _min_eigpair(
+            n3[:, 0] + n4[:, 0] - nb[:, 0],
+            n3[:, 1] + n4[:, 1] - nb[:, 1],
+            c3[:, 0] * np.conj(c3[:, 1]) + c4[:, 0] * np.conj(c4[:, 1])
+            - b[:, 0] * np.conj(b[:, 1]),
+            kets[:, j, 0],
+        )
+    return kets, na.sum(axis=-1) + lam_d + lam_u
+
+
 def nelder_mead_bell(state, starts, seed):
     """Independent minimizer: seeded multistart Nelder-Mead over 12 Bloch angles."""
     from scipy.optimize import minimize

@@ -1,12 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
 from hardy3q.cli import (
     EXIT_CONSTRUCTION,
@@ -284,6 +289,156 @@ class TestOptimize:
         assert code == EXIT_PARSE
         assert report is None
         assert json.loads(err)["exit_code"] == EXIT_PARSE
+
+
+    def test_report_keys(self, tmp_path, capsys):
+        _, report, _ = run(capsys, ["optimize", ghz_file(tmp_path), "--starts", "2"])
+        assert set(report["optimization"]) == {
+            "best_value",
+            "threshold_visibility",
+            "violation_found",
+            "starts",
+            "starts_at_best",
+            "converged",
+            "seed",
+            "best_settings",
+            "best_angles",
+        }
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--starts", "abc"],
+            ["--starts", "1.5"],
+            ["--seed", "nan"],
+            ["--tol", "x"],
+            ["--bogus"],
+            ["--starts"],
+        ],
+    )
+    def test_bad_flags_exit_parse_with_json(self, tmp_path, capsys, flags):
+        error = assert_rejected(capsys, ["optimize", ghz_file(tmp_path)] + flags)
+        assert error.startswith("hardy3q")
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["witness"], ["scan"]])
+    def test_bad_commands_exit_parse_with_json(self, capsys, argv):
+        assert_rejected(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"lambda": [0.0, 0.0, 0.0, 0.0, 1.0], "phi": None},
+            {"lambda": [[1.0], 0, 0, 0, 0]},
+            {"lambda": [10**400, 0, 0, 0, 0]},
+            {"amplitudes": [{"re": 1}] * 8},
+            {"amplitudes": [[10**400, 0]] * 8},
+        ],
+        ids=["phi-null", "nested-lambda", "huge-lambda", "dict-pair", "huge-amplitude"],
+    )
+    def test_ill_typed_state_values_exit_parse(self, tmp_path, capsys, payload):
+        assert_rejected(capsys, ["optimize", write_state(tmp_path, payload)])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"lambda": [1e200, 0, 0, 0, 1e200]}, {"amplitudes": [[1e200, 0]] * 8}],
+        ids=["lambda", "amplitudes"],
+    )
+    def test_overflowing_norm_exits_parse_without_warning(self, tmp_path, capsys, payload):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            error = assert_rejected(
+                capsys, ["optimize", write_state(tmp_path, payload), "--normalize"]
+            )
+        assert "norm inf" in error
+
+    def test_help_is_left_to_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--help"])
+        assert exc.value.code == 0
+        assert "usage: hardy3q optimize" in capsys.readouterr().out
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=9) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=20,
+)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 0.5, 2**-0.5, 3**-0.5, 1.0]),
+)
+STATE_OBJECTS = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["lambda", "amplitudes", "phi", "label", "x"]), JSON_VALUES, max_size=4
+    ),
+    st.fixed_dictionaries(
+        {"lambda": st.lists(NUMBERS, min_size=4, max_size=6)},
+        optional={"phi": JSON_VALUES, "label": JSON_VALUES},
+    ),
+    st.fixed_dictionaries(
+        {"amplitudes": st.lists(st.lists(NUMBERS, min_size=1, max_size=3), min_size=7, max_size=9)}
+    ),
+    st.sampled_from(
+        [
+            {"lambda": [INV_SQRT2, 0, 0, 0, INV_SQRT2], "phi": 0.0},
+            {"lambda": [1, 0, 0, 0, 0]},
+            {"amplitudes": [[0, 0], [1, 0], [1, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0]]},
+        ]
+    ),
+)
+FLAG_VALUES = {
+    "--starts": st.one_of(st.integers(-3, 3).map(str), st.text(max_size=6)),
+    "--tol": st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-10", "1e-3", "abc"]),
+        st.floats(-1.0, 1.0).map(repr),
+    ),
+    "--seed": st.one_of(
+        st.sampled_from(["nan", "inf", "-1", "-7", "1.5"]),
+        st.integers(-(2**40), 2**40).map(str),
+    ),
+}
+
+
+class TestOptimizeFuzz:
+    @hyp_settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        STATE_OBJECTS,
+        st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3).flatmap(
+            lambda names: st.tuples(*(st.tuples(st.just(n), FLAG_VALUES[n]) for n in names))
+        ),
+        st.booleans(),
+    )
+    def test_exit_codes_and_json_errors(self, state, flags, normalize):
+        argv = ["optimize"] + [token for pair in flags for token in pair]
+        argv += ["--normalize"] if normalize else []
+        if not any(name == "--starts" for name, _ in flags):
+            argv += ["--starts", "1"]  # keep each run short
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "state.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(state, fh)
+            # a warning would reach stderr beside the JSON error, so it fails here
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv + [path])
+        assert code in {0, 2, 3, 4, 5, 6}
+        if err.getvalue():
+            assert isinstance(json.loads(err.getvalue()), dict)
+        if code == EXIT_OK:
+            assert json.loads(out.getvalue())["command"] == "optimize"
 
 
 class TestLhv:

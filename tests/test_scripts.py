@@ -1,0 +1,43 @@
+"""The experiment scripts run from a checkout, without PYTHONPATH."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(*argv):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_reproduce_thresholds():
+    out = run_script("scripts/reproduce_thresholds.py", "--starts", "2")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("GHZ:")
+    assert "\nW:" in out.stdout
+    # one row per seed: seed, best B, diff, v_thr, at best (k / 2), sweeps, time
+    row = out.stdout.splitlines()[2].split()
+    assert row[0] == "0" and row[5:7] == ["/", "2"] and int(row[7]) > 0
+
+
+def test_reproduce_thresholds_sums_over_seeds():
+    out = run_script("scripts/reproduce_thresholds.py", "--starts", "1", "--seeds", "2")
+    assert out.returncode == 0, out.stderr
+    sums = [line.split() for line in out.stdout.splitlines() if line.split()[:1] == ["sum"]]
+    assert len(sums) == 2 and all(row[3] == "2" for row in sums)
+
+
+def test_class_sweep():
+    out = run_script("scripts/class_sweep.py", "--draws", "1")
+    assert out.returncode == 0, out.stderr
+    assert len(out.stdout.splitlines()) == 2 + 22  # header, rule, one row per sub-class

@@ -8,7 +8,7 @@ from hardy3q.bell import bell_value
 from hardy3q.errors import VisibilityUndefinedError
 from hardy3q.hardy import build_witness
 from hardy3q.states import CanonicalState, random_canonical
-from hardy3q.observables import WINDOW_TOL
+from hardy3q.observables import WINDOW_TOL, kets_from_angles, random_angles
 from hardy3q.visibility import (
     FAMILIES,
     GridAxis,
@@ -17,11 +17,18 @@ from hardy3q.visibility import (
     scan_family,
     threshold_visibility,
     threshold_visibility_bisection,
+    _descend,
     _min_eigpair,
     _sweep,
 )
 
-from conftest import nelder_mead_bell, oracle_bell_of_kets, random_ket, random_settings
+from conftest import (
+    nelder_mead_bell,
+    oracle_bell_of_kets,
+    random_ket,
+    random_settings,
+    reference_sweep,
+)
 
 INV_SQRT2 = 2**-0.5
 GHZ = CanonicalState((INV_SQRT2, 0, 0, 0, INV_SQRT2), 0.0)
@@ -143,6 +150,11 @@ class TestMinimizeBell:
         assert result.starts_at_best == len(at_best) >= 1
         assert result.converged
 
+    def test_sweep_counts(self):
+        # the plain see-saw needed 765 (W) and 119 (GHZ) batched sweeps here
+        assert minimize_bell(w_ket(), starts=8, seed=0).sweeps <= 400
+        assert minimize_bell(GHZ.to_ket(), starts=8, seed=0).sweeps <= 119
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -189,6 +201,43 @@ class TestSeeSaw:
             after = oracle_bell_of_kets(psi, new[s])
             assert after == pytest.approx(value[s], abs=1e-12)
             assert after <= oracle_bell_of_kets(psi, kets[s]) + 1e-12
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    def test_sweep_matches_reference_bit_for_bit(self, seed, w_state):
+        rng = np.random.default_rng(seed)
+        psi = (w_ket() if w_state else random_ket(rng, 8)).reshape(2, 2, 2)
+        kets = np.stack([random_ket(rng, 2) for _ in range(30)]).reshape(5, 3, 2, 2)
+        kets[0] = [[1.0, 0.0], [1.0, 0.0]]  # U+ = D+ = |0> on every qubit
+        for _ in range(4):
+            new, value = _sweep(psi, kets)
+            ref, ref_value = reference_sweep(psi, kets)
+            np.testing.assert_array_equal(new, ref)
+            np.testing.assert_array_equal(value, ref_value)
+            kets = new
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 80))
+    def test_descend_value_is_b_of_its_kets(self, seed, maxiter):
+        # whatever sweep the cap lands on, a rejected extrapolation included,
+        # each start reports B at the kets it returns, never above its first sweep
+        rng = np.random.default_rng(seed)
+        psi = random_ket(rng, 8)
+        kets = np.stack([kets_from_angles(random_angles(rng)).reshape(3, 2, 2) for _ in range(3)])
+        first = _descend(psi.reshape(2, 2, 2), kets, 1e-10, 1)[1]
+        out, value, _, sweeps = _descend(psi.reshape(2, 2, 2), kets, 1e-10, maxiter)
+        assert 1 <= sweeps <= maxiter
+        for s in range(3):
+            assert value[s] == pytest.approx(oracle_bell_of_kets(psi, out[s]), abs=1e-12)
+            assert value[s] <= first[s] + 1e-12
+
+    def test_descend_stops_on_a_plain_sweep(self):
+        kets = np.stack(
+            [kets_from_angles(random_angles(np.random.default_rng(s))).reshape(3, 2, 2) for s in range(4)]
+        )
+        _, _, gain, sweeps = _descend(w_ket().reshape(2, 2, 2), kets, 1e-10, 4000)
+        assert sweeps < 4000
+        assert (gain <= 1e-10).all()
 
     @pytest.mark.parametrize("psi", [GHZ.to_ket(), w_ket()], ids=["ghz", "w"])
     def test_starts_independent_of_batch_size(self, psi):
