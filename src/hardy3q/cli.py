@@ -21,6 +21,7 @@ through exit codes:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -60,6 +61,13 @@ EXIT_EXPECTATION = 5
 EXIT_CONSTRUCTION = 6
 
 SEED_ENV_VAR = "HARDY3Q_SEED"
+
+#: the most points a ``scan`` grid may have, counted as the product of its
+#: axes' steps; every point builds a witness (about a millisecond each), and
+#: larger grids are rejected before any axis is allocated
+MAX_GRID_POINTS = 1_000_000
+#: ``sample --shots`` must be below this: the sampler draws int64 counts
+SHOTS_LIMIT = 2**63
 
 
 class CliError(Exception):
@@ -347,7 +355,7 @@ def _cmd_lhv(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_sample(args: argparse.Namespace) -> tuple[dict, int]:
-    require_positive("--shots", args.shots)
+    require_positive("--shots", args.shots, upper=SHOTS_LIMIT)
     spec = load_state_spec(args.path, normalize=args.normalize)
     state = require_canonical(spec, "sample")
     cls = classify(state)
@@ -384,6 +392,12 @@ def _parse_grid(values: list[str]) -> list[GridAxis]:
                 EXIT_PARSE,
             )
         axes.append(axis)
+    points = math.prod(axis.steps for axis in axes)
+    if points > MAX_GRID_POINTS:
+        raise CliError(
+            f"grid has {points} points, more than the {MAX_GRID_POINTS} a scan may have",
+            EXIT_PARSE,
+        )
     return axes
 
 
@@ -394,6 +408,13 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[dict | None, int]:
             EXIT_PARSE,
         )
     axes = _parse_grid(args.grid)
+    names = sorted(axis.name for axis in axes)
+    params = sorted(inspect.signature(FAMILIES[args.family]).parameters)
+    if names != params:
+        raise CliError(
+            f"grid axes {names} must name each parameter of {args.family!r} once: {params}",
+            EXIT_PARSE,
+        )
     if args.optimize and args.starts < 1:
         raise CliError(f"--starts must be at least 1, got {args.starts}", EXIT_PARSE)
     for record in scan_family(
@@ -477,6 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.seed < 0:
+            raise CliError(
+                f"seed (--seed or {SEED_ENV_VAR}) must be non-negative, got {args.seed}",
+                EXIT_PARSE,
+            )
         report, code = args.func(args)
     except CliError as exc:
         print(json.dumps({"error": str(exc), "exit_code": exc.code}), file=sys.stderr)

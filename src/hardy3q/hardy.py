@@ -46,6 +46,9 @@ from .observables import (
 from .states import CanonicalState, StateClass, classify
 
 logger = logging.getLogger(__name__)
+# the fallback warnings reach stderr only where the application configures
+# logging (the CLI's stderr carries one JSON error at most)
+logger.addHandler(logging.NullHandler())
 
 #: default tolerance below which the four zero-condition probabilities must fall
 ZERO_TOL = 1e-8

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    ClassificationGapError,
     ClassificationOverlapError,
     Hardy3QError,
     NormalizationError,
@@ -137,107 +136,118 @@ def _pair_matrix(l1: float, l2: float, l3: float, l4: float, phi: float) -> np.n
     return np.array([[l1 * np.exp(1j * phi), l2], [l3, l4]], dtype=complex)
 
 
-def _match_rows(lam: np.ndarray, phi, eps: float):
-    """Indices into ``CLASS_ORDER`` of canonical parameters, one per row.
-
-    ``lam`` is (n, 5) with ``phi`` (n,), or (5,) of numpy floats with a
-    numpy-float ``phi`` (so that ``~`` is a logical not).  ``eps`` defines
-    both "zero" (l_j < eps) and "equal" (|x - y| < eps).  All 25 row
-    predicates are evaluated; a row with no match (gap) or more than one
-    (overlap) raises.
-    """
+def _check_eps(eps: float) -> None:
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    l0, l1, l2, l3, l4 = lam.T
-    # phi multiplies only l1 in the canonical form, so it is unobservable
-    # (treated as zero) when l1 vanishes
-    phi_eff = np.where(l1 >= eps, phi, 0.0)
-    e_phi = np.exp(1j * phi_eff)
 
-    nz0, nz1, nz2, nz3, nz4 = (x >= eps for x in (l0, l1, l2, l3, l4))
-    z0, z1, z2, z3, z4 = (~b for b in (nz0, nz1, nz2, nz3, nz4))
 
-    det = np.abs(l1 * l4 * e_phi - l2 * l3)
-    singular = det < eps
-    # unitarity of sqrt(2) * [[l1 e^{i phi}, l2], [l3, l4]]
-    row1 = np.abs(2.0 * (l1 * l1 + l2 * l2) - 1.0)
-    row2 = np.abs(2.0 * (l3 * l3 + l4 * l4) - 1.0)
-    cross = 2.0 * np.abs(l1 * e_phi * l3 + l2 * l4)
-    unitary = (row1 < eps) & (row2 < eps) & (cross < eps)
+def _pattern(nz):
+    """Zero-pattern code of the flags nz[j] = (l_j >= eps): bit j set when l_j is non-zero."""
+    return nz[0] | nz[1] << 1 | nz[2] << 2 | nz[3] << 3 | nz[4] << 4
 
-    eq02 = np.abs(l0 * l2 - 0.5) < eps
-    eq03 = np.abs(l0 * l3 - 0.5) < eps
-    eq_cross = np.abs(l2 * l3 - l1 * l4) < eps
-    eq04 = np.abs(l0 - l4) < eps
-    eq24 = np.abs(l2 - l4) < eps
-    phi_zero = phi_eff < eps
 
-    preds = (
-        nz0 & nz1 & z2 & z3 & z4,  # A.1
-        nz0 & z1 & z2 & z3 & z4,  # A.2
-        z0 & singular,  # A.3
-        nz0 & nz1 & nz2 & z3 & z4,  # B.1
-        nz0 & nz1 & z2 & nz3 & z4,  # B.2
-        nz0 & z1 & nz2 & z3 & z4 & ~eq02,  # B.3
-        nz0 & z1 & z2 & nz3 & z4 & ~eq03,  # B.4
-        z0 & ~singular & ~unitary,  # B.5
-        nz0 & z1 & nz2 & z3 & z4 & eq02,  # C.1
-        nz0 & z1 & z2 & nz3 & z4 & eq03,  # C.2
-        z0 & unitary,  # C.3
-        nz0 & nz1 & nz2 & nz3 & nz4 & ~phi_zero,  # D.1
-        nz0 & nz1 & nz2 & nz3 & nz4 & phi_zero & ~eq_cross,  # D.2
-        nz0 & nz1 & nz2 & nz3 & nz4 & phi_zero & eq_cross,  # D.3
-        nz0 & nz1 & nz2 & nz3 & z4,  # D.4
-        nz0 & nz1 & nz2 & z3 & nz4,  # D.5
-        nz0 & nz1 & z2 & nz3 & nz4 & ~eq04,  # D.6
-        nz0 & nz1 & z2 & nz3 & nz4 & eq04,  # D.7
-        nz0 & nz1 & z2 & z3 & nz4,  # D.8
-        nz0 & z1 & z2 & nz3 & nz4,  # D.9
-        nz0 & z1 & nz2 & nz3 & nz4 & ~eq24,  # D.10
-        nz0 & z1 & nz2 & nz3 & nz4 & eq24,  # D.11
-        nz0 & z1 & nz2 & nz3 & z4,  # D.12
-        nz0 & z1 & nz2 & z3 & nz4,  # D.13
-        nz0 & z1 & z2 & z3 & nz4,  # D.14
+def _pair_split(l, phi, eps):
+    """0 (B.5), 1 (A.3: singular), 2 (C.3: unitary) or 3 (both: an overlap)."""
+    # phi multiplies only l1, so it is unobservable (taken as zero) when l1 vanishes
+    e_phi = np.exp(1j * (phi * (l[1] >= eps)))
+    singular = abs(l[1] * l[4] * e_phi - l[2] * l[3]) < eps
+    unitary = (  # of sqrt(2) * [[l1 e^{i phi}, l2], [l3, l4]]
+        (abs(2.0 * (l[1] * l[1] + l[2] * l[2]) - 1.0) < eps)
+        & (abs(2.0 * (l[3] * l[3] + l[4] * l[4]) - 1.0) < eps)
+        & (2.0 * abs(l[1] * e_phi * l[3] + l[2] * l[4]) < eps)
     )
-    # filled row by row: np.stack takes about 35 us on 25 numpy scalars
-    table = np.empty(np.shape(l0) + (len(CLASS_ORDER),), dtype=bool)
-    for k, pred in enumerate(preds):
-        table[..., k] = pred
-    table = table.reshape(-1, len(CLASS_ORDER))
-    counts = table.sum(axis=1)
-    if (counts != 1).any():
-        gap = counts == 0
-        i = int(np.argmax(gap if gap.any() else counts > 1))
-        row_lam, row_phi = lam.reshape(-1, 5)[i], np.reshape(phi, -1)[i]
-        if gap[i]:
-            raise ClassificationGapError(row_lam, row_phi)
-        labels = [CLASS_ORDER[j].value for j in np.flatnonzero(table[i])]
-        raise ClassificationOverlapError(row_lam, row_phi, labels)
-    return table.argmax(axis=1)
+    return singular + 2 * unitary
+
+
+#: The classification table by which of l0..l4 are non-zero (>= eps).  A pattern
+#: with several rows has a split: one expression, alike on numpy columns and on
+#: Python floats, giving the index of the matching row.  Every pattern with
+#: l0 < eps is the A.3/B.5/C.3 split, whose overlap (singular and unitary) is A.3+C.3.
+_ROWS_BY_PATTERN = {
+    "10000": "A.2", "11000": "A.1", "10100": "B.3 C.1", "10010": "B.4 C.2",
+    "10001": "D.14", "11100": "B.1", "11010": "B.2", "11001": "D.8",
+    "10110": "D.12", "10101": "D.13", "10011": "D.9", "11110": "D.4",
+    "11101": "D.5", "11011": "D.6 D.7", "10111": "D.10 D.11", "11111": "D.1 D.2 D.3",
+}
+_L0_ZERO = "B.5 A.3 C.3 A.3+C.3"
+_SPLITS = {
+    "B.3 C.1": lambda l, phi, eps: abs(l[0] * l[2] - 0.5) < eps,
+    "B.4 C.2": lambda l, phi, eps: abs(l[0] * l[3] - 0.5) < eps,
+    "D.6 D.7": lambda l, phi, eps: abs(l[0] - l[4]) < eps,
+    "D.10 D.11": lambda l, phi, eps: abs(l[2] - l[4]) < eps,
+    # l1 >= eps on this pattern, so phi is observable
+    "D.1 D.2 D.3": lambda l, phi, eps: (phi < eps) * (1 + (abs(l[2] * l[3] - l[1] * l[4]) < eps)),
+    _L0_ZERO: _pair_split,
+}
+_TESTS = (None, *_SPLITS.values())
+_INDEX = {cls.value: i for i, cls in enumerate(CLASS_ORDER)}
+_OVERLAP, _OVERLAP_LABELS = -1, ("A.3", "C.3")
+#: per pattern code: candidate indices into CLASS_ORDER, and the split's place in _TESTS
+_PATTERNS = tuple(
+    (tuple(_INDEX.get(s, _OVERLAP) for s in rows.split()), _TESTS.index(_SPLITS.get(rows)))
+    for rows in (
+        _ROWS_BY_PATTERN[f"{code:05b}"[::-1]] if code & 1 else _L0_ZERO for code in range(32)
+    )
+)
+_FIRST_ROW = np.array([rows[0] for rows, _ in _PATTERNS], dtype=np.intp)
+_SPLIT_OF = np.array([k for _, k in _PATTERNS], dtype=np.uint8)
+_SPLIT_ROWS = {k: np.array(rows, dtype=np.intp) for rows, k in _PATTERNS}
+
+
+def _match_rows(lam: np.ndarray, phi: np.ndarray, eps: float) -> np.ndarray:
+    """Indices into ``CLASS_ORDER`` of rows ``lam`` (n, 5), ``phi`` (n,).  A split runs
+    on its patterns' rows only; D.1 rows (no zero, phi >= eps) are never gathered."""
+    code = _pattern((lam >= eps).view(np.uint8).T)
+    out, split = _FIRST_ROW[code], _SPLIT_OF[code]
+    at = np.flatnonzero(split.astype(bool) & ((phi < eps) | (code != 0b11111)))
+    # group the rows by split, in input order within a group
+    split = split[at]
+    order = np.argsort(split, kind="stable")
+    at, ends = at[order], np.searchsorted(split[order], np.arange(1, len(_TESTS) + 1))
+    for k in range(1, len(_TESTS)):
+        rows = at[ends[k - 1]:ends[k]]
+        choice = _TESTS[k](lam.take(rows, axis=0).T, phi[rows], eps)
+        picked = _SPLIT_ROWS[k][np.asarray(choice, dtype=np.intp)]
+        if (picked == _OVERLAP).any():
+            i = rows[np.argmax(picked == _OVERLAP)]
+            raise ClassificationOverlapError(lam[i], phi[i], _OVERLAP_LABELS)
+        out[rows] = picked
+    return out
 
 
 def classify(state: CanonicalState, eps: float = CLASS_EPS, audit: bool = True) -> StateClass:
     """The one classification-table row matching a canonical state.
 
-    Raises ``ClassificationGapError`` or ``ClassificationOverlapError`` when
-    no row or several rows match at this ``eps``.  ``audit`` has no effect:
-    every call checks all 25 rows.
+    Looks the zero pattern up in the same table as ``classify_batch`` and
+    runs the same split expressions, on Python floats.  Raises
+    ``ClassificationOverlapError`` when a state with l0 < eps is both
+    singular and unitary at this ``eps`` (A.3 and C.3); every state matches
+    some row.  ``audit`` has no effect.
     """
-    lam = np.array(state.lams, dtype=np.float64)
-    return CLASS_ORDER[int(_match_rows(lam, np.float64(state.phi), eps)[0])]
+    _check_eps(eps)
+    rows, k = _PATTERNS[_pattern([x >= eps for x in state.lams])]
+    row = rows[int(_TESTS[k](state.lams, state.phi, eps))] if k else rows[0]
+    if row == _OVERLAP:
+        raise ClassificationOverlapError(state.lams, state.phi, _OVERLAP_LABELS)
+    return CLASS_ORDER[row]
 
 
 def classify_batch(lams: np.ndarray, phis: np.ndarray, eps: float = CLASS_EPS) -> np.ndarray:
     """Vectorized classification of many parameter rows at once.
 
-    ``lams`` has shape (n, 5), ``phis`` shape (n,).  Returns indices into
-    ``CLASS_ORDER``.  Raises on the first row with no match (gap), else on
-    the first with more than one match (overlap).
+    ``lams`` has shape (n, 5), ``phis`` shape (n,); every entry must be
+    finite.  Returns indices into ``CLASS_ORDER``, the rows ``classify``
+    gives.  Raises ``ClassificationOverlapError`` on the first row that is
+    both A.3 and C.3 at this ``eps``.
     """
     lam = np.asarray(lams, dtype=float)
     phi = np.asarray(phis, dtype=float)
     if lam.ndim != 2 or lam.shape[1] != 5 or phi.shape != (lam.shape[0],):
         raise ValueError("expected lams of shape (n, 5) and phis of shape (n,)")
+    _check_eps(eps)
+    # min and max propagate NaN and need no (n, 5) temporary
+    if lam.size and not np.isfinite([lam.min(), lam.max(), phi.min(), phi.max()]).all():
+        raise ValueError("lams and phis must be finite")
     return _match_rows(lam, phi, eps)
 
 

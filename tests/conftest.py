@@ -123,6 +123,69 @@ def oracle_classify(lams, phi, eps=1e-9):
     return StateClass.D2
 
 
+def oracle_row_predicates(lam, phi, eps=1e-9):
+    """Independent classifier: the 25 row predicates of the table, on columns.
+
+    ``lam`` is (n, 5) and ``phi`` (n,).  Returns the (n, 25) bool table, one
+    column per row of ``CLASS_ORDER``; a sound table has exactly one true
+    entry per row.  ``eps`` defines both "zero" (l_j < eps) and "equal"
+    (|x - y| < eps).
+    """
+    lam = np.asarray(lam, dtype=float)
+    l0, l1, l2, l3, l4 = lam.T
+    # phi multiplies only l1 in the canonical form, so it is unobservable
+    # (treated as zero) when l1 vanishes
+    phi_eff = np.where(l1 >= eps, phi, 0.0)
+    e_phi = np.exp(1j * phi_eff)
+
+    nz0, nz1, nz2, nz3, nz4 = (x >= eps for x in (l0, l1, l2, l3, l4))
+    z0, z1, z2, z3, z4 = (~b for b in (nz0, nz1, nz2, nz3, nz4))
+
+    det = np.abs(l1 * l4 * e_phi - l2 * l3)
+    singular = det < eps
+    # unitarity of sqrt(2) * [[l1 e^{i phi}, l2], [l3, l4]]
+    row1 = np.abs(2.0 * (l1 * l1 + l2 * l2) - 1.0)
+    row2 = np.abs(2.0 * (l3 * l3 + l4 * l4) - 1.0)
+    cross = 2.0 * np.abs(l1 * e_phi * l3 + l2 * l4)
+    unitary = (row1 < eps) & (row2 < eps) & (cross < eps)
+
+    eq02 = np.abs(l0 * l2 - 0.5) < eps
+    eq03 = np.abs(l0 * l3 - 0.5) < eps
+    eq_cross = np.abs(l2 * l3 - l1 * l4) < eps
+    eq04 = np.abs(l0 - l4) < eps
+    eq24 = np.abs(l2 - l4) < eps
+    phi_zero = phi_eff < eps
+
+    preds = (
+        nz0 & nz1 & z2 & z3 & z4,  # A.1
+        nz0 & z1 & z2 & z3 & z4,  # A.2
+        z0 & singular,  # A.3
+        nz0 & nz1 & nz2 & z3 & z4,  # B.1
+        nz0 & nz1 & z2 & nz3 & z4,  # B.2
+        nz0 & z1 & nz2 & z3 & z4 & ~eq02,  # B.3
+        nz0 & z1 & z2 & nz3 & z4 & ~eq03,  # B.4
+        z0 & ~singular & ~unitary,  # B.5
+        nz0 & z1 & nz2 & z3 & z4 & eq02,  # C.1
+        nz0 & z1 & z2 & nz3 & z4 & eq03,  # C.2
+        z0 & unitary,  # C.3
+        nz0 & nz1 & nz2 & nz3 & nz4 & ~phi_zero,  # D.1
+        nz0 & nz1 & nz2 & nz3 & nz4 & phi_zero & ~eq_cross,  # D.2
+        nz0 & nz1 & nz2 & nz3 & nz4 & phi_zero & eq_cross,  # D.3
+        nz0 & nz1 & nz2 & nz3 & z4,  # D.4
+        nz0 & nz1 & nz2 & z3 & nz4,  # D.5
+        nz0 & nz1 & z2 & nz3 & nz4 & ~eq04,  # D.6
+        nz0 & nz1 & z2 & nz3 & nz4 & eq04,  # D.7
+        nz0 & nz1 & z2 & z3 & nz4,  # D.8
+        nz0 & z1 & z2 & nz3 & nz4,  # D.9
+        nz0 & z1 & nz2 & nz3 & nz4 & ~eq24,  # D.10
+        nz0 & z1 & nz2 & nz3 & nz4 & eq24,  # D.11
+        nz0 & z1 & nz2 & nz3 & z4,  # D.12
+        nz0 & z1 & nz2 & z3 & nz4,  # D.13
+        nz0 & z1 & z2 & z3 & nz4,  # D.14
+    )
+    return np.stack(preds, axis=-1)
+
+
 def oracle_joint_probability(state, kets):
     """Independent path: build the full product vector and contract.
 

@@ -20,6 +20,9 @@ from hardy3q.cli import (
     EXIT_GAP,
     EXIT_OK,
     EXIT_PARSE,
+    MAX_GRID_POINTS,
+    CliError,
+    _parse_grid,
     main,
 )
 
@@ -408,37 +411,120 @@ FLAG_VALUES = {
 }
 
 
+SAMPLE_FLAG_VALUES = {
+    "--shots": st.one_of(
+        st.integers(-3, 200).map(str),
+        st.sampled_from([str(2**63 - 1), str(2**63), str(10**23), "nan", "1e3", "abc"]),
+        st.integers(-(2**80), 2**80).map(str),
+        st.text(max_size=6),
+    ),
+    "--seed": FLAG_VALUES["--seed"],
+}
+#: half of the sampled states are entangled canonical states, so that the
+#: flags reach the sampler
+SAMPLE_STATES = st.one_of(
+    st.sampled_from(
+        [
+            {"lambda": [INV_SQRT2, 0, 0, 0, INV_SQRT2], "phi": 0.0},
+            {"lambda": [3**-0.5, 0, 3**-0.5, 3**-0.5, 0], "phi": 0.0},
+            {"lambda": [0.6, 0, 0.8, 0, 0], "phi": 0.0},
+        ]
+    ),
+    STATE_OBJECTS,
+)
+GRID_NUMBERS = st.one_of(
+    st.sampled_from(["0", "0.5", "1.5707963", "-1", "x", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+GRID_STEPS = st.one_of(
+    st.sampled_from(["1", "2", "3"]),
+    st.integers(-3, 0).map(str),
+    st.integers(10**6 + 1, 2**80).map(str),
+    st.sampled_from(["1.5", "nan", "", "abc"]),
+)
+GRID_SPECS = st.one_of(
+    st.tuples(
+        st.just("t"),
+        st.sampled_from(["0", "0.5", "1.5707963"]),
+        st.sampled_from(["0.5", "1", "-1"]),
+        GRID_STEPS,
+    ),
+    st.tuples(st.sampled_from(["t", "x", " t"]), GRID_NUMBERS, GRID_NUMBERS, GRID_STEPS),
+).map(lambda p: f"{p[0]}={p[1]}:{p[2]}:{p[3]}") | st.text(max_size=12)
+
+
+def fuzz_main(argv, state=None):
+    """Run ``main(argv)``, with a file holding ``state`` appended when given.
+
+    Asserts the CLI contract for any input: a documented exit code, and a
+    stderr that is empty or one JSON object (a warning there fails).
+    Returns the exit code and stdout.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if state is not None:
+            argv = argv + [os.path.join(tmp, "state.json")]
+            with open(argv[-1], "w", encoding="utf-8") as fh:
+                json.dump(state, fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+    assert code in {0, 2, 3, 4, 5, 6}
+    if err.getvalue():
+        assert isinstance(json.loads(err.getvalue()), dict)
+    return code, out.getvalue()
+
+
+def flag_pairs(values):
+    """Up to three (flag, text) pairs drawn from ``values``."""
+    return st.lists(st.sampled_from(sorted(values)), max_size=3).flatmap(
+        lambda names: st.tuples(*(st.tuples(st.just(n), values[n]) for n in names))
+    )
+
+
 class TestOptimizeFuzz:
+    """Exit codes and JSON errors of ``optimize``, ``sample`` and ``scan`` on fuzzed input."""
+
     @hyp_settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
     )
-    @given(
-        STATE_OBJECTS,
-        st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3).flatmap(
-            lambda names: st.tuples(*(st.tuples(st.just(n), FLAG_VALUES[n]) for n in names))
-        ),
-        st.booleans(),
-    )
+    @given(STATE_OBJECTS, flag_pairs(FLAG_VALUES), st.booleans())
     def test_exit_codes_and_json_errors(self, state, flags, normalize):
         argv = ["optimize"] + [token for pair in flags for token in pair]
         argv += ["--normalize"] if normalize else []
         if not any(name == "--starts" for name, _ in flags):
             argv += ["--starts", "1"]  # keep each run short
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "state.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(state, fh)
-            # a warning would reach stderr beside the JSON error, so it fails here
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv + [path])
-        assert code in {0, 2, 3, 4, 5, 6}
-        if err.getvalue():
-            assert isinstance(json.loads(err.getvalue()), dict)
+        code, out = fuzz_main(argv, state)
         if code == EXIT_OK:
-            assert json.loads(out.getvalue())["command"] == "optimize"
+            assert json.loads(out)["command"] == "optimize"
+
+    @hyp_settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(SAMPLE_STATES, flag_pairs(SAMPLE_FLAG_VALUES), st.booleans())
+    def test_sample_exit_codes_and_json_errors(self, state, flags, normalize):
+        argv = ["sample"] + [token for pair in flags for token in pair]
+        argv += ["--normalize"] if normalize else []
+        code, out = fuzz_main(argv, state)
+        if code == EXIT_OK:
+            assert json.loads(out)["command"] == "sample"
+
+    @hyp_settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        st.sampled_from(["ghz", "w", "pair13", "pair12", "nope"]),
+        GRID_SPECS.map(lambda g: [g]) | st.lists(GRID_SPECS, min_size=2, max_size=2),
+        st.one_of(st.none(), FLAG_VALUES["--seed"]),
+        st.sampled_from([[], ["--optimize", "--starts", "1"], ["--optimize", "--starts", "0"]]),
+    )
+    def test_scan_exit_codes_and_json_errors(self, family, grids, seed, optimize):
+        argv = ["scan", "--family", family] + [t for g in grids for t in ("--grid", g)]
+        argv += [] if seed is None else ["--seed", seed]
+        code, out = fuzz_main(argv + optimize)
+        if code == EXIT_OK:
+            assert all(json.loads(line)["family"] == family for line in out.splitlines())
 
 
 class TestLhv:
@@ -494,6 +580,16 @@ class TestSample:
         error = assert_rejected(capsys, ["sample", ghz_file(tmp_path), "--shots", shots])
         assert "--shots" in error
 
+    @pytest.mark.parametrize("shots", [str(2**63), "100000000000000000000000"])
+    def test_shots_beyond_int64_exit_parse(self, tmp_path, capsys, shots):
+        error = assert_rejected(capsys, ["sample", ghz_file(tmp_path), "--shots", shots])
+        assert "--shots" in error
+
+    def test_shots_at_int64_limit(self, tmp_path, capsys):
+        code, report, _ = run(capsys, ["sample", ghz_file(tmp_path), "--shots", str(2**63 - 1)])
+        assert code == EXIT_OK
+        assert report["sample"]["shots"] == 2**63 - 1
+
 
 class TestScan:
     def test_ghz_line_records(self, capsys):
@@ -518,6 +614,40 @@ class TestScan:
     @pytest.mark.parametrize("grid", ["t=0:1:0", "t=0:1:-2", "t=nan:1:2", "t=0:inf:2"])
     def test_bad_grid_values_exit_parse(self, capsys, grid):
         assert_rejected(capsys, ["scan", "--family", "ghz", "--grid", grid])
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            [f"t=0:1:{MAX_GRID_POINTS + 1}"],
+            ["t=0:1:100000000000"],
+            [f"t=0:1:{2**80}"],
+            ["t=0:1:1001", "s=0:1:1000"],
+        ],
+    )
+    def test_grid_point_limit_in_parse_grid(self, grids):
+        with pytest.raises(CliError) as exc:
+            _parse_grid(grids)
+        assert exc.value.code == EXIT_PARSE
+
+    def test_grid_at_point_limit_parses(self):
+        axes = _parse_grid(["t=0:1:1000", "s=0:1:1000"])
+        assert [axis.steps for axis in axes] == [1000, 1000]
+
+    def test_huge_grid_rejected_before_allocation(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("grid axis allocated")
+
+        monkeypatch.setattr("hardy3q.visibility.GridAxis.values", refuse)
+        error = assert_rejected(capsys, ["scan", "--family", "ghz", "--grid", "t=0:1:100000000000"])
+        assert str(MAX_GRID_POINTS) in error
+
+    @pytest.mark.parametrize(
+        "grids", [["x=0:1:2"], ["t=0:1:2", "t=0:1:2"], ["t=0:1:2", "s=0:1:2"]]
+    )
+    def test_axes_must_name_family_parameters(self, capsys, grids):
+        argv = ["scan", "--family", "ghz"] + [t for g in grids for t in ("--grid", g)]
+        error = assert_rejected(capsys, argv)
+        assert "'t'" in error
 
     def test_optimize_with_zero_starts(self, capsys):
         argv = ["scan", "--family", "ghz", "--grid", "t=0.5:0.5:1", "--optimize", "--starts", "0"]
@@ -573,6 +703,46 @@ class TestReportRoundTrip:
         from hardy3q import __version__
 
         assert report["version"] == __version__
+
+
+def test_fallback_warning_stays_off_cli_stderr(tmp_path):
+    # the recipe fails and the search runs, which logs a warning; stderr must
+    # still hold the one JSON error
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "hardy3q.cli", "witness", write_state(tmp_path, FOUND_GHZ)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == EXIT_CONSTRUCTION
+    assert json.loads(out.stderr)["exit_code"] == EXIT_CONSTRUCTION
+
+
+class TestSeeds:
+    @pytest.mark.parametrize(
+        "command",
+        [["witness"], ["optimize", "--starts", "1"], ["sample"], ["scan", "--family", "ghz"]],
+        ids=["witness", "optimize", "sample", "scan"],
+    )
+    def test_negative_seed_exit_parse(self, tmp_path, capsys, command):
+        if command[0] == "scan":
+            argv = command + ["--grid", "t=0.5:0.5:1"]
+        else:
+            argv = command + [ghz_file(tmp_path)]
+        error = assert_rejected(capsys, argv + ["--seed", "-1"])
+        assert "seed" in error
+
+    def test_negative_env_seed_exit_parse(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HARDY3Q_SEED", "-3")
+        error = assert_rejected(capsys, ["sample", ghz_file(tmp_path)])
+        assert "HARDY3Q_SEED" in error
+
+    def test_huge_seed_accepted(self, tmp_path, capsys):
+        code, report, _ = run(capsys, ["sample", ghz_file(tmp_path), "--seed", str(2**80)])
+        assert code == EXIT_OK
+        assert report["seed"] == 2**80
 
 
 class TestSeedEnvVar:

@@ -1,6 +1,7 @@
 """Tests for canonical states, classification, and noisy mixtures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hardy3q.states import (
     to_ket,
 )
 
-from conftest import basis_ket, is_density, oracle_classify
+from conftest import basis_ket, is_density, oracle_classify, oracle_row_predicates
 
 INV_SQRT2 = 2**-0.5
 
@@ -161,6 +162,24 @@ class TestClassifyProperties:
         with pytest.raises(ValueError, match="eps"):
             classify_batch(np.array([ghz.lams]), np.array([ghz.phi]), eps=eps)
 
+    @pytest.mark.parametrize(
+        "lams, phis",
+        [
+            ([[math.nan] * 5], [0.0]),
+            ([[math.inf, 0, 0, 0, 0]], [0.0]),
+            ([[0.5, 0.5, 0.5, 0.5, math.nan]], [0.0]),
+            ([[0.5] * 4 + [0.5], [1, 0, 0, 0, -math.inf]], [0.0, 0.0]),
+            ([[0.5] * 4 + [0.5]], [math.nan]),
+            ([[1, 0, 0, 0, 0], [0.5] * 4 + [0.5]], [0.0, math.inf]),
+        ],
+        ids=["nan-row", "inf-l0", "nan-l4", "-inf-second-row", "nan-phi", "inf-phi"],
+    )
+    def test_batch_rejects_non_finite(self, lams, phis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                classify_batch(np.array(lams, dtype=float), np.array(phis))
+
     def test_overlap_raises_in_both_entry_points(self):
         # at eps = 0.6 the maximal pair (|00> + |11>)/sqrt(2) is both
         # singular (A.3) and unitary (C.3)
@@ -170,6 +189,130 @@ class TestClassifyProperties:
         with pytest.raises(ClassificationOverlapError) as batch:
             classify_batch(np.array([state.lams]), np.array([state.phi]), eps=0.6)
         assert scalar.value.labels == batch.value.labels == ("A.3", "C.3")
+
+
+@pytest.fixture(scope="module")
+def criterion8_deck():
+    """The rows of acceptance criterion 8: seed 88, 800,000 uniform draws and
+    8,000 targeted draws per class."""
+    rng = np.random.default_rng(88)
+    lams_u = np.abs(rng.standard_normal((800_000, 5)))
+    lams_u /= np.linalg.norm(lams_u, axis=1, keepdims=True)
+    phis_u = rng.uniform(0.0, np.pi, 800_000)
+    targeted = [sample_class(cls, rng) for cls in CLASS_ORDER for _ in range(8000)]
+    lams = np.vstack([lams_u, np.array([s.lams for s in targeted])])
+    phis = np.concatenate([phis_u, [s.phi for s in targeted]])
+    return lams, phis
+
+
+EDGE_EPS = [1e-9, 1e-6, 1e-3, 0.05]
+UNIT = st.floats(0.2, 1.0)
+SIGN = st.sampled_from([-1.0, 1.0])
+NEAR = st.sampled_from([1.0 - 1e-3, 1.0, 1.0 + 1e-3])
+
+
+def _fill(lam, fixed, free):
+    """Scale ``lam[free]`` so that the row has unit norm, if it can."""
+    rest = 1.0 - float(np.sum(lam[fixed] ** 2))
+    norm = float(np.linalg.norm(lam[free]))
+    if rest > 0.0 and norm > 0.0:
+        lam[free] *= math.sqrt(rest) / norm
+    return lam
+
+
+def _amplitude_edge(draw, eps):
+    """Some amplitudes at eps or eps (1 +- 1e-3), the others zero or order one."""
+    edge = draw(st.lists(st.booleans(), min_size=5, max_size=5))
+    at_edge = st.sampled_from([1.0 - 1e-3, 1.0, 1.0 + 1e-3])
+    lam = np.array([eps * draw(at_edge) if e else draw(UNIT) * draw(st.booleans()) for e in edge])
+    fixed = np.array(edge)
+    return _fill(lam, fixed, ~fixed & (lam > 0.0)), draw(st.floats(0.0, math.pi))
+
+
+def _product_half_edge(j):
+    """l0 lj at 0.5 +- eps (1 +- 1e-3) on the B.3/C.1 (j = 2) or B.4/C.2 (j = 3) pattern."""
+
+    def build(draw, eps):
+        target = 0.5 + draw(SIGN) * eps * draw(NEAR)
+        lam = np.zeros(5)
+        if target <= 0.5:  # on the unit sphere
+            t = 0.5 * math.asin(2.0 * target)
+            c, s = math.cos(t), math.sin(t)
+            lam[0], lam[j] = (c, s) if draw(st.booleans()) else (s, c)
+        else:  # beyond the unit sphere's maximum of l0 lj: batch and oracle only
+            lam[0] = lam[j] = math.sqrt(target)
+        return lam, 0.0
+
+    return build
+
+
+def _difference_edge(i, j, zero):
+    """l_i - l_j at +-eps (1 +- 1e-3), with l_zero = 0 (D.6/D.7 and D.10/D.11)."""
+
+    def build(draw, eps):
+        lam = np.array([draw(UNIT) for _ in range(5)])
+        lam[zero] = 0.0
+        lam[i] = draw(st.floats(0.2, 0.6))
+        lam[j] = lam[i] - draw(SIGN) * eps * draw(NEAR)
+        fixed = np.zeros(5, dtype=bool)
+        fixed[[i, j]] = True
+        return _fill(lam, fixed, ~fixed), draw(st.floats(0.0, math.pi))
+
+    return build
+
+
+def _phase_edge(draw, eps):
+    """No zero amplitude and phi at eps (1 +- 1e-3), on or off l2 l3 = l1 l4."""
+    lam = np.array([draw(UNIT) for _ in range(5)])
+    if draw(st.booleans()):
+        lam[4] = lam[2] * lam[3] / lam[1]
+    return lam / np.linalg.norm(lam), eps * draw(NEAR)
+
+
+def _c3_rotation(draw, eps):
+    """The C.3 family (0, cos x, sin x, sin x, cos x) / sqrt(2) at phi = pi."""
+    x = draw(st.floats(0.15, math.pi / 2 - 0.15))
+    return np.array([0.0, math.cos(x), math.sin(x), math.sin(x), math.cos(x)]) * INV_SQRT2, math.pi
+
+
+EDGES = {
+    "amplitude": _amplitude_edge,
+    "l0 l2": _product_half_edge(2),
+    "l0 l3": _product_half_edge(3),
+    "l0 - l4": _difference_edge(0, 4, zero=2),
+    "l2 - l4": _difference_edge(2, 4, zero=1),
+    "phi": _phase_edge,
+    "C.3": _c3_rotation,
+}
+
+
+class TestRowPredicateOracle:
+    """The lookup table against the 25 row predicates it replaced.
+
+    The table names a row for every zero pattern, so ``classify_batch`` can
+    no longer find a gap or an overlap other than A.3+C.3 by itself; these
+    tests are what check that acceptance criterion 8's rows each match
+    exactly one row of the table.
+    """
+
+    @pytest.mark.parametrize("eps", EDGE_EPS)
+    def test_criterion8_deck_matches_one_predicate(self, criterion8_deck, eps):
+        lams, phis = criterion8_deck
+        table = oracle_row_predicates(lams, phis, eps)
+        assert (table.sum(axis=1) == 1).all()
+        np.testing.assert_array_equal(classify_batch(lams, phis, eps), table.argmax(axis=1))
+
+    @hyp_settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(EDGE_EPS), st.sampled_from(sorted(EDGES)), st.data())
+    def test_decision_edges_agree(self, eps, edge, data):
+        lam, phi = EDGES[edge](data.draw, eps)
+        batch = CLASS_ORDER[classify_batch(lam[None], np.array([phi]), eps)[0]]
+        table = oracle_row_predicates(lam[None], np.array([phi]), eps)[0]
+        assert table.sum() == 1
+        assert CLASS_ORDER[int(table.argmax())] is batch
+        assert oracle_classify(lam, phi, eps) is batch
+        if abs(float(np.sum(lam**2)) - 1.0) <= 1e-12:
+            assert classify(CanonicalState(tuple(lam), phi), eps=eps) is batch
 
 
 class TestWhiteNoise:
