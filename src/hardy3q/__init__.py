@@ -17,7 +17,6 @@ from .bell import (
     WHITE_NOISE_BELL_VALUE,
     bell_value,
     hardy_probabilities,
-    joint_probability,
     lhv_hardy_pattern_assignments,
     lhv_minimum,
     sample_statistics,
@@ -53,14 +52,7 @@ from .linalg import (
     schmidt_decompose,
     tensor,
 )
-from .observables import (
-    DichotomicObservable,
-    MeasurementSettings,
-    ObservablePair,
-    observable_pair,
-    settings_from_angles,
-    settings_from_plus_kets,
-)
+from .observables import MeasurementSettings, settings_from_plus_kets
 from .states import (
     CanonicalState,
     StateClass,
@@ -89,7 +81,6 @@ __all__ = [
     "ClassificationGapError",
     "ClassificationOverlapError",
     "ConstructionFailureError",
-    "DichotomicObservable",
     "DimensionError",
     "FAMILIES",
     "GridAxis",
@@ -99,7 +90,6 @@ __all__ = [
     "MeasurementSettings",
     "NoWitnessError",
     "NormalizationError",
-    "ObservablePair",
     "OptimizationResult",
     "SampleStatistics",
     "SchmidtDecomposition",
@@ -117,13 +107,11 @@ __all__ = [
     "construct_genuine",
     "construct_maximal",
     "hardy_probabilities",
-    "joint_probability",
     "lhv_hardy_pattern_assignments",
     "lhv_minimum",
     "minimize_bell",
     "mix_with_white_noise",
     "normalized_canonical",
-    "observable_pair",
     "orthogonal_complement_pick",
     "pair_hardy_probability",
     "projector",
@@ -133,7 +121,6 @@ __all__ = [
     "scan_family",
     "schmidt_decompose",
     "search_hardy_observables",
-    "settings_from_angles",
     "settings_from_plus_kets",
     "state_satisfying_hardy",
     "tensor",

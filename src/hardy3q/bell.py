@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError
-from .observables import DichotomicObservable, MeasurementSettings
+from .observables import MeasurementSettings
 
 #: the five joint-probability terms, as ((kind, sign), ...) per qubit
 BELL_TERMS: tuple[tuple[tuple[str, int], ...], ...] = (
@@ -49,16 +49,9 @@ _OUTCOME_SIGNS = np.array(list(product((0, 1), repeat=3)))
 _TERM_OUTCOMES = _TERM_SIGNS @ (4, 2, 1)
 
 
-def _eigenkets(settings: MeasurementSettings) -> np.ndarray:
-    """All twelve eigenkets (3, 2, 2, 2): qubit, U/D, +/-, component."""
-    return np.array(
-        [[(o.plus_ket, o.minus_ket) for o in (p.u, p.d)] for p in settings.pairs]
-    )
-
-
 def _term_kets(settings: MeasurementSettings) -> np.ndarray:
     """Eigenket triples (5, 3, 2) of the five terms, in BELL_TERMS order."""
-    return _eigenkets(settings)[_QUBITS, _TERM_KINDS, _TERM_SIGNS]
+    return settings.eigenkets[_QUBITS, _TERM_KINDS, _TERM_SIGNS]
 
 
 def _product_vectors(kets: np.ndarray) -> np.ndarray:
@@ -85,23 +78,6 @@ def _product_probabilities(state, kets: np.ndarray) -> np.ndarray:
             raise DimensionError("density operator must be 8x8")
         return (v.conj() * (v @ arr.T)).sum(axis=-1).real
     raise DimensionError("state must be a ket or a density operator")
-
-
-def joint_probability(state, picks) -> float:
-    """Probability of one outcome triple: Tr[rho (P1 x P2 x P3)].
-
-    ``picks`` is a sequence of three (DichotomicObservable, sign) choices.
-    For pure-state input the value is |<k1 k2 k3|psi>|^2.  The raw float is
-    returned unclamped; report-level containers clamp to [0, 1].
-    """
-    kets = []
-    for obs, sign in picks:
-        if not isinstance(obs, DichotomicObservable):
-            raise TypeError("picks must contain DichotomicObservable instances")
-        kets.append(obs.eigenket(sign))
-    if len(kets) != 3:
-        raise ValueError("exactly three outcome picks are required")
-    return float(_product_probabilities(state, np.array(kets)))
 
 
 def hardy_probabilities(state, settings: MeasurementSettings) -> np.ndarray:
@@ -147,7 +123,7 @@ def outcome_distribution(state, settings: MeasurementSettings, kinds) -> np.ndar
         raise ValueError(f"kinds must be three of 'U' or 'D', got {kinds!r}")
     kind_index = [_KIND[k] for k in kinds]
     return _product_probabilities(
-        state, _eigenkets(settings)[_QUBITS, kind_index, _OUTCOME_SIGNS]
+        state, settings.eigenkets[_QUBITS, kind_index, _OUTCOME_SIGNS]
     )
 
 
@@ -239,7 +215,7 @@ def sample_statistics(state, settings: MeasurementSettings, shots: int, seed: in
     if shots < 1:
         raise ValueError("shots must be at least 1")
     rng = np.random.default_rng(seed)
-    kets = _eigenkets(settings)[_QUBITS, _TERM_KINDS[:, None], _OUTCOME_SIGNS]
+    kets = settings.eigenkets[_QUBITS, _TERM_KINDS[:, None], _OUTCOME_SIGNS]
     probs = np.clip(_product_probabilities(state, kets), 0.0, None)
     p_hat = np.array(
         [rng.multinomial(shots, p / p.sum())[t] for p, t in zip(probs, _TERM_OUTCOMES)]

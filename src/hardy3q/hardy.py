@@ -40,7 +40,8 @@ from .errors import (
 )
 from .observables import (
     MeasurementSettings,
-    settings_from_coefficient_rows,
+    kets_from_angles,
+    random_angles,
     settings_from_plus_kets,
 )
 from .states import CanonicalState, StateClass, classify
@@ -106,6 +107,8 @@ def _quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, compl
 
 def genuine_candidates(cls: StateClass, state: CanonicalState) -> list[tuple]:
     """Candidate coefficient rows ((a, b, g, d) per qubit) for a D sub-class.
+
+    A row is the unnormalized plus-kets U+ ~ (a, b) and D+ ~ (g, d).
 
     Rows whose recipe involves a quadratic parameter yield one candidate
     per root, +sqrt branch first.
@@ -233,7 +236,7 @@ def construct_genuine(
     failures: list[str] = []
     for idx, rows in enumerate(genuine_candidates(cls, state)):
         try:
-            settings = settings_from_coefficient_rows(rows)
+            settings = settings_from_plus_kets(np.reshape(rows, (3, 2, 2)))
         except (WindowViolationError, NormalizationError) as exc:
             failures.append(f"candidate {idx}: {exc}")
             continue
@@ -346,39 +349,32 @@ _MAXIMAL_PAIR_COEFFS = (
 
 
 def _lift_pair_settings(
-    psi: np.ndarray,
+    chi: np.ndarray,
+    dec: linalg.SchmidtDecomposition,
     product_qubit: int,
     first_coeffs: tuple[tuple, tuple],
     second_coeffs: tuple[tuple, tuple],
-) -> tuple[MeasurementSettings, tuple[float, float]]:
+) -> MeasurementSettings:
     """Rotate pair-qubit plus-kets from Schmidt bases to the computational basis.
 
-    The product qubit in state chi gets U+ = (chi + chi_perp)/sqrt(2) and
-    D+ = chi_perp, which auto-zeroes the term with D+ on that qubit and
-    leaves the two-qubit behaviour intact up to a success factor 1/2.
+    ``chi`` is the product qubit's state and ``dec`` the Schmidt
+    decomposition of the pair state (see ``extract_pair_factorization``).
+    The product qubit gets U+ = (chi + chi_perp)/sqrt(2) and D+ = chi_perp,
+    which auto-zeroes the term with D+ on that qubit and leaves the
+    two-qubit behaviour intact up to a success factor 1/2.
     """
-    chi, eta = extract_pair_factorization(psi, product_qubit)
-    dec = linalg.schmidt_decompose(eta)
-    a, b = dec.coefficients
 
     def lift(coeffs, basis):
-        return coeffs[0] * basis[0] + coeffs[1] * basis[1]
+        c = np.asarray(coeffs)
+        return c[:, :1] * basis[0] + c[:, 1:] * basis[1]
 
-    pair_axes = [ax for ax in range(3) if ax != product_qubit]
+    first, second = (ax for ax in range(3) if ax != product_qubit)
     chi_perp = linalg.perp_qubit(chi)
-    kets: dict[int, tuple[np.ndarray, np.ndarray]] = {
-        pair_axes[0]: (
-            lift(first_coeffs[0], dec.basis_a),
-            lift(first_coeffs[1], dec.basis_a),
-        ),
-        pair_axes[1]: (
-            lift(second_coeffs[0], dec.basis_b),
-            lift(second_coeffs[1], dec.basis_b),
-        ),
-        product_qubit: (chi + chi_perp, chi_perp),
-    }
-    settings = settings_from_plus_kets([kets[0], kets[1], kets[2]])
-    return settings, (a, b)
+    kets = np.empty((3, 2, 2), dtype=complex)
+    kets[first] = lift(first_coeffs, dec.basis_a)
+    kets[second] = lift(second_coeffs, dec.basis_b)
+    kets[product_qubit] = chi + chi_perp, chi_perp
+    return settings_from_plus_kets(kets)
 
 
 def construct_bipartite(
@@ -394,7 +390,8 @@ def construct_bipartite(
         raise ConstructionFailureError(f"construct_bipartite got class {cls.value}")
     psi = state.to_ket()
     chi, eta = extract_pair_factorization(psi, PRODUCT_QUBIT[cls])
-    a, b = linalg.schmidt_decompose(eta).coefficients
+    dec = linalg.schmidt_decompose(eta)
+    a, b = dec.coefficients
     if a - b < 1e-9:
         raise ConstructionFailureError(
             f"Schmidt coefficients of the {cls.value} pair are equal; the pair is "
@@ -405,7 +402,7 @@ def construct_bipartite(
             f"the {cls.value} pair is a product state, which contradicts the classification"
         )
     first, second = two_qubit_hardy_coefficients(a, b)
-    settings, _ = _lift_pair_settings(psi, PRODUCT_QUBIT[cls], first, second)
+    settings = _lift_pair_settings(chi, dec, PRODUCT_QUBIT[cls], first, second)
     cert = verify_hardy(psi, settings, zero_tol)
     if cert.satisfied:
         return WitnessConstruction(
@@ -447,8 +444,9 @@ def construct_maximal(
     if cls.major != "C":
         raise ConstructionFailureError(f"construct_maximal got class {cls.value}")
     psi = state.to_ket()
-    settings, _ = _lift_pair_settings(
-        psi, PRODUCT_QUBIT[cls], _MAXIMAL_PAIR_COEFFS[0], _MAXIMAL_PAIR_COEFFS[1]
+    chi, eta = extract_pair_factorization(psi, PRODUCT_QUBIT[cls])
+    settings = _lift_pair_settings(
+        chi, linalg.schmidt_decompose(eta), PRODUCT_QUBIT[cls], *_MAXIMAL_PAIR_COEFFS
     )
     cert = verify_hardy(psi, settings, zero_tol)
     if cert.satisfied:
@@ -516,22 +514,16 @@ VANISHING_NORM = 1e-14
 _OWN_QUBIT = np.repeat(np.eye(3, dtype=bool), 2, axis=0)
 
 
-def _u_kets(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U+ kets (A, 3, 2) of Bloch angles (A, 6) and their derivatives.
+def _u_derivatives(x: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Derivatives (A, 6, 2) of the U+ kets ``us`` (A, 3, 2) of Bloch angles ``x`` (A, 6).
 
-    The derivatives are (A, 6, 2): d u_j / d theta_j and d u_j / d phi_j in
-    the angle order of ``x``.
+    Row i is d u_j / d theta_j or d u_j / d phi_j, in the angle order of ``x``.
     """
-    c, s = np.cos(0.5 * x[:, 0::2]), np.sin(0.5 * x[:, 0::2])
-    e = np.exp(1j * x[:, 1::2])
-    us = np.empty((len(x), 3, 2), dtype=complex)
-    us[..., 0] = c
-    us[..., 1] = e * s
     dus = np.zeros((len(x), 3, 2, 2), dtype=complex)
-    dus[:, :, 0, 0] = -0.5 * s
-    dus[:, :, 0, 1] = 0.5 * e * c
+    dus[:, :, 0, 0] = -0.5 * np.sin(0.5 * x[:, 0::2])
+    dus[:, :, 0, 1] = 0.5 * np.exp(1j * x[:, 1::2]) * us[..., 0]
     dus[:, :, 1, 1] = 1j * us[..., 1]
-    return us, dus.reshape(len(x), 6, 2)
+    return dus.reshape(len(x), 6, 2)
 
 
 def _derived_d_directions(psi3: np.ndarray, bras: np.ndarray) -> np.ndarray:
@@ -563,7 +555,7 @@ def _residual(psi3: np.ndarray, x: np.ndarray, jacobian: bool = False):
     r = <m_hat_j|g_j> for every j, and a change dm_j moves r by
     (<dm_j|g_j> - Re<m_hat_j|dm_j> r) / |m_j|.
     """
-    us, dus = _u_kets(x)
+    us = kets_from_angles(x.reshape(-1, 3, 2))
     m = _derived_d_directions(psi3, np.conj(us))
     n = np.sqrt((m.real**2 + m.imag**2).sum(axis=-1))
     ok = (n > VANISHING_NORM).all(axis=-1)
@@ -573,6 +565,7 @@ def _residual(psi3: np.ndarray, x: np.ndarray, jacobian: bool = False):
     r = (np.conj(mh[:, 0]) * g[:, 0]).sum(axis=-1)
     if not jacobian:
         return us, m, r, ok
+    dus = _u_derivatives(x, us)
     # bras with qubit i // 2 swapped for the derivative of its U+ ket
     bras = np.where(_OWN_QUBIT[..., None], np.conj(dus)[:, :, None], np.conj(us)[:, None])
     dm = np.where(_OWN_QUBIT[..., None], 0.0, _derived_d_directions(psi3, bras))
@@ -627,29 +620,10 @@ def _backtrack(psi3, x, f, dx):
 def _accepted_settings(vec, us, m, zero_tol) -> MeasurementSettings | None:
     """Settings of one converged attempt if they pass the window and verify_hardy."""
     try:
-        settings = settings_from_plus_kets(
-            [(us[j], linalg.perp_qubit(linalg.normalize(m[j]))) for j in range(3)]
-        )
+        settings = settings_from_plus_kets(np.stack([us, linalg.perp_qubit(m)], axis=1))
     except (WindowViolationError, NormalizationError):
         return None
     return settings if verify_hardy(vec, settings, zero_tol).satisfied else None
-
-
-def _start_angles(seed: int, attempts: int) -> np.ndarray:
-    """Starting Bloch angles (attempts, 6), one generator per attempt.
-
-    Attempt i draws from SeedSequence(seed).spawn(attempts)[i]: thetas
-    arccos(uniform(-1, 1)), then phis uniform(0, 2 pi).  The doubles are
-    those rng.uniform(-1.0, 1.0, 3) and rng.uniform(0.0, 2 pi, 3) return,
-    computed from one rng.random(6) call.
-    """
-    d = np.array(
-        [np.random.default_rng(c).random(6) for c in np.random.SeedSequence(seed).spawn(attempts)]
-    ).reshape(attempts, 6)
-    x = np.empty((attempts, 6))
-    x[:, 0::2] = np.arccos(-1.0 + 2.0 * d[:, :3])
-    x[:, 1::2] = (2.0 * np.pi) * d[:, 3:]
-    return x
 
 
 def search_hardy_observables(
@@ -684,7 +658,13 @@ def search_hardy_observables(
     linalg.require_normalized(vec, atol=1e-9)
     psi3 = vec.reshape(2, 2, 2)
 
-    x = _start_angles(seed, int(attempts))
+    # attempt i draws from child i of SeedSequence(seed)
+    x = np.array(
+        [
+            random_angles(np.random.default_rng(c), 3)
+            for c in np.random.SeedSequence(seed).spawn(int(attempts))
+        ]
+    ).reshape(-1, 6)
     active = np.arange(len(x))  # attempts still iterating, in seeded order
     winner: tuple[int, MeasurementSettings] | None = None
     for iteration in range(int(maxiter) + 1):

@@ -17,7 +17,8 @@ from .errors import DimensionError, NormalizationError, SpanError
 ATOL = 1e-10
 
 _ALLOWED_DIMS = (2, 4, 8)
-_ZERO = 1e-150
+#: norms below this count as zero
+ZERO_NORM = 1e-150
 
 
 def ket(values) -> np.ndarray:
@@ -36,7 +37,7 @@ def normalize(k) -> np.ndarray:
     """Return k / ||k||; rejects (near-)zero vectors."""
     arr = np.asarray(k, dtype=complex)
     n = np.linalg.norm(arr)
-    if n < _ZERO:
+    if n < ZERO_NORM:
         raise NormalizationError("cannot normalize a zero vector")
     return arr / n
 
@@ -50,12 +51,21 @@ def require_normalized(k, atol: float = 1e-9) -> np.ndarray:
 
 
 def fix_global_phase(k, tiny: float = 1e-12) -> np.ndarray:
-    """Rotate the global phase so the first non-negligible amplitude is real >= 0."""
+    """Rotate each ket's global phase so its first non-negligible amplitude is real >= 0.
+
+    The kets lie along the last axis; a ket with no amplitude above ``tiny``
+    is kept.  Magnitudes are taken with ``np.hypot``, which rounds as
+    ``abs`` of one complex scalar does.
+    """
     arr = np.asarray(k, dtype=complex)
-    for amp in arr:
-        if abs(amp) > tiny:
-            return arr * np.conj(amp / abs(amp))
-    return arr.copy()
+    size = np.hypot(arr.real, arr.imag)
+    lead, lead_size = arr[..., -1:], size[..., -1:]
+    for j in range(arr.shape[-1] - 2, -1, -1):  # the first amplitude above tiny wins
+        big = size[..., j : j + 1] > tiny
+        lead = np.where(big, arr[..., j : j + 1], lead)
+        lead_size = np.where(big, size[..., j : j + 1], lead_size)
+    found = lead_size > tiny
+    return np.where(found, arr * np.conj(lead / np.where(found, lead_size, 1.0)), arr)
 
 
 def tensor(*factors) -> np.ndarray:
@@ -86,11 +96,14 @@ def projector(k) -> np.ndarray:
 
 
 def perp_qubit(k) -> np.ndarray:
-    """The unique (up to phase) single-qubit ket orthogonal to k."""
+    """The unique (up to phase) single-qubit ket orthogonal to k, per ket on the last axis."""
     arr = np.asarray(k, dtype=complex)
-    if arr.shape != (2,):
-        raise DimensionError("perp_qubit expects a single-qubit ket")
-    return np.array([-np.conj(arr[1]), np.conj(arr[0])], dtype=complex)
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise DimensionError("perp_qubit expects single-qubit kets")
+    out = np.empty_like(arr)
+    out[..., 0] = -np.conj(arr[..., 1])
+    out[..., 1] = np.conj(arr[..., 0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,7 @@ def schmidt_decompose(state) -> SchmidtDecomposition:
     mu0 = 0.5 * (trace + disc)
     s0 = float(np.sqrt(mu0))
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    s1 = float(abs(det) / s0) if s0 > _ZERO else 0.0
+    s1 = float(abs(det) / s0) if s0 > ZERO_NORM else 0.0
 
     # dominant right singular vector: pick the better-conditioned of the two
     # proportional eigenvector formulas for the 2x2 Hermitian h
@@ -157,10 +170,10 @@ def schmidt_decompose(state) -> SchmidtDecomposition:
 
     mv0 = m @ v0
     n0 = np.linalg.norm(mv0)
-    u0 = mv0 / n0 if n0 > _ZERO else np.array([1.0, 0.0], dtype=complex)
+    u0 = mv0 / n0 if n0 > ZERO_NORM else np.array([1.0, 0.0], dtype=complex)
     u1 = perp_qubit(u0)
     phase = np.vdot(u1, m @ v1)  # second left vector's phase, read off the data
-    if abs(phase) > _ZERO:
+    if abs(phase) > ZERO_NORM:
         u1 = u1 * (phase / abs(phase))
 
     return SchmidtDecomposition(

@@ -236,18 +236,28 @@ def classify_batch(lams: np.ndarray, phis: np.ndarray, eps: float = CLASS_EPS) -
     """Vectorized classification of many parameter rows at once.
 
     ``lams`` has shape (n, 5), ``phis`` shape (n,); every entry must be
-    finite.  Returns indices into ``CLASS_ORDER``, the rows ``classify``
-    gives.  Raises ``ClassificationOverlapError`` on the first row that is
-    both A.3 and C.3 at this ``eps``.
+    finite, every amplitude non-negative and every phase in [0, pi], as in
+    ``CanonicalState``.  Normalization is not checked: the classification's
+    equality surfaces are also probed just off the unit sphere (l0 l2 and
+    l0 l3 above 1/2, which no unit row reaches), where the batch is compared
+    with the test oracles.  Returns indices into ``CLASS_ORDER``, the rows
+    ``classify`` gives.  Raises ``ClassificationOverlapError`` on the first
+    row that is both A.3 and C.3 at this ``eps``.
     """
     lam = np.asarray(lams, dtype=float)
     phi = np.asarray(phis, dtype=float)
     if lam.ndim != 2 or lam.shape[1] != 5 or phi.shape != (lam.shape[0],):
         raise ValueError("expected lams of shape (n, 5) and phis of shape (n,)")
     _check_eps(eps)
-    # min and max propagate NaN and need no (n, 5) temporary
-    if lam.size and not np.isfinite([lam.min(), lam.max(), phi.min(), phi.max()]).all():
-        raise ValueError("lams and phis must be finite")
+    if lam.size:
+        # min and max propagate NaN and need no (n, 5) temporary
+        lo, hi, phi_lo, phi_hi = lam.min(), lam.max(), phi.min(), phi.max()
+        if not np.isfinite([lo, hi, phi_lo, phi_hi]).all():
+            raise ValueError("lams and phis must be finite")
+        if lo < 0.0:
+            raise ValueError("canonical amplitudes must be non-negative")
+        if not (0.0 <= phi_lo and phi_hi <= math.pi):
+            raise ValueError("phase must lie in [0, pi]")
     return _match_rows(lam, phi, eps)
 
 

@@ -38,7 +38,6 @@ from .hardy import build_witness
 from .observables import (
     WINDOW_TOL,
     MeasurementSettings,
-    angles_from_settings,
     kets_from_angles,
     random_angles,
     settings_from_plus_kets,
@@ -77,7 +76,6 @@ class OptimizationResult:
     starts: int
     converged: bool
     seed: int
-    best_angles: tuple[float, ...]
     #: final B of every start, in start order
     start_values: tuple[float, ...]
     #: batched sweeps run over all descents
@@ -317,7 +315,7 @@ def minimize_bell(
     psi3 = vec.reshape(2, 2, 2)
 
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(int(starts))]
-    kets = np.stack([kets_from_angles(random_angles(rng)).reshape(3, 2, 2) for rng in rngs])
+    kets = kets_from_angles(np.stack([random_angles(rng, 6) for rng in rngs])).reshape(-1, 3, 2, 2)
     kets, value, _, sweeps = _descend(psi3, kets, LOOSE_TOL, maxiter)
     for _ in range(HOPS):
         hopped, hopped_value, _, hop_sweeps = _descend(
@@ -329,9 +327,7 @@ def minimize_bell(
     kets, value, gain, polish_sweeps = _descend(psi3, kets, tol, maxiter)
 
     best = int(np.argmin(value))  # the first of equal values, in start order
-    settings = settings_from_plus_kets(
-        [(u, _inside_window(u, d)) for u, d in kets[best]]
-    )
+    settings = settings_from_plus_kets([(u, _inside_window(u, d)) for u, d in kets[best]])
     best_value = bell_value(vec, settings).bell_value
     threshold = (
         threshold_visibility(best_value) if best_value < -1e-12 else None
@@ -343,7 +339,6 @@ def minimize_bell(
         starts=int(starts),
         converged=bool(gain[best] <= tol),
         seed=int(seed),
-        best_angles=tuple(float(v) for v in angles_from_settings(settings)),
         start_values=tuple(float(v) for v in value),
         sweeps=sweeps + polish_sweeps,
     )

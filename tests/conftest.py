@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hardy3q.observables import random_angles, settings_from_angles
+from hardy3q.observables import kets_from_angles, random_angles, settings_from_plus_kets
 from hardy3q.errors import WindowViolationError
 from hardy3q.states import StateClass
 
@@ -59,7 +59,7 @@ def random_settings(rng):
     """Random windowed settings (redraws on window violations)."""
     while True:
         try:
-            return settings_from_angles(random_angles(rng))
+            return settings_from_plus_kets(kets_from_angles(random_angles(rng, 6)).reshape(3, 2, 2))
         except WindowViolationError:
             continue
 
@@ -198,28 +198,45 @@ def oracle_joint_probability(state, kets):
     return float(np.vdot(v, arr @ v).real)
 
 
+def oracle_perp(k):
+    """The single-qubit ket orthogonal to k."""
+    return np.array([-np.conj(k[1]), np.conj(k[0])])
+
+
+def oracle_eigenket(plus, sign):
+    """The +1 or -1 eigenket of the observable with plus-ket ``plus``."""
+    plus = plus / np.linalg.norm(plus)
+    return plus if sign == +1 else oracle_perp(plus)
+
+
+def pair_overlaps(settings):
+    """|<U+|D+>| per qubit, from the settings' plus-kets."""
+    return [abs(np.vdot(u, d)) for u, d in settings.plus_kets]
+
+
 def oracle_hardy_probabilities(state, settings):
-    """The five canonical-order probabilities via the kron oracle."""
-    pairs = settings.pairs
-    picks = [
-        (pairs[0].d.minus_ket, pairs[1].d.minus_ket, pairs[2].d.minus_ket),
-        (pairs[0].d.plus_ket, pairs[1].u.plus_ket, pairs[2].u.plus_ket),
-        (pairs[0].u.plus_ket, pairs[1].d.plus_ket, pairs[2].u.plus_ket),
-        (pairs[0].u.plus_ket, pairs[1].u.plus_ket, pairs[2].d.plus_ket),
-        (pairs[0].u.plus_ket, pairs[1].u.plus_ket, pairs[2].u.plus_ket),
+    """The five canonical-order probabilities via the kron oracle.
+
+    The minus-kets are derived here from the plus-kets, not read from the
+    program.
+    """
+    return np.array(oracle_five_probabilities(state, settings.plus_kets))
+
+
+def oracle_five_probabilities(state, kets):
+    """The five canonical-order probabilities for raw plus-kets (3, 2, 2)."""
+    kets = [[k / np.linalg.norm(k) for k in pair] for pair in kets]
+    (u1, d1), (u2, d2), (u3, d3) = kets
+    m1, m2, m3 = (oracle_perp(d) for d in (d1, d2, d3))
+    return [
+        oracle_joint_probability(state, ks)
+        for ks in ((m1, m2, m3), (d1, u2, u3), (u1, d2, u3), (u1, u2, d3), (u1, u2, u3))
     ]
-    return np.array([oracle_joint_probability(state, kets) for kets in picks])
 
 
 def oracle_bell_of_kets(state, kets):
     """B via the kron oracle for raw plus-kets (3, 2, 2): qubit, U/D, component."""
-    kets = [[k / np.linalg.norm(k) for k in pair] for pair in kets]
-    (u1, d1), (u2, d2), (u3, d3) = kets
-    m1, m2, m3 = (np.array([-np.conj(d[1]), np.conj(d[0])]) for d in (d1, d2, d3))
-    p = [
-        oracle_joint_probability(state, ks)
-        for ks in ((m1, m2, m3), (d1, u2, u3), (u1, d2, u3), (u1, u2, d3), (u1, u2, u3))
-    ]
+    p = oracle_five_probabilities(state, kets)
     return p[0] + p[1] + p[2] + p[3] - p[4]
 
 
@@ -289,7 +306,7 @@ def nelder_mead_bell(state, starts, seed):
     for child in np.random.SeedSequence(seed).spawn(starts):
         res = minimize(
             objective,
-            random_angles(np.random.default_rng(child)),
+            random_angles(np.random.default_rng(child), 6).reshape(12),
             method="Nelder-Mead",
             options={"maxiter": 4000, "fatol": 1e-12, "xatol": 1e-9, "adaptive": True},
         )

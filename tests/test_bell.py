@@ -12,7 +12,6 @@ from hardy3q.bell import (
     LhvAssignment,
     bell_value,
     hardy_probabilities,
-    joint_probability,
     lhv_assignments,
     lhv_bell_value,
     lhv_hardy_pattern_assignments,
@@ -22,10 +21,15 @@ from hardy3q.bell import (
     outcome_distribution,
     sample_statistics,
 )
-from hardy3q.observables import DichotomicObservable, settings_from_plus_kets
+from hardy3q.observables import settings_from_plus_kets
 from hardy3q.states import CanonicalState, mix_with_white_noise, random_canonical
 
-from conftest import oracle_hardy_probabilities, oracle_joint_probability, random_settings
+from conftest import (
+    oracle_eigenket,
+    oracle_hardy_probabilities,
+    oracle_joint_probability,
+    random_settings,
+)
 
 INV_SQRT2 = 2**-0.5
 
@@ -53,17 +57,15 @@ def quoted_maximal_settings():
 
 class TestJointProbability:
     def test_ghz_all_z_plus(self):
-        z = DichotomicObservable.from_plus_ket(np.array([1.0, 0.0]))
-        p = joint_probability(ghz_ket(), [(z, +1)] * 3)
+        # U = Z on every qubit; outcome index 0 is all signs +1
+        settings = settings_from_plus_kets([([1.0, 0.0], [1.0, 1.0])] * 3)
+        p = outcome_distribution(ghz_ket(), settings, "UUU")[0]
         assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_maximally_mixed_gives_eighth(self, rng):
         settings = random_settings(rng)
-        p = joint_probability(
-            np.eye(8, dtype=complex) / 8,
-            [(settings.pairs[j].u, +1) for j in range(3)],
-        )
-        assert p == pytest.approx(0.125, abs=1e-12)
+        probs = outcome_distribution(np.eye(8, dtype=complex) / 8, settings, "UUU")
+        assert probs == pytest.approx([0.125] * 8, abs=1e-12)
 
     def test_quoted_maximal_all_u_term(self):
         probs = hardy_probabilities(maximal_pair_state(), quoted_maximal_settings())
@@ -135,8 +137,8 @@ class TestOutcomeDistribution:
             probs = outcome_distribution(target, settings, kinds)
             for idx, signs in enumerate(product((+1, -1), repeat=3)):
                 kets = [
-                    (pair.u if kind == "U" else pair.d).eigenket(sign)
-                    for pair, kind, sign in zip(settings.pairs, kinds, signs)
+                    oracle_eigenket(pair[0 if kind == "U" else 1], sign)
+                    for pair, kind, sign in zip(settings.plus_kets, kinds, signs)
                 ]
                 assert probs[idx] == pytest.approx(
                     oracle_joint_probability(target, kets), abs=1e-12

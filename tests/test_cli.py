@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
+from hardy3q import cli, visibility
 from hardy3q.cli import (
     EXIT_CONSTRUCTION,
     EXIT_EXPECTATION,
@@ -21,6 +22,7 @@ from hardy3q.cli import (
     EXIT_OK,
     EXIT_PARSE,
     MAX_GRID_POINTS,
+    MAX_STARTS,
     CliError,
     _parse_grid,
     main,
@@ -294,6 +296,20 @@ class TestOptimize:
         assert json.loads(err)["exit_code"] == EXIT_PARSE
 
 
+    @pytest.mark.parametrize("command", ["optimize", "scan"])
+    def test_starts_above_bound_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("minimize_bell ran")
+
+        monkeypatch.setattr(cli, "minimize_bell", must_not_run)
+        monkeypatch.setattr(visibility, "minimize_bell", must_not_run)
+        if command == "optimize":
+            argv = ["optimize", ghz_file(tmp_path)]
+        else:
+            argv = ["scan", "--family", "ghz", "--grid", "t=0.5:0.5:1", "--optimize"]
+        error = assert_rejected(capsys, argv + ["--starts", str(MAX_STARTS + 1)])
+        assert str(MAX_STARTS) in error
+
     def test_report_keys(self, tmp_path, capsys):
         _, report, _ = run(capsys, ["optimize", ghz_file(tmp_path), "--starts", "2"])
         assert set(report["optimization"]) == {
@@ -305,7 +321,6 @@ class TestOptimize:
             "converged",
             "seed",
             "best_settings",
-            "best_angles",
         }
 
 
@@ -453,6 +468,18 @@ GRID_SPECS = st.one_of(
 ).map(lambda p: f"{p[0]}={p[1]}:{p[2]}:{p[3]}") | st.text(max_size=12)
 
 
+WITNESS_FLAG_VALUES = {
+    "--tol": st.one_of(FLAG_VALUES["--tol"], st.sampled_from(["1", "2", "1e300"])),
+    "--seed": FLAG_VALUES["--seed"],
+}
+CLASSIFY_FLAG_VALUES = {
+    "--eps": st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "0", "-1", "-1e-9", "1e300", "abc", "", "1e-9", "0.6"]),
+        st.floats().map(repr),
+    ),
+}
+
+
 def fuzz_main(argv, state=None):
     """Run ``main(argv)``, with a file holding ``state`` appended when given.
 
@@ -484,7 +511,7 @@ def flag_pairs(values):
 
 
 class TestOptimizeFuzz:
-    """Exit codes and JSON errors of ``optimize``, ``sample`` and ``scan`` on fuzzed input."""
+    """Exit codes and JSON errors of every state command and ``scan`` on fuzzed input."""
 
     @hyp_settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -509,6 +536,29 @@ class TestOptimizeFuzz:
         code, out = fuzz_main(argv, state)
         if code == EXIT_OK:
             assert json.loads(out)["command"] == "sample"
+
+    # a weakly entangled state can reach the fallback search (about 0.3 s)
+    @hyp_settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(SAMPLE_STATES, flag_pairs(WITNESS_FLAG_VALUES), st.booleans())
+    def test_witness_exit_codes_and_json_errors(self, state, flags, normalize):
+        argv = ["witness"] + [token for pair in flags for token in pair]
+        argv += ["--normalize"] if normalize else []
+        code, out = fuzz_main(argv, state)
+        if code in (EXIT_OK, EXIT_EXPECTATION):
+            assert json.loads(out)["command"] == "witness"
+
+    @hyp_settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(SAMPLE_STATES, flag_pairs(CLASSIFY_FLAG_VALUES), st.booleans())
+    def test_classify_exit_codes_and_json_errors(self, state, flags, normalize):
+        argv = ["classify"] + [token for pair in flags for token in pair]
+        argv += ["--normalize"] if normalize else []
+        code, out = fuzz_main(argv, state)
+        if code == EXIT_OK:
+            assert json.loads(out)["command"] == "classify"
 
     @hyp_settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]

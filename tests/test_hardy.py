@@ -26,10 +26,10 @@ from hardy3q.hardy import (
     verify_hardy,
 )
 from hardy3q.linalg import schmidt_decompose
-from hardy3q.observables import observable_pair, settings_from_coefficient_rows
+from hardy3q.observables import random_angles, settings_from_plus_kets
 from hardy3q.states import CanonicalState, StateClass, classify, sample_class
 
-from conftest import nelder_mead_search, oracle_hardy_probabilities, random_ket
+from conftest import nelder_mead_search, oracle_hardy_probabilities, pair_overlaps, random_ket
 
 INV_SQRT2 = 2**-0.5
 
@@ -89,25 +89,40 @@ def near_boundary_deck(rng, count):
     return deck
 
 
+def settings_with_pair(j, pair):
+    """Settings with ``pair`` ((U+, D+) coefficients) on qubit j, Z/H on the others."""
+    kets = [((1, 0), (1, 1))] * 3
+    kets[j] = pair
+    return settings_from_plus_kets(kets)
+
+
 class TestObservablePair:
+    """One (U, D) pair placed on each qubit j of otherwise valid settings."""
+
     def test_z_and_hadamard_overlap(self):
-        pair = observable_pair(1, 0, 1, 1)
-        assert pair.overlap == pytest.approx(INV_SQRT2, abs=1e-12)
+        for j in range(3):
+            overlaps = pair_overlaps(settings_with_pair(j, ((1, 0), (1, 1))))
+            assert overlaps[j] == pytest.approx(INV_SQRT2, abs=1e-12)
 
     def test_commuting_pair_rejected(self):
-        with pytest.raises(WindowViolationError):
-            observable_pair(1, 0, 0, 1)
+        for j in range(3):
+            with pytest.raises(WindowViolationError) as info:
+                settings_with_pair(j, ((1, 0), (0, 1)))
+            assert info.value.pair_index == j
 
     def test_identical_pair_rejected(self):
-        with pytest.raises(WindowViolationError):
-            observable_pair(1, 1, 1, 1)
+        for j in range(3):
+            with pytest.raises(WindowViolationError) as info:
+                settings_with_pair(j, ((1, 1), (1, 1)))
+            assert info.value.pair_index == j
 
     def test_ghz_recipe_first_pair(self):
         # class D.14 coefficients at the GHZ point; the direct inner product
         # of the normalized kets is (i - 1)/2, magnitude 1/sqrt(2)
-        pair = observable_pair(1, 1, 1j * INV_SQRT2, -INV_SQRT2)
-        assert pair.overlap == pytest.approx(INV_SQRT2, abs=1e-12)
-        assert 0.0 < pair.overlap < 1.0
+        for j in range(3):
+            overlap = pair_overlaps(settings_with_pair(j, ((1, 1), (1j * INV_SQRT2, -INV_SQRT2))))[j]
+            assert overlap == pytest.approx(INV_SQRT2, abs=1e-12)
+            assert 0.0 < overlap < 1.0
 
 
 class TestVerifyHardy:
@@ -178,9 +193,7 @@ class TestGenuineConstructions:
         assert a.used_fallback and b.used_fallback
         assert a.certificate.satisfied
         assert a.certificate.probabilities == b.certificate.probabilities
-        for pa, pb in zip(a.settings.pairs, b.settings.pairs):
-            assert np.array_equal(pa.u.plus_ket, pb.u.plus_ket)
-            assert np.array_equal(pa.d.plus_ket, pb.d.plus_ket)
+        assert np.array_equal(a.settings.plus_kets, b.settings.plus_kets)
 
 
 class TestD3Certificate:
@@ -405,9 +418,7 @@ class TestSearch:
         a = search_hardy_observables(state.to_ket(), attempts=10, seed=4)
         b = search_hardy_observables(state.to_ket(), attempts=10, seed=4)
         assert a is not None and b is not None
-        for pa, pb in zip(a.pairs, b.pairs):
-            assert np.array_equal(pa.u.plus_ket, pb.u.plus_ket)
-            assert np.array_equal(pa.d.plus_ket, pb.d.plus_ket)
+        assert np.array_equal(a.plus_kets, b.plus_kets)
 
     def test_residual_jacobian_matches_central_differences(self, rng):
         psi3 = random_ket(rng, 8).reshape(2, 2, 2)
@@ -422,11 +433,11 @@ class TestSearch:
             assert np.abs(dr[:, i] - central).max() <= 1e-8
 
     def test_start_angles_match_per_attempt_uniform_draws(self):
-        x = hardy._start_angles(7, 25)
-        for row, child in zip(x, np.random.SeedSequence(7).spawn(25)):
+        for child in np.random.SeedSequence(7).spawn(25):
+            x = random_angles(np.random.default_rng(child), 3)
             rng = np.random.default_rng(child)
-            assert np.array_equal(row[0::2], np.arccos(rng.uniform(-1.0, 1.0, 3)))
-            assert np.array_equal(row[1::2], rng.uniform(0.0, 2.0 * np.pi, 3))
+            assert np.array_equal(x[:, 0], np.arccos(rng.uniform(-1.0, 1.0, 3)))
+            assert np.array_equal(x[:, 1], rng.uniform(0.0, 2.0 * np.pi, 3))
 
     @pytest.mark.parametrize(
         "lams",
@@ -448,9 +459,7 @@ class TestSearch:
             if a is None:
                 continue
             b = search_hardy_observables(psi, attempts=40, seed=0, zero_tol=1e-9)
-            for pa, pb in zip(a.pairs, b.pairs):
-                assert np.array_equal(pa.u.plus_ket, pb.u.plus_ket)
-                assert np.array_equal(pa.d.plus_ket, pb.d.plus_ket)
+            assert np.array_equal(a.plus_kets, b.plus_kets)
             checked += 1
         assert checked >= 10
 
@@ -493,5 +502,5 @@ class TestWindowInvariant:
             for _ in range(20):
                 state = sample_class(cls, rng)
                 built = build_witness(state)
-                for pair in built.settings.pairs:
-                    assert 1e-9 < pair.overlap < 1 - 1e-9
+                for overlap in pair_overlaps(built.settings):
+                    assert 1e-9 < overlap < 1 - 1e-9

@@ -180,6 +180,23 @@ class TestClassifyProperties:
             with pytest.raises(ValueError, match="finite"):
                 classify_batch(np.array(lams, dtype=float), np.array(phis))
 
+    @pytest.mark.parametrize(
+        "lams, phi",
+        [([-1, 0, 0, 0, 0], 0.0), ([0.6, 0, 0.8, 0, 0], -5.0), ([0.6, 0, 0.8, 0, 0], 4.0)],
+        ids=["negative-l0", "phi-5", "phi4"],
+    )
+    def test_batch_rejects_rows_outside_canonical_domain(self, lams, phi):
+        # CanonicalState rejects these rows, so scalar classify never sees them
+        with pytest.raises(ValueError):
+            CanonicalState(tuple(lams), phi)
+        with pytest.raises(ValueError, match="non-negative|phase"):
+            classify_batch(np.array([lams], dtype=float), np.array([phi]))
+
+    def test_batch_accepts_phase_endpoints(self):
+        states = [canonical([1, 1, 1, 1, 1], phi) for phi in (0.0, math.pi)]
+        codes = classify_batch(np.array([s.lams for s in states]), np.array([s.phi for s in states]))
+        assert [CLASS_ORDER[c] for c in codes] == [classify(s) for s in states]
+
     def test_overlap_raises_in_both_entry_points(self):
         # at eps = 0.6 the maximal pair (|00> + |11>)/sqrt(2) is both
         # singular (A.3) and unitary (C.3)

@@ -25,6 +25,7 @@ from hardy3q.visibility import (
 from conftest import (
     nelder_mead_bell,
     oracle_bell_of_kets,
+    pair_overlaps,
     random_ket,
     random_settings,
     reference_sweep,
@@ -94,8 +95,8 @@ class TestMinimizeBell:
         assert result.best_value == pytest.approx(GHZ_BEST, abs=1e-3)
         assert result.threshold_visibility == pytest.approx(GHZ_THRESHOLD, abs=1e-4)
         assert result.violation_found
-        for pair in result.best_settings.pairs:
-            assert 1e-9 < pair.overlap < 1 - 1e-9
+        for overlap in pair_overlaps(result.best_settings):
+            assert 1e-9 < overlap < 1 - 1e-9
 
     def test_product_state_never_violates(self):
         psi = np.zeros(8, complex)
@@ -115,7 +116,7 @@ class TestMinimizeBell:
         a = minimize_bell(GHZ.to_ket(), starts=4, seed=7)
         b = minimize_bell(GHZ.to_ket(), starts=4, seed=7)
         assert a.best_value == b.best_value
-        assert a.best_angles == b.best_angles
+        assert np.array_equal(a.best_settings.plus_kets, b.best_settings.plus_kets)
 
     def test_more_starts_never_worse(self):
         few = minimize_bell(GHZ.to_ket(), starts=4, seed=3)
@@ -223,7 +224,7 @@ class TestSeeSaw:
         # each start reports B at the kets it returns, never above its first sweep
         rng = np.random.default_rng(seed)
         psi = random_ket(rng, 8)
-        kets = np.stack([kets_from_angles(random_angles(rng)).reshape(3, 2, 2) for _ in range(3)])
+        kets = np.stack([kets_from_angles(random_angles(rng, 6)).reshape(3, 2, 2) for _ in range(3)])
         first = _descend(psi.reshape(2, 2, 2), kets, 1e-10, 1)[1]
         out, value, _, sweeps = _descend(psi.reshape(2, 2, 2), kets, 1e-10, maxiter)
         assert 1 <= sweeps <= maxiter
@@ -233,7 +234,7 @@ class TestSeeSaw:
 
     def test_descend_stops_on_a_plain_sweep(self):
         kets = np.stack(
-            [kets_from_angles(random_angles(np.random.default_rng(s))).reshape(3, 2, 2) for s in range(4)]
+            [kets_from_angles(random_angles(np.random.default_rng(s), 6)).reshape(3, 2, 2) for s in range(4)]
         )
         _, _, gain, sweeps = _descend(w_ket().reshape(2, 2, 2), kets, 1e-10, 4000)
         assert sweeps < 4000
@@ -248,8 +249,8 @@ class TestSeeSaw:
     def test_product_state_settings_inside_window(self):
         psi = product_ket()
         result = minimize_bell(psi, starts=8, seed=0)
-        for pair in result.best_settings.pairs:
-            assert WINDOW_TOL < pair.overlap < 1 - WINDOW_TOL
+        for overlap in pair_overlaps(result.best_settings):
+            assert WINDOW_TOL < overlap < 1 - WINDOW_TOL
         reported = bell_value(psi, result.best_settings).bell_value
         assert reported == pytest.approx(result.best_value, abs=1e-12)
 
