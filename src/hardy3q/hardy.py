@@ -246,7 +246,7 @@ def construct_genuine(
                 best = (cert.success_probability, settings, cert)
         else:
             failures.append(
-                f"candidate {idx}: probabilities {np.array(cert.probabilities)}"
+                f"candidate {idx}: probabilities {cert.probabilities}"
             )
     if best is not None:
         return WitnessConstruction(
@@ -411,7 +411,7 @@ def construct_bipartite(
     logger.warning(
         "pair lift for %s failed validation (probabilities %s); falling back",
         cls.value,
-        np.array(cert.probabilities),
+        cert.probabilities,
     )
     found = search_hardy_observables(psi, seed=seed, zero_tol=zero_tol)
     if found is None:
@@ -626,48 +626,12 @@ def _accepted_settings(vec, us, m, zero_tol) -> MeasurementSettings | None:
     return settings if verify_hardy(vec, settings, zero_tol).satisfied else None
 
 
-def search_hardy_observables(
-    psi,
-    attempts: int = 40,
-    seed: int = 0,
-    zero_tol: float = ZERO_TOL,
-    maxiter: int = 800,
-) -> MeasurementSettings | None:
-    """Seeded multistart search for settings satisfying the Hardy pattern.
-
-    Only the three U observables are free parameters (six Bloch angles);
-    each D observable is derived as the orthogonal complement of the
-    corresponding contraction vector, which makes three of the four zero
-    conditions exact by construction.  The remaining complex condition r,
-    whose zeros form a four-dimensional manifold, is solved by damped
-    Gauss-Newton: minimum-norm steps of the 2x6 real Jacobian with Armijo
-    backtracking, so |r|^2 never rises, for at most ``maxiter`` iterations
-    per attempt.  All attempts run together as one array.  An attempt
-    fails when its Jacobian turns singular, a contraction vector vanishes
-    or no halved step lowers |r|^2 enough.  An attempt is accepted when
-    |r|^2 <= zero_tol / 10, its settings lie in the window and they pass
-    verify_hardy at ``zero_tol``; the first accepted attempt in seeded order
-    wins, so the result is deterministic for a fixed seed and the same for
-    any number of attempts that includes the winner.  Returns None when
-    every attempt fails (expected for fully product states and for
-    maximally entangled pairs).
-    """
-    vec = linalg.ket(psi)
-    if vec.shape[0] != 8:
-        raise DimensionError("search expects a three-qubit ket")
-    linalg.require_normalized(vec, atol=1e-9)
+def _first_accepted(vec, x, zero_tol, maxiter) -> MeasurementSettings | None:
+    """Settings of the first accepted attempt, in row order, among starts ``x`` (A, 6)."""
     psi3 = vec.reshape(2, 2, 2)
-
-    # attempt i draws from child i of SeedSequence(seed)
-    x = np.array(
-        [
-            random_angles(np.random.default_rng(c), 3)
-            for c in np.random.SeedSequence(seed).spawn(int(attempts))
-        ]
-    ).reshape(-1, 6)
-    active = np.arange(len(x))  # attempts still iterating, in seeded order
+    active = np.arange(len(x))  # attempts still iterating, in row order
     winner: tuple[int, MeasurementSettings] | None = None
-    for iteration in range(int(maxiter) + 1):
+    for iteration in range(maxiter + 1):
         us, m, r, ok, dr = _residual(psi3, x[active], jacobian=True)
         f = r.real**2 + r.imag**2
         done = ok & (f <= 0.1 * zero_tol)
@@ -686,3 +650,55 @@ def search_hardy_observables(
         x[active], moved = _backtrack(psi3, x[active], f[keep], dx[keep])
         active = active[moved]
     return None if winner is None else winner[1]
+
+
+def search_hardy_observables(
+    psi,
+    attempts: int = 40,
+    seed: int = 0,
+    zero_tol: float = ZERO_TOL,
+    maxiter: int = 800,
+) -> MeasurementSettings | None:
+    """Seeded multistart search for settings satisfying the Hardy pattern.
+
+    Only the three U observables are free parameters (six Bloch angles);
+    each D observable is derived as the orthogonal complement of the
+    corresponding contraction vector, which makes three of the four zero
+    conditions exact by construction.  The remaining complex condition r,
+    whose zeros form a four-dimensional manifold, is solved by damped
+    Gauss-Newton: minimum-norm steps of the 2x6 real Jacobian with Armijo
+    backtracking, so |r|^2 never rises, for at most ``maxiter`` iterations
+    per attempt.  An attempt fails when its Jacobian turns singular, a
+    contraction vector vanishes or no halved step lowers |r|^2 enough.  An
+    attempt is accepted when |r|^2 <= zero_tol / 10, its settings lie in
+    the window and they pass verify_hardy at ``zero_tol``; the first
+    accepted attempt in seeded order wins, so the result is deterministic
+    for a fixed seed and the same for any number of attempts that includes
+    the winner.  Attempt 0 usually wins, so it runs alone first; only if it
+    fails do attempts 1 .. attempts-1 run together as one array.  Attempt i
+    starts from child i of ``SeedSequence(seed)`` and keeps its own
+    ``maxiter`` budget in either round, so the rounds change no result.
+    Returns None when every attempt fails (expected for fully product
+    states and for maximally entangled pairs).
+    """
+    attempts, maxiter = int(attempts), int(maxiter)
+    if attempts < 0 or maxiter < 0:
+        raise ValueError(f"attempts and maxiter must be >= 0, got {attempts} and {maxiter}")
+    vec = linalg.ket(psi)
+    if vec.shape[0] != 8:
+        raise DimensionError("search expects a three-qubit ket")
+    linalg.require_normalized(vec, atol=1e-9)
+
+    # spawn continues where the previous call stopped, so round 2 gets
+    # children 1 .. attempts-1 of the same sequence
+    seeds = np.random.SeedSequence(seed)
+    for count in (min(attempts, 1), attempts - 1):
+        if count <= 0:
+            continue
+        x = np.array(
+            [random_angles(np.random.default_rng(c), 3) for c in seeds.spawn(count)]
+        ).reshape(-1, 6)
+        found = _first_accepted(vec, x, zero_tol, maxiter)
+        if found is not None:
+            return found
+    return None

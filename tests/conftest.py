@@ -378,3 +378,41 @@ def nelder_mead_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
         if max(probs[:4]) <= zero_tol and probs[4] > zero_tol:
             return np.stack([np.stack([u[j], d[j]]) for j in range(3)])
     return None
+
+
+def one_batch_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
+    """The search with every attempt in one array, as a bit-level oracle.
+
+    Draws all starts up front and iterates them together with the
+    package's own Gauss-Newton pieces; the first accepted attempt in seeded
+    order wins.  Returns the winning settings, else None.
+    """
+    from hardy3q import hardy, linalg
+
+    vec = linalg.ket(psi)
+    psi3 = vec.reshape(2, 2, 2)
+    x = np.array(
+        [
+            random_angles(np.random.default_rng(c), 3)
+            for c in np.random.SeedSequence(seed).spawn(attempts)
+        ]
+    ).reshape(-1, 6)
+    active = np.arange(len(x))
+    winner = None
+    for iteration in range(maxiter + 1):
+        us, m, r, ok, dr = hardy._residual(psi3, x[active], jacobian=True)
+        f = r.real**2 + r.imag**2
+        done = ok & (f <= 0.1 * zero_tol)
+        for k in np.flatnonzero(done):
+            settings = hardy._accepted_settings(vec, us[k], m[k], zero_tol)
+            if settings is not None:
+                winner = (int(active[k]), settings)
+                break
+        dx, singular = hardy._gauss_newton_step(r, dr)
+        keep = ok & ~done & ~singular & (active < (len(x) if winner is None else winner[0]))
+        if iteration == maxiter or not keep.any():
+            break
+        active = active[keep]
+        x[active], moved = hardy._backtrack(psi3, x[active], f[keep], dx[keep])
+        active = active[moved]
+    return None if winner is None else winner[1]

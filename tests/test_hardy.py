@@ -29,7 +29,13 @@ from hardy3q.linalg import schmidt_decompose
 from hardy3q.observables import random_angles, settings_from_plus_kets
 from hardy3q.states import CanonicalState, StateClass, classify, sample_class
 
-from conftest import nelder_mead_search, oracle_hardy_probabilities, pair_overlaps, random_ket
+from conftest import (
+    nelder_mead_search,
+    one_batch_search,
+    oracle_hardy_probabilities,
+    pair_overlaps,
+    random_ket,
+)
 
 INV_SQRT2 = 2**-0.5
 
@@ -69,6 +75,13 @@ STIFF_D1_LAMS = (
     0.4504654130310388,
 )
 STIFF_D1_PHI = 0.22468093746170578
+
+#: states on which every search attempt fails, by id
+DEGENERATE_LAMS = {
+    "product": (1, 0, 0, 0, 0),
+    "maximal-pair": (INV_SQRT2, 0, 0, INV_SQRT2, 0),
+    "ghz-3e-5": (3e-5, 0, 0, 0, 0.99999999955),
+}
 
 
 def near_boundary_deck(rng, count):
@@ -439,17 +452,51 @@ class TestSearch:
             assert np.array_equal(x[:, 0], np.arccos(rng.uniform(-1.0, 1.0, 3)))
             assert np.array_equal(x[:, 1], rng.uniform(0.0, 2.0 * np.pi, 3))
 
-    @pytest.mark.parametrize(
-        "lams",
-        [(1, 0, 0, 0, 0), (INV_SQRT2, 0, 0, INV_SQRT2, 0), (3e-5, 0, 0, 0, 0.99999999955)],
-        ids=["product", "maximal-pair", "ghz-3e-5"],
-    )
+    @pytest.mark.parametrize("lams", DEGENERATE_LAMS.values(), ids=DEGENERATE_LAMS.keys())
     def test_degenerate_inputs_fail_cleanly(self, lams):
         # vanishing contractions and singular Jacobians mark attempts failed;
         # no division by zero or invalid value occurs on the way
         psi = CanonicalState(lams, 0.0).to_ket()
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             assert search_hardy_observables(psi, seed=0, zero_tol=1e-9) is None
+
+    def test_negative_counts_rejected(self):
+        psi = GHZ.to_ket()
+        with pytest.raises(ValueError, match="attempts"):
+            search_hardy_observables(psi, attempts=-3)
+        with pytest.raises(ValueError, match="maxiter"):
+            search_hardy_observables(psi, maxiter=-1)
+        assert search_hardy_observables(psi, attempts=0) is None
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        """Count the calls the search makes to ``hardy.<name>``."""
+        calls = []
+        real = getattr(hardy, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hardy, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "state, seed",
+        [(GHZ, 1), (CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI), 0)],
+        ids=["ghz", "stiff-d1"],
+    )
+    def test_winning_first_attempt_draws_and_verifies_once(self, monkeypatch, state, seed):
+        draws = self.spy(monkeypatch, "random_angles")
+        verified = self.spy(monkeypatch, "verify_hardy")
+        assert search_hardy_observables(state.to_ket(), seed=seed, zero_tol=1e-9) is not None
+        assert (len(draws), len(verified)) == (1, 1)
+
+    def test_failing_first_attempt_draws_every_attempt(self, monkeypatch):
+        draws = self.spy(monkeypatch, "random_angles")
+        psi = CanonicalState(DEGENERATE_LAMS["ghz-3e-5"], 0.0).to_ket()
+        assert search_hardy_observables(psi, seed=0, zero_tol=1e-9) is None
+        assert len(draws) == 40
 
     def test_attempt_count_does_not_change_winner(self):
         checked = 0
@@ -492,6 +539,49 @@ class TestSearch:
             probs = oracle_hardy_probabilities(psi, found)
             assert max(probs[:4]) <= 1e-9 < probs[4]
         assert oracle_hits >= len(deck) - 2
+
+
+@pytest.fixture(scope="module")
+def deck_searches():
+    """Per state of a near-boundary deck: the one-batch oracle's result, the
+    search's result and the result of attempt 0 alone, at seed 0."""
+    rows = []
+    for state in near_boundary_deck(np.random.default_rng(17), 120):
+        psi = state.to_ket()
+        rows.append(
+            (
+                one_batch_search(psi, seed=0, zero_tol=1e-9),
+                search_hardy_observables(psi, seed=0, zero_tol=1e-9),
+                search_hardy_observables(psi, attempts=1, seed=0, zero_tol=1e-9),
+            )
+        )
+    return rows
+
+
+class TestSearchRounds:
+    @staticmethod
+    def same(a, b):
+        return (a is None and b is None) or (
+            a is not None and b is not None and np.array_equal(a.plus_kets, b.plus_kets)
+        )
+
+    def test_matches_one_batch_oracle_bit_for_bit(self, deck_searches):
+        assert all(self.same(oracle, found) for oracle, found, _ in deck_searches)
+        # states won after attempt 0 fails exercise the second round
+        late = [found is not None and first is None for _, found, first in deck_searches]
+        assert sum(late) >= 3
+
+    @pytest.mark.parametrize("lams", DEGENERATE_LAMS.values(), ids=DEGENERATE_LAMS.keys())
+    def test_matches_one_batch_oracle_when_every_attempt_fails(self, lams):
+        psi = CanonicalState(lams, 0.0).to_ket()
+        oracle = one_batch_search(psi, seed=0, zero_tol=1e-9)
+        assert self.same(oracle, search_hardy_observables(psi, seed=0, zero_tol=1e-9))
+
+    def test_first_attempt_alone_solves_nine_in_ten(self, deck_searches):
+        # the search runs attempt 0 alone first because it usually wins; a
+        # change to the start draw that breaks this fails here
+        solved = [first is not None for _, found, first in deck_searches if found is not None]
+        assert sum(solved) >= 0.9 * len(solved)
 
 
 class TestWindowInvariant:
