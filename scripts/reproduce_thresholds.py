@@ -5,7 +5,9 @@ Runs the multistart see-saw Bell-value minimizer on both states and prints the
 optimized values next to the reference numbers for this inequality
 (GHZ: -0.175459 / 0.68125, W: -0.192608 / 0.6606676).  With ``--seeds N`` it
 runs seeds ``seed .. seed + N - 1`` and prints, per seed and summed, how many
-starts reached the best value and how many batched see-saw sweeps it took.
+starts reached the best value and how many batched see-saw sweeps it took
+(iterations of the one loop in which every start runs its descent, hops and
+polish, ``OptimizationResult.sweeps``).
 """
 
 import argparse

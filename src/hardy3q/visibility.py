@@ -10,10 +10,12 @@ violated is
 The minimization is a see-saw iteration (Werner & Wolf, QIC 2001; Pal &
 Vertesi, PRA 82, 022116, 2010).  B is linear in each party's projectors,
 and P(D-) = I - P(D+), so with two parties fixed the best U+ and D+ of the
-third are the minimum eigenvectors of two 2x2 Hermitian matrices.  All
-seeded starts run together as one array, and each start escapes local
-minima by seeded basin hops: random rotations of its kets, each kept only
-when the re-descent ends lower.
+third are the minimum eigenvectors of two 2x2 Hermitian matrices.  Each
+seeded start escapes local minima by seeded basin hops: random rotations
+of its kets, each kept only when the re-descent ends lower.  All starts
+sweep together as one array, each at its own stage: a start whose descent
+ends moves on to its next hop or its polish at once, so no start waits for
+the slowest descent of another.
 
 Plain sweeps converge linearly, and slowly near the optimum, so each
 descent is a safeguarded Anderson acceleration (Walker & Ni, SIAM J.
@@ -53,17 +55,25 @@ KICK_ANGLE = 1.5
 #: stopping tolerance of the descents before the final polish to ``tol``
 LOOSE_TOL = 1e-6
 #: iterates per start that the Anderson extrapolation combines, and the
-#: plain-sweep gain below which a start begins to extrapolate.  At 8 starts,
-#: seeds 0-29, plain sweeps take 22,809 batched sweeps on W (163 starts reach
-#: the global minimum) and 3,646 on GHZ.  Depth 3, 5 and 8 at onset 1e-4 take
-#: 11,190, 11,125 and 10,641 on W (175, 174 and 167 starts).  At depth 5,
-#: onset 1e-3, 1e-4 and 1e-5 take 10,476, 11,125 and 13,130 on W (181, 174
-#: and 164 starts) and 3,371, 3,009 and 3,191 on GHZ; extrapolating from the
-#: second sweep on takes 10,182 on W but 4,056 on GHZ, more than plain sweeps.
+#: plain-sweep gain below which a start begins to extrapolate.  Measured at
+#: 8 starts, seeds 0-29, when each descent stage ran as a batch until its
+#: slowest start was done: plain sweeps take 22,809 batched sweeps on W (163
+#: starts reach the global minimum) and 3,646 on GHZ.  Depth 3, 5 and 8 at
+#: onset 1e-4 take 11,190, 11,125 and 10,641 on W (175, 174 and 167 starts).
+#: At depth 5, onset 1e-3, 1e-4 and 1e-5 take 10,476, 11,125 and 13,130 on W
+#: (181, 174 and 164 starts) and 3,371, 3,009 and 3,191 on GHZ; extrapolating
+#: from the second sweep on takes 10,182 on W but 4,056 on GHZ, more than
+#: plain sweeps.  With every start at its own stage, depth 5 at onset 1e-4
+#: takes 7,073 on W and 2,626 on GHZ, with the same starts at the minimum.
 ANDERSON_DEPTH = 5
 ANDERSON_ONSET = 1e-4
 #: starts whose final B is this close to the best count as reaching it
 AT_BEST_TOL = 1e-9
+#: B below this counts as a violation
+VIOLATION_CUTOFF = -1e-12
+
+_LAGS = np.arange(1, ANDERSON_DEPTH)
+_RIDGE_EYE = np.eye(ANDERSON_DEPTH - 1)
 
 
 @dataclass(frozen=True)
@@ -78,12 +88,12 @@ class OptimizationResult:
     seed: int
     #: final B of every start, in start order
     start_values: tuple[float, ...]
-    #: batched sweeps run over all descents
+    #: batched sweeps of the one loop that runs every start's descents
     sweeps: int
 
     @property
     def violation_found(self) -> bool:
-        return self.best_value < -1e-12
+        return self.best_value < VIOLATION_CUTOFF
 
     @property
     def starts_at_best(self) -> int:
@@ -174,40 +184,58 @@ def _extrapolate(f_hist: np.ndarray, g_hist: np.ndarray, depth: np.ndarray) -> n
     elementwise products and sums, and solved per start, so a start's
     result does not depend on the batch.
     """
-    valid = (np.arange(1, ANDERSON_DEPTH) < depth[:, None])[..., None]
+    valid = (_LAGS < depth[:, None])[..., None]
     df = (f_hist[:, :1] - f_hist[:, 1:]) * valid
     dg = (g_hist[:, :1] - g_hist[:, 1:]) * valid
     gram = (df[:, :, None, :] * df[:, None, :, :]).sum(axis=-1)
     trace = np.diagonal(gram, axis1=1, axis2=2).sum(axis=-1)
     # a relative ridge, and a unit diagonal on unused differences (gamma_i = 0)
     ridge = (1e-10 * trace + np.finfo(float).tiny)[:, None] + ~valid[..., 0]
-    gram = gram + ridge[:, :, None] * np.eye(ANDERSON_DEPTH - 1)
+    gram = gram + ridge[:, :, None] * _RIDGE_EYE
     rhs = (df * f_hist[:, :1]).sum(axis=-1)
     gamma = np.linalg.solve(gram, rhs[..., None])
     x = (g_hist[:, 0] - (gamma * dg).sum(axis=1)).view(complex).reshape(-1, 3, 2, 2)
     return x / np.sqrt(_norm2(x).sum(axis=-1, keepdims=True))
 
 
-def _descend(psi3, kets, tol, maxiter):
-    """Sweep each start until a plain sweep lowers its B by at most ``tol``.
+def _see_saw(psi3, kets, axes, tol, maxiter):
+    """Run every start through its descents, hops and polish in one batch.
 
-    The sweeps are a safeguarded Anderson iteration (Walker & Ni, SIAM J.
-    Numer. Anal. 49, 1715, 2011) on the sweep map, which sends a start's
-    kets, viewed as 24 reals, to the kets after one ``_sweep``.  Once a
-    plain sweep of a start gains less than ANDERSON_ONSET, its inputs are
-    extrapolated from its last ANDERSON_DEPTH iterates.  An extrapolated
-    input is kept only if the sweep from it lowers B; otherwise the start
-    goes back to its last kept kets and value, forgets its history and
-    sweeps plainly.  A sweep from an extrapolated input never stops a
-    start, and one that gains at most ``tol`` is followed by a plain sweep,
-    so the returned gain is always a plain sweep's.  ``maxiter`` caps the
-    batched sweeps.
+    A descent sweeps a start until a plain sweep lowers its B by at most
+    its stopping tolerance, or for ``maxiter`` sweeps.  The sweeps are a
+    safeguarded Anderson iteration (Walker & Ni, SIAM J. Numer. Anal. 49,
+    1715, 2011) on the sweep map, which sends a start's kets, viewed as 24
+    reals, to the kets after one ``_sweep``.  Once a plain sweep of a start
+    gains less than ANDERSON_ONSET, its inputs are extrapolated from its
+    last ANDERSON_DEPTH iterates.  An extrapolated input is kept only if the
+    sweep from it lowers B; otherwise the start goes back to its last kept
+    kets and value, forgets its history and sweeps plainly.  A sweep from
+    an extrapolated input never stops a start, and one that gains at most
+    the tolerance is followed by a plain sweep, so a descent always ends
+    on a plain sweep's gain.
 
-    Returns the kets, the final B and the last plain sweep's improvement
-    per start, and the number of batched sweeps run.
+    Each start descends from ``kets`` to LOOSE_TOL, then takes HOPS basin
+    hops: hop h (from 0) rotates the start's best kets by KICK_ANGLE about
+    the axes ``axes[:, h]`` (S, HOPS, 3, 2, 3) and descends to LOOSE_TOL,
+    and its kets are kept only if it ends lower.  The best kets are then polished
+    to ``tol``.  A start moves to its next stage as soon as its descent
+    ends, while the others keep sweeping, and its Anderson state restarts.
+
+    Returns the polished kets, their B and the last plain sweep's
+    improvement per start, and the number of batched sweeps run.
     """
     count = len(kets)
-    kets = kets.copy()  # last kept sweep output (the start kets at first)
+    # the kick exp(-i KICK_ANGLE/2 n.sigma) maps k to c k - i s (n0 k0 + n1 k1)
+    nx, ny, nz = np.moveaxis(axes / np.linalg.norm(axes, axis=-1, keepdims=True), -1, 0)
+    n0 = np.stack([nz, nx + 1j * ny], axis=-1)
+    n1 = np.stack([nx - 1j * ny, -nz], axis=-1)
+    c, s = math.cos(KICK_ANGLE / 2.0), math.sin(KICK_ANGLE / 2.0)
+    stage = np.zeros(count, int)  # 0 first descent, 1..HOPS hops, HOPS + 1 polish
+    stop = np.full(count, LOOSE_TOL)
+    deadline = np.full(count, maxiter)  # batched sweep at which the descent is capped
+    best_kets = np.empty_like(kets)
+    best_value = np.full(count, np.inf)
+    kets = kets.copy()  # last kept sweep output of the current descent
     inputs = kets.copy()  # next sweep input of every start
     value = np.full(count, np.inf)
     gain = np.full(count, np.inf)  # last plain sweep's
@@ -218,7 +246,7 @@ def _descend(psi3, kets, tol, maxiter):
     g_hist = np.zeros((count, ANDERSON_DEPTH, 24))
     active = np.arange(count)
     sweeps = 0
-    while active.size and sweeps < maxiter:
+    while active.size:
         sweeps += 1
         out, new = _sweep(psi3, inputs[active])
         plain = ~extrapolated[active]
@@ -235,32 +263,37 @@ def _descend(psi3, kets, tol, maxiter):
         depth[keep] = np.minimum(depth[keep] + 1, ANDERSON_DEPTH)
         depth[active[~kept]] = 0
 
-        going = ~plain | (lowered > tol)
-        active, lowered = active[going], lowered[going]
+        slow = lowered > stop[active]
+        going = (~plain | slow) & (deadline[active] > sweeps)
+        ended = active[~going]
+        active, slow = active[going], slow[going]
         inputs[active] = kets[active]
         extrapolated[:] = False
-        # a rejected start has depth 0; one whose sweep gained at most tol sweeps plainly
-        fast = active[onset[active] & (depth[active] >= 2) & (lowered > tol)]
+        # a rejected start has depth 0; one whose sweep gained at most its
+        # tolerance sweeps plainly
+        fast = active[onset[active] & (depth[active] >= 2) & slow]
         if fast.size:
             inputs[fast] = _extrapolate(f_hist[fast], g_hist[fast], depth[fast])
             extrapolated[fast] = True
+        if ended.size:
+            # the first descent sets a start's best; a hop replaces it only if lower
+            lower = ended[value[ended] < best_value[ended]]
+            best_kets[lower], best_value[lower] = kets[lower], value[lower]
+            stage[ended] += 1
+            begun = ended[stage[ended] <= HOPS + 1]
+            hop = begun[stage[begun] <= HOPS]
+            h = stage[hop] - 1
+            k = best_kets[hop]
+            inputs[hop] = c * k - 1j * s * (n0[hop, h] * k[..., :1] + n1[hop, h] * k[..., 1:])
+            polish = begun[stage[begun] > HOPS]
+            inputs[polish] = best_kets[polish]
+            stop[polish] = tol
+            value[begun] = np.inf
+            onset[begun] = False
+            depth[begun] = 0
+            deadline[begun] = sweeps + maxiter
+            active = np.concatenate([active, begun])
     return kets, value, gain, sweeps
-
-
-def _kick(kets: np.ndarray, rngs) -> np.ndarray:
-    """Rotate every ket by KICK_ANGLE about an axis drawn from its start's generator."""
-    axis = np.stack([rng.standard_normal((3, 2, 3)) for rng in rngs])
-    nx, ny, nz = np.moveaxis(axis / np.linalg.norm(axis, axis=-1, keepdims=True), -1, 0)
-    c, s = math.cos(KICK_ANGLE / 2.0), math.sin(KICK_ANGLE / 2.0)
-    k0, k1 = kets[..., 0], kets[..., 1]
-    # exp(-i angle/2 n.sigma) k
-    return np.stack(
-        [
-            c * k0 - 1j * s * (nz * k0 + (nx - 1j * ny) * k1),
-            c * k1 - 1j * s * ((nx + 1j * ny) * k0 - nz * k1),
-        ],
-        axis=-1,
-    )
 
 
 def _inside_window(u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -293,21 +326,23 @@ def minimize_bell(
 ) -> OptimizationResult:
     """Multistart see-saw minimization of B over all settings.
 
-    Start ``i`` draws its first settings and its hop rotations from the
-    generator of child ``i`` of ``SeedSequence(seed)``.  Every start
-    descends to LOOSE_TOL, takes HOPS basin hops (a hop is kept only when
-    it ends lower), and is polished until a plain sweep improves B by at
-    most ``tol`` (see ``_descend``); ``maxiter`` caps the sweeps of each
-    descent.  The first start
-    with the lowest B wins, so the outcome is deterministic for fixed
-    (starts, seed), and a start's result does not depend on how many run
-    beside it.  The winner's settings are moved inside the non-commutation
-    window if they commute, and ``best_value`` is B at the reported settings.
+    Start ``i`` draws its first settings and then the axes of its HOPS hop
+    rotations from the generator of child ``i`` of ``SeedSequence(seed)``.
+    Every start descends to LOOSE_TOL, takes HOPS basin hops (a hop is kept
+    only when it ends lower), and is polished until a plain sweep improves
+    B by at most ``tol`` (see ``_see_saw``); ``maxiter`` caps the sweeps of
+    each of a start's descents.  The first start with the lowest B wins,
+    so the outcome is deterministic for fixed (starts, seed), and a start's
+    result does not depend on how many run beside it.  The winner's
+    settings are moved inside the non-commutation window if they commute,
+    and ``best_value`` is B at the reported settings.
     """
     if not starts >= 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not maxiter >= 1:
+        raise ValueError(f"maxiter must be at least 1, got {maxiter!r}")
     vec = linalg.ket(psi)
     if vec.shape[0] != 8:
         raise Hardy3QError("optimization expects a three-qubit ket")
@@ -316,21 +351,14 @@ def minimize_bell(
 
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(int(starts))]
     kets = kets_from_angles(np.stack([random_angles(rng, 6) for rng in rngs])).reshape(-1, 3, 2, 2)
-    kets, value, _, sweeps = _descend(psi3, kets, LOOSE_TOL, maxiter)
-    for _ in range(HOPS):
-        hopped, hopped_value, _, hop_sweeps = _descend(
-            psi3, _kick(kets, rngs), LOOSE_TOL, maxiter
-        )
-        lower = hopped_value < value
-        kets[lower], value[lower] = hopped[lower], hopped_value[lower]
-        sweeps += hop_sweeps
-    kets, value, gain, polish_sweeps = _descend(psi3, kets, tol, maxiter)
+    axes = np.stack([rng.standard_normal((HOPS, 3, 2, 3)) for rng in rngs])
+    kets, value, gain, sweeps = _see_saw(psi3, kets, axes, tol, maxiter)
 
     best = int(np.argmin(value))  # the first of equal values, in start order
     settings = settings_from_plus_kets([(u, _inside_window(u, d)) for u, d in kets[best]])
     best_value = bell_value(vec, settings).bell_value
     threshold = (
-        threshold_visibility(best_value) if best_value < -1e-12 else None
+        threshold_visibility(best_value) if best_value < VIOLATION_CUTOFF else None
     )
     return OptimizationResult(
         best_value=best_value,
@@ -340,7 +368,7 @@ def minimize_bell(
         converged=bool(gain[best] <= tol),
         seed=int(seed),
         start_values=tuple(float(v) for v in value),
-        sweeps=sweeps + polish_sweeps,
+        sweeps=sweeps,
     )
 
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from hardy3q import linalg, visibility
+from hardy3q.bell import bell_value
 from hardy3q.observables import kets_from_angles, random_angles, settings_from_plus_kets
 from hardy3q.errors import WindowViolationError
 from hardy3q.states import StateClass
@@ -416,3 +420,121 @@ def one_batch_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
         x[active], moved = hardy._backtrack(psi3, x[active], f[keep], dx[keep])
         active = active[moved]
     return None if winner is None else winner[1]
+
+def staged_minimize_bell(psi, starts=64, seed=0, tol=1e-10, maxiter=4000):
+    """``minimize_bell`` as staged batches: a bit-level oracle of its schedule.
+
+    Every start's first descent, each of its HOPS hops and its polish run as
+    six ``staged_descend`` calls over all starts, each until its slowest
+    start is done.  Per start this is the same iteration as the package's
+    one pipelined loop, so the results must match bit for bit; only
+    ``sweeps`` differs.
+    """
+    vec = linalg.ket(psi)
+    psi3 = vec.reshape(2, 2, 2)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(int(starts))]
+    kets = kets_from_angles(np.stack([random_angles(rng, 6) for rng in rngs])).reshape(-1, 3, 2, 2)
+    kets, value, _, sweeps = staged_descend(psi3, kets, visibility.LOOSE_TOL, maxiter)
+    for _ in range(visibility.HOPS):
+        hopped, hopped_value, _, hop_sweeps = staged_descend(
+            psi3, staged_kick(kets, rngs), visibility.LOOSE_TOL, maxiter
+        )
+        lower = hopped_value < value
+        kets[lower], value[lower] = hopped[lower], hopped_value[lower]
+        sweeps += hop_sweeps
+    kets, value, gain, polish_sweeps = staged_descend(psi3, kets, tol, maxiter)
+
+    best = int(np.argmin(value))  # the first of equal values, in start order
+    settings = settings_from_plus_kets(
+        [(u, visibility._inside_window(u, d)) for u, d in kets[best]]
+    )
+    best_value = bell_value(vec, settings).bell_value
+    threshold = (
+        visibility.threshold_visibility(best_value) if best_value < -1e-12 else None
+    )
+    return visibility.OptimizationResult(
+        best_value=best_value,
+        best_settings=settings,
+        threshold_visibility=threshold,
+        starts=int(starts),
+        converged=bool(gain[best] <= tol),
+        seed=int(seed),
+        start_values=tuple(float(v) for v in value),
+        sweeps=sweeps + polish_sweeps,
+    )
+
+
+def staged_descend(psi3, kets, tol, maxiter):
+    """Sweep each start until a plain sweep lowers its B by at most ``tol``.
+
+    The see-saw descent as one staged batch, for ``staged_minimize_bell``.
+    The sweeps are a safeguarded Anderson iteration (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 1715, 2011) on the sweep map, which sends a start's
+    kets, viewed as 24 reals, to the kets after one ``_sweep``.  Once a
+    plain sweep of a start gains less than ANDERSON_ONSET, its inputs are
+    extrapolated from its last ANDERSON_DEPTH iterates.  An extrapolated
+    input is kept only if the sweep from it lowers B; otherwise the start
+    goes back to its last kept kets and value, forgets its history and
+    sweeps plainly.  A sweep from an extrapolated input never stops a
+    start, and one that gains at most ``tol`` is followed by a plain sweep,
+    so the returned gain is always a plain sweep's.  ``maxiter`` caps the
+    batched sweeps.
+
+    Returns the kets, the final B and the last plain sweep's improvement
+    per start, and the number of batched sweeps run.
+    """
+    count = len(kets)
+    kets = kets.copy()  # last kept sweep output (the start kets at first)
+    inputs = kets.copy()  # next sweep input of every start
+    value = np.full(count, np.inf)
+    gain = np.full(count, np.inf)  # last plain sweep's
+    onset = np.zeros(count, bool)
+    extrapolated = np.zeros(count, bool)
+    depth = np.zeros(count, int)
+    f_hist = np.zeros((count, visibility.ANDERSON_DEPTH, 24))
+    g_hist = np.zeros((count, visibility.ANDERSON_DEPTH, 24))
+    active = np.arange(count)
+    sweeps = 0
+    while active.size and sweeps < maxiter:
+        sweeps += 1
+        out, new = visibility._sweep(psi3, inputs[active])
+        plain = ~extrapolated[active]
+        lowered = value[active] - new
+        kept = plain | (lowered > 0.0)
+        keep = active[kept]
+        gain[active[plain]] = lowered[plain]
+        onset[active[plain & (lowered < visibility.ANDERSON_ONSET)]] = True
+        value[keep], kets[keep] = new[kept], out[kept]
+        g_new = out[kept].view(float).reshape(-1, 24)
+        f_hist[keep, 1:], g_hist[keep, 1:] = f_hist[keep, :-1], g_hist[keep, :-1]
+        f_hist[keep, 0] = g_new - inputs[keep].view(float).reshape(-1, 24)
+        g_hist[keep, 0] = g_new
+        depth[keep] = np.minimum(depth[keep] + 1, visibility.ANDERSON_DEPTH)
+        depth[active[~kept]] = 0
+
+        going = ~plain | (lowered > tol)
+        active, lowered = active[going], lowered[going]
+        inputs[active] = kets[active]
+        extrapolated[:] = False
+        # a rejected start has depth 0; one whose sweep gained at most tol sweeps plainly
+        fast = active[onset[active] & (depth[active] >= 2) & (lowered > tol)]
+        if fast.size:
+            inputs[fast] = visibility._extrapolate(f_hist[fast], g_hist[fast], depth[fast])
+            extrapolated[fast] = True
+    return kets, value, gain, sweeps
+
+
+def staged_kick(kets, rngs):
+    """Rotate every ket by KICK_ANGLE about an axis drawn from its start's generator."""
+    axis = np.stack([rng.standard_normal((3, 2, 3)) for rng in rngs])
+    nx, ny, nz = np.moveaxis(axis / np.linalg.norm(axis, axis=-1, keepdims=True), -1, 0)
+    c, s = math.cos(visibility.KICK_ANGLE / 2.0), math.sin(visibility.KICK_ANGLE / 2.0)
+    k0, k1 = kets[..., 0], kets[..., 1]
+    # exp(-i angle/2 n.sigma) k
+    return np.stack(
+        [
+            c * k0 - 1j * s * (nz * k0 + (nx - 1j * ny) * k1),
+            c * k1 - 1j * s * ((nx + 1j * ny) * k0 - nz * k1),
+        ],
+        axis=-1,
+    )

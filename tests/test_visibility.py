@@ -9,16 +9,18 @@ from hardy3q.errors import VisibilityUndefinedError
 from hardy3q.hardy import build_witness
 from hardy3q.states import CanonicalState, random_canonical
 from hardy3q.observables import WINDOW_TOL, kets_from_angles, random_angles
+from hardy3q import visibility
 from hardy3q.visibility import (
     FAMILIES,
+    HOPS,
     GridAxis,
     grid_points,
     minimize_bell,
     scan_family,
     threshold_visibility,
     threshold_visibility_bisection,
-    _descend,
     _min_eigpair,
+    _see_saw,
     _sweep,
 )
 
@@ -29,6 +31,7 @@ from conftest import (
     random_ket,
     random_settings,
     reference_sweep,
+    staged_minimize_bell,
 )
 
 INV_SQRT2 = 2**-0.5
@@ -152,9 +155,10 @@ class TestMinimizeBell:
         assert result.converged
 
     def test_sweep_counts(self):
-        # the plain see-saw needed 765 (W) and 119 (GHZ) batched sweeps here
-        assert minimize_bell(w_ket(), starts=8, seed=0).sweeps <= 400
-        assert minimize_bell(GHZ.to_ket(), starts=8, seed=0).sweeps <= 119
+        # the plain see-saw needed 765 (W) and 119 (GHZ) batched sweeps here,
+        # and Anderson descents run as staged batches 292 and 96
+        assert minimize_bell(w_ket(), starts=8, seed=0).sweeps <= 180
+        assert minimize_bell(GHZ.to_ket(), starts=8, seed=0).sweeps <= 90
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -165,6 +169,8 @@ class TestMinimizeBell:
             {"tol": -1.0},
             {"tol": float("nan")},
             {"tol": float("inf")},
+            {"maxiter": 0},
+            {"maxiter": -2},
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
@@ -225,9 +231,11 @@ class TestSeeSaw:
         rng = np.random.default_rng(seed)
         psi = random_ket(rng, 8)
         kets = np.stack([kets_from_angles(random_angles(rng, 6)).reshape(3, 2, 2) for _ in range(3)])
-        first = _descend(psi.reshape(2, 2, 2), kets, 1e-10, 1)[1]
-        out, value, _, sweeps = _descend(psi.reshape(2, 2, 2), kets, 1e-10, maxiter)
-        assert 1 <= sweeps <= maxiter
+        axes = rng.standard_normal((3, HOPS, 3, 2, 3))
+        first = _sweep(psi.reshape(2, 2, 2), kets)[1]
+        out, value, _, sweeps = _see_saw(psi.reshape(2, 2, 2), kets, axes, 1e-10, maxiter)
+        # HOPS + 2 descents per start, each of 1 to maxiter sweeps
+        assert HOPS + 2 <= sweeps <= (HOPS + 2) * maxiter
         for s in range(3):
             assert value[s] == pytest.approx(oracle_bell_of_kets(psi, out[s]), abs=1e-12)
             assert value[s] <= first[s] + 1e-12
@@ -236,9 +244,29 @@ class TestSeeSaw:
         kets = np.stack(
             [kets_from_angles(random_angles(np.random.default_rng(s), 6)).reshape(3, 2, 2) for s in range(4)]
         )
-        _, _, gain, sweeps = _descend(w_ket().reshape(2, 2, 2), kets, 1e-10, 4000)
+        axes = np.random.default_rng(4).standard_normal((4, HOPS, 3, 2, 3))
+        _, _, gain, sweeps = _see_saw(w_ket().reshape(2, 2, 2), kets, axes, 1e-10, 4000)
+        # all descents together take fewer sweeps than one descent's cap
         assert sweeps < 4000
         assert (gain <= 1e-10).all()
+
+    def test_hop_axes_match_per_hop_normal_draws(self, monkeypatch):
+        # start i draws its angles, then HOPS axis sets in hop order, from child i
+        seen = []
+
+        def spy(psi3, kets, axes, tol, maxiter):
+            seen.append(axes)
+            return _see_saw(psi3, kets, axes, tol, maxiter)
+
+        monkeypatch.setattr(visibility, "_see_saw", spy)
+        minimize_bell(GHZ.to_ket(), starts=5, seed=7)
+        (axes,) = seen
+        assert axes.shape == (5, HOPS, 3, 2, 3)
+        for i, child in enumerate(np.random.SeedSequence(7).spawn(5)):
+            rng = np.random.default_rng(child)
+            random_angles(rng, 6)
+            for h in range(HOPS):
+                assert np.array_equal(axes[i, h], rng.standard_normal((3, 2, 3)))
 
     @pytest.mark.parametrize("psi", [GHZ.to_ket(), w_ket()], ids=["ghz", "w"])
     def test_starts_independent_of_batch_size(self, psi):
@@ -259,6 +287,31 @@ class TestSeeSaw:
         psi = random_ket(np.random.default_rng(seed), 8)
         oracle = nelder_mead_bell(psi, starts=2, seed=seed)
         assert minimize_bell(psi, starts=8, seed=seed).best_value <= oracle + 1e-9
+
+
+STAGED_STATES = {
+    "ghz": GHZ.to_ket,
+    "w": w_ket,
+    "rotated-w": rotated_w_ket,
+    **{f"random-{s}": (lambda s=s: random_ket(np.random.default_rng(s), 8)) for s in (31, 32, 33)},
+}
+
+
+class TestStagedOracle:
+    @pytest.mark.parametrize("starts", [1, 3, 8, 64])
+    @pytest.mark.parametrize("name", STAGED_STATES)
+    def test_matches_staged_batches_bit_for_bit(self, name, starts):
+        # one pipelined loop runs each start's descents exactly as the staged
+        # batches did; small caps cut descents at every stage
+        psi = STAGED_STATES[name]()
+        for seed, maxiter in enumerate([1, 2, 3, 7, 20, 60, 4000]):
+            got = minimize_bell(psi, starts=starts, seed=seed, maxiter=maxiter)
+            want = staged_minimize_bell(psi, starts=starts, seed=seed, maxiter=maxiter)
+            assert got.start_values == want.start_values
+            assert got.best_value == want.best_value
+            assert np.array_equal(got.best_settings.plus_kets, want.best_settings.plus_kets)
+            assert got.converged == want.converged
+            assert got.threshold_visibility == want.threshold_visibility
 
 
 class TestScan:
