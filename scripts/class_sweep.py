@@ -24,9 +24,13 @@ from hardy3q.states import CLASS_ORDER, sample_class  # noqa: E402
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--draws", type=int, default=200, help="draws per sub-class")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--draws", type=int, default=200, help="draws per sub-class (at least 1)")
+    parser.add_argument("--seed", type=int, default=0, help="base seed (at least 0)")
     args = parser.parse_args()
+    if args.draws < 1:
+        parser.error("--draws must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
 
     header = (
         f"{'class':>6} {'draws':>6} {'satisfied':>9} {'fallbacks':>9} "

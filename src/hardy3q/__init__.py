@@ -42,16 +42,9 @@ from .hardy import (
     construct_maximal,
     pair_hardy_probability,
     search_hardy_observables,
-    state_satisfying_hardy,
     verify_hardy,
 )
-from .linalg import (
-    SchmidtDecomposition,
-    orthogonal_complement_pick,
-    projector,
-    schmidt_decompose,
-    tensor,
-)
+from .linalg import SchmidtDecomposition, schmidt_decompose
 from .observables import MeasurementSettings, settings_from_plus_kets
 from .states import (
     CanonicalState,
@@ -112,9 +105,7 @@ __all__ = [
     "minimize_bell",
     "mix_with_white_noise",
     "normalized_canonical",
-    "orthogonal_complement_pick",
     "pair_hardy_probability",
-    "projector",
     "random_canonical",
     "sample_class",
     "sample_statistics",
@@ -122,8 +113,6 @@ __all__ = [
     "schmidt_decompose",
     "search_hardy_observables",
     "settings_from_plus_kets",
-    "state_satisfying_hardy",
-    "tensor",
     "threshold_visibility",
     "threshold_visibility_bisection",
     "to_ket",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bell import _product_vectors, _term_kets, hardy_probabilities
+from .bell import hardy_probabilities
 from .errors import (
     ConstructionFailureError,
     DimensionError,
@@ -483,19 +483,6 @@ def build_witness(
 # ---------------------------------------------------------------------------
 # numerical search
 # ---------------------------------------------------------------------------
-
-def state_satisfying_hardy(settings: MeasurementSettings) -> np.ndarray:
-    """The forward direction: a state satisfying the conditions for given settings.
-
-    The four zero conditions are orthogonality to four product vectors;
-    those vectors are linearly independent for windowed settings, so the
-    projection of the fifth product vector onto their orthogonal complement
-    is such a state.
-    """
-    vectors = _product_vectors(_term_kets(settings))
-    # the first four terms are the zero conditions, the fifth the success
-    return linalg.orthogonal_complement_pick(vectors[:4], vectors[4])
-
 
 #: Armijo constant of the search's backtracking: a step of length t must
 #: lower |r|^2 to at most (1 - 2 ARMIJO t) |r|^2

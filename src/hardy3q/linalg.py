@@ -11,10 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError, SpanError
-
-#: default absolute tolerance for numerical comparisons
-ATOL = 1e-10
+from .errors import DimensionError, NormalizationError
 
 _ALLOWED_DIMS = (2, 4, 8)
 #: norms below this count as zero
@@ -66,33 +63,6 @@ def fix_global_phase(k, tiny: float = 1e-12) -> np.ndarray:
         lead_size = np.where(big, size[..., j : j + 1], lead_size)
     found = lead_size > tiny
     return np.where(found, arr * np.conj(lead / np.where(found, lead_size, 1.0)), arr)
-
-
-def tensor(*factors) -> np.ndarray:
-    """Kronecker product of kets (or of operators), qubit 1 leftmost.
-
-    The result dimension is capped at 8 (8x8 for operators): this package
-    never needs anything larger.
-    """
-    if not factors:
-        raise DimensionError("tensor requires at least one factor")
-    arrays = [np.asarray(f, dtype=complex) for f in factors]
-    ndim = arrays[0].ndim
-    if ndim not in (1, 2) or any(a.ndim != ndim for a in arrays):
-        raise DimensionError("tensor factors must be all kets or all operators")
-    out = arrays[0]
-    for a in arrays[1:]:
-        out = np.kron(out, a)
-        if out.shape[0] > 8:
-            raise DimensionError("tensor result exceeds dimension 8")
-    return out
-
-
-def projector(k) -> np.ndarray:
-    """Rank-one projector |k><k| for a normalized ket."""
-    arr = ket(k)
-    require_normalized(arr, atol=1e-9)
-    return np.outer(arr, arr.conj())
 
 
 def perp_qubit(k) -> np.ndarray:
@@ -181,30 +151,3 @@ def schmidt_decompose(state) -> SchmidtDecomposition:
         basis_a=(u0, u1),
         basis_b=(np.conj(v0), np.conj(v1)),
     )
-
-
-def orthogonal_complement_pick(zeros, target, atol: float = ATOL) -> np.ndarray:
-    """Normalized ket orthogonal to every member of ``zeros``, overlapping ``target``.
-
-    Deterministic tie-break: project ``target`` onto the orthogonal
-    complement of span(zeros) and normalize, then fix the global phase.
-    Rank of the zero set is checked through the Gram matrix.
-    """
-    stack = np.vstack([ket(z) for z in zeros])
-    tgt = ket(target)
-    if stack.shape[1] != tgt.shape[0]:
-        raise DimensionError("zeros and target must share a dimension")
-    if stack.shape[0] >= tgt.shape[0]:
-        raise SpanError("too many zero conditions for the space dimension")
-
-    gram = stack @ stack.conj().T
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] < 1e-10 * max(eigs[-1], 1.0):
-        raise SpanError("zero-condition vectors are linearly dependent")
-
-    q, _ = np.linalg.qr(stack.T.copy())  # columns span the zero set
-    residual = tgt - q @ (q.conj().T @ tgt)
-    res_norm = np.linalg.norm(residual)
-    if res_norm < atol:
-        raise SpanError("target lies in the span of the zero conditions")
-    return fix_global_phase(residual / res_norm)

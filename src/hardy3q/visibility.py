@@ -22,6 +22,12 @@ descent is a safeguarded Anderson acceleration (Walker & Ni, SIAM J.
 Numer. Anal. 49, 1715, 2011) of the sweep fixed point: in its linear-rate
 tail a start sweeps from a combination of its last few iterates, which is
 kept only when it lowers B.
+
+At the usual few dozen starts a sweep costs numpy calls, not arithmetic,
+so each sweep is a short, fixed sequence of elementwise operations on all
+running starts: one stack of every qubit's bras, one contraction shared
+by the first two parties, length-2 sums written out and one eigenpair
+call per party.
 """
 
 from __future__ import annotations
@@ -74,6 +80,13 @@ VIOLATION_CUTOFF = -1e-12
 
 _LAGS = np.arange(1, ANDERSON_DEPTH)
 _RIDGE_EYE = np.eye(ANDERSON_DEPTH - 1)
+_TINY = np.finfo(float).tiny
+#: party j of a sweep and the qubits o and t it contracts, t first
+_PARTIES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+#: rows of the bra stack (<U+|, <D+|, <D-|) of qubits t and o that give the
+#: amplitudes c3 = <D+U+|, b = <U+U+|, c4 = <U+D+| and a = <D-D-| (o's bra first)
+_T_ROWS = np.array([0, 0, 1, 2])
+_O_ROWS = np.array([1, 0, 0, 2])
 
 
 @dataclass(frozen=True)
@@ -106,24 +119,39 @@ def _norm2(z: np.ndarray) -> np.ndarray:
 
 
 def _min_eigpair(p, r, q, fallback):
-    """Minimum eigenpair of the Hermitian matrices [[p, q], [conj(q), r]].
+    """Minimum eigenpair of the Hermitian matrices M = [[p, q], [conj(q), r]].
 
     ``p`` and ``r`` are real arrays, ``q`` a complex array of the same shape.
-    The eigenvector is read off the row of M - lambda I with the larger
-    diagonal gap, so it stays well conditioned; where M is a multiple of the
-    identity every ket is a minimizer and ``fallback`` (shape (..., 2)) is
-    kept.  Returns (lambda, unit eigenvector).
+    With half = (p - r) / 2 and h = sqrt(half^2 + |q|^2), lambda is
+    (p + r) / 2 - h.  The eigenvector is read off the row of M - lambda I
+    with the larger diagonal gap g = h + |half|: (q, -g) if p >= r, else
+    (g, -conj(q)), so it stays well conditioned and its squared norm is
+    |q|^2 + g^2.  Where M is a multiple of the identity every ket is a
+    minimizer and ``fallback`` (shape (..., 2)) is kept.  Returns (lambda,
+    unit eigenvector).
     """
     half = 0.5 * (p - r)
-    h = np.sqrt(half * half + _norm2(q))
+    nq = _norm2(q)
+    h = np.sqrt(half * half + nq)
     lam = 0.5 * (p + r) - h
     upper = half >= 0.0
+    gap = h + np.abs(half)
     v = np.empty(q.shape + (2,), complex)
-    v[..., 0] = np.where(upper, q, (h - half) + 0j)
-    v[..., 1] = np.where(upper, -(half + h) + 0j, -np.conj(q))
-    n2 = _norm2(v).sum(axis=-1, keepdims=True)
+    v[..., 0] = np.where(upper, q, gap)
+    v[..., 1] = np.where(upper, -gap, -np.conj(q))
+    n2 = (nq + gap * gap)[..., None]
     ok = n2 > 0.0
     return lam, np.where(ok, v / np.sqrt(np.where(ok, n2, 1.0)), fallback)
+
+
+def _load_bras(bras: np.ndarray, kets: np.ndarray) -> None:
+    """Write <U+|, <D+| and <D-| of ``kets`` (..., 2, 2) into ``bras`` (..., 3, 2).
+
+    <D-| is the conjugate of the complement (-conj(d1), conj(d0)) of D+.
+    """
+    np.conjugate(kets, out=bras[..., :2, :])
+    bras[..., 2, :] = kets[..., 1, ::-1]
+    np.negative(bras[..., 2, 0], out=bras[..., 2, 0])
 
 
 def _sweep(psi3: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,67 +163,68 @@ def _sweep(psi3: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         |a|^2 + <D+|(b b^+ - a a^+)|D+> + <U+|(c3 c3^+ + c4 c4^+ - b b^+)|U+>
 
     with a = <D-D-|psi>, b = <U+U+|psi>, c3 = <D+U+|psi> and c4 = <U+D+|psi>
-    contracted over the other two qubits in order.  Both brackets are
-    minimized exactly, by one ``_min_eigpair`` call on the stacked U and D
-    matrices.  Returns the new kets and B after the sweep.  Only
-    elementwise arithmetic is used, so a start's result does not depend on
-    the other starts in the batch.
+    contracted over the other two qubits o and t, t first.  One (S, 3, 3, 2)
+    stack holds every qubit's <U+|, <D+| and <D-|; only the updated
+    party's rows are rewritten.  Parties 0 and 1 both contract qubit 2
+    first, which party 0 leaves alone, so party 1 reuses that contraction.
+    Length-2 sums are written out.  Both brackets are minimized exactly,
+    by one ``_min_eigpair`` call on the stacked U and D matrices.  Returns
+    the new kets and B after the sweep.  Only elementwise arithmetic is
+    used, so a start's result does not depend on the other starts in the
+    batch.
     """
-    kets = kets.copy()
-    count = len(kets)
-    bra_t = np.empty((count, 3, 2), complex)  # <U+|, <D+|, <D-| of qubit t
-    bra_o = np.empty((count, 4, 2), complex)  # <D-|, <U+|, <D+|, <U+| of qubit o
-    diag = np.empty((count, 2, 2))  # U/D, diagonal entry
-    off = np.empty((count, 2), complex)  # U/D
-    for j, o, t in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        tensor = psi3.transpose(j, o, t)
-        # <D-| is the conjugate of the complement (-conj(d1), conj(d0))
-        bra_t[:, :2] = np.conj(kets[:, t])
-        bra_t[:, 2, 0], bra_t[:, 2, 1] = -kets[:, t, 1, 1], kets[:, t, 1, 0]
-        bra_o[:, 0, 0], bra_o[:, 0, 1] = -kets[:, o, 1, 1], kets[:, o, 1, 0]
-        bra_o[:, 1:3] = np.conj(kets[:, o])
-        bra_o[:, 3] = bra_o[:, 1]
-        # contract qubit t with U+, D+, D- -> (S, 3, j, o)
-        part = (tensor[None, None] * bra_t[:, :, None, None, :]).sum(axis=-1)
-        # contract qubit o: a = <D- D-|, b = <U+ U+|, c3 = <D+ U+|, c4 = <U+ D+|
-        amps = (part[:, [2, 0, 0, 1]] * bra_o[:, :, None, :]).sum(axis=-1)
-        a, b, c3, c4 = amps.transpose(1, 0, 2)
-        na, nb, n3, n4 = _norm2(amps).transpose(1, 0, 2)
-        diag[:, 0] = n3 + n4 - nb
-        diag[:, 1] = nb - na
-        off[:, 0] = (
-            c3[:, 0] * np.conj(c3[:, 1]) + c4[:, 0] * np.conj(c4[:, 1])
-            - b[:, 0] * np.conj(b[:, 1])
-        )
-        off[:, 1] = b[:, 0] * np.conj(b[:, 1]) - a[:, 0] * np.conj(a[:, 1])
-        lam, kets[:, j] = _min_eigpair(diag[..., 0], diag[..., 1], off, kets[:, j])
-    return kets, na.sum(axis=-1) + lam[:, 1] + lam[:, 0]
+    new = np.empty_like(kets)
+    bras = np.empty((len(kets), 3, 3, 2), complex)
+    _load_bras(bras, kets)
+    for j, o, t in _PARTIES:
+        if j != 1:
+            tensor = psi3.transpose(j, o, t)
+            bra_t = bras[:, t, _T_ROWS, None, None]  # (S, 4, 1, 1, 2)
+            # contract qubit t -> (S, 4, j, o)
+            part = tensor[..., 0] * bra_t[..., 0] + tensor[..., 1] * bra_t[..., 1]
+        else:
+            part = part.swapaxes(2, 3)
+        bra_o = bras[:, o, _O_ROWS, None]  # (S, 4, 1, 2)
+        # contract qubit o -> rows c3, b, c4, a of (S, 4, j)
+        amps = part[..., 0] * bra_o[..., 0] + part[..., 1] * bra_o[..., 1]
+        n = _norm2(amps)
+        x = amps[..., 0] * np.conj(amps[..., 1])
+        # U = c3 + c4 - b and D = b - a, as rows (c3 + c4, b) - (b, a)
+        n[:, 0] += n[:, 2]
+        x[:, 0] += x[:, 2]
+        diag = n[:, :2] - n[:, 1::2]
+        lam, new[:, j] = _min_eigpair(diag[..., 0], diag[..., 1], x[:, :2] - x[:, 1::2], kets[:, j])
+        if j != 2:
+            _load_bras(bras[:, j], new[:, j])
+    return new, n[:, 3].sum(axis=-1) + lam[:, 1] + lam[:, 0]
 
 
-def _extrapolate(f_hist: np.ndarray, g_hist: np.ndarray, depth: np.ndarray) -> np.ndarray:
+def _extrapolate(hist: np.ndarray, depth: np.ndarray) -> np.ndarray:
     """Anderson extrapolation of the sweep map for every start at once.
 
-    ``g_hist`` holds a start's last sweep outputs G(x_i) as 24 reals and
-    ``f_hist`` the residuals G(x_i) - x_i, latest first; only the first
-    ``depth`` of each are valid.  With differences dF_i = f_0 - f_i and
-    dG_i = g_0 - g_i, gamma solves the ridge-regularized normal equations
-    of min |f_0 - dF gamma| and the result is g_0 - dG gamma, returned as
-    (S, 3, 2, 2) unit kets.  The normal equations are built from
-    elementwise products and sums, and solved per start, so a start's
-    result does not depend on the batch.
+    ``hist`` (S, ANDERSON_DEPTH, 2, 3, 2, 2) holds a start's last iterates,
+    latest first: the residual f_i = G(x_i) - x_i and the sweep output
+    G(x_i), each read as 24 reals; only the first ``depth`` are valid.  With
+    differences dF_i = f_0 - f_i and dG_i = g_0 - g_i, gamma solves the
+    ridge-regularized normal equations of min |f_0 - dF gamma| and the
+    result is g_0 - dG gamma, returned as (S, 3, 2, 2) unit kets.  The
+    normal equations are built from elementwise products and sums, and
+    solved per start, so a start's result does not depend on the batch.
     """
-    valid = (_LAGS < depth[:, None])[..., None]
-    df = (f_hist[:, :1] - f_hist[:, 1:]) * valid
-    dg = (g_hist[:, :1] - g_hist[:, 1:]) * valid
+    hist = hist.reshape(len(hist), ANDERSON_DEPTH, 2, 12).view(float)
+    valid = _LAGS < depth[:, None]
+    diff = (hist[:, :1] - hist[:, 1:]) * valid[..., None, None]
+    df, dg = diff[:, :, 0], diff[:, :, 1]
     gram = (df[:, :, None, :] * df[:, None, :, :]).sum(axis=-1)
-    trace = np.diagonal(gram, axis1=1, axis2=2).sum(axis=-1)
+    trace = gram.trace(axis1=1, axis2=2)
     # a relative ridge, and a unit diagonal on unused differences (gamma_i = 0)
-    ridge = (1e-10 * trace + np.finfo(float).tiny)[:, None] + ~valid[..., 0]
+    ridge = (1e-10 * trace + _TINY)[:, None] + ~valid
     gram = gram + ridge[:, :, None] * _RIDGE_EYE
-    rhs = (df * f_hist[:, :1]).sum(axis=-1)
+    rhs = (df * hist[:, :1, 0]).sum(axis=-1)
     gamma = np.linalg.solve(gram, rhs[..., None])
-    x = (g_hist[:, 0] - (gamma * dg).sum(axis=1)).view(complex).reshape(-1, 3, 2, 2)
-    return x / np.sqrt(_norm2(x).sum(axis=-1, keepdims=True))
+    x = (hist[:, 0, 1] - (gamma * dg).sum(axis=1)).view(complex).reshape(-1, 3, 2, 2)
+    n2 = _norm2(x)
+    return x / np.sqrt(n2[..., :1] + n2[..., 1:])
 
 
 def _see_saw(psi3, kets, axes, tol, maxiter):
@@ -217,9 +246,11 @@ def _see_saw(psi3, kets, axes, tol, maxiter):
     Each start descends from ``kets`` to LOOSE_TOL, then takes HOPS basin
     hops: hop h (from 0) rotates the start's best kets by KICK_ANGLE about
     the axes ``axes[:, h]`` (S, HOPS, 3, 2, 3) and descends to LOOSE_TOL,
-    and its kets are kept only if it ends lower.  The best kets are then polished
-    to ``tol``.  A start moves to its next stage as soon as its descent
-    ends, while the others keep sweeping, and its Anderson state restarts.
+    and its kets are kept only if it ends lower.  The best kets are then
+    polished to ``tol``.  A start moves to its next stage as soon as its
+    descent ends, while the others keep sweeping, and its Anderson state
+    restarts.  The loop's state holds only the starts still running, in
+    start order; a start leaves it when its polish ends.
 
     Returns the polished kets, their B and the last plain sweep's
     improvement per start, and the number of batched sweeps run.
@@ -230,70 +261,84 @@ def _see_saw(psi3, kets, axes, tol, maxiter):
     n0 = np.stack([nz, nx + 1j * ny], axis=-1)
     n1 = np.stack([nx - 1j * ny, -nz], axis=-1)
     c, s = math.cos(KICK_ANGLE / 2.0), math.sin(KICK_ANGLE / 2.0)
+    final_kets = np.empty_like(kets)
+    final_value = np.empty(count)
+    final_gain = np.empty(count)
+
+    ids = np.arange(count)  # start index of each running start
     stage = np.zeros(count, int)  # 0 first descent, 1..HOPS hops, HOPS + 1 polish
     stop = np.full(count, LOOSE_TOL)
     deadline = np.full(count, maxiter)  # batched sweep at which the descent is capped
     best_kets = np.empty_like(kets)
     best_value = np.full(count, np.inf)
     kets = kets.copy()  # last kept sweep output of the current descent
-    inputs = kets.copy()  # next sweep input of every start
+    inputs = kets.copy()  # next sweep input
     value = np.full(count, np.inf)
     gain = np.full(count, np.inf)  # last plain sweep's
     onset = np.zeros(count, bool)
     extrapolated = np.zeros(count, bool)
     depth = np.zeros(count, int)
-    f_hist = np.zeros((count, ANDERSON_DEPTH, 24))
-    g_hist = np.zeros((count, ANDERSON_DEPTH, 24))
-    active = np.arange(count)
+    hist = np.zeros((count, ANDERSON_DEPTH, 2, 3, 2, 2), complex)  # f, g of the last iterates
     sweeps = 0
-    while active.size:
+    while ids.size:
         sweeps += 1
-        out, new = _sweep(psi3, inputs[active])
-        plain = ~extrapolated[active]
-        lowered = value[active] - new
+        out, new = _sweep(psi3, inputs)
+        plain = ~extrapolated
+        lowered = value - new
         kept = plain | (lowered > 0.0)
-        keep = active[kept]
-        gain[active[plain]] = lowered[plain]
-        onset[active[plain & (lowered < ANDERSON_ONSET)]] = True
-        value[keep], kets[keep] = new[kept], out[kept]
-        g_new = out[kept].view(float).reshape(-1, 24)
-        f_hist[keep, 1:], g_hist[keep, 1:] = f_hist[keep, :-1], g_hist[keep, :-1]
-        f_hist[keep, 0] = g_new - inputs[keep].view(float).reshape(-1, 24)
-        g_hist[keep, 0] = g_new
-        depth[keep] = np.minimum(depth[keep] + 1, ANDERSON_DEPTH)
-        depth[active[~kept]] = 0
+        gain = np.where(plain, lowered, gain)
+        onset |= plain & (lowered < ANDERSON_ONSET)
+        value = np.where(kept, new, value)
+        kept_kets = kept[:, None, None, None]
+        kets = np.where(kept_kets, out, kets)
+        shifted = np.empty_like(hist)
+        shifted[:, 1:] = hist[:, :-1]
+        np.subtract(out, inputs, out=shifted[:, 0, 0])
+        shifted[:, 0, 1] = out
+        hist = np.where(kept_kets[:, None, None], shifted, hist)
+        depth = np.where(kept, np.minimum(depth + 1, ANDERSON_DEPTH), 0)
 
-        slow = lowered > stop[active]
-        going = (~plain | slow) & (deadline[active] > sweeps)
-        ended = active[~going]
-        active, slow = active[going], slow[going]
-        inputs[active] = kets[active]
-        extrapolated[:] = False
+        slow = lowered > stop
+        going = (extrapolated | slow) & (deadline > sweeps)
+        inputs = kets.copy()
         # a rejected start has depth 0; one whose sweep gained at most its
         # tolerance sweeps plainly
-        fast = active[onset[active] & (depth[active] >= 2) & slow]
-        if fast.size:
-            inputs[fast] = _extrapolate(f_hist[fast], g_hist[fast], depth[fast])
-            extrapolated[fast] = True
-        if ended.size:
-            # the first descent sets a start's best; a hop replaces it only if lower
-            lower = ended[value[ended] < best_value[ended]]
-            best_kets[lower], best_value[lower] = kets[lower], value[lower]
-            stage[ended] += 1
-            begun = ended[stage[ended] <= HOPS + 1]
-            hop = begun[stage[begun] <= HOPS]
-            h = stage[hop] - 1
-            k = best_kets[hop]
-            inputs[hop] = c * k - 1j * s * (n0[hop, h] * k[..., :1] + n1[hop, h] * k[..., 1:])
-            polish = begun[stage[begun] > HOPS]
-            inputs[polish] = best_kets[polish]
-            stop[polish] = tol
-            value[begun] = np.inf
-            onset[begun] = False
-            depth[begun] = 0
-            deadline[begun] = sweeps + maxiter
-            active = np.concatenate([active, begun])
-    return kets, value, gain, sweeps
+        extrapolated = going & onset & (depth >= 2) & slow
+        if extrapolated.any():
+            inputs[extrapolated] = _extrapolate(hist[extrapolated], depth[extrapolated])
+        if going.all():
+            continue
+        ended = np.flatnonzero(~going)
+        # the first descent sets a start's best; a hop replaces it only if lower
+        lower = ended[value[ended] < best_value[ended]]
+        best_kets[lower], best_value[lower] = kets[lower], value[lower]
+        stage[ended] += 1
+        hop = ended[stage[ended] <= HOPS]
+        h = stage[hop] - 1
+        k = best_kets[hop]
+        axis0, axis1 = n0[ids[hop], h], n1[ids[hop], h]
+        inputs[hop] = c * k - 1j * s * (axis0 * k[..., :1] + axis1 * k[..., 1:])
+        polish = ended[stage[ended] == HOPS + 1]
+        inputs[polish] = best_kets[polish]
+        stop[polish] = tol
+        begun = ended[stage[ended] <= HOPS + 1]
+        value[begun] = np.inf
+        onset[begun] = False
+        depth[begun] = 0
+        deadline[begun] = sweeps + maxiter
+        done = stage > HOPS + 1
+        if done.any():
+            final_kets[ids[done]] = kets[done]
+            final_value[ids[done]] = value[done]
+            final_gain[ids[done]] = gain[done]
+            run = ~done
+            ids, stage, stop, deadline, best_kets, best_value = (
+                a[run] for a in (ids, stage, stop, deadline, best_kets, best_value)
+            )
+            kets, inputs, value, gain, onset, extrapolated, depth, hist = (
+                a[run] for a in (kets, inputs, value, gain, onset, extrapolated, depth, hist)
+            )
+    return final_kets, final_value, final_gain, sweeps
 
 
 def _inside_window(u: np.ndarray, d: np.ndarray) -> np.ndarray:

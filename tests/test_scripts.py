@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -25,9 +27,13 @@ def test_reproduce_thresholds():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("GHZ:")
     assert "\nW:" in out.stdout
-    # one row per seed: seed, best B, diff, v_thr, at best (k / 2), sweeps, time
+    # one row per seed: seed, best B, diff, v_thr, at best (k / 2), sweeps, time, ms/sweep
     row = out.stdout.splitlines()[2].split()
     assert row[0] == "0" and row[5:7] == ["/", "2"] and int(row[7]) > 0
+    sweeps, seconds, ms_per_sweep = int(row[7]), float(row[8].rstrip("s")), float(row[9])
+    # time / sweeps, up to the rounding of the printed time (0.005 s) and ms/sweep
+    assert ms_per_sweep > 0.0
+    assert ms_per_sweep == pytest.approx(1e3 * seconds / sweeps, abs=5.0 / sweeps + 5e-4)
 
 
 def test_reproduce_thresholds_sums_over_seeds():
@@ -35,6 +41,22 @@ def test_reproduce_thresholds_sums_over_seeds():
     assert out.returncode == 0, out.stderr
     sums = [line.split() for line in out.stdout.splitlines() if line.split()[:1] == ["sum"]]
     assert len(sums) == 2 and all(row[3] == "2" for row in sums)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scripts/reproduce_thresholds.py", "--starts", "1", "--seed", "-1"),
+        ("scripts/class_sweep.py", "--draws", "0"),
+        ("scripts/class_sweep.py", "--draws", "-3"),
+        ("scripts/class_sweep.py", "--draws", "1", "--seed", "-1"),
+    ],
+)
+def test_bad_arguments_exit_2(argv):
+    out = run_script(*argv)
+    assert out.returncode == 2
+    assert "error:" in out.stderr and "Traceback" not in out.stderr
+    assert out.stdout == ""
 
 
 def test_class_sweep():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from hardy3q import linalg
 from hardy3q.errors import ClassificationOverlapError, NormalizationError
 from hardy3q.states import (
     CLASS_ORDER,
@@ -22,7 +21,7 @@ from hardy3q.states import (
     to_ket,
 )
 
-from conftest import basis_ket, is_density, oracle_classify, oracle_row_predicates
+from conftest import basis_ket, is_density, oracle_classify, oracle_row_predicates, tensor
 
 INV_SQRT2 = 2**-0.5
 
@@ -65,7 +64,7 @@ class TestToKet:
     def test_w_up_to_local_bit_flip(self):
         s = 3**-0.5
         psi = to_ket(CanonicalState((s, 0, s, s, 0), 0.0))
-        flip = linalg.tensor(np.array([[0, 1], [1, 0]], complex), np.eye(2), np.eye(2))
+        flip = tensor(np.array([[0, 1], [1, 0]], complex), np.eye(2), np.eye(2))
         w = np.zeros(8, complex)
         w[1] = w[2] = w[4] = s
         assert np.allclose(flip @ psi, w, atol=1e-12)

@@ -19,6 +19,7 @@ from hardy3q.visibility import (
     scan_family,
     threshold_visibility,
     threshold_visibility_bisection,
+    _extrapolate,
     _min_eigpair,
     _see_saw,
     _sweep,
@@ -30,6 +31,8 @@ from conftest import (
     pair_overlaps,
     random_ket,
     random_settings,
+    reference_extrapolate,
+    reference_min_eigpair,
     reference_sweep,
     staged_minimize_bell,
 )
@@ -197,6 +200,57 @@ class TestSeeSaw:
         assert lam[0] == 0.25
         np.testing.assert_array_equal(vec, fallback)
 
+    @pytest.mark.parametrize(
+        "p, r, q",
+        [
+            # half == 0 exactly with q != 0
+            ([0.3, -0.2, 0.0], [0.3, -0.2, 0.0], [0.1 + 0.2j, -1e-3j, 1e-300 + 0j]),
+            # q == 0 with half of each sign
+            ([0.5, -0.1, 2.0], [-0.5, 0.4, 2.0 + 1e-15], [0j, 0j, 0j]),
+            # p == r with q == 0: a multiple of the identity keeps the fallback
+            ([0.25, 0.0, -0.0], [0.25, 0.0, 0.0], [0j, 0j, complex(-0.0, -0.0)]),
+            # subnormal entries and squares
+            (
+                [5e-324, 1e-160, 3e-162],
+                [0.0, -1e-160, 5e-324],
+                [5e-324j, 1e-162 + 0j, complex(-5e-324, 1e-161)],
+            ),
+            # huge entries, with and without overflow of the squares
+            (
+                [1e150, -1e150, 1e200, 1e308],
+                [-1e150, 1e150, -1e200, -1e308],
+                [1e150 + 0j, 1e150j, 1e200j, 1e308 + 0j],
+            ),
+        ],
+        ids=["half-zero", "q-zero", "identity", "subnormal", "huge"],
+    )
+    def test_min_eigpair_matches_reference_bit_for_bit(self, p, r, q):
+        p, r, q = np.array(p), np.array(r), np.array(q, complex)
+        fallback = np.tile([0.6 + 0j, 0.8j], (len(p), 1))
+        with np.errstate(all="ignore"):
+            got = _min_eigpair(p, r, q, fallback)
+            want = reference_min_eigpair(p, r, q, fallback)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+    def test_extrapolate_matches_reference_bit_for_bit(self, depth, repeated):
+        rng = np.random.default_rng(depth)
+        f_hist = rng.standard_normal((6, visibility.ANDERSON_DEPTH, 24))
+        g_hist = rng.standard_normal((6, visibility.ANDERSON_DEPTH, 24))
+        f_hist[:3] *= 10.0 ** rng.integers(-12, 0, (3, 1, 1))
+        if repeated:
+            # iterates repeated up to the depth: every valid difference is
+            # zero, and only the ridge keeps the Gram matrix invertible
+            f_hist[:, :depth] = f_hist[:, :1]
+            g_hist[:, :depth] = g_hist[:, :1]
+        depths = np.array([depth, depth, 2, 5, depth, 3])
+        hist = np.stack([f_hist, g_hist], axis=2).view(complex).reshape(6, -1, 2, 3, 2, 2)
+        got = _extrapolate(hist, depths)
+        want = reference_extrapolate(f_hist, g_hist, depths)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @hyp_settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_sweep_never_raises_b(self, seed):
@@ -210,15 +264,23 @@ class TestSeeSaw:
             assert after <= oracle_bell_of_kets(psi, kets[s]) + 1e-12
 
     @hyp_settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.booleans())
-    def test_sweep_matches_reference_bit_for_bit(self, seed, w_state):
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["random", "w", "000", "ghz"]))
+    def test_sweep_matches_reference_bit_for_bit(self, seed, state):
+        # |000> and GHZ give matrices that are multiples of the identity
         rng = np.random.default_rng(seed)
-        psi = (w_ket() if w_state else random_ket(rng, 8)).reshape(2, 2, 2)
+        psi = {
+            "random": lambda: random_ket(rng, 8),
+            "w": w_ket,
+            "000": product_ket,
+            "ghz": GHZ.to_ket,
+        }[state]().reshape(2, 2, 2)
         kets = np.stack([random_ket(rng, 2) for _ in range(30)]).reshape(5, 3, 2, 2)
         kets[0] = [[1.0, 0.0], [1.0, 0.0]]  # U+ = D+ = |0> on every qubit
         for _ in range(4):
             new, value = _sweep(psi, kets)
             ref, ref_value = reference_sweep(psi, kets)
+            # equal values; a sum of two -0.0 terms is -0.0 written out but
+            # +0.0 in the reference's reduction, and nothing divides by it
             np.testing.assert_array_equal(new, ref)
             np.testing.assert_array_equal(value, ref_value)
             kets = new
