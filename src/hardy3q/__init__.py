@@ -29,7 +29,6 @@ from .errors import (
     Hardy3QError,
     NormalizationError,
     NoWitnessError,
-    SpanError,
     VisibilityUndefinedError,
     WindowViolationError,
 )
@@ -64,7 +63,6 @@ from .visibility import (
     minimize_bell,
     scan_family,
     threshold_visibility,
-    threshold_visibility_bisection,
 )
 
 __all__ = [
@@ -86,7 +84,6 @@ __all__ = [
     "OptimizationResult",
     "SampleStatistics",
     "SchmidtDecomposition",
-    "SpanError",
     "StateClass",
     "VisibilityUndefinedError",
     "WHITE_NOISE_BELL_VALUE",
@@ -114,7 +111,6 @@ __all__ = [
     "search_hardy_observables",
     "settings_from_plus_kets",
     "threshold_visibility",
-    "threshold_visibility_bisection",
     "to_ket",
     "verify_hardy",
 ]

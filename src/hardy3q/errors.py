@@ -15,10 +15,6 @@ class NormalizationError(Hardy3QError, ValueError):
     """A state-role vector is not normalized within tolerance."""
 
 
-class SpanError(Hardy3QError, ValueError):
-    """Orthogonal-complement picking received a degenerate input."""
-
-
 class ClassificationGapError(Hardy3QError):
     """No classification row matched the given canonical parameters."""
 

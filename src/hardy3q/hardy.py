@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -499,18 +500,27 @@ VANISHING_NORM = 1e-14
 #: qubit j's contraction vector does not depend on qubit j's own angles;
 #: row i is angle i = (theta_j, phi_j) for j = i // 2
 _OWN_QUBIT = np.repeat(np.eye(3, dtype=bool), 2, axis=0)
+#: per angle i, the rows of ``_u_derivatives`` that make its three bras:
+#: qubit i // 2 takes d u / d x_i (row 3 + i), the others their U+ kets
+_DERIVATIVE_BRAS = np.where(_OWN_QUBIT, np.arange(3, 9)[:, None], np.arange(3))
+#: the step lengths 1, 1/2, ..., one row per batched residual evaluation
+_STEPS = 0.5 ** np.arange(MAX_HALVINGS).reshape(-1, HALVINGS_AT_ONCE)
+#: the search's state at Bloch angles x, one row per attempt (see _residual)
+_Point = namedtuple("_Point", "x us m r f ok n mhc g")
 
 
 def _u_derivatives(x: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Derivatives (A, 6, 2) of the U+ kets ``us`` (A, 3, 2) of Bloch angles ``x`` (A, 6).
+    """The U+ kets ``us`` (A, 3, 2) of Bloch angles ``x`` (A, 6) and their derivatives, (A, 9, 2).
 
-    Row i is d u_j / d theta_j or d u_j / d phi_j, in the angle order of ``x``.
+    Rows 0-2 are ``us``; row 3 + i is d u_j / d x_i for j = i // 2, in the
+    angle order of ``x``.
     """
-    dus = np.zeros((len(x), 3, 2, 2), dtype=complex)
-    dus[:, :, 0, 0] = -0.5 * np.sin(0.5 * x[:, 0::2])
-    dus[:, :, 0, 1] = 0.5 * np.exp(1j * x[:, 1::2]) * us[..., 0]
-    dus[:, :, 1, 1] = 1j * us[..., 1]
-    return dus.reshape(len(x), 6, 2)
+    out = np.zeros((len(x), 9, 2), dtype=complex)
+    out[:, :3] = us
+    out[:, 3::2, 0] = -0.5 * np.sin(0.5 * x[:, 0::2])
+    out[:, 3::2, 1] = 0.5 * np.exp(1j * x[:, 1::2]) * us[..., 0]
+    out[:, 4::2, 1] = 1j * us[..., 1]
+    return out
 
 
 def _derived_d_directions(psi3: np.ndarray, bras: np.ndarray) -> np.ndarray:
@@ -532,76 +542,83 @@ def _derived_d_directions(psi3: np.ndarray, bras: np.ndarray) -> np.ndarray:
     return m
 
 
-def _residual(psi3: np.ndarray, x: np.ndarray, jacobian: bool = False):
-    """The remaining condition r = <m1_hat m2_hat m3_hat|psi> per attempt.
+def _residual(psi3: np.ndarray, x: np.ndarray) -> _Point:
+    """The value pass: the remaining condition r per attempt at angles ``x`` (A, 6).
 
-    Returns (us, m, r, ok) and, with ``jacobian``, the complex derivatives
-    dr/dx (A, 6) as well.  ``ok`` is False where a contraction vector
-    vanishes; r is then meaningless.  With m_hat = m / |m| and g_j the
-    contraction of psi with conj(m_hat) of the other two qubits,
-    r = <m_hat_j|g_j> for every j, and a change dm_j moves r by
-    (<dm_j|g_j> - Re<m_hat_j|dm_j> r) / |m_j|.
+    Also returns what the Jacobian pass needs: the U+ kets us, the
+    contraction vectors m, their norms n and mhc = conj(m / n).  ``ok`` is
+    False where a contraction vector vanishes; r is then meaningless and n
+    is set to 1.  g_j contracts psi with mhc of the other two qubits, so
+    r = <m1_hat m2_hat m3_hat|psi> = <m_hat_j|g_j> for every j; f = |r|^2.
     """
     us = kets_from_angles(x.reshape(-1, 3, 2))
     m = _derived_d_directions(psi3, np.conj(us))
     n = np.sqrt((m.real**2 + m.imag**2).sum(axis=-1))
     ok = (n > VANISHING_NORM).all(axis=-1)
     n = np.where(ok[:, None], n, 1.0)
-    mh = m / n[..., None]
-    g = _derived_d_directions(psi3, np.conj(mh))
-    r = (np.conj(mh[:, 0]) * g[:, 0]).sum(axis=-1)
-    if not jacobian:
-        return us, m, r, ok
-    dus = _u_derivatives(x, us)
-    # bras with qubit i // 2 swapped for the derivative of its U+ ket
-    bras = np.where(_OWN_QUBIT[..., None], np.conj(dus)[:, :, None], np.conj(us)[:, None])
+    mhc = np.conj(m / n[..., None])
+    g = _derived_d_directions(psi3, mhc)
+    r = (mhc[:, 0] * g[:, 0]).sum(axis=-1)
+    return _Point(x, us, m, r, r.real**2 + r.imag**2, ok, n, mhc, g)
+
+
+def _jacobian(psi3: np.ndarray, p: _Point) -> np.ndarray:
+    """The Jacobian pass: dr/dx (A, 6) at a value-pass point.
+
+    A change dm_j moves r by (<dm_j|g_j> - Re<m_hat_j|dm_j> r) / n_j.
+    """
+    bras = np.conj(_u_derivatives(p.x, p.us))[:, _DERIVATIVE_BRAS]
     dm = np.where(_OWN_QUBIT[..., None], 0.0, _derived_d_directions(psi3, bras))
-    moved = (np.conj(dm) * g[:, None]).sum(axis=-1)
-    along = (np.conj(mh[:, None]) * dm).sum(axis=-1).real
-    dr = ((moved - along * r[:, None, None]) / n[:, None]).sum(axis=-1)
-    return us, m, r, ok, dr
+    moved = (np.conj(dm) * p.g[:, None]).sum(axis=-1)
+    along = (p.mhc[:, None] * dm).sum(axis=-1).real
+    return ((moved - along * p.r[:, None, None]) / p.n[:, None]).sum(axis=-1)
 
 
 def _gauss_newton_step(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm solution dx of J dx = -(Re r, Im r) per attempt.
+    """Minimum-norm solution s of J s = (Re r, Im r) per attempt.
 
-    J is the 2x6 real Jacobian (Re dr, Im dr).  Returns (dx, singular).
+    J is the 2x6 real Jacobian (Re dr, Im dr) and -s the Gauss-Newton step.
+    Returns (s, regular); where ``regular`` is False, J is singular and s
+    meaningless.
     """
     jr, ji = dr.real, dr.imag
     a, b, c = (jr * jr).sum(axis=-1), (jr * ji).sum(axis=-1), (ji * ji).sum(axis=-1)
     det = a * c - b * b
-    singular = ~(det > SINGULAR_TOL * (a + c) ** 2)
-    det = np.where(singular, 1.0, det)
+    regular = det > SINGULAR_TOL * (a + c) ** 2
+    det = np.where(regular, det, 1.0)
     y0 = (c * r.real - b * r.imag) / det
     y1 = (a * r.imag - b * r.real) / det
-    return -(jr * y0[:, None] + ji * y1[:, None]), singular
+    return jr * y0[:, None] + ji * y1[:, None], regular
 
 
-def _backtrack(psi3, x, f, dx):
-    """Armijo backtracking from each row of ``x`` along ``dx``.
+def _backtrack(psi3, x, f, s):
+    """Armijo backtracking from each row of ``x`` along the Gauss-Newton step -``s``.
 
     Takes the first t of 1, 1/2, ... (MAX_HALVINGS values, HALVINGS_AT_ONCE
-    per residual evaluation) with |r(x + t dx)|^2 <= (1 - 2 ARMIJO t) f.
-    Returns the new rows and which rows found such a t; the rest stalled.
+    per residual evaluation) with |r(x - t s)|^2 <= (1 - 2 ARMIJO t) f.
+    Returns the rows that found such a t, in order (the rest stalled), and
+    the value-pass point of their accepted trials, which the search's next
+    iteration takes as it is instead of evaluating x again.
     """
-    new = x.copy()
     pending = np.arange(len(x))
-    for first in range(0, MAX_HALVINGS, HALVINGS_AT_ONCE):
-        t = 0.5 ** np.arange(first, first + HALVINGS_AT_ONCE)
-        trial = x[pending, None] + t[:, None] * dx[pending, None]
-        _, _, r, ok = _residual(psi3, trial.reshape(-1, 6))
-        f_trial = (r.real**2 + r.imag**2).reshape(len(pending), HALVINGS_AT_ONCE)
-        good = ok.reshape(f_trial.shape) & (
-            f_trial <= (1.0 - 2.0 * ARMIJO * t) * f[pending, None]
+    rows, picked = [], []
+    for t in _STEPS:
+        trials = _residual(psi3, (x[:, None] - t[:, None] * s[:, None]).reshape(-1, 6))
+        good = trials.ok.reshape(-1, HALVINGS_AT_ONCE) & (
+            trials.f.reshape(-1, HALVINGS_AT_ONCE) <= (1.0 - 2.0 * ARMIJO * t) * f[:, None]
         )
         found = good.any(axis=1)
-        new[pending[found]] = trial[found, good[found].argmax(axis=1)]
-        pending = pending[~found]
-        if pending.size == 0:
+        pick = np.flatnonzero(found) * HALVINGS_AT_ONCE + good[found].argmax(axis=1)
+        rows.append(pending[found])
+        picked.append(_Point._make(a[pick] for a in trials))
+        if found.all():
             break
-    moved = np.ones(len(x), dtype=bool)
-    moved[pending] = False
-    return new, moved
+        pending, x, f, s = (a[~found] for a in (pending, x, f, s))
+    if len(rows) == 1:
+        return rows[0], picked[0]
+    moved = np.concatenate(rows)
+    order = np.argsort(moved)
+    return moved[order], _Point._make(np.concatenate(a)[order] for a in zip(*picked))
 
 
 def _accepted_settings(vec, us, m, zero_tol) -> MeasurementSettings | None:
@@ -617,26 +634,32 @@ def _first_accepted(vec, x, zero_tol, maxiter) -> MeasurementSettings | None:
     """Settings of the first accepted attempt, in row order, among starts ``x`` (A, 6)."""
     psi3 = vec.reshape(2, 2, 2)
     active = np.arange(len(x))  # attempts still iterating, in row order
-    winner: tuple[int, MeasurementSettings] | None = None
+    limit = len(x)  # attempts from the winner on stop iterating
+    winner: MeasurementSettings | None = None
+    point = _residual(psi3, x)  # of the active attempts; _backtrack gives the later ones
     for iteration in range(maxiter + 1):
-        us, m, r, ok, dr = _residual(psi3, x[active], jacobian=True)
-        f = r.real**2 + r.imag**2
-        done = ok & (f <= 0.1 * zero_tol)
+        done = point.ok & (point.f <= 0.1 * zero_tol)
         # every active attempt precedes the winner so far, so the first
         # accepted one here becomes the winner
         for k in np.flatnonzero(done):
-            settings = _accepted_settings(vec, us[k], m[k], zero_tol)
+            settings = _accepted_settings(vec, point.us[k], point.m[k], zero_tol)
             if settings is not None:
-                winner = (int(active[k]), settings)
+                winner, limit = settings, active[k]
                 break
-        dx, singular = _gauss_newton_step(r, dr)
-        keep = ok & ~done & ~singular & (active < (len(x) if winner is None else winner[0]))
-        if iteration == maxiter or not keep.any():
+        live = point.ok & ~done & (active < limit)
+        if iteration == maxiter or not live.any():
             break
-        active = active[keep]
-        x[active], moved = _backtrack(psi3, x[active], f[keep], dx[keep])
+        if not live.all():
+            active, point = active[live], _Point._make(a[live] for a in point)
+        s, regular = _gauss_newton_step(point.r, _jacobian(psi3, point))
+        if not regular.any():
+            break
+        if not regular.all():
+            active, s = active[regular], s[regular]
+            point = _Point._make(a[regular] for a in point)
+        moved, point = _backtrack(psi3, point.x, point.f, s)
         active = active[moved]
-    return None if winner is None else winner[1]
+    return winner
 
 
 def search_hardy_observables(
@@ -655,16 +678,20 @@ def search_hardy_observables(
     whose zeros form a four-dimensional manifold, is solved by damped
     Gauss-Newton: minimum-norm steps of the 2x6 real Jacobian with Armijo
     backtracking, so |r|^2 never rises, for at most ``maxiter`` iterations
-    per attempt.  An attempt fails when its Jacobian turns singular, a
-    contraction vector vanishes or no halved step lowers |r|^2 enough.  An
-    attempt is accepted when |r|^2 <= zero_tol / 10, its settings lie in
-    the window and they pass verify_hardy at ``zero_tol``; the first
-    accepted attempt in seeded order wins, so the result is deterministic
-    for a fixed seed and the same for any number of attempts that includes
-    the winner.  Attempt 0 usually wins, so it runs alone first; only if it
-    fails do attempts 1 .. attempts-1 run together as one array.  Attempt i
-    starts from child i of ``SeedSequence(seed)`` and keeps its own
-    ``maxiter`` budget in either round, so the rounds change no result.
+    per attempt.  Each iterate is evaluated once: the residual of the
+    accepted backtracking trial carries into the next step, and the
+    Jacobian is taken only on attempts still iterating (not converged,
+    failed or behind the winner).  An attempt fails when its Jacobian turns
+    singular, a contraction vector vanishes or no halved step lowers |r|^2
+    enough.  An attempt is accepted when |r|^2 <= zero_tol / 10, its
+    settings lie in the window and they pass verify_hardy at ``zero_tol``;
+    the first accepted attempt in seeded order wins, so the result is
+    deterministic for a fixed seed and the same for any number of attempts
+    that includes the winner.  Attempt 0 usually wins, so it runs alone
+    first; only if it fails do attempts 1 .. attempts-1 run together as one
+    array.  Attempt i starts from child i of ``SeedSequence(seed)`` and
+    keeps its own ``maxiter`` budget in either round, so the rounds change
+    no result.
     Returns None when every attempt fails (expected for fully product
     states and for maximally entangled pairs).
     """

@@ -40,7 +40,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import linalg
-from .bell import WHITE_NOISE_BELL_VALUE, bell_value, noisy_bell_value
+from .bell import WHITE_NOISE_BELL_VALUE, bell_value
 from .errors import Hardy3QError, VisibilityUndefinedError
 from .hardy import build_witness
 from .observables import (
@@ -428,30 +428,6 @@ def threshold_visibility(best_value: float) -> float:
             f"threshold visibility needs a violation (B < 0), got B = {best_value!r}"
         )
     return WHITE_NOISE_BELL_VALUE / (WHITE_NOISE_BELL_VALUE - best_value)
-
-
-def threshold_visibility_bisection(
-    psi,
-    settings: MeasurementSettings,
-    tol: float = 1e-12,
-    max_steps: int = 200,
-) -> float:
-    """Cross-check: bisect the sign change of B(v) at fixed settings."""
-    pure = bell_value(np.asarray(psi, dtype=complex), settings).bell_value
-    if pure >= 0.0:
-        raise VisibilityUndefinedError(
-            f"settings do not violate at v = 1 (B = {pure!r})"
-        )
-    lo, hi = 0.0, 1.0  # B(lo) = 3/8 > 0 > B(hi)
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        if noisy_bell_value(psi, mid, settings) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

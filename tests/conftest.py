@@ -8,9 +8,22 @@ import numpy as np
 import pytest
 
 from hardy3q import linalg, visibility
-from hardy3q.bell import bell_value
+from hardy3q.bell import bell_value, noisy_bell_value
 from hardy3q.observables import kets_from_angles, random_angles, settings_from_plus_kets
-from hardy3q.errors import DimensionError, SpanError, WindowViolationError
+from hardy3q.errors import (
+    DimensionError,
+    Hardy3QError,
+    VisibilityUndefinedError,
+    WindowViolationError,
+)
+from hardy3q.hardy import (
+    ARMIJO,
+    HALVINGS_AT_ONCE,
+    MAX_HALVINGS,
+    SINGULAR_TOL,
+    VANISHING_NORM,
+    _accepted_settings,
+)
 from hardy3q.states import StateClass
 
 
@@ -83,6 +96,10 @@ def projector(k):
     arr = linalg.ket(k)
     linalg.require_normalized(arr, atol=1e-9)
     return np.outer(arr, arr.conj())
+
+
+class SpanError(Hardy3QError, ValueError):
+    """Orthogonal-complement picking received a degenerate input."""
 
 
 def orthogonal_complement_pick(zeros, target, atol=1e-10):
@@ -479,15 +496,129 @@ def nelder_mead_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
     return None
 
 
+# The search's Gauss-Newton pieces as they were before each iterate was
+# evaluated once, frozen so that ``one_batch_search`` stays an independent
+# bit-level oracle of ``hardy.search_hardy_observables``.
+
+
+def reference_u_derivatives(x, us):
+    """Derivatives (A, 6, 2) of the U+ kets ``us`` (A, 3, 2) of Bloch angles ``x`` (A, 6).
+
+    Row i is d u_j / d theta_j or d u_j / d phi_j, in the angle order of ``x``.
+    """
+    dus = np.zeros((len(x), 3, 2, 2), dtype=complex)
+    dus[:, :, 0, 0] = -0.5 * np.sin(0.5 * x[:, 0::2])
+    dus[:, :, 0, 1] = 0.5 * np.exp(1j * x[:, 1::2]) * us[..., 0]
+    dus[:, :, 1, 1] = 1j * us[..., 1]
+    return dus.reshape(len(x), 6, 2)
+
+
+def reference_derived_d_directions(psi3, bras):
+    """Contraction vectors m (..., 3, 2) of psi with ``bras`` (..., 3, 2).
+
+    m[..., j, :] contracts psi with the bras of the two other qubits;
+    ``bras = conj(u)`` gives m1[a] = sum_{b,c} conj(u2[b] u3[c]) psi[a,b,c]
+    and cyclically.  Choosing D_j+ = perp(m_j) zeroes the three mixed
+    conditions exactly.  Only elementwise arithmetic is used, so each
+    leading index is computed on its own.
+    """
+    b = bras[..., None]
+    t = psi3[:, :, 0] * b[..., 2, 0, :, None] + psi3[:, :, 1] * b[..., 2, 1, :, None]
+    s = psi3[0] * b[..., 0, 0, :, None] + psi3[1] * b[..., 0, 1, :, None]
+    m = np.empty(bras.shape, dtype=complex)
+    m[..., 0, :] = t[..., 0] * b[..., 1, 0, :] + t[..., 1] * b[..., 1, 1, :]
+    m[..., 1, :] = t[..., 0, :] * b[..., 0, 0, :] + t[..., 1, :] * b[..., 0, 1, :]
+    m[..., 2, :] = s[..., 0, :] * b[..., 1, 0, :] + s[..., 1, :] * b[..., 1, 1, :]
+    return m
+
+
+#: qubit j's contraction vector does not depend on qubit j's own angles;
+#: row i is angle i = (theta_j, phi_j) for j = i // 2
+REFERENCE_OWN_QUBIT = np.repeat(np.eye(3, dtype=bool), 2, axis=0)
+
+
+def reference_residual(psi3, x, jacobian=False):
+    """The remaining condition r = <m1_hat m2_hat m3_hat|psi> per attempt.
+
+    Returns (us, m, r, ok) and, with ``jacobian``, the complex derivatives
+    dr/dx (A, 6) as well.  ``ok`` is False where a contraction vector
+    vanishes; r is then meaningless.  With m_hat = m / |m| and g_j the
+    contraction of psi with conj(m_hat) of the other two qubits,
+    r = <m_hat_j|g_j> for every j, and a change dm_j moves r by
+    (<dm_j|g_j> - Re<m_hat_j|dm_j> r) / |m_j|.
+    """
+    us = kets_from_angles(x.reshape(-1, 3, 2))
+    m = reference_derived_d_directions(psi3, np.conj(us))
+    n = np.sqrt((m.real**2 + m.imag**2).sum(axis=-1))
+    ok = (n > VANISHING_NORM).all(axis=-1)
+    n = np.where(ok[:, None], n, 1.0)
+    mh = m / n[..., None]
+    g = reference_derived_d_directions(psi3, np.conj(mh))
+    r = (np.conj(mh[:, 0]) * g[:, 0]).sum(axis=-1)
+    if not jacobian:
+        return us, m, r, ok
+    dus = reference_u_derivatives(x, us)
+    # bras with qubit i // 2 swapped for the derivative of its U+ ket
+    bras = np.where(
+        REFERENCE_OWN_QUBIT[..., None], np.conj(dus)[:, :, None], np.conj(us)[:, None]
+    )
+    dm = np.where(REFERENCE_OWN_QUBIT[..., None], 0.0, reference_derived_d_directions(psi3, bras))
+    moved = (np.conj(dm) * g[:, None]).sum(axis=-1)
+    along = (np.conj(mh[:, None]) * dm).sum(axis=-1).real
+    dr = ((moved - along * r[:, None, None]) / n[:, None]).sum(axis=-1)
+    return us, m, r, ok, dr
+
+
+def reference_gauss_newton_step(r, dr):
+    """Minimum-norm solution dx of J dx = -(Re r, Im r) per attempt.
+
+    J is the 2x6 real Jacobian (Re dr, Im dr).  Returns (dx, singular).
+    """
+    jr, ji = dr.real, dr.imag
+    a, b, c = (jr * jr).sum(axis=-1), (jr * ji).sum(axis=-1), (ji * ji).sum(axis=-1)
+    det = a * c - b * b
+    singular = ~(det > SINGULAR_TOL * (a + c) ** 2)
+    det = np.where(singular, 1.0, det)
+    y0 = (c * r.real - b * r.imag) / det
+    y1 = (a * r.imag - b * r.real) / det
+    return -(jr * y0[:, None] + ji * y1[:, None]), singular
+
+
+def reference_backtrack(psi3, x, f, dx):
+    """Armijo backtracking from each row of ``x`` along ``dx``.
+
+    Takes the first t of 1, 1/2, ... (MAX_HALVINGS values, HALVINGS_AT_ONCE
+    per residual evaluation) with |r(x + t dx)|^2 <= (1 - 2 ARMIJO t) f.
+    Returns the new rows and which rows found such a t; the rest stalled.
+    """
+    new = x.copy()
+    pending = np.arange(len(x))
+    for first in range(0, MAX_HALVINGS, HALVINGS_AT_ONCE):
+        t = 0.5 ** np.arange(first, first + HALVINGS_AT_ONCE)
+        trial = x[pending, None] + t[:, None] * dx[pending, None]
+        _, _, r, ok = reference_residual(psi3, trial.reshape(-1, 6))
+        f_trial = (r.real**2 + r.imag**2).reshape(len(pending), HALVINGS_AT_ONCE)
+        good = ok.reshape(f_trial.shape) & (
+            f_trial <= (1.0 - 2.0 * ARMIJO * t) * f[pending, None]
+        )
+        found = good.any(axis=1)
+        new[pending[found]] = trial[found, good[found].argmax(axis=1)]
+        pending = pending[~found]
+        if pending.size == 0:
+            break
+    moved = np.ones(len(x), dtype=bool)
+    moved[pending] = False
+    return new, moved
+
+
 def one_batch_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
     """The search with every attempt in one array, as a bit-level oracle.
 
-    Draws all starts up front and iterates them together with the
-    package's own Gauss-Newton pieces; the first accepted attempt in seeded
-    order wins.  Returns the winning settings, else None.
+    Draws all starts up front and iterates them together with frozen copies
+    of the search's Gauss-Newton pieces, which evaluate every accepted
+    point a second time for its Jacobian; the first accepted attempt in
+    seeded order wins.  Returns the winning settings, else None.
     """
-    from hardy3q import hardy, linalg
-
     vec = linalg.ket(psi)
     psi3 = vec.reshape(2, 2, 2)
     x = np.array(
@@ -499,22 +630,42 @@ def one_batch_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
     active = np.arange(len(x))
     winner = None
     for iteration in range(maxiter + 1):
-        us, m, r, ok, dr = hardy._residual(psi3, x[active], jacobian=True)
+        us, m, r, ok, dr = reference_residual(psi3, x[active], jacobian=True)
         f = r.real**2 + r.imag**2
         done = ok & (f <= 0.1 * zero_tol)
         for k in np.flatnonzero(done):
-            settings = hardy._accepted_settings(vec, us[k], m[k], zero_tol)
+            settings = _accepted_settings(vec, us[k], m[k], zero_tol)
             if settings is not None:
                 winner = (int(active[k]), settings)
                 break
-        dx, singular = hardy._gauss_newton_step(r, dr)
+        dx, singular = reference_gauss_newton_step(r, dr)
         keep = ok & ~done & ~singular & (active < (len(x) if winner is None else winner[0]))
         if iteration == maxiter or not keep.any():
             break
         active = active[keep]
-        x[active], moved = hardy._backtrack(psi3, x[active], f[keep], dx[keep])
+        x[active], moved = reference_backtrack(psi3, x[active], f[keep], dx[keep])
         active = active[moved]
     return None if winner is None else winner[1]
+
+
+def threshold_visibility_bisection(psi, settings, tol=1e-12, max_steps=200):
+    """Cross-check: bisect the sign change of B(v) at fixed settings."""
+    pure = bell_value(np.asarray(psi, dtype=complex), settings).bell_value
+    if pure >= 0.0:
+        raise VisibilityUndefinedError(
+            f"settings do not violate at v = 1 (B = {pure!r})"
+        )
+    lo, hi = 0.0, 1.0  # B(lo) = 3/8 > 0 > B(hi)
+    for _ in range(max_steps):
+        mid = 0.5 * (lo + hi)
+        if noisy_bell_value(psi, mid, settings) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return 0.5 * (lo + hi)
+
 
 def staged_minimize_bell(psi, starts=64, seed=0, tol=1e-10, maxiter=4000):
     """``minimize_bell`` as staged batches: a bit-level oracle of its schedule.

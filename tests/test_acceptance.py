@@ -38,14 +38,14 @@ from hardy3q.states import (
     mix_with_white_noise,
     sample_class,
 )
-from hardy3q.visibility import (
-    minimize_bell,
-    threshold_visibility,
-    threshold_visibility_bisection,
-)
+from hardy3q.visibility import minimize_bell, threshold_visibility
 from hardy3q import cli
 
-from conftest import oracle_hardy_probabilities, random_settings
+from conftest import (
+    oracle_hardy_probabilities,
+    random_settings,
+    threshold_visibility_bisection,
+)
 
 INV_SQRT2 = 2**-0.5
 

@@ -35,6 +35,7 @@ from conftest import (
     oracle_hardy_probabilities,
     pair_overlaps,
     random_ket,
+    reference_backtrack,
 )
 
 INV_SQRT2 = 2**-0.5
@@ -436,14 +437,37 @@ class TestSearch:
     def test_residual_jacobian_matches_central_differences(self, rng):
         psi3 = random_ket(rng, 8).reshape(2, 2, 2)
         x = rng.uniform(0.2, 3.0, (5, 6))
-        _, _, r, ok, dr = hardy._residual(psi3, x, jacobian=True)
-        assert ok.all()
+        point = hardy._residual(psi3, x)
+        assert point.ok.all()
+        dr = hardy._jacobian(psi3, point)
         h = 1e-6
         for i in range(6):
             e = np.zeros(6)
             e[i] = h
-            central = (hardy._residual(psi3, x + e)[2] - hardy._residual(psi3, x - e)[2]) / (2 * h)
+            central = (hardy._residual(psi3, x + e).r - hardy._residual(psi3, x - e).r) / (2 * h)
             assert np.abs(dr[:, i] - central).max() <= 1e-8
+
+    def test_backtrack_carries_a_fresh_value_pass(self, rng):
+        # three iterations bring the rows near a zero, where a Gauss-Newton
+        # step scaled by 2^k needs about k halvings; so rows are accepted in
+        # different batches, out of row order.  They come back in row order,
+        # at the frozen backtracking's points and with the point a fresh
+        # value pass gives there, bit for bit
+        psi3 = random_ket(rng, 8).reshape(2, 2, 2)
+        point = hardy._residual(psi3, rng.uniform(0.2, 3.0, (8, 6)))
+        for scale in (np.zeros(8), np.zeros(8), np.zeros(8), [5, 0, 9, 3, 13, 6, 0, 11]):
+            s, regular = hardy._gauss_newton_step(point.r, hardy._jacobian(psi3, point))
+            assert regular.all()
+            s *= 2.0 ** np.asarray(scale)[:, None]
+            x, f = point.x, point.f
+            rows, point = hardy._backtrack(psi3, x, f, s)
+            assert rows.tolist() == list(range(8))
+        new, moved = reference_backtrack(psi3, x, f, -s)
+        assert moved.all()
+        halvings = np.rint(-np.log2((x - new)[:, 0] / s[:, 0])).astype(int)
+        assert len(set(halvings // hardy.HALVINGS_AT_ONCE)) >= 3
+        for got, want in zip(point, hardy._residual(psi3, new)):
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
     def test_start_angles_match_per_attempt_uniform_draws(self):
         for child in np.random.SeedSequence(7).spawn(25):
@@ -491,6 +515,30 @@ class TestSearch:
         verified = self.spy(monkeypatch, "verify_hardy")
         assert search_hardy_observables(state.to_ket(), seed=seed, zero_tol=1e-9) is not None
         assert (len(draws), len(verified)) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "state, round_starts",
+        [(GHZ, 2), (W, 1), (CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI), 1)],
+        ids=["ghz", "w", "stiff-d1"],
+    )
+    def test_evaluates_each_point_once(self, monkeypatch, state, round_starts):
+        # kets_from_angles runs on each round's starts and then once per
+        # backtrack batch; the accepted trial's evaluation carries into the
+        # next Gauss-Newton step, so no point is evaluated twice.  At seed 0
+        # GHZ attempts 0-2 fail, so its second round runs.
+        calls = self.spy(monkeypatch, "kets_from_angles")
+        assert search_hardy_observables(state.to_ket(), attempts=10, seed=0) is not None
+        points = [np.reshape(args[0], (-1, 6)) for args in calls]
+        starts = np.array(
+            [random_angles(np.random.default_rng(c), 3) for c in np.random.SeedSequence(0).spawn(10)]
+        ).reshape(-1, 6)
+        assert np.array_equal(points[0], starts[:1])
+        later = [k for k, p in enumerate(points) if np.array_equal(p, starts[1:])]
+        assert len(later) == round_starts - 1
+        batches = [p for k, p in enumerate(points) if k > 0 and k not in later]
+        assert all(len(p) % hardy.HALVINGS_AT_ONCE == 0 for p in batches)
+        rows = {row.tobytes() for p in points for row in p}
+        assert len(rows) == sum(len(p) for p in points)
 
     def test_failing_first_attempt_draws_every_attempt(self, monkeypatch):
         draws = self.spy(monkeypatch, "random_angles")
@@ -561,8 +609,11 @@ def deck_searches():
 class TestSearchRounds:
     @staticmethod
     def same(a, b):
+        """Both None, or plus-kets equal bit for bit."""
         return (a is None and b is None) or (
-            a is not None and b is not None and np.array_equal(a.plus_kets, b.plus_kets)
+            a is not None
+            and b is not None
+            and np.array_equal(a.plus_kets.view(np.uint64), b.plus_kets.view(np.uint64))
         )
 
     def test_matches_one_batch_oracle_bit_for_bit(self, deck_searches):
@@ -574,8 +625,28 @@ class TestSearchRounds:
     @pytest.mark.parametrize("lams", DEGENERATE_LAMS.values(), ids=DEGENERATE_LAMS.keys())
     def test_matches_one_batch_oracle_when_every_attempt_fails(self, lams):
         psi = CanonicalState(lams, 0.0).to_ket()
-        oracle = one_batch_search(psi, seed=0, zero_tol=1e-9)
-        assert self.same(oracle, search_hardy_observables(psi, seed=0, zero_tol=1e-9))
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            oracle = one_batch_search(psi, seed=0, zero_tol=1e-9)
+            assert self.same(oracle, search_hardy_observables(psi, seed=0, zero_tol=1e-9))
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("state", [GHZ, W], ids=["ghz", "w"])
+    def test_matches_one_batch_oracle_on_ghz_and_w(self, state, seed):
+        psi = state.to_ket()
+        oracle = one_batch_search(psi, attempts=10, seed=seed)
+        assert self.same(oracle, search_hardy_observables(psi, attempts=10, seed=seed))
+
+    @pytest.mark.parametrize("maxiter", [0, 1, 2, 7, 800])
+    @pytest.mark.parametrize(
+        "state",
+        [GHZ, W, CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI)],
+        ids=["ghz", "w", "stiff-d1"],
+    )
+    def test_matches_one_batch_oracle_at_every_budget(self, state, maxiter):
+        psi = state.to_ket()
+        oracle = one_batch_search(psi, attempts=10, seed=0, zero_tol=1e-9, maxiter=maxiter)
+        found = search_hardy_observables(psi, attempts=10, seed=0, zero_tol=1e-9, maxiter=maxiter)
+        assert self.same(oracle, found)
 
     def test_first_attempt_alone_solves_nine_in_ten(self, deck_searches):
         # the search runs attempt 0 alone first because it usually wins; a

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from hardy3q import linalg
-from hardy3q.errors import DimensionError, NormalizationError, SpanError
+from hardy3q.errors import DimensionError, NormalizationError
 
 from conftest import (
     KET0,
     KET1,
+    SpanError,
     basis_ket,
     is_density,
     is_projector,

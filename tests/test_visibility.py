@@ -18,7 +18,6 @@ from hardy3q.visibility import (
     minimize_bell,
     scan_family,
     threshold_visibility,
-    threshold_visibility_bisection,
     _extrapolate,
     _min_eigpair,
     _see_saw,
@@ -35,6 +34,7 @@ from conftest import (
     reference_min_eigpair,
     reference_sweep,
     staged_minimize_bell,
+    threshold_visibility_bisection,
 )
 
 INV_SQRT2 = 2**-0.5
