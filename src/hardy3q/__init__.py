@@ -22,7 +22,6 @@ from .bell import (
     sample_statistics,
 )
 from .errors import (
-    ClassificationGapError,
     ClassificationOverlapError,
     ConstructionFailureError,
     DimensionError,
@@ -36,9 +35,6 @@ from .hardy import (
     HardyCertificate,
     WitnessConstruction,
     build_witness,
-    construct_bipartite,
-    construct_genuine,
-    construct_maximal,
     pair_hardy_probability,
     search_hardy_observables,
     verify_hardy,
@@ -69,7 +65,6 @@ __all__ = [
     "BELL_TERMS",
     "BellReport",
     "CanonicalState",
-    "ClassificationGapError",
     "ClassificationOverlapError",
     "ConstructionFailureError",
     "DimensionError",
@@ -93,9 +88,6 @@ __all__ = [
     "build_witness",
     "classify",
     "classify_batch",
-    "construct_bipartite",
-    "construct_genuine",
-    "construct_maximal",
     "hardy_probabilities",
     "lhv_hardy_pattern_assignments",
     "lhv_minimum",

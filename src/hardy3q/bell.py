@@ -227,10 +227,3 @@ def sample_statistics(state, settings: MeasurementSettings, shots: int, seed: in
         seed=int(seed),
     )
 
-
-def noisy_bell_value(psi, visibility: float, settings: MeasurementSettings) -> float:
-    """B for the white-noise mixture of a pure state at the given visibility."""
-    from .states import mix_with_white_noise
-
-    rho = mix_with_white_noise(psi, visibility)
-    return bell_value(rho, settings).bell_value

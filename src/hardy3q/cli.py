@@ -12,7 +12,7 @@ through exit codes:
 
     0  success
     2  parse error (unreadable file, malformed JSON, invalid values)
-    3  classification gap or overlap
+    3  classification overlap
     4  wrong input form for the command
     5  witness expectation mismatch
     6  internal construction failure
@@ -42,7 +42,6 @@ from .bell import (
     sample_statistics,
 )
 from .errors import (
-    ClassificationGapError,
     ClassificationOverlapError,
     ConstructionFailureError,
     Hardy3QError,
@@ -515,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(json.dumps({"error": str(exc), "exit_code": exc.code}), file=sys.stderr)
         return exc.code
-    except (ClassificationGapError, ClassificationOverlapError) as exc:
+    except ClassificationOverlapError as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_GAP}), file=sys.stderr)
         return EXIT_GAP
     except NoWitnessError as exc:  # pragma: no cover - defensive

@@ -15,15 +15,6 @@ class NormalizationError(Hardy3QError, ValueError):
     """A state-role vector is not normalized within tolerance."""
 
 
-class ClassificationGapError(Hardy3QError):
-    """No classification row matched the given canonical parameters."""
-
-    def __init__(self, lams, phi, message: str = "no classification row matched"):
-        self.lams = tuple(float(x) for x in lams)
-        self.phi = float(phi)
-        super().__init__(f"{message}: lambda={self.lams}, phi={self.phi}")
-
-
 class ClassificationOverlapError(Hardy3QError):
     """More than one classification row matched."""
 

@@ -16,9 +16,10 @@ the Schmidt bases of the pair.  Maximally entangled pairs (class C) cannot
 satisfy the conditions, but a fixed settings choice still certifies a
 negative Bell value.  Fully product states (class A) admit no witness.
 
-Every constructed settings object is self-validated against the actual
-joint probabilities; a failed recipe falls back to a seeded numerical
-search (and the event is recorded on the result).
+``build_witness`` runs every class through one pipeline: each recipe
+candidate is self-validated against the actual joint probabilities, and
+when no B or D candidate passes, a seeded numerical search takes over
+(and the event is recorded on the result).
 """
 
 from __future__ import annotations
@@ -215,71 +216,8 @@ def genuine_candidates(cls: StateClass, state: CanonicalState) -> list[tuple]:
     raise ConstructionFailureError(f"{cls.value} has no genuine-entanglement recipe")
 
 
-def construct_genuine(
-    state: CanonicalState,
-    cls: StateClass | None = None,
-    *,
-    zero_tol: float = CONSTRUCTION_ZERO_TOL,
-    seed: int = 0,
-    fallback: bool = True,
-) -> WitnessConstruction:
-    """Witness settings for a genuinely tripartite entangled state.
-
-    Tries each candidate coefficient row; with several validating
-    candidates the one with the largest success probability wins.  On total
-    recipe failure the numerical search takes over (``used_fallback``).
-    """
-    cls = cls or classify(state)
-    if cls.major != "D":
-        raise ConstructionFailureError(f"construct_genuine got class {cls.value}")
-    psi = state.to_ket()
-    best: tuple[float, MeasurementSettings, HardyCertificate] | None = None
-    failures: list[str] = []
-    for idx, rows in enumerate(genuine_candidates(cls, state)):
-        try:
-            settings = settings_from_plus_kets(np.reshape(rows, (3, 2, 2)))
-        except (WindowViolationError, NormalizationError) as exc:
-            failures.append(f"candidate {idx}: {exc}")
-            continue
-        cert = verify_hardy(psi, settings, zero_tol)
-        if cert.satisfied:
-            if best is None or cert.success_probability > best[0]:
-                best = (cert.success_probability, settings, cert)
-        else:
-            failures.append(
-                f"candidate {idx}: probabilities {cert.probabilities}"
-            )
-    if best is not None:
-        return WitnessConstruction(
-            settings=best[1],
-            certificate=best[2],
-            state_class=cls,
-            used_fallback=False,
-        )
-
-    logger.warning(
-        "recipe for %s failed validation (%s); falling back to numerical search",
-        cls.value,
-        "; ".join(failures) or "no viable candidate",
-    )
-    if fallback:
-        found = search_hardy_observables(psi, seed=seed, zero_tol=zero_tol)
-        if found is not None:
-            return WitnessConstruction(
-                settings=found,
-                certificate=verify_hardy(psi, found, zero_tol),
-                state_class=cls,
-                used_fallback=True,
-                note="recipe failed validation; settings found by search",
-            )
-    raise ConstructionFailureError(
-        f"no valid witness for class {cls.value}",
-        diagnostics={"class": cls.value, "failures": failures, "state": state.lams},
-    )
-
-
 # ---------------------------------------------------------------------------
-# classes B and C: pair extraction and Schmidt-basis lifts
+# classes B and C: pair extraction and Schmidt-basis lifts; the pipeline
 # ---------------------------------------------------------------------------
 
 #: which qubit (0-based) is the product factor for each B/C sub-class
@@ -349,20 +287,21 @@ _MAXIMAL_PAIR_COEFFS = (
 )
 
 
-def _lift_pair_settings(
+def _lift_pair_kets(
     chi: np.ndarray,
     dec: linalg.SchmidtDecomposition,
     product_qubit: int,
     first_coeffs: tuple[tuple, tuple],
     second_coeffs: tuple[tuple, tuple],
-) -> MeasurementSettings:
+) -> np.ndarray:
     """Rotate pair-qubit plus-kets from Schmidt bases to the computational basis.
 
     ``chi`` is the product qubit's state and ``dec`` the Schmidt
     decomposition of the pair state (see ``extract_pair_factorization``).
     The product qubit gets U+ = (chi + chi_perp)/sqrt(2) and D+ = chi_perp,
     which auto-zeroes the term with D+ on that qubit and leaves the
-    two-qubit behaviour intact up to a success factor 1/2.
+    two-qubit behaviour intact up to a success factor 1/2.  Returns the
+    unnormalized (3, 2, 2) plus-kets.
     """
 
     def lift(coeffs, basis):
@@ -375,23 +314,21 @@ def _lift_pair_settings(
     kets[first] = lift(first_coeffs, dec.basis_a)
     kets[second] = lift(second_coeffs, dec.basis_b)
     kets[product_qubit] = chi + chi_perp, chi_perp
-    return settings_from_plus_kets(kets)
+    return kets
 
 
-def construct_bipartite(
-    state: CanonicalState,
-    cls: StateClass | None = None,
-    *,
-    zero_tol: float = CONSTRUCTION_ZERO_TOL,
-    seed: int = 0,
-) -> WitnessConstruction:
-    """Witness settings for a state with one non-maximally entangled pair."""
-    cls = cls or classify(state)
-    if cls.major != "B":
-        raise ConstructionFailureError(f"construct_bipartite got class {cls.value}")
-    psi = state.to_ket()
+def _recipe_kets(cls: StateClass, state: CanonicalState, psi: np.ndarray) -> list:
+    """Unnormalized plus-kets, shaped or reshapable (3, 2, 2), of each recipe candidate.
+
+    D uses its coefficient rows; B lifts the two-qubit Hardy construction
+    through the pair's Schmidt bases, C the fixed maximal-pair settings.
+    """
+    if cls.major == "D":
+        return genuine_candidates(cls, state)
     chi, eta = extract_pair_factorization(psi, PRODUCT_QUBIT[cls])
     dec = linalg.schmidt_decompose(eta)
+    if cls.major == "C":
+        return [_lift_pair_kets(chi, dec, PRODUCT_QUBIT[cls], *_MAXIMAL_PAIR_COEFFS)]
     a, b = dec.coefficients
     if a - b < 1e-9:
         raise ConstructionFailureError(
@@ -403,62 +340,7 @@ def construct_bipartite(
             f"the {cls.value} pair is a product state, which contradicts the classification"
         )
     first, second = two_qubit_hardy_coefficients(a, b)
-    settings = _lift_pair_settings(chi, dec, PRODUCT_QUBIT[cls], first, second)
-    cert = verify_hardy(psi, settings, zero_tol)
-    if cert.satisfied:
-        return WitnessConstruction(
-            settings=settings, certificate=cert, state_class=cls, used_fallback=False
-        )
-    logger.warning(
-        "pair lift for %s failed validation (probabilities %s); falling back",
-        cls.value,
-        cert.probabilities,
-    )
-    found = search_hardy_observables(psi, seed=seed, zero_tol=zero_tol)
-    if found is None:
-        raise ConstructionFailureError(
-            f"no valid witness for class {cls.value}",
-            diagnostics={"class": cls.value, "probabilities": cert.probabilities},
-        )
-    return WitnessConstruction(
-        settings=found,
-        certificate=verify_hardy(psi, found, zero_tol),
-        state_class=cls,
-        used_fallback=True,
-        note="pair lift failed validation; settings found by search",
-    )
-
-
-def construct_maximal(
-    state: CanonicalState,
-    cls: StateClass | None = None,
-    *,
-    zero_tol: float = CONSTRUCTION_ZERO_TOL,
-) -> WitnessConstruction:
-    """Violation settings for a state with one maximally entangled pair.
-
-    Hardy's conditions are unattainable here, so the certificate must come
-    back unsatisfied; the fixed settings still violate the local bound
-    (B = -0.0184 for every such state).
-    """
-    cls = cls or classify(state)
-    if cls.major != "C":
-        raise ConstructionFailureError(f"construct_maximal got class {cls.value}")
-    psi = state.to_ket()
-    chi, eta = extract_pair_factorization(psi, PRODUCT_QUBIT[cls])
-    settings = _lift_pair_settings(
-        chi, linalg.schmidt_decompose(eta), PRODUCT_QUBIT[cls], *_MAXIMAL_PAIR_COEFFS
-    )
-    cert = verify_hardy(psi, settings, zero_tol)
-    if cert.satisfied:
-        raise ConstructionFailureError(
-            "certificate unexpectedly satisfied on a maximally entangled pair; "
-            "this indicates a classification or construction bug",
-            diagnostics={"class": cls.value, "probabilities": cert.probabilities},
-        )
-    return WitnessConstruction(
-        settings=settings, certificate=cert, state_class=cls, used_fallback=False
-    )
+    return [_lift_pair_kets(chi, dec, PRODUCT_QUBIT[cls], first, second)]
 
 
 def build_witness(
@@ -468,17 +350,66 @@ def build_witness(
     zero_tol: float = CONSTRUCTION_ZERO_TOL,
     seed: int = 0,
 ) -> WitnessConstruction:
-    """Class-appropriate witness settings for any entangled canonical state."""
+    """Class-appropriate witness settings for any entangled canonical state.
+
+    Builds and verifies each recipe candidate of the class; with several
+    satisfied candidates the one with the largest success probability wins.
+    A maximally entangled pair (class C) cannot satisfy the Hardy
+    conditions, so its certificate must come back unsatisfied; the fixed
+    settings still violate the local bound (B = -0.0184 for every such
+    state).  When no B or D candidate is satisfied, the seeded numerical
+    search takes over (``used_fallback``).
+    """
     cls = cls or classify(state)
     if cls.major == "A":
         raise NoWitnessError(
             f"{cls.value} is a fully product state; no settings can violate the bound"
         )
-    if cls.major == "B":
-        return construct_bipartite(state, cls, zero_tol=zero_tol, seed=seed)
-    if cls.major == "C":
-        return construct_maximal(state, cls, zero_tol=zero_tol)
-    return construct_genuine(state, cls, zero_tol=zero_tol, seed=seed)
+    psi = state.to_ket()
+    best = cert = None
+    failures: list[str] = []
+    for idx, kets in enumerate(_recipe_kets(cls, state, psi)):
+        try:
+            settings = settings_from_plus_kets(np.reshape(kets, (3, 2, 2)))
+        except (WindowViolationError, NormalizationError) as exc:
+            failures.append(f"candidate {idx}: {exc}")
+            continue
+        cert = verify_hardy(psi, settings, zero_tol)
+        if not cert.satisfied:
+            failures.append(f"candidate {idx}: probabilities {cert.probabilities}")
+        elif best is None or cert.success_probability > best.success_probability:
+            best = cert
+    if cls.major == "C" and cert is not None:
+        if cert.satisfied:
+            raise ConstructionFailureError(
+                "certificate unexpectedly satisfied on a maximally entangled pair; "
+                "this indicates a classification or construction bug",
+                diagnostics={"class": cls.value, "probabilities": cert.probabilities},
+            )
+        best = cert
+    if best is not None:
+        return WitnessConstruction(
+            settings=best.settings, certificate=best, state_class=cls, used_fallback=False
+        )
+
+    logger.warning(
+        "recipe for %s failed validation (%s); falling back to numerical search",
+        cls.value,
+        "; ".join(failures) or "no viable candidate",
+    )
+    found = search_hardy_observables(psi, seed=seed, zero_tol=zero_tol)
+    if found is None:
+        raise ConstructionFailureError(
+            f"no valid witness for class {cls.value}",
+            diagnostics={"class": cls.value, "failures": failures, "state": state.lams},
+        )
+    return WitnessConstruction(
+        settings=found,
+        certificate=verify_hardy(psi, found, zero_tol),
+        state_class=cls,
+        used_fallback=True,
+        note="recipe failed validation; settings found by search",
+    )
 
 
 # ---------------------------------------------------------------------------

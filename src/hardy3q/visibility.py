@@ -491,7 +491,6 @@ def scan_family(
     optimize: bool = False,
     starts: int = 16,
     seed: int = 0,
-    zero_tol: float = 1e-9,
 ) -> Iterator[dict]:
     """Classify and witness each grid point; optionally optimize B as well.
 
@@ -508,7 +507,7 @@ def scan_family(
                 record["witness"] = None
                 record["note"] = "fully product state; no witness"
             else:
-                built = build_witness(state, cls, zero_tol=zero_tol, seed=seed)
+                built = build_witness(state, cls, seed=seed)
                 report = bell_value(state.to_ket(), built.settings)
                 record["witness"] = {
                     "satisfied": built.certificate.satisfied,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hardy3q import linalg, visibility
-from hardy3q.bell import bell_value, noisy_bell_value
+from hardy3q.bell import bell_value
 from hardy3q.observables import kets_from_angles, random_angles, settings_from_plus_kets
 from hardy3q.errors import (
     DimensionError,
@@ -24,7 +24,7 @@ from hardy3q.hardy import (
     VANISHING_NORM,
     _accepted_settings,
 )
-from hardy3q.states import StateClass
+from hardy3q.states import StateClass, mix_with_white_noise
 
 
 @pytest.fixture
@@ -646,6 +646,11 @@ def one_batch_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
         x[active], moved = reference_backtrack(psi3, x[active], f[keep], dx[keep])
         active = active[moved]
     return None if winner is None else winner[1]
+
+
+def noisy_bell_value(psi, visibility, settings):
+    """B for the white-noise mixture of a pure state at the given visibility."""
+    return bell_value(mix_with_white_noise(psi, visibility), settings).bell_value
 
 
 def threshold_visibility_bisection(psi, settings, tol=1e-12, max_steps=200):

@@ -23,8 +23,6 @@ from hardy3q.bell import (
 from hardy3q.hardy import (
     PRODUCT_QUBIT,
     build_witness,
-    construct_genuine,
-    construct_maximal,
     extract_pair_factorization,
     pair_hardy_probability,
     search_hardy_observables,
@@ -132,7 +130,7 @@ class TestCriterion3GenuineSweep:
         # invocations are logged (and that healthy rows are silent)
         probe_rng = np.random.default_rng(500 + D_CLASSES.index(cls))
         with caplog.at_level(logging.WARNING, logger="hardy3q.hardy"):
-            probe = construct_genuine(
+            probe = build_witness(
                 sample_class(cls, probe_rng), cls, zero_tol=1e-9, seed=0
             )
             probe_logged = sum(
@@ -151,7 +149,7 @@ class TestCriterion3GenuineSweep:
         min_p5 = np.inf
         for i in range(draws):
             state = sample_class(cls, rng)
-            built = construct_genuine(state, cls, zero_tol=1e-9, seed=i)
+            built = build_witness(state, cls, zero_tol=1e-9, seed=i)
             probs = built.certificate.probabilities
             worst_zero = max(worst_zero, max(probs[:4]))
             min_p5 = min(min_p5, probs[4])
@@ -205,7 +203,7 @@ class TestCriterion4BipartiteSweep:
 class TestCriterion5MaximalPairViolation:
     def test_quoted_settings_exact_value(self):
         state = CanonicalState((INV_SQRT2, 0, 0, INV_SQRT2, 0), 0.0)
-        built = construct_maximal(state)
+        built = build_witness(state)
         report = bell_value(state.to_ket(), built.settings)
         oracle = oracle_hardy_probabilities(state.to_ket(), built.settings)
         oracle_bell = oracle[:4].sum() - oracle[4]
@@ -227,7 +225,7 @@ class TestCriterion5MaximalPairViolation:
         worst = -np.inf
         for _ in range(200):
             state = sample_class(cls, rng)
-            built = construct_maximal(state, cls)
+            built = build_witness(state, cls)
             value = bell_value(state.to_ket(), built.settings).bell_value
             worst = max(worst, value)
             assert value < 0

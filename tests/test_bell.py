@@ -17,7 +17,6 @@ from hardy3q.bell import (
     lhv_hardy_pattern_assignments,
     lhv_minimum,
     lhv_term_indicators,
-    noisy_bell_value,
     outcome_distribution,
     sample_statistics,
 )
@@ -25,6 +24,7 @@ from hardy3q.observables import settings_from_plus_kets
 from hardy3q.states import CanonicalState, mix_with_white_noise, random_canonical
 
 from conftest import (
+    noisy_bell_value,
     oracle_eigenket,
     oracle_hardy_probabilities,
     oracle_joint_probability,

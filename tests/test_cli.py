@@ -243,6 +243,16 @@ class TestWitness:
         error = assert_rejected(capsys, ["witness", path], code=EXIT_CONSTRUCTION)
         assert "no valid witness" in error
 
+    def test_too_weak_pair_exits_construction(self, tmp_path, capsys):
+        # B.3 with l2 = 3e-5: neither the pair lift nor the search reaches P5 > 1e-9
+        path = write_state(tmp_path, {"lambda": [(1 - 9e-10) ** 0.5, 0, 3e-5, 0, 0], "phi": 0.0})
+        got, report, err = run(capsys, ["witness", path])
+        assert got == EXIT_CONSTRUCTION
+        assert report is None
+        assert "Traceback" not in err
+        assert json.loads(err)["exit_code"] == EXIT_CONSTRUCTION
+        assert "no valid witness for class B.3" in json.loads(err)["error"]
+
 
 class TestOptimize:
     def test_product_state_no_violation(self, tmp_path, capsys):

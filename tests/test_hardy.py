@@ -15,9 +15,6 @@ from hardy3q.errors import (
 )
 from hardy3q.hardy import (
     build_witness,
-    construct_bipartite,
-    construct_genuine,
-    construct_maximal,
     extract_pair_factorization,
     genuine_candidates,
     pair_hardy_probability,
@@ -160,7 +157,7 @@ class TestGenuineConstructions:
         fallbacks = 0
         for _ in range(60):
             state = sample_class(cls, rng)
-            built = construct_genuine(state, cls, zero_tol=1e-9)
+            built = build_witness(state, cls, zero_tol=1e-9)
             assert built.certificate.satisfied
             probs = oracle_hardy_probabilities(state.to_ket(), built.settings)
             assert max(probs[:4]) <= 1e-9
@@ -169,12 +166,12 @@ class TestGenuineConstructions:
         assert fallbacks == 0
 
     def test_ghz_d14(self):
-        built = construct_genuine(GHZ, StateClass.D14)
+        built = build_witness(GHZ, StateClass.D14)
         assert not built.used_fallback
         assert built.certificate.success_probability == pytest.approx(1 / 8, abs=1e-12)
 
     def test_w_d12_quadratic(self):
-        built = construct_genuine(W, StateClass.D12)
+        built = build_witness(W, StateClass.D12)
         assert not built.used_fallback
         assert built.certificate.satisfied
 
@@ -186,10 +183,6 @@ class TestGenuineConstructions:
         roots = sorted(np.roots([1.0, 3.0, 1.0]))
         assert deltas == pytest.approx(roots, abs=1e-9)
 
-    def test_wrong_class_rejected(self):
-        with pytest.raises(ConstructionFailureError):
-            construct_genuine(CanonicalState((0.6, 0, 0.8, 0, 0), 0.0), StateClass.B3)
-
     def test_deterministic_for_fixed_seed(self, monkeypatch, caplog):
         # every D recipe validates, so force the seeded fallback search by
         # substituting the retired D.3 row, which fails its second condition
@@ -200,10 +193,10 @@ class TestGenuineConstructions:
         )
         state = sample_class(StateClass.D3, np.random.default_rng(5))
         with caplog.at_level(logging.WARNING, logger="hardy3q.hardy"):
-            a = construct_genuine(state, StateClass.D3, seed=9)
+            a = build_witness(state, StateClass.D3, seed=9)
             logged = [r for r in caplog.records if "falling back" in r.getMessage()]
             assert len(logged) == 1
-        b = construct_genuine(state, StateClass.D3, seed=9)
+        b = build_witness(state, StateClass.D3, seed=9)
         assert a.used_fallback and b.used_fallback
         assert a.certificate.satisfied
         assert a.certificate.probabilities == b.certificate.probabilities
@@ -289,7 +282,7 @@ class TestD3Certificate:
         for _ in range(60):
             state = sample_class(StateClass.D3, rng)
             l0, l1, l2, l3, _ = state.lams
-            built = construct_genuine(state, StateClass.D3)
+            built = build_witness(state, StateClass.D3)
             assert not built.used_fallback
             expected = (l0 * l2 * l3) ** 2 / (
                 2 * (l1**2 + l3**2) * (l2**2 + (l0 + l1) ** 2)
@@ -302,7 +295,7 @@ class TestD3Certificate:
 class TestBipartiteConstructions:
     def test_b3_closed_form_example(self):
         state = CanonicalState((np.sqrt(0.8), 0, np.sqrt(0.2), 0, 0), 0.0)
-        built = construct_bipartite(state, StateClass.B3)
+        built = build_witness(state, StateClass.B3)
         assert built.certificate.satisfied
         _, eta = extract_pair_factorization(state.to_ket(), 1)
         a, b = schmidt_decompose(eta).coefficients
@@ -317,7 +310,7 @@ class TestBipartiteConstructions:
     def test_pair_lift_certificates(self, cls, rng):
         for _ in range(60):
             state = sample_class(cls, rng)
-            built = construct_bipartite(state, cls)
+            built = build_witness(state, cls)
             assert built.certificate.satisfied
             assert not built.used_fallback
             probs = oracle_hardy_probabilities(state.to_ket(), built.settings)
@@ -358,7 +351,33 @@ class TestBipartiteConstructions:
     def test_maximal_pair_rejected(self):
         state = CanonicalState((INV_SQRT2, 0, INV_SQRT2, 0, 0), 0.0)
         with pytest.raises(ConstructionFailureError):
-            construct_bipartite(state, StateClass.B3)
+            build_witness(state, StateClass.B3)
+
+
+def weak_b3(l2):
+    """B.3 state (sqrt(1 - l2^2), 0, l2, 0, 0), whose lifted pair has P5 = l2^2 / 2."""
+    return CanonicalState((np.sqrt(1.0 - l2 * l2), 0, l2, 0, 0), 0.0)
+
+
+class TestBipartiteFallback:
+    """A weak B.3 pair whose lift falls below the 1e-9 success tolerance."""
+
+    def test_search_rescues_weak_pair(self, caplog):
+        # the lift's P5 is 9.68e-10 here; the search finds settings above 1e-9
+        with caplog.at_level(logging.WARNING, logger="hardy3q.hardy"):
+            built = build_witness(weak_b3(4.4e-5))
+        logged = [r for r in caplog.records if "falling back" in r.getMessage()]
+        assert len(logged) == 1
+        assert built.state_class is StateClass.B3
+        assert built.certificate.satisfied
+        assert built.used_fallback
+        assert built.note == "recipe failed validation; settings found by search"
+
+    def test_too_weak_pair_fails_with_diagnostics(self):
+        with pytest.raises(ConstructionFailureError) as info:
+            build_witness(weak_b3(3e-5))
+        assert set(info.value.diagnostics) == {"class", "failures", "state"}
+        assert info.value.diagnostics["class"] == "B.3"
 
 
 class TestMaximalConstructions:
@@ -366,14 +385,14 @@ class TestMaximalConstructions:
     def test_violation_without_hardy(self, cls, rng):
         for _ in range(60):
             state = sample_class(cls, rng)
-            built = construct_maximal(state, cls)
+            built = build_witness(state, cls)
             assert not built.certificate.satisfied
             report = bell_value(state.to_ket(), built.settings)
             assert report.bell_value == pytest.approx(-0.0184, abs=1e-12)
 
     def test_c2_is_quoted_canonical_case(self):
         state = CanonicalState((INV_SQRT2, 0, 0, INV_SQRT2, 0), 0.0)
-        built = construct_maximal(state, StateClass.C2)
+        built = build_witness(state, StateClass.C2)
         assert built.certificate.probabilities == pytest.approx(
             (0.0, 0.01, 0.01, 0.0, 0.0384), abs=1e-12
         )
