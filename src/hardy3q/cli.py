@@ -99,13 +99,14 @@ class StateSpec:
 
 
 def _default_seed() -> int:
+    """The seed in HARDY3Q_SEED, 0 when it is unset; anything but an integer exits 2."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}", EXIT_PARSE) from None
 
 
 def load_state_spec(path: str, normalize: bool = False) -> StateSpec:
@@ -459,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="rescale unnormalized input (the factor is echoed)",
         )
         if with_seed:
-            p.add_argument("--seed", type=int, default=_default_seed())
+            p.add_argument("--seed", type=int)
 
     p = sub.add_parser("classify", help="print the classification-table row")
     add_common(p, with_seed=False)
@@ -496,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--starts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_scan)
 
     return parser
@@ -505,6 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.seed is None:  # no --seed; classify and lhv default to 0 and skip the variable
+            args.seed = _default_seed()
         if args.seed < 0:
             raise CliError(
                 f"seed (--seed or {SEED_ENV_VAR}) must be non-negative, got {args.seed}",

@@ -397,15 +397,15 @@ def build_witness(
         cls.value,
         "; ".join(failures) or "no viable candidate",
     )
-    found = search_hardy_observables(psi, seed=seed, zero_tol=zero_tol)
+    found = _search_certificate(psi, seed=seed, zero_tol=zero_tol)
     if found is None:
         raise ConstructionFailureError(
             f"no valid witness for class {cls.value}",
             diagnostics={"class": cls.value, "failures": failures, "state": state.lams},
         )
     return WitnessConstruction(
-        settings=found,
-        certificate=verify_hardy(psi, found, zero_tol),
+        settings=found.settings,
+        certificate=found,
         state_class=cls,
         used_fallback=True,
         note="recipe failed validation; settings found by search",
@@ -434,6 +434,23 @@ _OWN_QUBIT = np.repeat(np.eye(3, dtype=bool), 2, axis=0)
 #: per angle i, the rows of ``_u_derivatives`` that make its three bras:
 #: qubit i // 2 takes d u / d x_i (row 3 + i), the others their U+ kets
 _DERIVATIVE_BRAS = np.where(_OWN_QUBIT, np.arange(3, 9)[:, None], np.arange(3))
+#: _derived_d_directions forms 12 terms (h, j, e) = t[e, h], t[h, e], s[h, e]
+#: for j = 0, 1, 2, where t[a, b] = sum_k psi[a, b, k] w3[k] and
+#: s[b, c] = sum_k psi[k, b, c] w1[k] (w the bras), then
+#: m_j[e] = sum_h term(h, j, e) v_j[h] with v = (w2, w1, w2).  Row k: the
+#: flat psi index that each term multiplies by bra component k ...
+_PSI_TERMS = np.array([
+    [np.ravel_multi_index(((e, h, k), (h, e, k), (k, h, e))[j], (2, 2, 2))
+     for h in (0, 1) for j in range(3) for e in (0, 1)]
+    for k in (0, 1)
+])
+#: ... and the flat bra index 2 * qubit + k of each factor with component
+#: k: the 12 of the terms, then the 6 of the second sum
+_BRA_TERMS = np.array([
+    [2 * (2, 2, 0)[j] + k for h in (0, 1) for j in range(3) for e in (0, 1)]
+    + [2 * (1, 0, 1)[j] + k for j in range(3) for e in (0, 1)]
+    for k in (0, 1)
+])
 #: the step lengths 1, 1/2, ..., one row per batched residual evaluation
 _STEPS = 0.5 ** np.arange(MAX_HALVINGS).reshape(-1, HALVINGS_AT_ONCE)
 #: the search's state at Bloch angles x, one row per attempt (see _residual)
@@ -455,22 +472,21 @@ def _u_derivatives(x: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 
 def _derived_d_directions(psi3: np.ndarray, bras: np.ndarray) -> np.ndarray:
-    """Contraction vectors m (..., 3, 2) of psi with ``bras`` (..., 3, 2).
+    """Contraction vectors m (..., 3, 2) of psi with ``bras`` (..., 3, 2), C-contiguous.
 
     m[..., j, :] contracts psi with the bras of the two other qubits;
     ``bras = conj(u)`` gives m1[a] = sum_{b,c} conj(u2[b] u3[c]) psi[a,b,c]
     and cyclically.  Choosing D_j+ = perp(m_j) zeroes the three mixed
     conditions exactly.  Only elementwise arithmetic is used, so each
-    leading index is computed on its own.
+    leading index is computed on its own.  The result is C-contiguous: the
+    sums over its last axes that follow depend on that layout.
     """
-    b = bras[..., None]
-    t = psi3[:, :, 0] * b[..., 2, 0, :, None] + psi3[:, :, 1] * b[..., 2, 1, :, None]
-    s = psi3[0] * b[..., 0, 0, :, None] + psi3[1] * b[..., 0, 1, :, None]
-    m = np.empty(bras.shape, dtype=complex)
-    m[..., 0, :] = t[..., 0] * b[..., 1, 0, :] + t[..., 1] * b[..., 1, 1, :]
-    m[..., 1, :] = t[..., 0, :] * b[..., 0, 0, :] + t[..., 1, :] * b[..., 0, 1, :]
-    m[..., 2, :] = s[..., 0, :] * b[..., 1, 0, :] + s[..., 1, :] * b[..., 1, 1, :]
-    return m
+    p = psi3.reshape(8)[_PSI_TERMS]
+    # take, unlike indexing after a slice, returns a C-contiguous gather
+    b = bras.reshape(*bras.shape[:-2], 6).take(_BRA_TERMS, axis=-1)
+    terms = p[0] * b[..., 0, :12] + p[1] * b[..., 1, :12]
+    m = terms[..., :6] * b[..., 0, 12:] + terms[..., 6:] * b[..., 1, 12:]
+    return m.reshape(bras.shape)
 
 
 def _residual(psi3: np.ndarray, x: np.ndarray) -> _Point:
@@ -498,7 +514,7 @@ def _jacobian(psi3: np.ndarray, p: _Point) -> np.ndarray:
 
     A change dm_j moves r by (<dm_j|g_j> - Re<m_hat_j|dm_j> r) / n_j.
     """
-    bras = np.conj(_u_derivatives(p.x, p.us))[:, _DERIVATIVE_BRAS]
+    bras = np.conj(_u_derivatives(p.x, p.us)).take(_DERIVATIVE_BRAS, axis=1)
     dm = np.where(_OWN_QUBIT[..., None], 0.0, _derived_d_directions(psi3, bras))
     moved = (np.conj(dm) * p.g[:, None]).sum(axis=-1)
     along = (p.mhc[:, None] * dm).sum(axis=-1).real
@@ -529,7 +545,9 @@ def _backtrack(psi3, x, f, s):
     per residual evaluation) with |r(x - t s)|^2 <= (1 - 2 ARMIJO t) f.
     Returns the rows that found such a t, in order (the rest stalled), and
     the value-pass point of their accepted trials, which the search's next
-    iteration takes as it is instead of evaluating x again.
+    iteration takes as it is instead of evaluating x again.  When every
+    row takes a batch's longest step (t = 1 for most rows), that point is
+    a strided view of the batch's trials rather than a copy.
     """
     pending = np.arange(len(x))
     rows, picked = [], []
@@ -538,6 +556,10 @@ def _backtrack(psi3, x, f, s):
         good = trials.ok.reshape(-1, HALVINGS_AT_ONCE) & (
             trials.f.reshape(-1, HALVINGS_AT_ONCE) <= (1.0 - 2.0 * ARMIJO * t) * f[:, None]
         )
+        if good[:, 0].all():
+            rows.append(pending)
+            picked.append(_Point._make(a[::HALVINGS_AT_ONCE] for a in trials))
+            break
         found = good.any(axis=1)
         pick = np.flatnonzero(found) * HALVINGS_AT_ONCE + good[found].argmax(axis=1)
         rows.append(pending[found])
@@ -552,30 +574,31 @@ def _backtrack(psi3, x, f, s):
     return moved[order], _Point._make(np.concatenate(a)[order] for a in zip(*picked))
 
 
-def _accepted_settings(vec, us, m, zero_tol) -> MeasurementSettings | None:
-    """Settings of one converged attempt if they pass the window and verify_hardy."""
+def _accepted_certificate(vec, us, m, zero_tol) -> HardyCertificate | None:
+    """Certificate of one converged attempt, if its settings lie in the window and verify."""
     try:
         settings = settings_from_plus_kets(np.stack([us, linalg.perp_qubit(m)], axis=1))
     except (WindowViolationError, NormalizationError):
         return None
-    return settings if verify_hardy(vec, settings, zero_tol).satisfied else None
+    cert = verify_hardy(vec, settings, zero_tol)
+    return cert if cert.satisfied else None
 
 
-def _first_accepted(vec, x, zero_tol, maxiter) -> MeasurementSettings | None:
-    """Settings of the first accepted attempt, in row order, among starts ``x`` (A, 6)."""
+def _first_accepted(vec, x, zero_tol, maxiter) -> HardyCertificate | None:
+    """Certificate of the first accepted attempt, in row order, among starts ``x`` (A, 6)."""
     psi3 = vec.reshape(2, 2, 2)
     active = np.arange(len(x))  # attempts still iterating, in row order
     limit = len(x)  # attempts from the winner on stop iterating
-    winner: MeasurementSettings | None = None
+    winner: HardyCertificate | None = None
     point = _residual(psi3, x)  # of the active attempts; _backtrack gives the later ones
     for iteration in range(maxiter + 1):
         done = point.ok & (point.f <= 0.1 * zero_tol)
         # every active attempt precedes the winner so far, so the first
         # accepted one here becomes the winner
         for k in np.flatnonzero(done):
-            settings = _accepted_settings(vec, point.us[k], point.m[k], zero_tol)
-            if settings is not None:
-                winner, limit = settings, active[k]
+            cert = _accepted_certificate(vec, point.us[k], point.m[k], zero_tol)
+            if cert is not None:
+                winner, limit = cert, active[k]
                 break
         live = point.ok & ~done & (active < limit)
         if iteration == maxiter or not live.any():
@@ -623,9 +646,19 @@ def search_hardy_observables(
     array.  Attempt i starts from child i of ``SeedSequence(seed)`` and
     keeps its own ``maxiter`` budget in either round, so the rounds change
     no result.
-    Returns None when every attempt fails (expected for fully product
-    states and for maximally entangled pairs).
+    Returns the winner's settings, or None when every attempt fails
+    (expected for fully product states and for maximally entangled pairs).
+    ``build_witness`` runs the same search through ``_search_certificate``,
+    which keeps the winner's certificate instead of verifying it again.
     """
+    found = _search_certificate(psi, attempts, seed, zero_tol, maxiter)
+    return None if found is None else found.settings
+
+
+def _search_certificate(
+    psi, attempts: int = 40, seed: int = 0, zero_tol: float = ZERO_TOL, maxiter: int = 800
+) -> HardyCertificate | None:
+    """``search_hardy_observables``, returning the winner's certificate."""
     attempts, maxiter = int(attempts), int(maxiter)
     if attempts < 0 or maxiter < 0:
         raise ValueError(f"attempts and maxiter must be >= 0, got {attempts} and {maxiter}")

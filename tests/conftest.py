@@ -13,6 +13,7 @@ from hardy3q.observables import kets_from_angles, random_angles, settings_from_p
 from hardy3q.errors import (
     DimensionError,
     Hardy3QError,
+    NormalizationError,
     VisibilityUndefinedError,
     WindowViolationError,
 )
@@ -22,7 +23,7 @@ from hardy3q.hardy import (
     MAX_HALVINGS,
     SINGULAR_TOL,
     VANISHING_NORM,
-    _accepted_settings,
+    verify_hardy,
 )
 from hardy3q.states import StateClass, mix_with_white_noise
 
@@ -611,6 +612,15 @@ def reference_backtrack(psi3, x, f, dx):
     return new, moved
 
 
+def reference_accepted_settings(vec, us, m, zero_tol):
+    """Settings of one converged attempt if they pass the window and verify_hardy."""
+    try:
+        settings = settings_from_plus_kets(np.stack([us, linalg.perp_qubit(m)], axis=1))
+    except (WindowViolationError, NormalizationError):
+        return None
+    return settings if verify_hardy(vec, settings, zero_tol).satisfied else None
+
+
 def one_batch_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
     """The search with every attempt in one array, as a bit-level oracle.
 
@@ -634,7 +644,7 @@ def one_batch_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
         f = r.real**2 + r.imag**2
         done = ok & (f <= 0.1 * zero_tol)
         for k in np.flatnonzero(done):
-            settings = _accepted_settings(vec, us[k], m[k], zero_tol)
+            settings = reference_accepted_settings(vec, us[k], m[k], zero_tol)
             if settings is not None:
                 winner = (int(active[k]), settings)
                 break

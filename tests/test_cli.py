@@ -814,3 +814,32 @@ class TestSeedEnvVar:
         assert report["seed"] == 123
         code, report, _ = run(capsys, argv + ["--seed", "7"])
         assert report["seed"] == 7
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", ""], ids=["word", "float", "empty"])
+    @pytest.mark.parametrize(
+        "command",
+        [["witness"], ["optimize", "--starts", "1"], ["sample"], ["scan", "--family", "ghz"]],
+        ids=["witness", "optimize", "sample", "scan"],
+    )
+    def test_malformed_env_seed_exit_parse(self, tmp_path, capsys, monkeypatch, command, raw):
+        # was read as seed 0, so the command ran and exited 0
+        monkeypatch.setenv("HARDY3Q_SEED", raw)
+        if command[0] == "scan":
+            argv = command + ["--grid", "t=0.5:0.5:1"]
+        else:
+            argv = command + [ghz_file(tmp_path)]
+        error = assert_rejected(capsys, argv)
+        assert "HARDY3Q_SEED" in error
+        # a flag takes precedence, so the variable is not read
+        code, report, _ = run(capsys, argv + ["--seed", "4"])
+        assert code == EXIT_OK
+        if command[0] != "scan":  # scan's grid records carry no seed
+            assert report["seed"] == 4
+
+    def test_malformed_env_seed_ignored_where_unused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HARDY3Q_SEED", "abc")
+        code, _, _ = run(capsys, ["lhv"])
+        assert code == EXIT_OK
+        code, report, _ = run(capsys, ["classify", ghz_file(tmp_path)])
+        assert code == EXIT_OK
+        assert report["class"] == "D.14"

@@ -1,6 +1,8 @@
 """Tests for witness constructions, verification, and the fallback search."""
 
+import importlib.util
 import logging
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +35,7 @@ from conftest import (
     pair_overlaps,
     random_ket,
     reference_backtrack,
+    reference_derived_d_directions,
 )
 
 INV_SQRT2 = 2**-0.5
@@ -488,6 +491,44 @@ class TestSearch:
         for got, want in zip(point, hardy._residual(psi3, new)):
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
+    def test_backtrack_full_and_partial_steps_carry_a_fresh_value_pass(self, rng):
+        # from these starts the first Gauss-Newton step is too long for one
+        # row only, and every row takes the second in full (t = 1), which
+        # returns views of the trials instead of copies; either way the rows
+        # come back in order, with the point a fresh value pass gives at the
+        # accepted angles, bit for bit
+        psi3 = random_ket(rng, 8).reshape(2, 2, 2)
+        point = hardy._residual(psi3, rng.uniform(0.2, 3.0, (8, 6)))
+        for full_steps in ([True] * 6 + [False, True], [True] * 8):
+            s, regular = hardy._gauss_newton_step(point.r, hardy._jacobian(psi3, point))
+            assert regular.all()
+            new, moved = reference_backtrack(psi3, point.x, point.f, -s)
+            assert moved.all()
+            assert (new == point.x - s).all(axis=1).tolist() == full_steps
+            rows, point = hardy._backtrack(psi3, point.x, point.f, s)
+            assert rows.tolist() == list(range(8))
+            fresh = hardy._residual(psi3, new)
+            assert np.array_equal(point.ok, fresh.ok)
+            for got, want in zip(point, fresh):
+                if got.dtype != bool:
+                    assert np.array_equal(
+                        np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64)
+                    )
+
+    @pytest.mark.parametrize("lead", [(1,), (4,), (4, 6)], ids=["1", "4", "4x6"])
+    def test_derived_d_directions_match_frozen_copy(self, rng, lead):
+        # some bra components are +0 and -0, as in the Jacobian's derivative bras
+        psi3 = random_ket(rng, 8).reshape(2, 2, 2)
+        for _ in range(20):
+            bras = rng.normal(size=(*lead, 3, 2)) + 1j * rng.normal(size=(*lead, 3, 2))
+            bras[..., 1, 0] = 0.0
+            bras[..., 0, 1] = complex(-0.0, 0.7)
+            got = hardy._derived_d_directions(psi3, bras)
+            want = reference_derived_d_directions(psi3, bras)
+            assert got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_start_angles_match_per_attempt_uniform_draws(self):
         for child in np.random.SeedSequence(7).spawn(25):
             x = random_angles(np.random.default_rng(child), 3)
@@ -534,6 +575,27 @@ class TestSearch:
         verified = self.spy(monkeypatch, "verify_hardy")
         assert search_hardy_observables(state.to_ket(), seed=seed, zero_tol=1e-9) is not None
         assert (len(draws), len(verified)) == (1, 1)
+
+    def test_fallback_witness_verifies_each_candidate_and_the_winner_once(self, monkeypatch):
+        # the stiff D.1 state's one recipe candidate fails P5 > 1e-9 and the
+        # search's attempt 0 wins; build_witness keeps the certificate the
+        # search made for the winner instead of verifying it again
+        certificates = []
+        real = hardy.verify_hardy
+
+        def counted(*args, **kwargs):
+            certificates.append(real(*args, **kwargs))
+            return certificates[-1]
+
+        monkeypatch.setattr(hardy, "verify_hardy", counted)
+        state = CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI)
+        built = build_witness(state)
+        assert len(certificates) == len(genuine_candidates(StateClass.D1, state)) + 1
+        assert built.certificate is certificates[-1]
+        assert built.certificate.satisfied
+        assert built.settings is built.certificate.settings
+        assert built.used_fallback
+        assert built.note == "recipe failed validation; settings found by search"
 
     @pytest.mark.parametrize(
         "state, round_starts",
@@ -684,3 +746,43 @@ class TestWindowInvariant:
                 built = build_witness(state)
                 for overlap in pair_overlaps(built.settings):
                     assert 1e-9 < overlap < 1 - 1e-9
+
+
+def benchmark_inputs():
+    """perfbench/inputs.py, which generates the benchmark's decks without hardy3q."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSearchWork:
+    def test_counts_on_near_boundary_deck(self, monkeypatch):
+        # exact work counts on the first 60 states of the near-boundary-witness
+        # deck (44 fall back to the search); unlike timings on a shared
+        # machine they do not drift, so a change that does more work per
+        # search fails here
+        calls = dict.fromkeys(
+            ["_search_certificate", "_residual", "_jacobian", "_derived_d_directions", "verify_hardy"], 0
+        )
+        for name in calls:
+            real = getattr(hardy, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(hardy, name, counted)
+        deck = benchmark_inputs().near_boundary(np.random.default_rng(1), 10)
+        fallbacks = sum(
+            build_witness(CanonicalState(lams, phi)).used_fallback for _, lams, phi, _ in deck
+        )
+        assert fallbacks == 44
+        assert calls == {
+            "_search_certificate": 44,
+            "_residual": 298,
+            "_jacobian": 252,
+            "_derived_d_directions": 848,
+            "verify_hardy": 79,
+        }
