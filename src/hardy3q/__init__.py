@@ -46,9 +46,7 @@ from .states import (
     StateClass,
     classify,
     classify_batch,
-    mix_with_white_noise,
     normalized_canonical,
-    random_canonical,
     sample_class,
     to_ket,
 )
@@ -92,10 +90,8 @@ __all__ = [
     "lhv_hardy_pattern_assignments",
     "lhv_minimum",
     "minimize_bell",
-    "mix_with_white_noise",
     "normalized_canonical",
     "pair_hardy_probability",
-    "random_canonical",
     "sample_class",
     "sample_statistics",
     "scan_family",

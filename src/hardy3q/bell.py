@@ -12,10 +12,18 @@ and the Bell expression is B = p1 + p2 + p3 + p4 - p5.  Every local
 realistic model obeys B >= 0; this module also contains the exhaustive
 64-assignment enumeration that certifies that bound.  The Hardy pattern
 (p1 = p2 = p3 = p4 = 0 with p5 > 0) is therefore impossible classically.
+
+Probabilities are read from the table of conjugated product vectors that
+``MeasurementSettings`` stores once (every outcome of each term's context
+for sampling, each term's own outcome for the five probabilities): one
+matmul per call, bit for bit the product-vector formula on the settings'
+eigenkets.  Those are built in scalar arithmetic and agree with a numpy
+construction only to rounding (see ``observables``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -23,70 +31,39 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError
-from .observables import MeasurementSettings
-
-#: the five joint-probability terms, as ((kind, sign), ...) per qubit
-BELL_TERMS: tuple[tuple[tuple[str, int], ...], ...] = (
-    (("D", -1), ("D", -1), ("D", -1)),
-    (("D", +1), ("U", +1), ("U", +1)),
-    (("U", +1), ("D", +1), ("U", +1)),
-    (("U", +1), ("U", +1), ("D", +1)),
-    (("U", +1), ("U", +1), ("U", +1)),
-)
+from .observables import BELL_TERMS, TERM_OUTCOMES, MeasurementSettings
 
 #: Bell value of the maximally mixed state I/8 (four terms of 1/8 minus 1/8)
 WHITE_NOISE_BELL_VALUE = 3.0 / 8.0
 
-#: index of each BELL_TERMS kind and sign in an eigenket stack
-_KIND = {"U": 0, "D": 1}
-_SIGN = {+1: 0, -1: 1}
-_QUBITS = np.arange(3)
-_TERM_KINDS = np.array([[_KIND[k] for k, _ in term] for term in BELL_TERMS])
-_TERM_SIGNS = np.array([[_SIGN[s] for _, s in term] for term in BELL_TERMS])
-#: the eight outcome signs of a context, bit b=0 -> +1, b=1 -> -1 in qubit order
-_OUTCOME_SIGNS = np.array(list(product((0, 1), repeat=3)))
-#: each term's outcome index within its context
-_TERM_OUTCOMES = _TERM_SIGNS @ (4, 2, 1)
 
+def _product_probabilities(state, bras: np.ndarray) -> np.ndarray:
+    """Outcome probabilities (...) of conjugated product vectors ``bras`` (..., 8).
 
-def _term_kets(settings: MeasurementSettings) -> np.ndarray:
-    """Eigenket triples (5, 3, 2) of the five terms, in BELL_TERMS order."""
-    return settings.eigenkets[_QUBITS, _TERM_KINDS, _TERM_SIGNS]
-
-
-def _product_vectors(kets: np.ndarray) -> np.ndarray:
-    """Product vectors k1 x k2 x k3 (..., 8) of eigenkets (..., 3, 2)."""
-    v = kets[..., 0, :, None, None] * kets[..., 1, None, :, None] * kets[..., 2, None, None, :]
-    return v.reshape(kets.shape[:-2] + (8,))
-
-
-def _product_probabilities(state, kets: np.ndarray) -> np.ndarray:
-    """Outcome probabilities (...) of eigenket triples (..., 3, 2).
-
-    |<v|psi>|^2 for a ket psi and Re <v|rho|v> for a density rho, where v is
-    the product vector of each triple.  Unclamped.
+    |<v|psi>|^2 for a ket psi and Re <v|rho|v> for a density rho, one
+    matmul over all of ``bras``.  Unclamped.
     """
     arr = np.asarray(state, dtype=complex)
-    v = _product_vectors(kets)
     if arr.ndim == 1:
         if arr.shape[0] != 8:
             raise DimensionError("pure state must be an 8-dimensional ket")
-        amp = v.conj() @ arr
+        amp = bras @ arr
         return amp.real**2 + amp.imag**2
     if arr.ndim == 2:
         if arr.shape != (8, 8):
             raise DimensionError("density operator must be 8x8")
-        return (v.conj() * (v @ arr.T)).sum(axis=-1).real
+        return (bras * (np.conj(bras) @ arr.T)).sum(axis=-1).real
     raise DimensionError("state must be a ket or a density operator")
 
 
 def hardy_probabilities(state, settings: MeasurementSettings) -> np.ndarray:
     """The five canonical-order joint probabilities, unclamped."""
-    return _product_probabilities(state, _term_kets(settings))
+    return _product_probabilities(state, settings.hardy_bras)
 
 
-def _clamp01(p: float) -> float:
-    return min(max(float(p), 0.0), 1.0)
+def _clamped(probs: list[float]) -> tuple[float, ...]:
+    """Probabilities clamped to [0, 1] for reporting."""
+    return tuple(min(max(p, 0.0), 1.0) for p in probs)
 
 
 @dataclass(frozen=True)
@@ -102,28 +79,14 @@ class BellReport:
 
 def bell_value(state, settings: MeasurementSettings, state_label: str | None = None) -> BellReport:
     """Evaluate B = p1 + p2 + p3 + p4 - p5 for a state and settings."""
-    probs = hardy_probabilities(state, settings)
-    value = float(probs[0] + probs[1] + probs[2] + probs[3] - probs[4])
+    probs = hardy_probabilities(state, settings).tolist()
+    value = probs[0] + probs[1] + probs[2] + probs[3] - probs[4]
     return BellReport(
-        probabilities=tuple(_clamp01(p) for p in probs),
+        probabilities=_clamped(probs),
         bell_value=value,
-        lhv_bound_satisfied=bool(value >= -1e-12),
+        lhv_bound_satisfied=value >= -1e-12,
         settings=settings,
         state_label=state_label,
-    )
-
-
-def outcome_distribution(state, settings: MeasurementSettings, kinds) -> np.ndarray:
-    """All eight outcome probabilities for one measurement context.
-
-    ``kinds`` picks 'U' or 'D' per qubit; entry index encodes the outcome
-    signs via bit b=0 -> +1, b=1 -> -1 in qubit order.
-    """
-    if len(kinds) != 3 or not set(kinds) <= set(_KIND):
-        raise ValueError(f"kinds must be three of 'U' or 'D', got {kinds!r}")
-    kind_index = [_KIND[k] for k in kinds]
-    return _product_probabilities(
-        state, settings.eigenkets[_QUBITS, kind_index, _OUTCOME_SIGNS]
     )
 
 
@@ -215,15 +178,12 @@ def sample_statistics(state, settings: MeasurementSettings, shots: int, seed: in
     if shots < 1:
         raise ValueError("shots must be at least 1")
     rng = np.random.default_rng(seed)
-    kets = settings.eigenkets[_QUBITS, _TERM_KINDS[:, None], _OUTCOME_SIGNS]
-    probs = np.clip(_product_probabilities(state, kets), 0.0, None)
-    p_hat = np.array(
-        [rng.multinomial(shots, p / p.sum())[t] for p, t in zip(probs, _TERM_OUTCOMES)]
-    ) / shots
+    probs = np.clip(_product_probabilities(state, settings.bras), 0.0, None)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    p_hat = [float(rng.multinomial(shots, p)[t] / shots) for p, t in zip(probs, TERM_OUTCOMES)]
     return SampleStatistics(
-        frequencies=tuple(float(f) for f in p_hat),
-        standard_errors=tuple(float(e) for e in np.sqrt(p_hat * (1.0 - p_hat) / shots)),
+        frequencies=tuple(p_hat),
+        standard_errors=tuple(math.sqrt(p * (1.0 - p) / shots) for p in p_hat),
         shots=int(shots),
         seed=int(seed),
     )
-

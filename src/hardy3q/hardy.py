@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bell import hardy_probabilities
+from .bell import _clamped, hardy_probabilities
 from .errors import (
     ConstructionFailureError,
     DimensionError,
@@ -57,6 +57,10 @@ logger.addHandler(logging.NullHandler())
 ZERO_TOL = 1e-8
 #: stricter tolerance used when recipes self-validate
 CONSTRUCTION_ZERO_TOL = 1e-9
+#: a later satisfied candidate replaces the best one only when its success
+#: probability is larger by more than this relative margin, so candidates
+#: that tie up to rounding (D.8's two roots on most states) keep the first
+CANDIDATE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,13 +79,11 @@ class HardyCertificate:
 
 def verify_hardy(state, settings: MeasurementSettings, zero_tol: float = ZERO_TOL) -> HardyCertificate:
     """Evaluate the five joint probabilities and check the Hardy pattern."""
-    probs = hardy_probabilities(state, settings)
-    clamped = tuple(min(max(float(p), 0.0), 1.0) for p in probs)
-    satisfied = bool(max(probs[:4]) <= zero_tol and probs[4] > zero_tol)
+    probs = hardy_probabilities(state, settings).tolist()
     return HardyCertificate(
         settings=settings,
-        probabilities=clamped,
-        satisfied=satisfied,
+        probabilities=_clamped(probs),
+        satisfied=bool(max(probs[:4]) <= zero_tol and probs[4] > zero_tol),
         zero_tolerance=float(zero_tol),
     )
 
@@ -353,7 +355,9 @@ def build_witness(
     """Class-appropriate witness settings for any entangled canonical state.
 
     Builds and verifies each recipe candidate of the class; with several
-    satisfied candidates the one with the largest success probability wins.
+    satisfied candidates the one with the largest success probability wins,
+    a later one only when it is larger by more than ``CANDIDATE_RTOL``
+    (relative), so the first of candidates that tie up to rounding wins.
     A maximally entangled pair (class C) cannot satisfy the Hardy
     conditions, so its certificate must come back unsatisfied; the fixed
     settings still violate the local bound (B = -0.0184 for every such
@@ -377,7 +381,10 @@ def build_witness(
         cert = verify_hardy(psi, settings, zero_tol)
         if not cert.satisfied:
             failures.append(f"candidate {idx}: probabilities {cert.probabilities}")
-        elif best is None or cert.success_probability > best.success_probability:
+        elif best is None or (
+            cert.success_probability - best.success_probability
+            > CANDIDATE_RTOL * best.success_probability
+        ):
             best = cert
     if cls.major == "C" and cert is not None:
         if cert.satisfied:
@@ -397,7 +404,7 @@ def build_witness(
         cls.value,
         "; ".join(failures) or "no viable candidate",
     )
-    found = _search_certificate(psi, seed=seed, zero_tol=zero_tol)
+    found = search_hardy_observables(psi, seed=seed, zero_tol=zero_tol)
     if found is None:
         raise ConstructionFailureError(
             f"no valid witness for class {cls.value}",
@@ -622,7 +629,7 @@ def search_hardy_observables(
     seed: int = 0,
     zero_tol: float = ZERO_TOL,
     maxiter: int = 800,
-) -> MeasurementSettings | None:
+) -> HardyCertificate | None:
     """Seeded multistart search for settings satisfying the Hardy pattern.
 
     Only the three U observables are free parameters (six Bloch angles);
@@ -646,19 +653,10 @@ def search_hardy_observables(
     array.  Attempt i starts from child i of ``SeedSequence(seed)`` and
     keeps its own ``maxiter`` budget in either round, so the rounds change
     no result.
-    Returns the winner's settings, or None when every attempt fails
-    (expected for fully product states and for maximally entangled pairs).
-    ``build_witness`` runs the same search through ``_search_certificate``,
-    which keeps the winner's certificate instead of verifying it again.
+    Returns the winner's certificate (its settings and verified
+    probabilities), or None when every attempt fails (expected for fully
+    product states and for maximally entangled pairs).
     """
-    found = _search_certificate(psi, attempts, seed, zero_tol, maxiter)
-    return None if found is None else found.settings
-
-
-def _search_certificate(
-    psi, attempts: int = 40, seed: int = 0, zero_tol: float = ZERO_TOL, maxiter: int = 800
-) -> HardyCertificate | None:
-    """``search_hardy_observables``, returning the winner's certificate."""
     attempts, maxiter = int(attempts), int(maxiter)
     if attempts < 0 or maxiter < 0:
         raise ValueError(f"attempts and maxiter must be >= 0, got {attempts} and {maxiter}")

@@ -6,11 +6,26 @@ pair (U, D) of such observables per qubit, held as one (3, 2, 2) array of
 plus-kets: qubit, U/D, component.  A pair is valid when the overlap
 |<U+|D+>| lies strictly inside (0, 1), i.e. the two observables neither
 commute nor coincide.
+
+The five terms of the Bell expression (``BELL_TERMS``) are measured in
+five contexts, one observable kind per qubit each.  Settings store, once,
+the conjugated product vectors of every outcome of every context; the
+joint probabilities in ``bell`` are read from that table.
+
+The kets are built one complex number at a time in Python arithmetic,
+which on a dozen numbers costs less than numpy's per-call overhead.  The
+same formulas on numpy arrays give the same kets only to rounding:
+numpy's vectorized complex loops (AVX-512 on x86) round some products
+differently from scalar arithmetic.  Over the benchmark's witness decks
+the kets move by at most 7e-16 and no window, phase or witness decision
+changes (the tests keep the numpy construction as their oracle).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +35,33 @@ from .errors import DimensionError, NormalizationError, WindowViolationError
 
 #: tolerance for the open non-commutation window on |<U+|D+>|
 WINDOW_TOL = 1e-9
+#: the first amplitude above this sets a ket's global phase
+PHASE_TINY = 1e-12
+
+#: the five joint-probability terms, as ((kind, sign), ...) per qubit; each
+#: term's kinds are its measurement context
+BELL_TERMS: tuple[tuple[tuple[str, int], ...], ...] = (
+    (("D", -1), ("D", -1), ("D", -1)),
+    (("D", +1), ("U", +1), ("U", +1)),
+    (("U", +1), ("D", +1), ("U", +1)),
+    (("U", +1), ("U", +1), ("D", +1)),
+    (("U", +1), ("U", +1), ("U", +1)),
+)
+
+#: each term's observable kinds (U 0, D 1), which make its context
+_TERM_KINDS = np.array([[{"U": 0, "D": 1}[k] for k, _ in term] for term in BELL_TERMS])
+#: each term's outcome index within its context (bit b=0 -> +1, b=1 -> -1
+#: in qubit order)
+TERM_OUTCOMES = np.array([[(1 - s) // 2 for _, s in term] for term in BELL_TERMS]) @ (4, 2, 1)
+#: the three bits, in qubit order, of the eight outcomes or basis states
+_BITS = np.array(list(product((0, 1), repeat=3)))
+#: the flat eigenket-stack index (qubit, U/D, +/-, component) of each factor
+#: of the product vectors: qubit, context, outcome, basis state
+_FACTORS = np.ascontiguousarray(np.moveaxis(
+    8 * np.arange(3) + 4 * _TERM_KINDS[:, None, None] + 2 * _BITS[:, None] + _BITS, -1, 0
+))
+#: each term's own row in the (40, 8) view of the product-vector table
+_HARDY_ROWS = 8 * np.arange(len(BELL_TERMS)) + TERM_OUTCOMES
 
 
 class _Observable(NamedTuple):
@@ -31,44 +73,82 @@ class _Pair(NamedTuple):
     d: _Observable
 
 
+def _phase_fixed(a: complex, b: complex) -> tuple[complex, complex]:
+    """The ket (a, b) rotated so its first amplitude above PHASE_TINY is real >= 0.
+
+    A ket with no such amplitude is kept.  The phase is conj(lead) times
+    1 / |lead|, the rounding of numpy's complex division by a real.
+    """
+    lead, size = a, abs(a)
+    if not size > PHASE_TINY:
+        lead, size = b, abs(b)
+        if not size > PHASE_TINY:
+            return a, b
+    inv = 1.0 / size
+    phase = complex(lead.real * inv, -lead.imag * inv)
+    return a * phase, b * phase
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementSettings:
     """Three (U, D) plus-ket pairs, one per qubit, all inside the window.
 
     ``plus_kets`` (3, 2, 2) is stored normalized and phase-fixed (first
-    non-negligible amplitude real >= 0); ``eigenkets`` (3, 2, 2, 2) adds the
-    +/- axis, the minus-kets being the phase-fixed perpendiculars of the
-    plus-kets.  Both arrays are read-only.  Raises ``NormalizationError``
-    for a (near-)zero ket and ``WindowViolationError`` for the first qubit
-    whose pair leaves the window.
+    amplitude above ``PHASE_TINY`` real >= 0); ``eigenkets`` (3, 2, 2, 2)
+    adds the +/- axis, the minus-kets being the phase-fixed perpendiculars
+    of the plus-kets.  ``bras`` (5, 8, 8) holds, per BELL_TERMS context and
+    outcome, the conjugated product vector of the context's eigenkets, and
+    ``hardy_bras`` (5, 8) the row of each term's own outcome.  All four
+    arrays are read-only.  Raises ``NormalizationError`` for a (near-)zero
+    ket and ``WindowViolationError`` for the first qubit whose pair leaves
+    the window.  The kets are built in Python arithmetic (see the module
+    docstring for their rounding), the table from them with numpy.
     """
 
     plus_kets: np.ndarray
     eigenkets: np.ndarray = field(init=False, repr=False)
+    bras: np.ndarray = field(init=False, repr=False)
+    hardy_bras: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        kets = np.array(self.plus_kets, dtype=complex)
+        kets = np.asarray(self.plus_kets, dtype=complex)
         if kets.shape != (3, 2, 2):
             raise DimensionError(
                 f"settings need three (U+, D+) single-qubit ket pairs, got shape {kets.shape}"
             )
-        # the rounding of np.linalg.norm on one ket
-        norms = np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
-        if (norms < linalg.ZERO_NORM).any():
+        flat = kets.ravel().tolist()
+        pairs = list(zip(flat[0::2], flat[1::2]))
+        # sqrt of the summed squares, as np.linalg.norm of one ket
+        norms = [
+            math.sqrt(a.real * a.real + b.real * b.real + (a.imag * a.imag + b.imag * b.imag))
+            for a, b in pairs
+        ]
+        if any(n < linalg.ZERO_NORM for n in norms):
             raise NormalizationError("cannot normalize a zero vector")
-        plus = linalg.fix_global_phase(kets / norms[..., None])
-        overlaps = np.abs(np.vecdot(plus[:, 0], plus[:, 1]))
-        outside = ~((overlaps > WINDOW_TOL) & (overlaps < 1.0 - WINDOW_TOL))
-        if outside.any():
-            j = int(outside.argmax())
-            raise WindowViolationError(j, overlaps[j])
-        eigenkets = np.empty((3, 2, 2, 2), dtype=complex)
-        eigenkets[:, :, 0] = plus
-        eigenkets[:, :, 1] = linalg.fix_global_phase(linalg.perp_qubit(plus))
-        plus.setflags(write=False)
-        eigenkets.setflags(write=False)
-        object.__setattr__(self, "plus_kets", plus)
+        # the rounding of numpy's complex division by a real: times 1 / n
+        plus = [_phase_fixed(a * (1.0 / n), b * (1.0 / n)) for (a, b), n in zip(pairs, norms)]
+        for j in range(3):
+            (u0, u1), (d0, d1) = plus[2 * j], plus[2 * j + 1]
+            overlap = abs(u0.conjugate() * d0 + u1.conjugate() * d1)
+            if not WINDOW_TOL < overlap < 1.0 - WINDOW_TOL:
+                raise WindowViolationError(j, overlap)
+        stack = []  # qubit, U/D, +/-, component
+        for p0, p1 in plus:
+            stack += (p0, p1, *_phase_fixed(-p1.conjugate(), p0.conjugate()))
+        eigenkets = np.array(stack)
+        # k1 x k2 x k3 as (k1 * k2) * k3, conjugated
+        k1, k2, k3 = eigenkets.take(_FACTORS)
+        bras = k1 * k2
+        bras *= k3
+        np.conj(bras, out=bras)
+        hardy_bras = bras.reshape(-1, 8).take(_HARDY_ROWS, axis=0)
+        eigenkets = eigenkets.reshape(3, 2, 2, 2)
+        for arr in (eigenkets, bras, hardy_bras):
+            arr.setflags(write=False)
+        object.__setattr__(self, "plus_kets", eigenkets[:, :, 0])
         object.__setattr__(self, "eigenkets", eigenkets)
+        object.__setattr__(self, "bras", bras)
+        object.__setattr__(self, "hardy_bras", hardy_bras)
 
     @property
     def pairs(self) -> tuple[_Pair, _Pair, _Pair]:

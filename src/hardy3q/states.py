@@ -1,4 +1,4 @@
-"""Canonical three-qubit pure states, their classification, and noisy mixtures.
+"""Canonical three-qubit pure states, their classification, and per-class draws.
 
 Every three-qubit pure state is represented (up to local unitaries) by five
 non-negative amplitudes l0..l4 and one phase phi:
@@ -262,33 +262,8 @@ def classify_batch(lams: np.ndarray, phis: np.ndarray, eps: float = CLASS_EPS) -
 
 
 # ---------------------------------------------------------------------------
-# noisy mixtures
+# per-class random generators
 # ---------------------------------------------------------------------------
-
-def mix_with_white_noise(psi, v: float) -> np.ndarray:
-    """Density operator v|psi><psi| + (1 - v)/8 * I."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {v!r}")
-    if isinstance(psi, CanonicalState):
-        vec = psi.to_ket()
-    else:
-        vec = linalg.ket(psi)
-        if vec.shape[0] != 8:
-            raise ValueError("white-noise mixing expects a three-qubit state")
-        linalg.require_normalized(vec, atol=1e-9)
-    return v * np.outer(vec, vec.conj()) + (1.0 - v) / 8.0 * np.eye(8, dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# random generators (uniform and per-class targeted draws)
-# ---------------------------------------------------------------------------
-
-def random_canonical(rng: np.random.Generator) -> CanonicalState:
-    """Uniform-on-sphere amplitudes (all non-negative) with a random phase."""
-    lams = np.abs(rng.standard_normal(5))
-    lams /= np.linalg.norm(lams)
-    return CanonicalState(tuple(lams), float(rng.uniform(0.0, math.pi)))
-
 
 def _uniform_components(rng, n, lo=0.25, hi=1.0):
     return rng.uniform(lo, hi, n)

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from hardy3q import linalg, visibility
 from hardy3q.bell import bell_value
-from hardy3q.observables import kets_from_angles, random_angles, settings_from_plus_kets
+from hardy3q.observables import (
+    WINDOW_TOL,
+    MeasurementSettings,
+    kets_from_angles,
+    random_angles,
+    settings_from_plus_kets,
+)
 from hardy3q.errors import (
     DimensionError,
     Hardy3QError,
@@ -25,7 +32,7 @@ from hardy3q.hardy import (
     VANISHING_NORM,
     verify_hardy,
 )
-from hardy3q.states import StateClass, mix_with_white_noise
+from hardy3q.states import CanonicalState, StateClass
 
 
 @pytest.fixture
@@ -154,6 +161,27 @@ def random_settings(rng):
             return settings_from_plus_kets(kets_from_angles(random_angles(rng, 6)).reshape(3, 2, 2))
         except WindowViolationError:
             continue
+
+
+def mix_with_white_noise(psi, v):
+    """Density operator v|psi><psi| + (1 - v)/8 * I."""
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {v!r}")
+    if isinstance(psi, CanonicalState):
+        vec = psi.to_ket()
+    else:
+        vec = linalg.ket(psi)
+        if vec.shape[0] != 8:
+            raise ValueError("white-noise mixing expects a three-qubit state")
+        linalg.require_normalized(vec, atol=1e-9)
+    return v * np.outer(vec, vec.conj()) + (1.0 - v) / 8.0 * np.eye(8, dtype=complex)
+
+
+def random_canonical(rng):
+    """Uniform-on-sphere amplitudes (all non-negative) with a random phase."""
+    lams = np.abs(rng.standard_normal(5))
+    lams /= np.linalg.norm(lams)
+    return CanonicalState(tuple(lams), float(rng.uniform(0.0, math.pi)))
 
 
 def oracle_classify(lams, phi, eps=1e-9):
@@ -330,6 +358,98 @@ def oracle_bell_of_kets(state, kets):
     """B via the kron oracle for raw plus-kets (3, 2, 2): qubit, U/D, component."""
     p = oracle_five_probabilities(state, kets)
     return p[0] + p[1] + p[2] + p[3] - p[4]
+
+
+# The settings construction and the probability kernel in numpy array
+# arithmetic, as they were before settings were built one complex number at
+# a time and probabilities read from the settings' table: the oracles of
+# the rounding contract (kets) and of bit-identical probabilities.
+
+#: each BELL_TERMS term's kind (U 0, D 1) and sign (+1 0, -1 1) per qubit
+REFERENCE_TERM_KINDS = np.array([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]])
+REFERENCE_TERM_SIGNS = np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
+#: the eight outcome signs of a context, bit b=0 -> +1, b=1 -> -1 in qubit order
+REFERENCE_OUTCOME_SIGNS = np.array(list(product((0, 1), repeat=3)))
+
+
+def reference_settings_eigenkets(plus_kets):
+    """The eigenket stack (3, 2, 2, 2) of plus-kets (3, 2, 2), in numpy arithmetic.
+
+    Raises what ``MeasurementSettings`` raises, for the same ket or qubit.
+    """
+    kets = np.array(plus_kets, dtype=complex)
+    if kets.shape != (3, 2, 2):
+        raise DimensionError(f"settings need shape (3, 2, 2), got {kets.shape}")
+    norms = np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
+    if (norms < linalg.ZERO_NORM).any():
+        raise NormalizationError("cannot normalize a zero vector")
+    plus = linalg.fix_global_phase(kets / norms[..., None])
+    overlaps = np.abs(np.vecdot(plus[:, 0], plus[:, 1]))
+    outside = ~((overlaps > WINDOW_TOL) & (overlaps < 1.0 - WINDOW_TOL))
+    if outside.any():
+        j = int(outside.argmax())
+        raise WindowViolationError(j, overlaps[j])
+    eigenkets = np.empty((3, 2, 2, 2), dtype=complex)
+    eigenkets[:, :, 0] = plus
+    eigenkets[:, :, 1] = linalg.fix_global_phase(linalg.perp_qubit(plus))
+    return eigenkets
+
+
+def reference_product_vectors(kets):
+    """Product vectors k1 x k2 x k3 (..., 8) of eigenkets (..., 3, 2)."""
+    v = kets[..., 0, :, None, None] * kets[..., 1, None, :, None] * kets[..., 2, None, None, :]
+    return v.reshape(kets.shape[:-2] + (8,))
+
+
+def reference_product_probabilities(state, kets):
+    """Outcome probabilities (...) of eigenket triples (..., 3, 2), unclamped.
+
+    |<v|psi>|^2 for a ket psi and Re <v|rho|v> for a density rho, where v is
+    the product vector of each triple.
+    """
+    arr = np.asarray(state, dtype=complex)
+    v = reference_product_vectors(kets)
+    if arr.ndim == 1:
+        amp = v.conj() @ arr
+        return amp.real**2 + amp.imag**2
+    return (v.conj() * (v @ arr.T)).sum(axis=-1).real
+
+
+def reference_term_kets(settings):
+    """Eigenket triples (5, 3, 2) of the five terms, in BELL_TERMS order."""
+    return settings.eigenkets[np.arange(3), REFERENCE_TERM_KINDS, REFERENCE_TERM_SIGNS]
+
+
+def reference_context_kets(settings):
+    """Eigenket triples (5, 8, 3, 2) of every outcome of each term's context."""
+    return settings.eigenkets[
+        np.arange(3), REFERENCE_TERM_KINDS[:, None], REFERENCE_OUTCOME_SIGNS
+    ]
+
+
+def reference_settings(plus_kets):
+    """``MeasurementSettings`` whose kets and table the numpy oracle built."""
+    settings = object.__new__(MeasurementSettings)
+    eigenkets = reference_settings_eigenkets(plus_kets)
+    object.__setattr__(settings, "plus_kets", eigenkets[:, :, 0])
+    object.__setattr__(settings, "eigenkets", eigenkets)
+    for name, kets in (("bras", reference_context_kets), ("hardy_bras", reference_term_kets)):
+        object.__setattr__(settings, name, np.conj(reference_product_vectors(kets(settings))))
+    return settings
+
+
+def outcome_distribution(state, settings, kinds):
+    """All eight outcome probabilities for one measurement context.
+
+    ``kinds`` picks 'U' or 'D' per qubit; entry index encodes the outcome
+    signs via bit b=0 -> +1, b=1 -> -1 in qubit order.
+    """
+    if len(kinds) != 3 or not set(kinds) <= {"U", "D"}:
+        raise ValueError(f"kinds must be three of 'U' or 'D', got {kinds!r}")
+    kind_index = [{"U": 0, "D": 1}[k] for k in kinds]
+    return reference_product_probabilities(
+        state, settings.eigenkets[np.arange(3), kind_index, REFERENCE_OUTCOME_SIGNS]
+    )
 
 
 def reference_norm2(z):

@@ -33,13 +33,13 @@ from hardy3q.states import (
     CanonicalState,
     StateClass,
     classify_batch,
-    mix_with_white_noise,
     sample_class,
 )
 from hardy3q.visibility import minimize_bell, threshold_visibility
 from hardy3q import cli
 
 from conftest import (
+    mix_with_white_noise,
     oracle_hardy_probabilities,
     random_settings,
     threshold_visibility_bisection,

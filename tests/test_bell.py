@@ -17,17 +17,19 @@ from hardy3q.bell import (
     lhv_hardy_pattern_assignments,
     lhv_minimum,
     lhv_term_indicators,
-    outcome_distribution,
     sample_statistics,
 )
 from hardy3q.observables import settings_from_plus_kets
-from hardy3q.states import CanonicalState, mix_with_white_noise, random_canonical
+from hardy3q.states import CanonicalState
 
 from conftest import (
+    mix_with_white_noise,
     noisy_bell_value,
     oracle_eigenket,
     oracle_hardy_probabilities,
     oracle_joint_probability,
+    outcome_distribution,
+    random_canonical,
     random_settings,
 )
 

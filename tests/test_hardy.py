@@ -12,6 +12,7 @@ from hardy3q import hardy
 from hardy3q.bell import bell_value
 from hardy3q.errors import (
     ConstructionFailureError,
+    NormalizationError,
     NoWitnessError,
     WindowViolationError,
 )
@@ -36,6 +37,7 @@ from conftest import (
     random_ket,
     reference_backtrack,
     reference_derived_d_directions,
+    reference_settings,
 )
 
 INV_SQRT2 = 2**-0.5
@@ -401,6 +403,63 @@ class TestMaximalConstructions:
         )
 
 
+def candidate_certificates(state, cls, build=settings_from_plus_kets):
+    """Per recipe candidate of ``state``: its certificate, or None if ``build`` rejects it."""
+    psi = state.to_ket()
+    out = []
+    for kets in hardy._recipe_kets(cls, state, psi):
+        try:
+            settings = build(np.reshape(kets, (3, 2, 2)))
+        except (WindowViolationError, NormalizationError):
+            out.append(None)
+            continue
+        out.append(verify_hardy(psi, settings, hardy.CONSTRUCTION_ZERO_TOL))
+    return out
+
+
+def chosen_candidate(built, certificates):
+    """Index of the candidate whose settings ``built`` reports, or None (search)."""
+    matches = [
+        k
+        for k, cert in enumerate(certificates)
+        if cert is not None and np.array_equal(cert.settings.plus_kets, built.settings.plus_kets)
+    ]
+    assert len(matches) <= 1 and (built.used_fallback or matches)
+    return matches[0] if matches else None
+
+
+class TestCandidateChoice:
+    def test_tied_d8_roots_keep_candidate_zero(self):
+        # D.8's two roots give success probabilities equal up to rounding on
+        # most draws; the second root's is larger in the last bits on about
+        # half of those, which must not make it the witness
+        rng = np.random.default_rng(5)
+        tied = later_larger = 0
+        for _ in range(40):
+            state = sample_class(StateClass.D8, rng)
+            certs = candidate_certificates(state, StateClass.D8)
+            p0, p1 = (c.success_probability for c in certs)
+            assert all(c.satisfied for c in certs)
+            if abs(p1 - p0) > hardy.CANDIDATE_RTOL * p0:
+                continue
+            tied += 1
+            later_larger += p1 > p0
+            assert chosen_candidate(build_witness(state), certs) == 0
+        assert tied >= 25 and later_larger >= 5
+
+    def test_larger_success_probability_wins_on_d12(self):
+        rng = np.random.default_rng(5)
+        second = 0
+        for _ in range(40):
+            state = sample_class(StateClass.D12, rng)
+            certs = candidate_certificates(state, StateClass.D12)
+            p = [c.success_probability for c in certs]
+            assert abs(p[1] - p[0]) > 1e-3 * max(p)
+            assert chosen_candidate(build_witness(state), certs) == int(p[1] > p[0])
+            second += p[1] > p[0]
+        assert second >= 5
+
+
 class TestBuildWitness:
     def test_product_state_has_no_witness(self):
         with pytest.raises(NoWitnessError):
@@ -438,7 +497,7 @@ class TestSearch:
     def test_finds_ghz_settings(self):
         found = search_hardy_observables(GHZ.to_ket(), attempts=10, seed=0)
         assert found is not None
-        assert verify_hardy(GHZ.to_ket(), found, zero_tol=1e-8).satisfied
+        assert verify_hardy(GHZ.to_ket(), found.settings, zero_tol=1e-8).satisfied
 
     def test_not_found_for_product_state(self):
         psi = np.zeros(8, complex)
@@ -454,7 +513,7 @@ class TestSearch:
         a = search_hardy_observables(state.to_ket(), attempts=10, seed=4)
         b = search_hardy_observables(state.to_ket(), attempts=10, seed=4)
         assert a is not None and b is not None
-        assert np.array_equal(a.plus_kets, b.plus_kets)
+        assert np.array_equal(a.settings.plus_kets, b.settings.plus_kets)
 
     def test_residual_jacobian_matches_central_differences(self, rng):
         psi3 = random_ket(rng, 8).reshape(2, 2, 2)
@@ -635,7 +694,7 @@ class TestSearch:
             if a is None:
                 continue
             b = search_hardy_observables(psi, attempts=40, seed=0, zero_tol=1e-9)
-            assert np.array_equal(a.plus_kets, b.plus_kets)
+            assert np.array_equal(a.settings.plus_kets, b.settings.plus_kets)
             checked += 1
         assert checked >= 10
 
@@ -650,7 +709,7 @@ class TestSearch:
             state.to_ket(), attempts=1, seed=seed, zero_tol=1e-9, maxiter=25
         )
         assert found is not None
-        probs = oracle_hardy_probabilities(state.to_ket(), found)
+        probs = oracle_hardy_probabilities(state.to_ket(), found.settings)
         assert max(probs[:4]) <= 1e-9 < probs[4]
 
     def test_succeeds_wherever_nelder_mead_oracle_does(self):
@@ -665,7 +724,7 @@ class TestSearch:
                 continue
             oracle_hits += 1
             assert found is not None, state
-            probs = oracle_hardy_probabilities(psi, found)
+            probs = oracle_hardy_probabilities(psi, found.settings)
             assert max(probs[:4]) <= 1e-9 < probs[4]
         assert oracle_hits >= len(deck) - 2
 
@@ -689,12 +748,15 @@ def deck_searches():
 
 class TestSearchRounds:
     @staticmethod
-    def same(a, b):
-        """Both None, or plus-kets equal bit for bit."""
-        return (a is None and b is None) or (
-            a is not None
-            and b is not None
-            and np.array_equal(a.plus_kets.view(np.uint64), b.plus_kets.view(np.uint64))
+    def same(oracle, found):
+        """Both None, or the oracle's settings and the search's certificate's
+        settings with plus-kets equal bit for bit."""
+        return (oracle is None and found is None) or (
+            oracle is not None
+            and found is not None
+            and np.array_equal(
+                oracle.plus_kets.view(np.uint64), found.settings.plus_kets.view(np.uint64)
+            )
         )
 
     def test_matches_one_batch_oracle_bit_for_bit(self, deck_searches):
@@ -764,7 +826,7 @@ class TestSearchWork:
         # machine they do not drift, so a change that does more work per
         # search fails here
         calls = dict.fromkeys(
-            ["_search_certificate", "_residual", "_jacobian", "_derived_d_directions", "verify_hardy"], 0
+            ["search_hardy_observables", "_residual", "_jacobian", "_derived_d_directions", "verify_hardy"], 0
         )
         for name in calls:
             real = getattr(hardy, name)
@@ -780,9 +842,48 @@ class TestSearchWork:
         )
         assert fallbacks == 44
         assert calls == {
-            "_search_certificate": 44,
+            "search_hardy_observables": 44,
             "_residual": 298,
             "_jacobian": 252,
             "_derived_d_directions": 848,
             "verify_hardy": 79,
         }
+
+
+def contract_deck(name):
+    """A benchmark deck: the class-witness deck at seed s, or the near-boundary deck."""
+    inputs = benchmark_inputs()
+    if name == "near-boundary":
+        rows = [row[:3] for row in inputs.near_boundary(np.random.default_rng(1), 60)]
+    else:
+        rows = inputs.round_robin(inputs.ENTANGLED, np.random.default_rng(int(name[-1])), 60)
+    return [CanonicalState(lams, phi) for _, lams, phi in rows]
+
+
+class TestRoundingContract:
+    """Settings built in scalar arithmetic change no witness decision.
+
+    Each state's witness is built by ``build_witness`` and again with every
+    settings object built by the numpy oracle (``reference_settings``, the
+    construction before settings were built one complex number at a time).
+    """
+
+    @pytest.mark.parametrize(
+        "deck", ["class-witness-0", "class-witness-1", "class-witness-2", "near-boundary"]
+    )
+    def test_same_decisions_and_rounding_level_kets(self, monkeypatch, deck):
+        for state in contract_deck(deck):
+            cls = classify(state)
+            new = build_witness(state, cls)
+            certs = candidate_certificates(state, cls)
+            with monkeypatch.context() as patch:
+                patch.setattr(hardy, "settings_from_plus_kets", reference_settings)
+                old = build_witness(state, cls)
+                old_certs = candidate_certificates(state, cls, reference_settings)
+            assert [c and c.satisfied for c in certs] == [c and c.satisfied for c in old_certs]
+            assert new.used_fallback == old.used_fallback
+            assert new.certificate.satisfied == old.certificate.satisfied
+            assert chosen_candidate(new, certs) == chosen_candidate(old, old_certs)
+            assert np.abs(new.settings.eigenkets - old.settings.eigenkets).max() <= 2e-15
+            difference = np.subtract(new.certificate.probabilities, old.certificate.probabilities)
+            assert np.abs(difference).max() <= 1e-15

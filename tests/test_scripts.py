@@ -60,6 +60,10 @@ def test_bad_arguments_exit_2(argv):
 
 
 def test_class_sweep():
-    out = run_script("scripts/class_sweep.py", "--draws", "1")
+    out = run_script("scripts/class_sweep.py", "--draws", "3")
     assert out.returncode == 0, out.stderr
-    assert len(out.stdout.splitlines()) == 2 + 22  # header, rule, one row per sub-class
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2 + 22  # header, rule, one row per sub-class
+    assert lines[0].split()[-1] == "us/witness"
+    # the median witness time in microseconds, after max B
+    assert all(float(line.split()[-1]) > 0.0 for line in lines[2:])

@@ -14,14 +14,20 @@ from hardy3q.states import (
     StateClass,
     classify,
     classify_batch,
-    mix_with_white_noise,
     normalized_canonical,
-    random_canonical,
     sample_class,
     to_ket,
 )
 
-from conftest import basis_ket, is_density, oracle_classify, oracle_row_predicates, tensor
+from conftest import (
+    basis_ket,
+    is_density,
+    mix_with_white_noise,
+    oracle_classify,
+    oracle_row_predicates,
+    random_canonical,
+    tensor,
+)
 
 INV_SQRT2 = 2**-0.5
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from hardy3q.bell import bell_value
 from hardy3q.errors import VisibilityUndefinedError
 from hardy3q.hardy import build_witness
-from hardy3q.states import CanonicalState, random_canonical
+from hardy3q.states import CanonicalState
 from hardy3q.observables import WINDOW_TOL, kets_from_angles, random_angles
 from hardy3q import visibility
 from hardy3q.visibility import (
@@ -28,6 +28,7 @@ from conftest import (
     nelder_mead_bell,
     oracle_bell_of_kets,
     pair_overlaps,
+    random_canonical,
     random_ket,
     random_settings,
     reference_extrapolate,
