@@ -3,10 +3,16 @@
 Kets are plain 1-d complex numpy arrays of length 2, 4 or 8.  Basis
 ordering for multi-qubit kets is |abc> <-> index 4a + 2b + c.  All functions are pure and never
 mutate their inputs.
+
+``_top_eigenpair``, the largest eigenpair of a 2x2 Hermitian matrix in
+closed form and Python complex arithmetic (cheaper on four numbers than
+numpy's per-call overhead), serves the Schmidt decomposition and ``hardy``.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,39 +36,12 @@ def ket(values) -> np.ndarray:
     return arr
 
 
-def normalize(k) -> np.ndarray:
-    """Return k / ||k||; rejects (near-)zero vectors."""
-    arr = np.asarray(k, dtype=complex)
-    n = np.linalg.norm(arr)
-    if n < ZERO_NORM:
-        raise NormalizationError("cannot normalize a zero vector")
-    return arr / n
-
-
 def require_normalized(k, atol: float = 1e-9) -> np.ndarray:
     arr = np.asarray(k, dtype=complex)
     dev = abs(np.linalg.norm(arr) - 1.0)
     if dev > atol:
         raise NormalizationError(f"ket norm deviates from 1 by {dev:.3e}")
     return arr
-
-
-def fix_global_phase(k, tiny: float = 1e-12) -> np.ndarray:
-    """Rotate each ket's global phase so its first non-negligible amplitude is real >= 0.
-
-    The kets lie along the last axis; a ket with no amplitude above ``tiny``
-    is kept.  Magnitudes are taken with ``np.hypot``, which rounds as
-    ``abs`` of one complex scalar does.
-    """
-    arr = np.asarray(k, dtype=complex)
-    size = np.hypot(arr.real, arr.imag)
-    lead, lead_size = arr[..., -1:], size[..., -1:]
-    for j in range(arr.shape[-1] - 2, -1, -1):  # the first amplitude above tiny wins
-        big = size[..., j : j + 1] > tiny
-        lead = np.where(big, arr[..., j : j + 1], lead)
-        lead_size = np.where(big, size[..., j : j + 1], lead_size)
-    found = lead_size > tiny
-    return np.where(found, arr * np.conj(lead / np.where(found, lead_size, 1.0)), arr)
 
 
 def perp_qubit(k) -> np.ndarray:
@@ -100,54 +79,78 @@ class SchmidtDecomposition:
         )
 
 
+def _norm(a: complex, b: complex) -> float:
+    """Length of the ket (a, b): sqrt of the summed squares, as np.linalg.norm sums them."""
+    return math.sqrt(a.real * a.real + b.real * b.real + (a.imag * a.imag + b.imag * b.imag))
+
+
+def _top_eigenpair(p: float, r: float, q: complex) -> tuple[float, complex, complex]:
+    """Largest eigenvalue mu and a unit eigenvector (x, y) of [[p, q], [conj q, r]].
+
+    mu = (p + r + sqrt((p - r)^2 + 4 |q|^2)) / 2, and (x, y) the longer of
+    the proportional eigenvectors (q, mu - p) and (mu - r, conj q) times
+    1 / its norm (numpy's rounding of a division by a real), or (1, 0) when
+    both (nearly) vanish: the matrix is then (nearly) scalar.
+    """
+    diff, size = p - r, abs(q)
+    mu = 0.5 * ((p + r) + math.sqrt(diff * diff + 4.0 * size * size))
+    n1, n2 = _norm(q, mu - p), _norm(mu - r, q.conjugate())
+    if max(n1, n2) < 1e-14 * max(p + r, 1.0):
+        return mu, 1.0 + 0j, 0j
+    if n1 >= n2:
+        return mu, q * (1.0 / n1), (mu - p) * (1.0 / n1)
+    return mu, (mu - r) * (1.0 / n2), q.conjugate() * (1.0 / n2)
+
+
 def schmidt_decompose(state) -> SchmidtDecomposition:
     """Schmidt decomposition of a normalized two-qubit ket.
 
-    Uses the closed-form 2x2 singular value decomposition: eigenvectors of
-    M^dag M for the coefficient matrix M[a][b] = amplitude of |ab>, with the
-    smaller singular value recovered from |det M| to avoid cancellation, and
-    left vectors phase-locked to the data so the reconstruction is exact to
-    machine precision even for degenerate or product inputs.
+    Uses the closed-form 2x2 singular value decomposition: the dominant
+    eigenvector of M^dag M for the coefficient matrix M[a][b] = amplitude of
+    |ab> (``_top_eigenpair``), with the smaller singular value recovered
+    from |det M| to avoid cancellation, and left vectors phase-locked to the
+    data so the reconstruction is exact to machine precision even for
+    degenerate or product inputs.  Computed in Python complex arithmetic;
+    only the returned bases are numpy arrays.
     """
-    arr = ket(state)
-    if arr.shape[0] != 4:
-        raise DimensionError("schmidt_decompose expects a two-qubit ket")
-    require_normalized(arr, atol=1e-9)
+    arr = np.asarray(state, dtype=complex)
+    if arr.shape != (4,):
+        raise DimensionError(f"schmidt_decompose expects a two-qubit ket, got shape {arr.shape}")
+    amps = m00, m01, m10, m11 = arr.tolist()
+    if not all(map(cmath.isfinite, amps)):
+        raise ValueError("ket contains non-finite entries")
+    dev = abs(math.hypot(*map(abs, amps)) - 1.0)
+    if dev > 1e-9:
+        raise NormalizationError(f"ket norm deviates from 1 by {dev:.3e}")
 
-    m = arr.reshape(2, 2)
-    h = m.conj().T @ m
-    trace = h[0, 0].real + h[1, 1].real
-    off = h[0, 1]
-    diff = h[0, 0].real - h[1, 1].real
-    disc = np.sqrt(max(diff * diff + 4.0 * abs(off) ** 2, 0.0))
-    mu0 = 0.5 * (trace + disc)
-    s0 = float(np.sqrt(mu0))
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    s1 = float(abs(det) / s0) if s0 > ZERO_NORM else 0.0
-
-    # dominant right singular vector: pick the better-conditioned of the two
-    # proportional eigenvector formulas for the 2x2 Hermitian h
-    cand1 = np.array([off, mu0 - h[0, 0].real], dtype=complex)
-    cand2 = np.array([mu0 - h[1, 1].real, np.conj(off)], dtype=complex)
-    n1, n2 = np.linalg.norm(cand1), np.linalg.norm(cand2)
-    if max(n1, n2) < 1e-14 * max(trace, 1.0):
-        v0 = np.array([1.0, 0.0], dtype=complex)  # h is (close to) a scalar matrix
-    else:
-        v0 = cand1 / n1 if n1 >= n2 else cand2 / n2
-    lead = 0 if abs(v0[0]) >= abs(v0[1]) else 1
-    v0 = v0 * np.conj(v0[lead] / abs(v0[lead]))
-    v1 = perp_qubit(v0)
-
-    mv0 = m @ v0
-    n0 = np.linalg.norm(mv0)
-    u0 = mv0 / n0 if n0 > ZERO_NORM else np.array([1.0, 0.0], dtype=complex)
-    u1 = perp_qubit(u0)
-    phase = np.vdot(u1, m @ v1)  # second left vector's phase, read off the data
-    if abs(phase) > ZERO_NORM:
-        u1 = u1 * (phase / abs(phase))
-
-    return SchmidtDecomposition(
-        coefficients=(s0, s1),
-        basis_a=(u0, u1),
-        basis_b=(np.conj(v0), np.conj(v1)),
+    mu0, x, y = _top_eigenpair(
+        (m00.conjugate() * m00 + m10.conjugate() * m10).real,
+        (m01.conjugate() * m01 + m11.conjugate() * m11).real,
+        m00.conjugate() * m01 + m10.conjugate() * m11,
     )
+    s0 = math.sqrt(mu0)
+    s1 = abs(m00 * m11 - m01 * m10) / s0 if s0 > ZERO_NORM else 0.0
+
+    # dominant right singular vector v0 = (x, y), its larger component made
+    # real >= 0; v1 = perp(v0)
+    lead = x if abs(x) >= abs(y) else y
+    inv = 1.0 / abs(lead)
+    phase = complex(lead.real * inv, -lead.imag * inv)
+    x, y = x * phase, y * phase
+
+    xc, yc = x.conjugate(), y.conjugate()
+    a, b = m00 * x + m01 * y, m10 * x + m11 * y  # M v0
+    n0 = _norm(a, b)
+    a, b = (a * (1.0 / n0), b * (1.0 / n0)) if n0 > ZERO_NORM else (1.0 + 0j, 0j)
+    # the second left vector is perp(u0) = (c, d), its phase read off the
+    # data: that of <perp(u0)|M v1>
+    c, d = -b.conjugate(), a.conjugate()
+    phase = a * (m11 * xc - m10 * yc) - b * (m01 * xc - m00 * yc)
+    size = abs(phase)
+    if size > ZERO_NORM:
+        inv = 1.0 / size
+        phase = complex(phase.real * inv, phase.imag * inv)
+        c, d = c * phase, d * phase
+
+    u0, u1, w0, w1 = np.array([(a, b), (c, d), (xc, yc), (-y, x)])
+    return SchmidtDecomposition(coefficients=(s0, s1), basis_a=(u0, u1), basis_b=(w0, w1))

@@ -23,7 +23,6 @@ changes (the tests keep the numpy construction as their oracle).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
@@ -118,11 +117,7 @@ class MeasurementSettings:
             )
         flat = kets.ravel().tolist()
         pairs = list(zip(flat[0::2], flat[1::2]))
-        # sqrt of the summed squares, as np.linalg.norm of one ket
-        norms = [
-            math.sqrt(a.real * a.real + b.real * b.real + (a.imag * a.imag + b.imag * b.imag))
-            for a, b in pairs
-        ]
+        norms = [linalg._norm(a, b) for a, b in pairs]
         if any(n < linalg.ZERO_NORM for n in norms):
             raise NormalizationError("cannot normalize a zero vector")
         # the rounding of numpy's complex division by a real: times 1 / n

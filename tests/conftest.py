@@ -18,6 +18,7 @@ from hardy3q.observables import (
     settings_from_plus_kets,
 )
 from hardy3q.errors import (
+    ConstructionFailureError,
     DimensionError,
     Hardy3QError,
     NormalizationError,
@@ -99,6 +100,25 @@ def tensor(*factors):
     return out
 
 
+def fix_global_phase(k, tiny: float = 1e-12) -> np.ndarray:
+    """Rotate each ket's global phase so its first non-negligible amplitude is real >= 0.
+
+    The kets lie along the last axis; a ket with no amplitude above ``tiny``
+    is kept.  Magnitudes are taken with ``np.hypot``, which rounds as
+    ``abs`` of one complex scalar does.  The array form of the package's
+    one phase rule (``observables._phase_fixed``).
+    """
+    arr = np.asarray(k, dtype=complex)
+    size = np.hypot(arr.real, arr.imag)
+    lead, lead_size = arr[..., -1:], size[..., -1:]
+    for j in range(arr.shape[-1] - 2, -1, -1):  # the first amplitude above tiny wins
+        big = size[..., j : j + 1] > tiny
+        lead = np.where(big, arr[..., j : j + 1], lead)
+        lead_size = np.where(big, size[..., j : j + 1], lead_size)
+    found = lead_size > tiny
+    return np.where(found, arr * np.conj(lead / np.where(found, lead_size, 1.0)), arr)
+
+
 def projector(k):
     """Rank-one projector |k><k| for a normalized ket."""
     arr = linalg.ket(k)
@@ -134,7 +154,7 @@ def orthogonal_complement_pick(zeros, target, atol=1e-10):
     res_norm = np.linalg.norm(residual)
     if res_norm < atol:
         raise SpanError("target lies in the span of the zero conditions")
-    return linalg.fix_global_phase(residual / res_norm)
+    return fix_global_phase(residual / res_norm)
 
 
 def state_satisfying_hardy(settings):
@@ -383,7 +403,7 @@ def reference_settings_eigenkets(plus_kets):
     norms = np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))
     if (norms < linalg.ZERO_NORM).any():
         raise NormalizationError("cannot normalize a zero vector")
-    plus = linalg.fix_global_phase(kets / norms[..., None])
+    plus = fix_global_phase(kets / norms[..., None])
     overlaps = np.abs(np.vecdot(plus[:, 0], plus[:, 1]))
     outside = ~((overlaps > WINDOW_TOL) & (overlaps < 1.0 - WINDOW_TOL))
     if outside.any():
@@ -391,7 +411,7 @@ def reference_settings_eigenkets(plus_kets):
         raise WindowViolationError(j, overlaps[j])
     eigenkets = np.empty((3, 2, 2, 2), dtype=complex)
     eigenkets[:, :, 0] = plus
-    eigenkets[:, :, 1] = linalg.fix_global_phase(linalg.perp_qubit(plus))
+    eigenkets[:, :, 1] = fix_global_phase(linalg.perp_qubit(plus))
     return eigenkets
 
 
@@ -436,6 +456,89 @@ def reference_settings(plus_kets):
     for name, kets in (("bras", reference_context_kets), ("hardy_bras", reference_term_kets)):
         object.__setattr__(settings, name, np.conj(reference_product_vectors(kets(settings))))
     return settings
+
+
+# The B/C recipe's pair extraction, Schmidt decomposition and lift in numpy
+# array arithmetic, as they were before the recipe was computed one complex
+# number at a time: the oracles of its rounding contract.
+
+
+def reference_extract_pair_factorization(psi, product_qubit):
+    """(chi, eta) of ``hardy.extract_pair_factorization``, via ``tensordot`` and ``eigh``."""
+    psi3 = np.asarray(psi, dtype=complex).reshape(2, 2, 2)
+    pair_axes = tuple(ax for ax in range(3) if ax != product_qubit)
+    rho = np.tensordot(psi3, psi3.conj(), axes=(pair_axes, pair_axes))
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    purity = float(eigvals[-1])
+    if purity < 1.0 - 1e-9:
+        raise ConstructionFailureError(
+            f"qubit {product_qubit + 1} is not in a product state "
+            f"(largest reduced eigenvalue {purity!r})"
+        )
+    chi = fix_global_phase(eigvecs[:, -1])
+    eta = np.tensordot(np.conj(chi), psi3, axes=(0, product_qubit)).reshape(4)
+    n = np.linalg.norm(eta)
+    if n < linalg.ZERO_NORM:
+        raise NormalizationError("cannot normalize a zero vector")
+    return chi, eta / n
+
+
+def reference_schmidt_decompose(state):
+    """``linalg.schmidt_decompose`` on numpy 2x2 matrices, raising what it raises."""
+    arr = linalg.ket(state)
+    if arr.shape[0] != 4:
+        raise DimensionError("schmidt_decompose expects a two-qubit ket")
+    linalg.require_normalized(arr, atol=1e-9)
+
+    m = arr.reshape(2, 2)
+    h = m.conj().T @ m
+    trace = h[0, 0].real + h[1, 1].real
+    off = h[0, 1]
+    diff = h[0, 0].real - h[1, 1].real
+    disc = np.sqrt(max(diff * diff + 4.0 * abs(off) ** 2, 0.0))
+    mu0 = 0.5 * (trace + disc)
+    s0 = float(np.sqrt(mu0))
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    s1 = float(abs(det) / s0) if s0 > linalg.ZERO_NORM else 0.0
+
+    cand1 = np.array([off, mu0 - h[0, 0].real], dtype=complex)
+    cand2 = np.array([mu0 - h[1, 1].real, np.conj(off)], dtype=complex)
+    n1, n2 = np.linalg.norm(cand1), np.linalg.norm(cand2)
+    if max(n1, n2) < 1e-14 * max(trace, 1.0):
+        v0 = np.array([1.0, 0.0], dtype=complex)
+    else:
+        v0 = cand1 / n1 if n1 >= n2 else cand2 / n2
+    lead = 0 if abs(v0[0]) >= abs(v0[1]) else 1
+    v0 = v0 * np.conj(v0[lead] / abs(v0[lead]))
+    v1 = linalg.perp_qubit(v0)
+
+    mv0 = m @ v0
+    n0 = np.linalg.norm(mv0)
+    u0 = mv0 / n0 if n0 > linalg.ZERO_NORM else np.array([1.0, 0.0], dtype=complex)
+    u1 = linalg.perp_qubit(u0)
+    phase = np.vdot(u1, m @ v1)
+    if abs(phase) > linalg.ZERO_NORM:
+        u1 = u1 * (phase / abs(phase))
+    return linalg.SchmidtDecomposition(
+        coefficients=(s0, s1), basis_a=(u0, u1), basis_b=(np.conj(v0), np.conj(v1))
+    )
+
+
+def reference_lift_pair_kets(chi, dec, product_qubit, first_coeffs, second_coeffs):
+    """The plus-kets (3, 2, 2) of ``hardy._lift_pair_kets``, lifted as arrays."""
+
+    def lift(coeffs, basis):
+        c = np.asarray(coeffs)
+        return c[:, :1] * basis[0] + c[:, 1:] * basis[1]
+
+    chi = np.asarray(chi, dtype=complex)
+    first, second = (ax for ax in range(3) if ax != product_qubit)
+    chi_perp = linalg.perp_qubit(chi)
+    kets = np.empty((3, 2, 2), dtype=complex)
+    kets[first] = lift(first_coeffs, dec.basis_a)
+    kets[second] = lift(second_coeffs, dec.basis_b)
+    kets[product_qubit] = chi + chi_perp, chi_perp
+    return kets
 
 
 def outcome_distribution(state, settings, kinds):

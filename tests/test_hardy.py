@@ -2,6 +2,7 @@
 
 import importlib.util
 import logging
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -37,6 +38,9 @@ from conftest import (
     random_ket,
     reference_backtrack,
     reference_derived_d_directions,
+    reference_extract_pair_factorization,
+    reference_lift_pair_kets,
+    reference_schmidt_decompose,
     reference_settings,
 )
 
@@ -357,6 +361,145 @@ class TestBipartiteConstructions:
         state = CanonicalState((INV_SQRT2, 0, INV_SQRT2, 0, 0), 0.0)
         with pytest.raises(ConstructionFailureError):
             build_witness(state, StateClass.B3)
+
+
+class TestPairExtraction:
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    @pytest.mark.parametrize("state", [GHZ, W], ids=["ghz", "w"])
+    def test_entangled_qubit_rejected(self, state, qubit):
+        with pytest.raises(ConstructionFailureError, match=f"qubit {qubit + 1} is not in a product state"):
+            extract_pair_factorization(state.to_ket(), qubit)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_non_finite_or_zero_ket_rejected(self, qubit):
+        plus = np.full(8, 8**-0.5, dtype=complex)  # |+++>: every qubit is a product factor
+        chi, eta = extract_pair_factorization(plus, qubit)
+        assert np.allclose(chi, [INV_SQRT2, INV_SQRT2]) and np.allclose(eta, 0.5)
+        bad = [np.zeros(8, dtype=complex)]
+        for k in range(8):
+            for value in (np.nan, np.inf, complex(-np.inf, 1.0)):
+                bad.append(plus.copy())
+                bad[-1][k] = value
+        for psi in bad:
+            with pytest.raises(ConstructionFailureError, match="not in a product state"):
+                extract_pair_factorization(psi, qubit)
+
+    def test_matches_numpy_oracle_on_random_factors(self, rng):
+        # canonical B and C states have a basis state on the product qubit,
+        # so this draws both factors at random, chi with either amplitude
+        # the larger one
+        for _ in range(300):
+            qubit = int(rng.integers(3))
+            chi, eta = random_ket(rng, 2), random_ket(rng, 4)
+            psi = np.moveaxis(np.multiply.outer(chi, eta.reshape(2, 2)), 0, qubit).reshape(8)
+            got = extract_pair_factorization(psi, qubit)
+            want = reference_extract_pair_factorization(psi, qubit)
+            for new, old in zip(got, want):
+                assert np.abs(np.subtract(new, old)).max() <= 1e-14
+
+    def test_pair_recipes_use_no_numpy_linear_algebra(self, monkeypatch, rng):
+        # the B and C recipes run in Python complex arithmetic; the matrix
+        # path they replaced called these for every witness
+        states = [(sample_class(cls, rng), cls) for cls in B_CLASSES + C_CLASSES]
+        calls = []
+        for owner, name in ((np.linalg, "eigh"), (np, "tensordot")):
+            real = getattr(owner, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        for state, cls in states:
+            assert not build_witness(state, cls).used_fallback
+        assert calls == []
+
+
+def symbolic_probabilities(sp, psi, rows):
+    """The five canonical-order probabilities, exactly, for plus-ket rows (u0, u1, d0, d1) per qubit.
+
+    ``psi`` maps basis triples (a, b, c) to amplitudes and is not
+    normalized; the kets are.
+    """
+    u = [row[:2] for row in rows]
+    d = [row[2:] for row in rows]
+    d_minus = [(-sp.conjugate(y), sp.conjugate(x)) for x, y in d]
+
+    def prob(*kets):
+        amp = sum(
+            sp.conjugate(kets[0][a] * kets[1][b] * kets[2][c]) * value
+            for (a, b, c), value in psi.items()
+        )
+        norms = sp.Mul(*(sum(x * sp.conjugate(x) for x in ket) for ket in kets))
+        return amp * sp.conjugate(amp) / norms
+
+    return [prob(*d_minus), prob(d[0], u[1], u[2]), prob(u[0], d[1], u[2]), prob(u[0], u[1], d[2]), prob(*u)]
+
+
+class TestPairLiftCertificate:
+    """Exact certificates of the B lift and the C value, in the pair's Schmidt bases.
+
+    In its Schmidt bases every B or C state is a|00>|0> + b|11>|0> up to the
+    order of the qubits: the pair on qubits 1 and 2, the product qubit 3
+    in chi = |0>, which the lift gives U+ ~ chi + chi_perp = (1, 1) and
+    D+ ~ chi_perp = (0, 1).
+    """
+
+    PRODUCT_ROW = (1, 1, 0, 1)
+
+    @staticmethod
+    def pair_rows(sa, sb):
+        """The rows of ``two_qubit_hardy_coefficients`` for a = sa^2, b = sb^2, as its docstring gives them."""
+        return (sb**3, -(sa**3), sa, -sb), (sb**3, sa**3, sa, sb)
+
+    def test_b_lift_zero_conditions_vanish_identically(self):
+        sp = pytest.importorskip("sympy")
+        sa, sb = sp.symbols("sa sb", positive=True)
+        a, b = sa**2, sb**2
+        probs = symbolic_probabilities(
+            sp, {(0, 0, 0): a, (1, 1, 0): b}, (*self.pair_rows(sa, sb), self.PRODUCT_ROW)
+        )
+        for value in probs[:4]:
+            assert sp.simplify(value) == 0
+        # P(U1+, U2+) of the pair; the product qubit's U+ halves it
+        assert sp.simplify(2 * probs[4] - pair_hardy_probability(a, b)) == 0
+
+    def test_pair_probability_on_the_unit_circle(self):
+        sp = pytest.importorskip("sympy")
+        t = sp.symbols("t", positive=True)
+        # the rational parametrization of a^2 + b^2 = 1
+        a, b = (1 - t**2) / (1 + t**2), 2 * t / (1 + t**2)
+        expected = (a * b * (a - b) / (1 - a * b)) ** 2
+        assert sp.simplify(pair_hardy_probability(a, b) - expected) == 0
+
+    def test_float_rows_match_symbolic_rows(self, rng):
+        sp = pytest.importorskip("sympy")
+        sa, sb = sp.symbols("sa sb", positive=True)
+        exact_rows = self.pair_rows(sa, sb)
+        for _ in range(50):
+            t = rng.uniform(0.01, np.pi / 4 - 0.01)
+            a, b = math.cos(t), math.sin(t)
+            point = {sa: sp.sqrt(sp.Float(a, 40)), sb: sp.sqrt(sp.Float(b, 40))}
+            rows = [(*u, *d) for u, d in two_qubit_hardy_coefficients(a, b)]
+            for row, exact_row in zip(rows, exact_rows):
+                for value, exact in zip(row, exact_row):
+                    exact = float(exact.subs(point).evalf(40))
+                    assert abs(value - exact) <= 2 * math.ulp(exact)
+
+    def test_maximal_pair_value_is_exact(self):
+        sp = pytest.importorskip("sympy")
+        s, f = sp.sqrt(sp.Rational(24, 25)), sp.Rational(1, 5)
+        (u1, d1), (u2, d2) = hardy._MAXIMAL_PAIR_COEFFS
+        for value, exact in ((u1[0], s), (u1[1], f), (u2[0], f), (u2[1], s)):
+            assert abs(value - float(exact)) <= math.ulp(float(exact))
+        assert (d1, d2) == ((1.0, 0.0), (0.0, 1.0))
+        amp = 1 / sp.sqrt(2)
+        probs = symbolic_probabilities(
+            sp, {(0, 0, 0): amp, (1, 1, 0): amp}, ((s, f, 1, 0), (f, s, 0, 1), self.PRODUCT_ROW)
+        )
+        probs = [sp.simplify(p) for p in probs]
+        assert probs == [0, sp.Rational(1, 100), sp.Rational(1, 100), 0, sp.Rational(24, 625)]
+        assert sum(probs[:4]) - probs[4] == sp.Rational(-184, 10000)
 
 
 def weak_b3(l2):
@@ -887,3 +1030,26 @@ class TestRoundingContract:
             assert np.abs(new.settings.eigenkets - old.settings.eigenkets).max() <= 2e-15
             difference = np.subtract(new.certificate.probabilities, old.certificate.probabilities)
             assert np.abs(difference).max() <= 1e-15
+
+    @pytest.mark.parametrize("deck", ["class-witness-0", "class-witness-1", "class-witness-2"])
+    def test_pair_recipe_matches_numpy_oracle(self, monkeypatch, deck):
+        # every B and C state of the deck, its witness built again with the
+        # pair extraction, Schmidt decomposition and lift in numpy arrays
+        # (tensordot, eigh, matrix products), as before the recipe was
+        # computed one complex number at a time
+        pairs = [(s, c) for s in contract_deck(deck) if (c := classify(s)).major in ("B", "C")]
+        assert len(pairs) == 480
+        for state, cls in pairs:
+            new = build_witness(state, cls)
+            with monkeypatch.context() as patch:
+                patch.setattr(hardy, "extract_pair_factorization", reference_extract_pair_factorization)
+                patch.setattr(hardy.linalg, "schmidt_decompose", reference_schmidt_decompose)
+                patch.setattr(hardy, "_lift_pair_kets", reference_lift_pair_kets)
+                old = build_witness(state, cls)
+            assert new.certificate.satisfied == old.certificate.satisfied == (cls.major == "B")
+            assert not new.used_fallback and not old.used_fallback
+            assert np.abs(new.settings.plus_kets - old.settings.plus_kets).max() <= 5e-15
+            assert abs(new.certificate.success_probability - old.certificate.success_probability) <= 1e-15
+            if cls.major == "C":
+                value = bell_value(state.to_ket(), new.settings).bell_value
+                assert value == pytest.approx(-0.0184, abs=1e-12)

@@ -12,6 +12,7 @@ from conftest import (
     KET1,
     SpanError,
     basis_ket,
+    fix_global_phase,
     is_density,
     is_projector,
     orthogonal_complement_pick,
@@ -19,6 +20,7 @@ from conftest import (
     qubit_ket,
     random_ket,
     random_settings,
+    reference_schmidt_decompose,
     state_satisfying_hardy,
     tensor,
 )
@@ -105,6 +107,17 @@ class TestSchmidt:
         dec = linalg.schmidt_decompose(state)
         assert dec.coefficients == pytest.approx((1.0, 0.0), abs=1e-12)
 
+    def test_product_state_gets_its_own_factors(self):
+        # |0> (x) (|0> + i|1>)/sqrt(2): M^dag M has equal diagonal entries,
+        # so both eigenvector rows are equally long and the first, whose
+        # larger component is complex, is taken; the bases come out
+        # phase-fixed all the same
+        state = np.array([1, 1j, 0, 0]) / np.sqrt(2)
+        dec = linalg.schmidt_decompose(state)
+        assert dec.coefficients == pytest.approx((1.0, 0.0), abs=1e-15)
+        assert np.allclose(dec.basis_a[0], [1, 0], rtol=0, atol=1e-15)
+        assert np.allclose(dec.basis_b[0], np.array([1, 1j]) / np.sqrt(2), rtol=0, atol=1e-15)
+
     def test_against_reduced_density_oracle(self):
         # sqrt(.8)|00> + sqrt(.2)(|10>+|11>)/sqrt(2)
         state = np.array([np.sqrt(0.8), 0.0, np.sqrt(0.1), np.sqrt(0.1)], complex)
@@ -139,6 +152,58 @@ class TestSchmidt:
             state = np.array([phases[0], 0, 0, phases[1]], complex) / np.sqrt(2)
             dec = linalg.schmidt_decompose(state)
             assert np.max(np.abs(dec.reconstruct() - state)) <= 1e-12
+
+
+def random_unitary(rng):
+    """A random 2x2 unitary: a random ket and its perpendicular as columns."""
+    k = random_ket(rng, 2)
+    return np.stack([k, linalg.perp_qubit(k)], axis=1)
+
+
+def schmidt_input(kind, rng):
+    """A two-qubit input of the given kind; the last three must be rejected."""
+    if kind == "random":
+        return random_ket(rng, 4)
+    if kind == "product":
+        return np.kron(random_ket(rng, 2), random_ket(rng, 2))
+    if kind == "maximal":
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+        return np.array([phases[0], 0, 0, phases[1]]) / np.sqrt(2)
+    if kind == "weak":  # Schmidt coefficient b down to 1e-9, in random local bases
+        b = 10.0 ** rng.uniform(-9, -1)
+        local = np.kron(random_unitary(rng), random_unitary(rng))
+        return local @ np.array([np.sqrt(1 - b * b), 0, 0, b])
+    if kind == "wrong-length":
+        return random_ket(rng, int(rng.choice([2, 3, 8])))
+    if kind == "non-finite":
+        k = random_ket(rng, 4)
+        k[rng.integers(4)] = rng.choice([np.nan, np.inf, complex(0, -np.inf)])
+        return k
+    return random_ket(rng, 4) * rng.choice([0.0, 0.5, 1.0 + 1e-6, 3.0])  # unnormalized
+
+
+class TestSchmidtAgainstNumpyOracle:
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(
+            ["random", "product", "maximal", "weak", "wrong-length", "non-finite", "unnormalized"]
+        ),
+    )
+    def test_matches_matrix_decomposition(self, seed, kind):
+        state = schmidt_input(kind, np.random.default_rng(seed))
+        try:
+            want = reference_schmidt_decompose(state)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                linalg.schmidt_decompose(state)
+            assert type(info.value) is type(exc)
+            return
+        dec = linalg.schmidt_decompose(state)
+        assert np.abs(np.subtract(dec.coefficients, want.coefficients)).max() <= 1e-14
+        assert np.abs(dec.reconstruct() - state).max() <= 1e-14
+        for v in dec.basis_a + dec.basis_b:
+            assert not v.flags.writeable
 
 
 class TestOrthogonalComplementPick:
@@ -194,7 +259,7 @@ class TestOrthogonalComplementPick:
 class TestPhaseAndValidation:
     def test_fix_global_phase(self):
         k = np.array([0, 1j, 0, 0], complex)
-        fixed = linalg.fix_global_phase(k)
+        fixed = fix_global_phase(k)
         assert fixed[1] == pytest.approx(1.0)
 
     def test_ket_rejects_bad_dims(self):
