@@ -339,7 +339,7 @@ def _lift_pair_kets(
 
 
 def _recipe_kets(cls: StateClass, state: CanonicalState, psi: np.ndarray) -> list:
-    """Unnormalized plus-kets, shaped or reshapable (3, 2, 2), of each recipe candidate.
+    """Unnormalized plus-kets of each recipe candidate: three (u0, u1, d0, d1) rows.
 
     D uses its coefficient rows; B lifts the two-qubit Hardy construction
     through the pair's Schmidt bases, C the fixed maximal-pair settings.
@@ -393,7 +393,7 @@ def build_witness(
     failures: list[str] = []
     for idx, kets in enumerate(_recipe_kets(cls, state, psi)):
         try:
-            settings = settings_from_plus_kets(np.reshape(kets, (3, 2, 2)))
+            settings = settings_from_plus_kets(kets)
         except (WindowViolationError, NormalizationError) as exc:
             failures.append(f"candidate {idx}: {exc}")
             continue

@@ -88,20 +88,44 @@ def _phase_fixed(a: complex, b: complex) -> tuple[complex, complex]:
     return a * phase, b * phase
 
 
+def _amplitudes(kets) -> list[complex]:
+    """The twelve amplitudes of plus-kets, in qubit, U/D, component order.
+
+    The recipes' rows of Python numbers are read as they are, without a
+    round trip through numpy.  Raises ``DimensionError`` for any shape but
+    (3, 2, 2) or three rows of four.
+    """
+    if type(kets) in (list, tuple) and len(kets) == 3 and all(
+        type(row) is tuple and len(row) == 4 for row in kets
+    ):
+        try:
+            return [complex(z) for row in kets for z in row]
+        except TypeError:
+            pass  # rows of sequences, not numbers: rejected by their shape below
+    arr = np.asarray(kets, dtype=complex)
+    if arr.shape != (3, 2, 2):
+        raise DimensionError(
+            f"settings need three (U+, D+) single-qubit ket pairs, got shape {arr.shape}"
+        )
+    return arr.ravel().tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementSettings:
     """Three (U, D) plus-ket pairs, one per qubit, all inside the window.
 
-    ``plus_kets`` (3, 2, 2) is stored normalized and phase-fixed (first
-    amplitude above ``PHASE_TINY`` real >= 0); ``eigenkets`` (3, 2, 2, 2)
-    adds the +/- axis, the minus-kets being the phase-fixed perpendiculars
-    of the plus-kets.  ``bras`` (5, 8, 8) holds, per BELL_TERMS context and
-    outcome, the conjugated product vector of the context's eigenkets, and
-    ``hardy_bras`` (5, 8) the row of each term's own outcome.  All four
-    arrays are read-only.  Raises ``NormalizationError`` for a (near-)zero
-    ket and ``WindowViolationError`` for the first qubit whose pair leaves
-    the window.  The kets are built in Python arithmetic (see the module
-    docstring for their rounding), the table from them with numpy.
+    ``plus_kets`` is given as a (3, 2, 2) array-like or as three
+    (u0, u1, d0, d1) rows of numbers, and stored as a (3, 2, 2) array,
+    normalized and phase-fixed (first amplitude above ``PHASE_TINY`` real
+    >= 0); ``eigenkets`` (3, 2, 2, 2) adds the +/- axis, the minus-kets
+    being the phase-fixed perpendiculars of the plus-kets.  ``bras``
+    (5, 8, 8) holds, per BELL_TERMS context and outcome, the conjugated
+    product vector of the context's eigenkets, and ``hardy_bras`` (5, 8) the
+    row of each term's own outcome.  All four arrays are read-only.  Raises
+    ``DimensionError`` for any other shape, ``NormalizationError`` for a
+    (near-)zero ket and ``WindowViolationError`` for the first qubit whose
+    pair leaves the window.  The kets are built in Python arithmetic (see
+    the module docstring for their rounding), the table from them with numpy.
     """
 
     plus_kets: np.ndarray
@@ -110,12 +134,7 @@ class MeasurementSettings:
     hardy_bras: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        kets = np.asarray(self.plus_kets, dtype=complex)
-        if kets.shape != (3, 2, 2):
-            raise DimensionError(
-                f"settings need three (U+, D+) single-qubit ket pairs, got shape {kets.shape}"
-            )
-        flat = kets.ravel().tolist()
+        flat = _amplitudes(self.plus_kets)
         pairs = list(zip(flat[0::2], flat[1::2]))
         norms = [linalg._norm(a, b) for a, b in pairs]
         if any(n < linalg.ZERO_NORM for n in norms):
@@ -157,7 +176,8 @@ class MeasurementSettings:
 
 
 def settings_from_plus_kets(kets) -> MeasurementSettings:
-    """Settings from (3, 2, 2) unnormalized plus-kets: qubit, U/D, component."""
+    """Settings from unnormalized plus-kets: a (3, 2, 2) array-like (qubit, U/D,
+    component) or three (u0, u1, d0, d1) rows of numbers, one per qubit."""
     return MeasurementSettings(kets)
 
 

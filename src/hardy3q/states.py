@@ -194,25 +194,47 @@ _SPLIT_OF = np.array([k for _, k in _PATTERNS], dtype=np.uint8)
 _SPLIT_ROWS = {k: np.array(rows, dtype=np.intp) for rows, k in _PATTERNS}
 
 
+#: rows per block of ``_match_rows``: a block's flag and code arrays take a few
+#: hundred KB, so each pass over a block reads what the previous one left in cache
+_BLOCK_ROWS = 1 << 16
+
+
 def _match_rows(lam: np.ndarray, phi: np.ndarray, eps: float) -> np.ndarray:
-    """Indices into ``CLASS_ORDER`` of rows ``lam`` (n, 5), ``phi`` (n,).  A split runs
-    on its patterns' rows only; D.1 rows (no zero, phi >= eps) are never gathered."""
+    """Indices into ``CLASS_ORDER`` of rows ``lam`` (n, 5), ``phi`` (n,).
+
+    A block is ``_BLOCK_ROWS`` consecutive rows; the blocks run one after
+    the other, in input order.  Every predicate is row-local, so they give
+    the labels of one pass over all rows, and the overlap raised is the
+    first in input order.  Beyond the (n,) output, only one block's
+    temporaries are held at a time.
+    """
+    out = np.empty(len(lam), dtype=np.intp)
+    for lo in range(0, len(lam), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        _match_block(lam[lo:hi], phi[lo:hi], eps, out[lo:hi])
+    return out
+
+
+def _match_block(lam: np.ndarray, phi: np.ndarray, eps: float, out: np.ndarray) -> None:
+    """``_match_rows`` on one block, written into ``out``.  A split runs on its patterns'
+    rows only; D.1 rows (no zero, phi >= eps) are never gathered.  Every gather and
+    scatter is a ``take`` or ``put``, which cost a fraction of fancy indexing here."""
     code = _pattern((lam >= eps).view(np.uint8).T)
-    out, split = _FIRST_ROW[code], _SPLIT_OF[code]
+    _FIRST_ROW.take(code, out=out, mode="clip")  # code < 32 by construction
+    split = _SPLIT_OF.take(code)
     at = np.flatnonzero(split.astype(bool) & ((phi < eps) | (code != 0b11111)))
     # group the rows by split, in input order within a group
-    split = split[at]
+    split = split.take(at)
     order = np.argsort(split, kind="stable")
-    at, ends = at[order], np.searchsorted(split[order], np.arange(1, len(_TESTS) + 1))
+    at, ends = at.take(order), np.searchsorted(split.take(order), np.arange(1, len(_TESTS) + 1))
     for k in range(1, len(_TESTS)):
         rows = at[ends[k - 1]:ends[k]]
-        choice = _TESTS[k](lam.take(rows, axis=0).T, phi[rows], eps)
-        picked = _SPLIT_ROWS[k][np.asarray(choice, dtype=np.intp)]
+        choice = _TESTS[k](lam.take(rows, axis=0).T, phi.take(rows), eps)
+        picked = _SPLIT_ROWS[k].take(choice)
         if (picked == _OVERLAP).any():
             i = rows[np.argmax(picked == _OVERLAP)]
             raise ClassificationOverlapError(lam[i], phi[i], _OVERLAP_LABELS)
-        out[rows] = picked
-    return out
+        out.put(rows, picked)
 
 
 def classify(state: CanonicalState, eps: float = CLASS_EPS, audit: bool = True) -> StateClass:
@@ -243,6 +265,11 @@ def classify_batch(lams: np.ndarray, phis: np.ndarray, eps: float = CLASS_EPS) -
     with the test oracles.  Returns indices into ``CLASS_ORDER``, the rows
     ``classify`` gives.  Raises ``ClassificationOverlapError`` on the first
     row that is both A.3 and C.3 at this ``eps``.
+
+    Every row is checked before any is classified, so a bad entry raises
+    ``ValueError`` wherever it lies.  The rows are then classified in
+    blocks of ``_BLOCK_ROWS`` consecutive rows: beyond its (n,) output, the
+    call holds one block's temporaries (at most about 7 MB), whatever n is.
     """
     lam = np.asarray(lams, dtype=float)
     phi = np.asarray(phis, dtype=float)

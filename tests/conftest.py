@@ -393,11 +393,14 @@ REFERENCE_OUTCOME_SIGNS = np.array(list(product((0, 1), repeat=3)))
 
 
 def reference_settings_eigenkets(plus_kets):
-    """The eigenket stack (3, 2, 2, 2) of plus-kets (3, 2, 2), in numpy arithmetic.
+    """The eigenket stack (3, 2, 2, 2) of plus-kets (3, 2, 2), or of three
+    (u0, u1, d0, d1) rows, in numpy arithmetic.
 
     Raises what ``MeasurementSettings`` raises, for the same ket or qubit.
     """
     kets = np.array(plus_kets, dtype=complex)
+    if isinstance(plus_kets, (list, tuple)) and kets.shape == (3, 4):
+        kets = kets.reshape(3, 2, 2)
     if kets.shape != (3, 2, 2):
         raise DimensionError(f"settings need shape (3, 2, 2), got {kets.shape}")
     norms = np.sqrt(np.vecdot(kets.real, kets.real) + np.vecdot(kets.imag, kets.imag))

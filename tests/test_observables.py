@@ -14,7 +14,13 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from hardy3q.bell import bell_value, hardy_probabilities, sample_statistics
 from hardy3q.errors import DimensionError, NormalizationError, WindowViolationError
-from hardy3q.observables import PHASE_TINY, WINDOW_TOL, settings_from_plus_kets
+from hardy3q.observables import (
+    PHASE_TINY,
+    WINDOW_TOL,
+    kets_from_angles,
+    random_angles,
+    settings_from_plus_kets,
+)
 
 from conftest import (
     mix_with_white_noise,
@@ -141,6 +147,24 @@ class TestConstructionMatchesNumpyOracle:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DimensionError):
             settings_from_plus_kets(np.ones((3, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(1, 0, 1, 1)] * 2, [(1, 0, 1)] * 3, [(np.ones(2),) * 4] * 3],
+        ids=["two-rows", "rows-of-three", "rows-of-arrays"],
+    )
+    def test_rejects_rows_of_wrong_shape(self, rows):
+        with pytest.raises(DimensionError):
+            settings_from_plus_kets(rows)
+
+    def test_rows_give_the_settings_of_the_array(self, rng):
+        # the recipes' form: three (u0, u1, d0, d1) rows of Python numbers
+        kets = kets_from_angles(random_angles(rng, 6)).reshape(3, 2, 2)
+        rows = [tuple(pair.ravel().tolist()) for pair in kets]
+        want, got = settings_from_plus_kets(kets), settings_from_plus_kets(rows)
+        for name in ("eigenkets", "bras", "hardy_bras"):
+            a, b = getattr(want, name), getattr(got, name)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_arrays_are_read_only(self, rng):
         settings = random_settings(rng)

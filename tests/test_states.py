@@ -1,12 +1,14 @@
 """Tests for canonical states, classification, and noisy mixtures."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from hardy3q import states
 from hardy3q.errors import ClassificationOverlapError, NormalizationError
 from hardy3q.states import (
     CLASS_ORDER,
@@ -335,6 +337,126 @@ class TestRowPredicateOracle:
         assert oracle_classify(lam, phi, eps) is batch
         if abs(float(np.sum(lam**2)) - 1.0) <= 1e-12:
             assert classify(CanonicalState(tuple(lam), phi), eps=eps) is batch
+
+
+BLOCK = states._BLOCK_ROWS
+
+
+def _structured_rows(rng):
+    """One row of every non-empty zero pattern, then four draws of every class,
+    which lie on the equality surfaces (A.3, C.*, D.3, D.7, D.11) or off them."""
+    lams, phis = [], []
+    for code in range(1, 32):
+        lam = np.where([code >> j & 1 for j in range(5)], rng.uniform(0.25, 1.0, 5), 0.0)
+        lams.append(lam / np.linalg.norm(lam))
+        phis.append(rng.uniform(0.0, math.pi))
+    for state in (sample_class(c, rng) for c in CLASS_ORDER for _ in range(4)):
+        lams.append(state.lams)
+        phis.append(state.phi)
+    return np.array(lams), np.array(phis)
+
+
+def _blocked_deck(n, rng):
+    """``n`` uniform rows with the structured rows written just before and just
+    after every block boundary (and the ends); returns the rows and those positions."""
+    lams = np.abs(rng.standard_normal((n, 5)))
+    lams /= np.linalg.norm(lams, axis=1, keepdims=True)
+    phis = rng.uniform(0.0, math.pi, n)
+    s_lams, s_phis = _structured_rows(rng)
+    k = len(s_lams)
+    placed = []
+    for lo in (b + d for b in range(0, n + 1, BLOCK) for d in (-k, 0)):
+        at = np.arange(max(lo, 0), min(lo + k, n))
+        lams[at], phis[at] = s_lams[at - lo], s_phis[at - lo]
+        placed.append(at)
+    return lams, phis, np.unique(np.concatenate(placed))
+
+
+def _overlap_row():
+    # at eps = 0.6 the maximal pair (|00> + |11>)/sqrt(2) is both singular
+    # (A.3) and unitary (C.3), at every phase
+    return np.array([0.0, INV_SQRT2, 0.0, 0.0, INV_SQRT2])
+
+
+class TestBlockedBatch:
+    """``classify_batch`` runs ``_BLOCK_ROWS`` rows at a time: the labels, the
+    first overlap and the errors are those of one pass over all rows."""
+
+    @pytest.mark.parametrize(
+        "blocks, extra",
+        [(1, -1), (1, 0), (1, 1), (2, 3)],
+        ids=["block-1", "block", "block+1", "2block+3"],
+    )
+    def test_labels_at_block_boundaries(self, monkeypatch, blocks, extra):
+        rng = np.random.default_rng(blocks + extra)
+        lams, phis, placed = _blocked_deck(blocks * BLOCK + extra, rng)
+        labels = classify_batch(lams, phis)
+        table = oracle_row_predicates(lams, phis)
+        assert (table.sum(axis=1) == 1).all()
+        np.testing.assert_array_equal(labels, table.argmax(axis=1))
+        for i in placed:
+            state = CanonicalState(tuple(lams[i]), phis[i])
+            assert CLASS_ORDER[labels[i]] is classify(state) is oracle_classify(lams[i], phis[i])
+        with monkeypatch.context() as patch:
+            patch.setattr(states, "_BLOCK_ROWS", len(lams))  # one block
+            np.testing.assert_array_equal(classify_batch(lams, phis), labels)
+
+    def test_overlap_in_second_block_names_its_row(self):
+        n = 2 * BLOCK + 3
+        lams = np.tile([1.0, 0.0, 0.0, 0.0, 0.0], (n, 1))  # A.2 at eps = 0.6
+        phis = np.random.default_rng(7).uniform(0.0, math.pi, n)
+        first, later = BLOCK + 5, 2 * BLOCK + 1
+        lams[[first, later]] = _overlap_row()
+        with pytest.raises(ClassificationOverlapError) as exc:
+            classify_batch(lams, phis, eps=0.6)
+        assert exc.value.lams == tuple(lams[first]) and exc.value.phi == phis[first]
+
+    @pytest.mark.parametrize("column", [2, 5], ids=["nan-l2", "nan-phi"])
+    def test_non_finite_in_later_block_raises_before_an_earlier_overlap(self, column):
+        n = 2 * BLOCK + 3
+        lams = np.tile([1.0, 0.0, 0.0, 0.0, 0.0], (n, 1))
+        phis = np.zeros(n)
+        lams[10] = _overlap_row()
+        if column < 5:
+            lams[BLOCK + 7, column] = math.nan
+        else:
+            phis[BLOCK + 7] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            classify_batch(lams, phis, eps=0.6)
+
+    def test_memory_layout_does_not_change_labels(self):
+        n = 2 * BLOCK + 3
+        lams, phis, _ = _blocked_deck(n, np.random.default_rng(11))
+        want = classify_batch(lams, phis)
+        wide = np.zeros((2 * n, 10))
+        wide[::2, ::2] = lams
+        phi_wide = np.zeros(3 * n)
+        phi_wide[::3] = phis
+        for lam_in, phi_in, expected in (
+            (np.asfortranarray(lams), phis, want),
+            (wide[::2, ::2], phi_wide[::3], want),
+            (lams[::-1], phis[::-1], want[::-1]),
+        ):
+            np.testing.assert_array_equal(classify_batch(lam_in, phi_in), expected)
+
+    def test_peak_memory_is_the_output_and_one_block(self):
+        # every row through the A.3/B.5/C.3 split, the costliest kind: its
+        # temporaries take about 110 bytes per row, held for one block's rows
+        # (one pass over all rows would hold them for every row, about 28 MB here)
+        rng = np.random.default_rng(12)
+        n = 4 * BLOCK + 5
+        lams = np.abs(rng.standard_normal((n, 5)))
+        lams[:, 0] = 0.0
+        lams /= np.linalg.norm(lams, axis=1, keepdims=True)
+        phis = rng.uniform(0.0, math.pi, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = classify_batch(lams, phis)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 160 * BLOCK
 
 
 class TestWhiteNoise:
