@@ -35,6 +35,8 @@ from .observables import BELL_TERMS, TERM_OUTCOMES, MeasurementSettings
 
 #: Bell value of the maximally mixed state I/8 (four terms of 1/8 minus 1/8)
 WHITE_NOISE_BELL_VALUE = 3.0 / 8.0
+#: B below this counts as a violation of the local bound B >= 0
+VIOLATION_CUTOFF = -1e-12
 
 
 def _product_probabilities(state, bras: np.ndarray) -> np.ndarray:
@@ -84,7 +86,7 @@ def bell_value(state, settings: MeasurementSettings, state_label: str | None = N
     return BellReport(
         probabilities=_clamped(probs),
         bell_value=value,
-        lhv_bound_satisfied=value >= -1e-12,
+        lhv_bound_satisfied=value >= VIOLATION_CUTOFF,
         settings=settings,
         state_label=state_label,
     )

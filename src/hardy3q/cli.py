@@ -41,15 +41,10 @@ from .bell import (
     lhv_minimum,
     sample_statistics,
 )
-from .errors import (
-    ClassificationOverlapError,
-    ConstructionFailureError,
-    Hardy3QError,
-    NoWitnessError,
-)
-from .hardy import HardyCertificate, WitnessConstruction, build_witness
+from .errors import ClassificationOverlapError, ConstructionFailureError, Hardy3QError
+from .hardy import CONSTRUCTION_ZERO_TOL, HardyCertificate, WitnessConstruction, build_witness
 from .observables import MeasurementSettings
-from .states import CanonicalState, classify, normalized_canonical
+from .states import CLASS_EPS, CanonicalState, classify, normalized_canonical
 from .visibility import FAMILIES, GridAxis, OptimizationResult, minimize_bell, scan_family
 
 EXIT_OK = 0
@@ -464,12 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="print the classification-table row")
     add_common(p, with_seed=False)
-    p.add_argument("--eps", type=float, default=1e-9, help="zero/equality tolerance")
+    p.add_argument("--eps", type=float, default=CLASS_EPS, help="zero/equality tolerance")
     p.set_defaults(func=_cmd_classify, seed=0)
 
     p = sub.add_parser("witness", help="class-appropriate settings and certificate")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9, help="zero-probability tolerance")
+    p.add_argument(
+        "--tol", type=float, default=CONSTRUCTION_ZERO_TOL, help="zero-probability tolerance"
+    )
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("optimize", help="minimize B and report threshold visibility")
@@ -520,9 +517,6 @@ def main(argv: list[str] | None = None) -> int:
     except ClassificationOverlapError as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_GAP}), file=sys.stderr)
         return EXIT_GAP
-    except NoWitnessError as exc:  # pragma: no cover - defensive
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_OK
     except Hardy3QError as exc:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_CONSTRUCTION}), file=sys.stderr)
         return EXIT_CONSTRUCTION

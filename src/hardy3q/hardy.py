@@ -17,10 +17,11 @@ satisfy the conditions, but a fixed settings choice still certifies a
 negative Bell value.  Fully product states (class A) admit no witness.
 
 The B and C recipes are closed forms in Python complex arithmetic, like the
-D rows: the product qubit's state and the pair's Schmidt bases come from
-one 2x2 eigenvector formula (``linalg._top_eigenpair``).  Their kets agree
-with the former numpy path (``tensordot``, ``eigh``) to about 1e-15 and no
-witness decision changes (the tests keep that path as their oracle).
+D rows.  In the canonical form the product qubit is already a basis state,
+so the pair state is the half of the ket that basis state selects; the
+pair's Schmidt bases come from ``linalg.schmidt_decompose``.  Their kets
+agree with the former numpy path (``tensordot``, ``eigh``) to about 1e-15
+and no witness decision changes (the tests keep that path as their oracle).
 
 ``build_witness`` runs every class through one pipeline: each recipe
 candidate is self-validated against the actual joint probabilities, and
@@ -49,7 +50,6 @@ from .errors import (
 )
 from .observables import (
     MeasurementSettings,
-    _phase_fixed,
     kets_from_angles,
     random_angles,
     settings_from_plus_kets,
@@ -230,7 +230,9 @@ def genuine_candidates(cls: StateClass, state: CanonicalState) -> list[tuple]:
 # classes B and C: pair extraction and Schmidt-basis lifts; the pipeline
 # ---------------------------------------------------------------------------
 
-#: which qubit (0-based) is the product factor for each B/C sub-class
+#: which qubit (0-based) is the product factor for each B/C sub-class; in the
+#: canonical form it is |1> when it is qubit 0 (B.5 and C.3, where l0 < eps)
+#: and |0> otherwise
 PRODUCT_QUBIT: dict[StateClass, int] = {
     StateClass.B1: 1,
     StateClass.B2: 2,
@@ -244,33 +246,27 @@ PRODUCT_QUBIT: dict[StateClass, int] = {
 
 
 def extract_pair_factorization(psi, product_qubit: int) -> tuple[tuple, tuple]:
-    """Split |psi> = |pair state> (x) |single-qubit state|.
+    """Split a canonical B or C ket |psi> = |pair state> (x) |chi>.
 
     Returns (chi, eta) as tuples of Python complex numbers: the product
-    qubit's state (the dominant eigenvector of its reduced density matrix,
-    phase-fixed as settings kets are) and the normalized two-qubit pair
-    state, pair qubits kept in increasing qubit order.  Fails if psi is not
-    finite or the designated qubit is not actually in a product state.
+    qubit's basis state (see ``PRODUCT_QUBIT``) and the normalized half of
+    psi it selects, pair qubits kept in increasing qubit order.  Fails if
+    psi is not finite or that half does not carry (nearly) all of its
+    weight, i.e. the designated qubit is not in that basis state.
     """
     amps = np.ravel(psi).tolist()
     bit = 4 >> product_qubit  # of the product qubit in the basis index
-    zero = [z for i, z in enumerate(amps) if not i & bit]
-    one = [z for i, z in enumerate(amps) if i & bit]
-    purity, c0, c1 = linalg._top_eigenpair(  # of the reduced density matrix
-        sum((z.conjugate() * z).real for z in zero),
-        sum((w.conjugate() * w).real for w in one),
-        sum(z * w.conjugate() for z, w in zip(zero, one)),
-    )
-    if not 1.0 - 1e-9 <= purity < math.inf:
+    kept = bit if product_qubit == 0 else 0
+    eta = [z for i, z in enumerate(amps) if i & bit == kept]
+    weight = sum(z.real * z.real + z.imag * z.imag for z in eta)
+    if not (1.0 - 1e-9 <= weight < math.inf and all(map(cmath.isfinite, amps))):
         raise ConstructionFailureError(
             f"qubit {product_qubit + 1} is not in a product state "
-            f"(largest reduced eigenvalue {purity!r})"
+            f"(weight {weight!r} on its canonical basis state)"
         )
-    c0, c1 = _phase_fixed(c0, c1)
-    b0, b1 = c0.conjugate(), c1.conjugate()
-    eta = [b0 * z + b1 * w for z, w in zip(zero, one)]
-    inv = 1.0 / math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in eta))
-    return (c0, c1), tuple(z * inv for z in eta)
+    inv = 1.0 / math.sqrt(weight)
+    chi = (0j, 1.0 + 0j) if kept else (1.0 + 0j, 0j)
+    return chi, tuple(z * inv for z in eta)
 
 
 def pair_hardy_probability(a: float, b: float) -> float:
@@ -324,7 +320,7 @@ def _lift_pair_kets(
     """
 
     def lift(coeffs, basis):
-        (e0, e1), (f0, f1) = (v.tolist() for v in basis)
+        (e0, e1), (f0, f1) = basis
         (a, b), (c, d) = coeffs
         return a * e0 + b * f0, a * e1 + b * f1, c * e0 + d * f0, c * e1 + d * f1
 
@@ -682,7 +678,7 @@ def search_hardy_observables(
     vec = linalg.ket(psi)
     if vec.shape[0] != 8:
         raise DimensionError("search expects a three-qubit ket")
-    linalg.require_normalized(vec, atol=1e-9)
+    linalg.require_normalized(vec)
 
     # spawn continues where the previous call stopped, so round 2 gets
     # children 1 .. attempts-1 of the same sequence

@@ -4,9 +4,9 @@ Kets are plain 1-d complex numpy arrays of length 2, 4 or 8.  Basis
 ordering for multi-qubit kets is |abc> <-> index 4a + 2b + c.  All functions are pure and never
 mutate their inputs.
 
-``_top_eigenpair``, the largest eigenpair of a 2x2 Hermitian matrix in
-closed form and Python complex arithmetic (cheaper on four numbers than
-numpy's per-call overhead), serves the Schmidt decomposition and ``hardy``.
+The two-qubit Schmidt decomposition runs in closed form and Python complex
+arithmetic, which on four numbers costs less than numpy's per-call
+overhead, and returns its bases as tuples of Python complex numbers.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ def ket(values) -> np.ndarray:
     return arr
 
 
-def require_normalized(k, atol: float = 1e-9) -> np.ndarray:
+def require_normalized(k) -> np.ndarray:
+    """The ket as a complex array; its norm must lie within 1e-9 of 1."""
     arr = np.asarray(k, dtype=complex)
     dev = abs(np.linalg.norm(arr) - 1.0)
-    if dev > atol:
+    if dev > 1e-9:
         raise NormalizationError(f"ket norm deviates from 1 by {dev:.3e}")
     return arr
 
@@ -60,17 +61,13 @@ class SchmidtDecomposition:
     """Biorthogonal form a|u0>|v0> + b|u1>|v1> of a two-qubit pure state.
 
     ``coefficients`` is (a, b) with a >= b >= 0 and a^2 + b^2 = 1 for a
-    normalized input; ``basis_a``/``basis_b`` are orthonormal local bases.
+    normalized input; ``basis_a``/``basis_b`` are orthonormal local bases,
+    each ket a pair of Python complex numbers.
     """
 
     coefficients: tuple[float, float]
-    basis_a: tuple[np.ndarray, np.ndarray]
-    basis_b: tuple[np.ndarray, np.ndarray]
-
-    def __post_init__(self):
-        for pair in (self.basis_a, self.basis_b):
-            for v in pair:
-                v.setflags(write=False)
+    basis_a: tuple[tuple[complex, complex], tuple[complex, complex]]
+    basis_b: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def reconstruct(self) -> np.ndarray:
         a, b = self.coefficients
@@ -84,34 +81,15 @@ def _norm(a: complex, b: complex) -> float:
     return math.sqrt(a.real * a.real + b.real * b.real + (a.imag * a.imag + b.imag * b.imag))
 
 
-def _top_eigenpair(p: float, r: float, q: complex) -> tuple[float, complex, complex]:
-    """Largest eigenvalue mu and a unit eigenvector (x, y) of [[p, q], [conj q, r]].
-
-    mu = (p + r + sqrt((p - r)^2 + 4 |q|^2)) / 2, and (x, y) the longer of
-    the proportional eigenvectors (q, mu - p) and (mu - r, conj q) times
-    1 / its norm (numpy's rounding of a division by a real), or (1, 0) when
-    both (nearly) vanish: the matrix is then (nearly) scalar.
-    """
-    diff, size = p - r, abs(q)
-    mu = 0.5 * ((p + r) + math.sqrt(diff * diff + 4.0 * size * size))
-    n1, n2 = _norm(q, mu - p), _norm(mu - r, q.conjugate())
-    if max(n1, n2) < 1e-14 * max(p + r, 1.0):
-        return mu, 1.0 + 0j, 0j
-    if n1 >= n2:
-        return mu, q * (1.0 / n1), (mu - p) * (1.0 / n1)
-    return mu, (mu - r) * (1.0 / n2), q.conjugate() * (1.0 / n2)
-
-
 def schmidt_decompose(state) -> SchmidtDecomposition:
     """Schmidt decomposition of a normalized two-qubit ket.
 
     Uses the closed-form 2x2 singular value decomposition: the dominant
     eigenvector of M^dag M for the coefficient matrix M[a][b] = amplitude of
-    |ab> (``_top_eigenpair``), with the smaller singular value recovered
-    from |det M| to avoid cancellation, and left vectors phase-locked to the
-    data so the reconstruction is exact to machine precision even for
-    degenerate or product inputs.  Computed in Python complex arithmetic;
-    only the returned bases are numpy arrays.
+    |ab>, with the smaller singular value recovered from |det M| to avoid
+    cancellation, and left vectors phase-locked to the data so the
+    reconstruction is exact to machine precision even for degenerate or
+    product inputs.  Computed in Python complex arithmetic.
     """
     arr = np.asarray(state, dtype=complex)
     if arr.shape != (4,):
@@ -123,11 +101,23 @@ def schmidt_decompose(state) -> SchmidtDecomposition:
     if dev > 1e-9:
         raise NormalizationError(f"ket norm deviates from 1 by {dev:.3e}")
 
-    mu0, x, y = _top_eigenpair(
-        (m00.conjugate() * m00 + m10.conjugate() * m10).real,
-        (m01.conjugate() * m01 + m11.conjugate() * m11).real,
-        m00.conjugate() * m01 + m10.conjugate() * m11,
-    )
+    # M^dag M = [[p, q], [conj q, r]]; its largest eigenvalue mu0 =
+    # (p + r + sqrt((p - r)^2 + 4 |q|^2)) / 2, and (x, y) the longer of the
+    # proportional eigenvectors (q, mu0 - p) and (mu0 - r, conj q) times
+    # 1 / its norm (numpy's rounding of a division by a real), or (1, 0)
+    # when both (nearly) vanish: the matrix is then (nearly) scalar
+    p = (m00.conjugate() * m00 + m10.conjugate() * m10).real
+    r = (m01.conjugate() * m01 + m11.conjugate() * m11).real
+    q = m00.conjugate() * m01 + m10.conjugate() * m11
+    diff, size = p - r, abs(q)
+    mu0 = 0.5 * ((p + r) + math.sqrt(diff * diff + 4.0 * size * size))
+    n1, n2 = _norm(q, mu0 - p), _norm(mu0 - r, q.conjugate())
+    if max(n1, n2) < 1e-14 * max(p + r, 1.0):
+        x, y = 1.0 + 0j, 0j
+    elif n1 >= n2:
+        x, y = q * (1.0 / n1), (mu0 - p) * (1.0 / n1)
+    else:
+        x, y = (mu0 - r) * (1.0 / n2), q.conjugate() * (1.0 / n2)
     s0 = math.sqrt(mu0)
     s1 = abs(m00 * m11 - m01 * m10) / s0 if s0 > ZERO_NORM else 0.0
 
@@ -152,5 +142,6 @@ def schmidt_decompose(state) -> SchmidtDecomposition:
         phase = complex(phase.real * inv, phase.imag * inv)
         c, d = c * phase, d * phase
 
-    u0, u1, w0, w1 = np.array([(a, b), (c, d), (xc, yc), (-y, x)])
-    return SchmidtDecomposition(coefficients=(s0, s1), basis_a=(u0, u1), basis_b=(w0, w1))
+    return SchmidtDecomposition(
+        coefficients=(s0, s1), basis_a=((a, b), (c, d)), basis_b=((xc, yc), (-y, x))
+    )

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     ClassificationOverlapError,
     Hardy3QError,

@@ -40,8 +40,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import linalg
-from .bell import WHITE_NOISE_BELL_VALUE, bell_value
-from .errors import Hardy3QError, VisibilityUndefinedError
+from .bell import VIOLATION_CUTOFF, WHITE_NOISE_BELL_VALUE, bell_value
+from .errors import DimensionError, Hardy3QError, VisibilityUndefinedError
 from .hardy import build_witness
 from .observables import (
     WINDOW_TOL,
@@ -75,8 +75,6 @@ ANDERSON_DEPTH = 5
 ANDERSON_ONSET = 1e-4
 #: starts whose final B is this close to the best count as reaching it
 AT_BEST_TOL = 1e-9
-#: B below this counts as a violation
-VIOLATION_CUTOFF = -1e-12
 
 _LAGS = np.arange(1, ANDERSON_DEPTH)
 _RIDGE_EYE = np.eye(ANDERSON_DEPTH - 1)
@@ -390,8 +388,8 @@ def minimize_bell(
         raise ValueError(f"maxiter must be at least 1, got {maxiter!r}")
     vec = linalg.ket(psi)
     if vec.shape[0] != 8:
-        raise Hardy3QError("optimization expects a three-qubit ket")
-    linalg.require_normalized(vec, atol=1e-9)
+        raise DimensionError("optimization expects a three-qubit ket")
+    linalg.require_normalized(vec)
     psi3 = vec.reshape(2, 2, 2)
 
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(int(starts))]

@@ -122,7 +122,7 @@ def fix_global_phase(k, tiny: float = 1e-12) -> np.ndarray:
 def projector(k):
     """Rank-one projector |k><k| for a normalized ket."""
     arr = linalg.ket(k)
-    linalg.require_normalized(arr, atol=1e-9)
+    linalg.require_normalized(arr)
     return np.outer(arr, arr.conj())
 
 
@@ -193,7 +193,7 @@ def mix_with_white_noise(psi, v):
         vec = linalg.ket(psi)
         if vec.shape[0] != 8:
             raise ValueError("white-noise mixing expects a three-qubit state")
-        linalg.require_normalized(vec, atol=1e-9)
+        linalg.require_normalized(vec)
     return v * np.outer(vec, vec.conj()) + (1.0 - v) / 8.0 * np.eye(8, dtype=complex)
 
 
@@ -491,7 +491,7 @@ def reference_schmidt_decompose(state):
     arr = linalg.ket(state)
     if arr.shape[0] != 4:
         raise DimensionError("schmidt_decompose expects a two-qubit ket")
-    linalg.require_normalized(arr, atol=1e-9)
+    linalg.require_normalized(arr)
 
     m = arr.reshape(2, 2)
     h = m.conj().T @ m

@@ -18,6 +18,7 @@ from hardy3q.errors import (
     WindowViolationError,
 )
 from hardy3q.hardy import (
+    PRODUCT_QUBIT,
     build_witness,
     extract_pair_factorization,
     genuine_candidates,
@@ -28,7 +29,13 @@ from hardy3q.hardy import (
 )
 from hardy3q.linalg import schmidt_decompose
 from hardy3q.observables import random_angles, settings_from_plus_kets
-from hardy3q.states import CanonicalState, StateClass, classify, sample_class
+from hardy3q.states import (
+    CanonicalState,
+    StateClass,
+    classify,
+    normalized_canonical,
+    sample_class,
+)
 
 from conftest import (
     nelder_mead_search,
@@ -52,6 +59,16 @@ C_CLASSES = [c for c in StateClass if c.major == "C"]
 
 GHZ = CanonicalState((INV_SQRT2, 0, 0, 0, INV_SQRT2), 0.0)
 W = CanonicalState((3**-0.5, 0, 3**-0.5, 3**-0.5, 0), 0.0)
+
+
+def canonical_basis_state(qubit):
+    """The product qubit's state in canonical B and C kets: |1> on qubit 0, else |0>."""
+    return np.array([0, 1] if qubit == 0 else [1, 0], dtype=complex)
+
+
+def product_with_pair(chi, eta, qubit):
+    """The three-qubit ket with ``chi`` on ``qubit`` and the pair state ``eta`` on the others."""
+    return np.moveaxis(np.multiply.outer(chi, np.reshape(eta, (2, 2))), 0, qubit).reshape(8)
 
 
 def retired_d3_row(lams):
@@ -325,8 +342,6 @@ class TestBipartiteConstructions:
             probs = oracle_hardy_probabilities(state.to_ket(), built.settings)
             assert max(probs[:4]) <= 1e-10
             psi = state.to_ket()
-            from hardy3q.hardy import PRODUCT_QUBIT
-
             _, eta = extract_pair_factorization(psi, PRODUCT_QUBIT[cls])
             a, b = schmidt_decompose(eta).coefficients
             assert built.certificate.success_probability == pytest.approx(
@@ -371,29 +386,46 @@ class TestPairExtraction:
             extract_pair_factorization(state.to_ket(), qubit)
 
     @pytest.mark.parametrize("qubit", [0, 1, 2])
-    def test_non_finite_or_zero_ket_rejected(self, qubit):
-        plus = np.full(8, 8**-0.5, dtype=complex)  # |+++>: every qubit is a product factor
-        chi, eta = extract_pair_factorization(plus, qubit)
-        assert np.allclose(chi, [INV_SQRT2, INV_SQRT2]) and np.allclose(eta, 0.5)
+    def test_non_finite_or_zero_ket_rejected(self, qubit, rng):
+        chi, eta = canonical_basis_state(qubit), random_ket(rng, 4)
+        psi = product_with_pair(chi, eta, qubit)
+        got_chi, got_eta = extract_pair_factorization(psi, qubit)
+        assert got_chi == tuple(chi)
+        assert np.abs(np.subtract(got_eta, eta)).max() <= 1e-15
         bad = [np.zeros(8, dtype=complex)]
-        for k in range(8):
+        for k in range(8):  # in the selected half and in the other one
             for value in (np.nan, np.inf, complex(-np.inf, 1.0)):
-                bad.append(plus.copy())
+                bad.append(psi.copy())
                 bad[-1][k] = value
         for psi in bad:
             with pytest.raises(ConstructionFailureError, match="not in a product state"):
                 extract_pair_factorization(psi, qubit)
 
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_product_qubit_off_its_basis_state_rejected(self, qubit):
+        # |+++> is a product state, but canonical B and C states never put
+        # their product qubit in |+>; only half of psi's weight is selected
+        plus = np.full(8, 8**-0.5, dtype=complex)
+        with pytest.raises(ConstructionFailureError, match="weight 0.5"):
+            extract_pair_factorization(plus, qubit)
+
     def test_matches_numpy_oracle_on_random_factors(self, rng):
-        # canonical B and C states have a basis state on the product qubit,
-        # so this draws both factors at random, chi with either amplitude
-        # the larger one
-        for _ in range(300):
+        # canonical B and C states have a basis state on the product qubit
+        # (|1> on qubit 1, |0> on qubits 2 and 3): draws of every B and C
+        # class, then random pair states beside that basis state
+        cases = [
+            (sample_class(cls, rng).to_ket(), PRODUCT_QUBIT[cls])
+            for cls in B_CLASSES + C_CLASSES
+            for _ in range(20)
+        ]
+        for _ in range(140):
             qubit = int(rng.integers(3))
-            chi, eta = random_ket(rng, 2), random_ket(rng, 4)
-            psi = np.moveaxis(np.multiply.outer(chi, eta.reshape(2, 2)), 0, qubit).reshape(8)
+            psi = product_with_pair(canonical_basis_state(qubit), random_ket(rng, 4), qubit)
+            cases.append((psi, qubit))
+        for psi, qubit in cases:
             got = extract_pair_factorization(psi, qubit)
             want = reference_extract_pair_factorization(psi, qubit)
+            assert got[0] == tuple(canonical_basis_state(qubit))
             for new, old in zip(got, want):
                 assert np.abs(np.subtract(new, old)).max() <= 1e-14
 
@@ -1003,6 +1035,15 @@ def contract_deck(name):
     return [CanonicalState(lams, phi) for _, lams, phi in rows]
 
 
+def oracle_pair_witness(monkeypatch, state, cls):
+    """``build_witness`` with the B/C pair extraction, Schmidt decomposition and lift in numpy arrays."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hardy, "extract_pair_factorization", reference_extract_pair_factorization)
+        patch.setattr(hardy.linalg, "schmidt_decompose", reference_schmidt_decompose)
+        patch.setattr(hardy, "_lift_pair_kets", reference_lift_pair_kets)
+        return build_witness(state, cls)
+
+
 class TestRoundingContract:
     """Settings built in scalar arithmetic change no witness decision.
 
@@ -1041,11 +1082,7 @@ class TestRoundingContract:
         assert len(pairs) == 480
         for state, cls in pairs:
             new = build_witness(state, cls)
-            with monkeypatch.context() as patch:
-                patch.setattr(hardy, "extract_pair_factorization", reference_extract_pair_factorization)
-                patch.setattr(hardy.linalg, "schmidt_decompose", reference_schmidt_decompose)
-                patch.setattr(hardy, "_lift_pair_kets", reference_lift_pair_kets)
-                old = build_witness(state, cls)
+            old = oracle_pair_witness(monkeypatch, state, cls)
             assert new.certificate.satisfied == old.certificate.satisfied == (cls.major == "B")
             assert not new.used_fallback and not old.used_fallback
             assert np.abs(new.settings.plus_kets - old.settings.plus_kets).max() <= 5e-15
@@ -1053,3 +1090,37 @@ class TestRoundingContract:
             if cls.major == "C":
                 value = bell_value(state.to_ket(), new.settings).bell_value
                 assert value == pytest.approx(-0.0184, abs=1e-12)
+
+    def test_pair_recipe_matches_numpy_oracle_below_eps(self, monkeypatch):
+        # the recipe reads the pair from the half of psi that the product
+        # qubit's basis state selects and ignores the other half, where the
+        # oracle's eigenvector sees every amplitude.  Entries of 1e-12 to
+        # 9e-10 in a deck state's zero amplitudes (kept where the class
+        # stays) change no decision and move P5 and B by rounding-level
+        # amounts.  The kets are not compared: a sub-eps first amplitude
+        # above PHASE_TINY may turn a ket's global phase.
+        rng = np.random.default_rng(19)
+        checked = 0
+        for deck in ("class-witness-0", "class-witness-1", "class-witness-2"):
+            for state in contract_deck(deck):
+                cls = classify(state)
+                if cls.major not in ("B", "C"):
+                    continue
+                lams = np.array(state.lams)
+                zero = lams == 0.0
+                lams[zero] = np.exp(rng.uniform(np.log(1e-12), np.log(9e-10), zero.sum()))
+                state = normalized_canonical(lams, state.phi)[0]
+                if classify(state) is not cls:
+                    continue
+                psi = state.to_ket()
+                new = build_witness(state, cls)
+                old = oracle_pair_witness(monkeypatch, state, cls)
+                assert new.certificate.satisfied == old.certificate.satisfied
+                assert new.used_fallback == old.used_fallback
+                assert new.certificate.success_probability == pytest.approx(
+                    old.certificate.success_probability, rel=1e-8
+                )
+                values = [bell_value(psi, w.settings).bell_value for w in (new, old)]
+                assert values[0] == pytest.approx(values[1], abs=1e-9)
+                checked += 1
+        assert checked >= 1300

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from hardy3q.bell import bell_value
-from hardy3q.errors import VisibilityUndefinedError
-from hardy3q.hardy import build_witness
+from hardy3q.errors import DimensionError, VisibilityUndefinedError
+from hardy3q.hardy import build_witness, search_hardy_observables
 from hardy3q.states import CanonicalState
 from hardy3q.observables import WINDOW_TOL, kets_from_angles, random_angles
 from hardy3q import visibility
@@ -104,6 +104,12 @@ class TestMinimizeBell:
         assert result.violation_found
         for overlap in pair_overlaps(result.best_settings):
             assert 1e-9 < overlap < 1 - 1e-9
+
+    @pytest.mark.parametrize("solver", [minimize_bell, search_hardy_observables])
+    def test_two_qubit_ket_is_a_dimension_error(self, solver):
+        # the optimizer and the witness search check their ket alike
+        with pytest.raises(DimensionError, match="three-qubit ket"):
+            solver(np.array([1, 0, 0, 1], complex) / np.sqrt(2))
 
     def test_product_state_never_violates(self):
         psi = np.zeros(8, complex)
