@@ -50,14 +50,7 @@ from .states import (
     sample_class,
     to_ket,
 )
-from .visibility import (
-    FAMILIES,
-    GridAxis,
-    OptimizationResult,
-    minimize_bell,
-    scan_family,
-    threshold_visibility,
-)
+from .visibility import OptimizationResult, minimize_bell, threshold_visibility
 
 __all__ = [
     "BELL_TERMS",
@@ -66,8 +59,6 @@ __all__ = [
     "ClassificationOverlapError",
     "ConstructionFailureError",
     "DimensionError",
-    "FAMILIES",
-    "GridAxis",
     "Hardy3QError",
     "HardyCertificate",
     "LhvAssignment",
@@ -94,7 +85,6 @@ __all__ = [
     "pair_hardy_probability",
     "sample_class",
     "sample_statistics",
-    "scan_family",
     "schmidt_decompose",
     "search_hardy_observables",
     "settings_from_plus_kets",

@@ -75,11 +75,9 @@ class BellReport:
     probabilities: tuple[float, float, float, float, float]
     bell_value: float
     lhv_bound_satisfied: bool
-    settings: MeasurementSettings
-    state_label: str | None = None
 
 
-def bell_value(state, settings: MeasurementSettings, state_label: str | None = None) -> BellReport:
+def bell_value(state, settings: MeasurementSettings) -> BellReport:
     """Evaluate B = p1 + p2 + p3 + p4 - p5 for a state and settings."""
     probs = hardy_probabilities(state, settings).tolist()
     value = probs[0] + probs[1] + probs[2] + probs[3] - probs[4]
@@ -87,8 +85,6 @@ def bell_value(state, settings: MeasurementSettings, state_label: str | None = N
         probabilities=_clamped(probs),
         bell_value=value,
         lhv_bound_satisfied=value >= VIOLATION_CUTOFF,
-        settings=settings,
-        state_label=state_label,
     )
 
 

@@ -21,7 +21,6 @@ through exit codes:
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -42,10 +41,10 @@ from .bell import (
     sample_statistics,
 )
 from .errors import ClassificationOverlapError, ConstructionFailureError, Hardy3QError
-from .hardy import CONSTRUCTION_ZERO_TOL, HardyCertificate, WitnessConstruction, build_witness
+from .hardy import ZERO_TOL, HardyCertificate, WitnessConstruction, build_witness
 from .observables import MeasurementSettings
 from .states import CLASS_EPS, CanonicalState, classify, normalized_canonical
-from .visibility import FAMILIES, GridAxis, OptimizationResult, minimize_bell, scan_family
+from .visibility import OptimizationResult, minimize_bell
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -287,9 +286,7 @@ def _witness_payload(built: WitnessConstruction, psi: np.ndarray) -> dict:
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     require_positive("--eps", args.eps)
     spec = load_state_spec(args.path, normalize=args.normalize)
-    if spec.canonical is None:
-        raise CliError("classification requires canonical form", EXIT_FORM)
-    cls = classify(spec.canonical, eps=args.eps)
+    cls = classify(require_canonical(spec, "classify"), eps=args.eps)
     report = _base_report("classify", args, spec)
     report["class"] = cls.value
     report["major_class"] = cls.major
@@ -315,7 +312,7 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
         raise CliError(str(exc), EXIT_CONSTRUCTION) from exc
     payload = _witness_payload(built, spec.ket)
     report.update(payload)
-    violated = payload["bell"]["bell_value"] < 0.0
+    violated = not payload["bell"]["lhv_bound_satisfied"]
     if cls.major == "C":
         expectation_met = (not built.certificate.satisfied) and violated
     else:
@@ -378,6 +375,51 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+# ---------------------------------------------------------------------------
+# family scans
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GridAxis:
+    """Inclusive linear grid over one family parameter."""
+
+    name: str
+    start: float
+    stop: float
+    steps: int
+
+    def values(self) -> np.ndarray:
+        if self.steps == 1:
+            return np.array([self.start])
+        return np.linspace(self.start, self.stop, self.steps)
+
+
+def _ghz_family(t: float) -> CanonicalState:
+    return CanonicalState((math.cos(t), 0.0, 0.0, 0.0, math.sin(t)), 0.0)
+
+
+def _w_family(t: float) -> CanonicalState:
+    s = math.sin(t) / math.sqrt(2.0)
+    return CanonicalState((math.cos(t), 0.0, s, s, 0.0), 0.0)
+
+
+def _pair13_family(t: float) -> CanonicalState:
+    return CanonicalState((math.cos(t), 0.0, math.sin(t), 0.0, 0.0), 0.0)
+
+
+def _pair12_family(t: float) -> CanonicalState:
+    return CanonicalState((math.cos(t), 0.0, 0.0, math.sin(t), 0.0), 0.0)
+
+
+#: the one-parameter state families ``scan`` runs over; each takes ``t``
+FAMILIES = {
+    "ghz": _ghz_family,
+    "w": _w_family,
+    "pair13": _pair13_family,
+    "pair12": _pair12_family,
+}
+
+
 def _parse_grid(values: list[str]) -> list[GridAxis]:
     axes = []
     for spec in values:
@@ -404,6 +446,40 @@ def _parse_grid(values: list[str]) -> list[GridAxis]:
     return axes
 
 
+def _scan_record(args: argparse.Namespace, t: float) -> dict:
+    """Class and witness of the family's state at ``t``; with --optimize, its best B too.
+
+    A point whose state cannot be built or witnessed reports why in its
+    ``error`` field, and the scan goes on.
+    """
+    record: dict = {"parameters": {"t": t}}
+    try:
+        state = FAMILIES[args.family](t)
+        cls = classify(state)
+        record["class"] = cls.value
+        if cls.major == "A":
+            record["witness"] = None
+            record["note"] = "fully product state; no witness"
+        else:
+            built = build_witness(state, cls, seed=args.seed)
+            record["witness"] = {
+                "satisfied": built.certificate.satisfied,
+                "success_probability": built.certificate.success_probability,
+                "bell_value": bell_value(state.to_ket(), built.settings).bell_value,
+                "used_fallback": built.used_fallback,
+            }
+        if args.optimize:
+            res = minimize_bell(state.to_ket(), starts=args.starts, seed=args.seed)
+            record["optimized"] = {
+                "best_value": res.best_value,
+                "threshold_visibility": res.threshold_visibility,
+            }
+    except (Hardy3QError, ValueError) as exc:
+        record["error"] = str(exc)
+    record["family"] = args.family
+    return record
+
+
 def _cmd_scan(args: argparse.Namespace) -> tuple[dict | None, int]:
     if args.family not in FAMILIES:
         raise CliError(
@@ -412,23 +488,15 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[dict | None, int]:
         )
     axes = _parse_grid(args.grid)
     names = sorted(axis.name for axis in axes)
-    params = sorted(inspect.signature(FAMILIES[args.family]).parameters)
-    if names != params:
+    if names != ["t"]:
         raise CliError(
-            f"grid axes {names} must name each parameter of {args.family!r} once: {params}",
+            f"grid axes {names} must name each parameter of {args.family!r} once: ['t']",
             EXIT_PARSE,
         )
     if args.optimize:
         require_starts(args.starts)
-    for record in scan_family(
-        FAMILIES[args.family],
-        axes,
-        optimize=args.optimize,
-        starts=args.starts,
-        seed=args.seed,
-    ):
-        record["family"] = args.family
-        print(json.dumps(record))
+    for t in axes[0].values():
+        print(json.dumps(_scan_record(args, float(t))))
     return None, EXIT_OK
 
 
@@ -464,9 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="class-appropriate settings and certificate")
     add_common(p)
-    p.add_argument(
-        "--tol", type=float, default=CONSTRUCTION_ZERO_TOL, help="zero-probability tolerance"
-    )
+    p.add_argument("--tol", type=float, default=ZERO_TOL, help="zero-probability tolerance")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("optimize", help="minimize B and report threshold visibility")

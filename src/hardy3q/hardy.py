@@ -62,9 +62,7 @@ logger = logging.getLogger(__name__)
 logger.addHandler(logging.NullHandler())
 
 #: default tolerance below which the four zero-condition probabilities must fall
-ZERO_TOL = 1e-8
-#: stricter tolerance used when recipes self-validate
-CONSTRUCTION_ZERO_TOL = 1e-9
+ZERO_TOL = 1e-9
 #: a later satisfied candidate replaces the best one only when its success
 #: probability is larger by more than this relative margin, so candidates
 #: that tie up to rounding (D.8's two roots on most states) keep the first
@@ -364,7 +362,7 @@ def build_witness(
     state: CanonicalState,
     cls: StateClass | None = None,
     *,
-    zero_tol: float = CONSTRUCTION_ZERO_TOL,
+    zero_tol: float = ZERO_TOL,
     seed: int = 0,
 ) -> WitnessConstruction:
     """Class-appropriate witness settings for any entangled canonical state.

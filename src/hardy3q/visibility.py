@@ -34,15 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterator
 
 import numpy as np
 
 from . import linalg
 from .bell import VIOLATION_CUTOFF, WHITE_NOISE_BELL_VALUE, bell_value
-from .errors import DimensionError, Hardy3QError, VisibilityUndefinedError
-from .hardy import build_witness
+from .errors import DimensionError, VisibilityUndefinedError
 from .observables import (
     WINDOW_TOL,
     MeasurementSettings,
@@ -50,7 +47,6 @@ from .observables import (
     random_angles,
     settings_from_plus_kets,
 )
-from .states import CanonicalState, classify
 
 #: basin hops per start after its first descent
 HOPS = 4
@@ -426,99 +422,3 @@ def threshold_visibility(best_value: float) -> float:
             f"threshold visibility needs a violation (B < 0), got B = {best_value!r}"
         )
     return WHITE_NOISE_BELL_VALUE / (WHITE_NOISE_BELL_VALUE - best_value)
-
-
-# ---------------------------------------------------------------------------
-# parameterized family scans
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridAxis:
-    """Inclusive linear grid over one family parameter."""
-
-    name: str
-    start: float
-    stop: float
-    steps: int
-
-    def values(self) -> np.ndarray:
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if self.steps == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.steps)
-
-
-def grid_points(axes: list[GridAxis]) -> Iterator[dict[str, float]]:
-    if not axes:
-        raise ValueError("at least one grid axis is required")
-    for combo in product(*(axis.values() for axis in axes)):
-        yield {axis.name: float(v) for axis, v in zip(axes, combo)}
-
-
-def _ghz_family(t: float) -> CanonicalState:
-    return CanonicalState((math.cos(t), 0.0, 0.0, 0.0, math.sin(t)), 0.0)
-
-
-def _w_family(t: float) -> CanonicalState:
-    s = math.sin(t) / math.sqrt(2.0)
-    return CanonicalState((math.cos(t), 0.0, s, s, 0.0), 0.0)
-
-
-def _pair13_family(t: float) -> CanonicalState:
-    return CanonicalState((math.cos(t), 0.0, math.sin(t), 0.0, 0.0), 0.0)
-
-
-def _pair12_family(t: float) -> CanonicalState:
-    return CanonicalState((math.cos(t), 0.0, 0.0, math.sin(t), 0.0), 0.0)
-
-
-#: named one-parameter state families usable from the command line
-FAMILIES: dict[str, Callable[..., CanonicalState]] = {
-    "ghz": _ghz_family,
-    "w": _w_family,
-    "pair13": _pair13_family,
-    "pair12": _pair12_family,
-}
-
-
-def scan_family(
-    family: Callable[..., CanonicalState],
-    axes: list[GridAxis],
-    *,
-    optimize: bool = False,
-    starts: int = 16,
-    seed: int = 0,
-) -> Iterator[dict]:
-    """Classify and witness each grid point; optionally optimize B as well.
-
-    Yields one plain-dict record per point.  Construction failures are
-    reported in the record's ``error`` field without aborting the scan.
-    """
-    for point in grid_points(axes):
-        record: dict = {"parameters": point}
-        try:
-            state = family(**point)
-            cls = classify(state)
-            record["class"] = cls.value
-            if cls.major == "A":
-                record["witness"] = None
-                record["note"] = "fully product state; no witness"
-            else:
-                built = build_witness(state, cls, seed=seed)
-                report = bell_value(state.to_ket(), built.settings)
-                record["witness"] = {
-                    "satisfied": built.certificate.satisfied,
-                    "success_probability": built.certificate.success_probability,
-                    "bell_value": report.bell_value,
-                    "used_fallback": built.used_fallback,
-                }
-            if optimize:
-                res = minimize_bell(state.to_ket(), starts=starts, seed=seed)
-                record["optimized"] = {
-                    "best_value": res.best_value,
-                    "threshold_visibility": res.threshold_visibility,
-                }
-        except (Hardy3QError, ValueError) as exc:
-            record["error"] = str(exc)
-        yield record

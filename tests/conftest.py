@@ -31,6 +31,7 @@ from hardy3q.hardy import (
     MAX_HALVINGS,
     SINGULAR_TOL,
     VANISHING_NORM,
+    ZERO_TOL,
     verify_hardy,
 )
 from hardy3q.states import CanonicalState, StateClass
@@ -657,7 +658,7 @@ def nelder_mead_bell(state, starts, seed):
     return best
 
 
-def nelder_mead_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
+def nelder_mead_search(psi, attempts=40, seed=0, zero_tol=ZERO_TOL, maxiter=800):
     """Independent search: seeded scalar Nelder-Mead over the six U Bloch angles.
 
     Each D+ is taken perpendicular to its contraction vector m_j, and
@@ -847,7 +848,7 @@ def reference_accepted_settings(vec, us, m, zero_tol):
     return settings if verify_hardy(vec, settings, zero_tol).satisfied else None
 
 
-def one_batch_search(psi, attempts=40, seed=0, zero_tol=1e-8, maxiter=800):
+def one_batch_search(psi, attempts=40, seed=0, zero_tol=ZERO_TOL, maxiter=800):
     """The search with every attempt in one array, as a bit-level oracle.
 
     Draws all starts up front and iterates them together with frozen copies

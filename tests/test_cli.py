@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings as hyp_settings, strategies as st
 
-from hardy3q import cli, visibility
+from hardy3q import cli
+from hardy3q.bell import VIOLATION_CUTOFF
 from hardy3q.cli import (
     EXIT_CONSTRUCTION,
     EXIT_EXPECTATION,
@@ -204,6 +206,26 @@ class TestWitness:
         assert code == EXIT_EXPECTATION
         assert report["expectation_met"] is False
 
+    def test_b_inside_local_bound_is_no_violation(self, tmp_path, capsys, monkeypatch):
+        # B = -5e-13 is negative but above VIOLATION_CUTOFF: the report calls
+        # the local bound satisfied, so the expected violation is missing
+        real = cli.bell_value
+        value = -5e-13
+
+        def barely_negative(state, settings):
+            report = real(state, settings)
+            return dataclasses.replace(
+                report, bell_value=value, lhv_bound_satisfied=value >= VIOLATION_CUTOFF
+            )
+
+        monkeypatch.setattr(cli, "bell_value", barely_negative)
+        code, report, _ = run(capsys, ["witness", ghz_file(tmp_path)])
+        assert report["certificate"]["satisfied"] is True
+        assert report["bell"]["bell_value"] == value
+        assert report["bell"]["lhv_bound_satisfied"] is True
+        assert report["expectation_met"] is False
+        assert code == EXIT_EXPECTATION
+
     def test_construction_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         import hardy3q.cli as cli_mod
         from hardy3q.errors import ConstructionFailureError
@@ -312,7 +334,6 @@ class TestOptimize:
             raise AssertionError("minimize_bell ran")
 
         monkeypatch.setattr(cli, "minimize_bell", must_not_run)
-        monkeypatch.setattr(visibility, "minimize_bell", must_not_run)
         if command == "optimize":
             argv = ["optimize", ghz_file(tmp_path)]
         else:
@@ -651,7 +672,50 @@ class TestSample:
         assert report["sample"]["shots"] == 2**63 - 1
 
 
+def scan_records(capsys, family, grid, *flags):
+    """The records ``scan`` prints for one family and one ``--grid`` spec."""
+    code = main(["scan", "--family", family, "--grid", grid, *flags])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    return [json.loads(line) for line in out.splitlines()]
+
+
 class TestScan:
+    def test_grid_points(self, capsys):
+        records = scan_records(capsys, "ghz", "t=0:1:3")
+        assert [r["parameters"] for r in records] == [{"t": 0.0}, {"t": 0.5}, {"t": 1.0}]
+
+    def test_ghz_family_interior_violates(self, capsys):
+        records = scan_records(capsys, "ghz", f"t=0.1:{np.pi / 2 - 0.1}:7")
+        assert len(records) == 7
+        for record in records:
+            assert record["class"] == "D.14"
+            assert record["witness"]["satisfied"]
+            assert record["witness"]["bell_value"] < 0
+
+    def test_ghz_family_endpoint_is_product(self, capsys):
+        records = scan_records(capsys, "ghz", "t=0:0:1")
+        assert records[0]["class"] == "A.2"
+        assert records[0]["witness"] is None
+
+    def test_pair13_family_crosses_maximal_point(self, capsys):
+        # t = pi/4 is the maximally entangled pair: still violates, without Hardy
+        (record,) = scan_records(capsys, "pair13", f"t={np.pi / 4}:{np.pi / 4}:1")
+        assert record["class"] == "C.1"
+        assert not record["witness"]["satisfied"]
+        assert record["witness"]["bell_value"] == pytest.approx(-0.0184, abs=1e-12)
+
+    def test_errors_propagate_per_point(self, capsys):
+        # negative amplitudes at t < 0 make the family constructor fail
+        records = scan_records(capsys, "ghz", "t=-0.5:-0.5:1")
+        assert "error" in records[0]
+
+    def test_optimize_flag_adds_threshold(self, capsys):
+        grid = f"t={np.pi / 4}:{np.pi / 4}:1"
+        (record,) = scan_records(capsys, "ghz", grid, "--optimize", "--starts", "8")
+        assert record["optimized"]["best_value"] < 0
+        assert 0 < record["optimized"]["threshold_visibility"] < 1
+
     def test_ghz_line_records(self, capsys):
         code = main(["scan", "--family", "ghz", "--grid", "t=0.2:1.2:5"])
         out = capsys.readouterr().out
@@ -697,7 +761,7 @@ class TestScan:
         def refuse(self):
             raise AssertionError("grid axis allocated")
 
-        monkeypatch.setattr("hardy3q.visibility.GridAxis.values", refuse)
+        monkeypatch.setattr("hardy3q.cli.GridAxis.values", refuse)
         error = assert_rejected(capsys, ["scan", "--family", "ghz", "--grid", "t=0:1:100000000000"])
         assert str(MAX_GRID_POINTS) in error
 

@@ -588,7 +588,7 @@ def candidate_certificates(state, cls, build=settings_from_plus_kets):
         except (WindowViolationError, NormalizationError):
             out.append(None)
             continue
-        out.append(verify_hardy(psi, settings, hardy.CONSTRUCTION_ZERO_TOL))
+        out.append(verify_hardy(psi, settings, hardy.ZERO_TOL))
     return out
 
 

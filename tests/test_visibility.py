@@ -1,4 +1,4 @@
-"""Tests for Bell-value minimization, threshold visibility, and scans."""
+"""Tests for Bell-value minimization and threshold visibility."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,8 @@ from hardy3q.states import CanonicalState
 from hardy3q.observables import WINDOW_TOL, kets_from_angles, random_angles
 from hardy3q import visibility
 from hardy3q.visibility import (
-    FAMILIES,
     HOPS,
-    GridAxis,
-    grid_points,
     minimize_bell,
-    scan_family,
     threshold_visibility,
     _extrapolate,
     _min_eigpair,
@@ -381,44 +377,3 @@ class TestStagedOracle:
             assert np.array_equal(got.best_settings.plus_kets, want.best_settings.plus_kets)
             assert got.converged == want.converged
             assert got.threshold_visibility == want.threshold_visibility
-
-
-class TestScan:
-    def test_grid_points(self):
-        axes = [GridAxis("t", 0.0, 1.0, 3)]
-        assert list(grid_points(axes)) == [{"t": 0.0}, {"t": 0.5}, {"t": 1.0}]
-
-    def test_ghz_family_interior_violates(self):
-        axes = [GridAxis("t", 0.1, np.pi / 2 - 0.1, 7)]
-        records = list(scan_family(FAMILIES["ghz"], axes))
-        assert len(records) == 7
-        for record in records:
-            assert record["class"] == "D.14"
-            assert record["witness"]["satisfied"]
-            assert record["witness"]["bell_value"] < 0
-
-    def test_ghz_family_endpoint_is_product(self):
-        records = list(scan_family(FAMILIES["ghz"], [GridAxis("t", 0.0, 0.0, 1)]))
-        assert records[0]["class"] == "A.2"
-        assert records[0]["witness"] is None
-
-    def test_pair13_family_crosses_maximal_point(self):
-        # t = pi/4 is the maximally entangled pair: still violates, without Hardy
-        axes = [GridAxis("t", np.pi / 4, np.pi / 4, 1)]
-        record = next(iter(scan_family(FAMILIES["pair13"], axes)))
-        assert record["class"] == "C.1"
-        assert not record["witness"]["satisfied"]
-        assert record["witness"]["bell_value"] == pytest.approx(-0.0184, abs=1e-12)
-
-    def test_errors_propagate_per_point(self):
-        # negative amplitudes at t < 0 make the family constructor fail
-        records = list(scan_family(FAMILIES["ghz"], [GridAxis("t", -0.5, -0.5, 1)]))
-        assert "error" in records[0]
-
-    def test_optimize_flag_adds_threshold(self):
-        axes = [GridAxis("t", np.pi / 4, np.pi / 4, 1)]
-        record = next(
-            iter(scan_family(FAMILIES["ghz"], axes, optimize=True, starts=8))
-        )
-        assert record["optimized"]["best_value"] < 0
-        assert 0 < record["optimized"]["threshold_visibility"] < 1
