@@ -306,10 +306,7 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
         report["note"] = "no witness: fully product state"
         report["expectation_met"] = True
         return report, EXIT_OK
-    try:
-        built = build_witness(state, cls, zero_tol=args.tol, seed=args.seed)
-    except ConstructionFailureError as exc:
-        raise CliError(str(exc), EXIT_CONSTRUCTION) from exc
+    built = build_witness(state, cls, zero_tol=args.tol, seed=args.seed)
     payload = _witness_payload(built, spec.ket)
     report.update(payload)
     violated = not payload["bell"]["lhv_bound_satisfied"]
@@ -365,10 +362,7 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[dict, int]:
         report["sample"] = None
         report["note"] = "no witness settings: fully product state"
         return report, EXIT_OK
-    try:
-        built = build_witness(state, cls, seed=args.seed)
-    except ConstructionFailureError as exc:
-        raise CliError(str(exc), EXIT_CONSTRUCTION) from exc
+    built = build_witness(state, cls, seed=args.seed)
     stats = sample_statistics(spec.ket, built.settings, shots=args.shots, seed=args.seed)
     report["certificate"] = _certificate_payload(built.certificate)
     report["sample"] = _sample_payload(stats)
@@ -584,7 +578,10 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": str(exc), "exit_code": EXIT_GAP}), file=sys.stderr)
         return EXIT_GAP
     except Hardy3QError as exc:
-        print(json.dumps({"error": str(exc), "exit_code": EXIT_CONSTRUCTION}), file=sys.stderr)
+        error = {"error": str(exc), "exit_code": EXIT_CONSTRUCTION}
+        if isinstance(exc, ConstructionFailureError) and exc.diagnostics:
+            error["diagnostics"] = exc.diagnostics
+        print(json.dumps(error), file=sys.stderr)
         return EXIT_CONSTRUCTION
     if report is not None:
         print(json.dumps(report, indent=2))

@@ -27,6 +27,15 @@ and no witness decision changes (the tests keep that path as their oracle).
 candidate is self-validated against the actual joint probabilities, and
 when no B or D candidate passes, a seeded numerical search takes over
 (and the event is recorded on the result).
+
+The search runs one attempt at a time in Python complex arithmetic, with
+the products of the former numpy search (the tests' oracle) in its order;
+numpy fuses complex products, so the two agree to rounding: both certify
+the same states, with plus-kets at most 1.1e-14 apart on GHZ and W (seeds
+0-19), 9.7e-11 on the tests' 120-state near-boundary deck and 8.9e-9 on
+the benchmark near-boundary deck's 463 fallbacks (seed 1, 100 rounds).
+Near a product state the steps are huge (1e7 radians on the tests' weak
+B.3 pair) and the paths chaotic, so rounding can change which attempt wins.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from collections import namedtuple
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +59,6 @@ from .errors import (
 )
 from .observables import (
     MeasurementSettings,
-    kets_from_angles,
     random_angles,
     settings_from_plus_kets,
 )
@@ -385,7 +393,16 @@ def build_witness(
     psi = state.to_ket()
     best = cert = None
     failures: list[str] = []
-    for idx, kets in enumerate(_recipe_kets(cls, state, psi)):
+    try:
+        recipes = _recipe_kets(cls, state, psi)
+    except ConstructionFailureError as exc:
+        # a B pair that is maximally entangled or a product state contradicts
+        # its label; the search still looks for a witness
+        if cls.major != "B":
+            raise
+        failures.append(f"recipe: {exc}")
+        recipes = []
+    for idx, kets in enumerate(recipes):
         try:
             settings = settings_from_plus_kets(kets)
         except (WindowViolationError, NormalizationError) as exc:
@@ -419,9 +436,13 @@ def build_witness(
     )
     found = search_hardy_observables(psi, seed=seed, zero_tol=zero_tol)
     if found is None:
+        # the search returns its winner only; on this error path its
+        # attempts run once more to count how each of them ended
+        outcomes = Counter(_attempt_outcomes(psi, SEARCH_ATTEMPTS, seed, zero_tol, SEARCH_MAXITER))
+        search = {"attempts": SEARCH_ATTEMPTS, "outcomes": dict(sorted(outcomes.items()))}
         raise ConstructionFailureError(
             f"no valid witness for class {cls.value}",
-            diagnostics={"class": cls.value, "failures": failures, "state": state.lams},
+            diagnostics={"class": cls.value, "failures": failures, "state": state.lams, "search": search},
         )
     return WitnessConstruction(
         settings=found.settings,
@@ -441,234 +462,222 @@ def build_witness(
 ARMIJO = 1e-4
 #: step lengths 1, 1/2, ... tried before an attempt counts as stalled
 MAX_HALVINGS = 32
-#: step lengths tried in one batched residual evaluation
-HALVINGS_AT_ONCE = 4
 #: an attempt whose 2x2 Gram matrix J J^T has det <= SINGULAR_TOL * trace^2
 #: has a singular Jacobian
 SINGULAR_TOL = 1e-24
 #: contraction vectors shorter than this fix no D direction
 VANISHING_NORM = 1e-14
-#: qubit j's contraction vector does not depend on qubit j's own angles;
-#: row i is angle i = (theta_j, phi_j) for j = i // 2
-_OWN_QUBIT = np.repeat(np.eye(3, dtype=bool), 2, axis=0)
-#: per angle i, the rows of ``_u_derivatives`` that make its three bras:
-#: qubit i // 2 takes d u / d x_i (row 3 + i), the others their U+ kets
-_DERIVATIVE_BRAS = np.where(_OWN_QUBIT, np.arange(3, 9)[:, None], np.arange(3))
-#: _derived_d_directions forms 12 terms (h, j, e) = t[e, h], t[h, e], s[h, e]
-#: for j = 0, 1, 2, where t[a, b] = sum_k psi[a, b, k] w3[k] and
-#: s[b, c] = sum_k psi[k, b, c] w1[k] (w the bras), then
-#: m_j[e] = sum_h term(h, j, e) v_j[h] with v = (w2, w1, w2).  Row k: the
-#: flat psi index that each term multiplies by bra component k ...
-_PSI_TERMS = np.array([
-    [np.ravel_multi_index(((e, h, k), (h, e, k), (k, h, e))[j], (2, 2, 2))
-     for h in (0, 1) for j in range(3) for e in (0, 1)]
-    for k in (0, 1)
-])
-#: ... and the flat bra index 2 * qubit + k of each factor with component
-#: k: the 12 of the terms, then the 6 of the second sum
-_BRA_TERMS = np.array([
-    [2 * (2, 2, 0)[j] + k for h in (0, 1) for j in range(3) for e in (0, 1)]
-    + [2 * (1, 0, 1)[j] + k for j in range(3) for e in (0, 1)]
-    for k in (0, 1)
-])
-#: the step lengths 1, 1/2, ..., one row per batched residual evaluation
-_STEPS = 0.5 ** np.arange(MAX_HALVINGS).reshape(-1, HALVINGS_AT_ONCE)
-#: the search's state at Bloch angles x, one row per attempt (see _residual)
-_Point = namedtuple("_Point", "x us m r f ok n mhc g")
+#: the search's default number of attempts and iteration budget per attempt
+SEARCH_ATTEMPTS = 40
+SEARCH_MAXITER = 800
 
 
-def _u_derivatives(x: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """The U+ kets ``us`` (A, 3, 2) of Bloch angles ``x`` (A, 6) and their derivatives, (A, 9, 2).
+def _qubit(half, phi):
+    """(c, s, e, b) = (cos half, sin half, exp(i phi), conj(e s)) of u = (c, e s); (c, b) is its bra."""
+    c, s = math.cos(half), math.sin(half)
+    e = complex(math.cos(phi), math.sin(phi))
+    return c, s, e, (e * s).conjugate()
 
-    Rows 0-2 are ``us``; row 3 + i is d u_j / d x_i for j = i // 2, in the
-    angle order of ``x``.
+
+def _length(a: complex, b: complex) -> float:
+    """Length of the vector (a, b), its squares summed per component first."""
+    return math.sqrt((a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag))
+
+
+def _residual(p, x):
+    """The value pass at Bloch angles ``x`` (theta_j, phi_j of each U+ ket u_j).
+
+    ``p`` holds psi's amplitudes, index 4a + 2b + c.  The contraction vector
+    m1[a] = sum_{b,c} conj(u2[b] u3[c]) psi[a,b,c] (and cyclically m2, m3)
+    has D1+ = perp(m1) zero the mixed conditions exactly.  Returns None
+    where some |m_j| <= VANISHING_NORM, else the point
+    (x, r, f, qubits, m, norms, mhc, q, o, z, g1): r = <m1_hat m2_hat m3_hat|psi>,
+    f = |r|^2, ``_qubit`` per qubit, mhc_j = conj(m_j / |m_j|), and psi
+    contracted with the bra of qubit 3 (q[a][b]), of qubit 1 (o[b][c]), with
+    mhc_3 (z[a][b]) and with mhc_2 mhc_3 (g1[a]).  The products are those
+    of the former numpy search (the tests' oracle), in its order.
     """
-    out = np.zeros((len(x), 9, 2), dtype=complex)
-    out[:, :3] = us
-    out[:, 3::2, 0] = -0.5 * np.sin(0.5 * x[:, 0::2])
-    out[:, 3::2, 1] = 0.5 * np.exp(1j * x[:, 1::2]) * us[..., 0]
-    out[:, 4::2, 1] = 1j * us[..., 1]
-    return out
+    p0, p1, p2, p3, p4, p5, p6, p7 = p
+    qubits = (_qubit(0.5 * x[0], x[1]), _qubit(0.5 * x[2], x[3]), _qubit(0.5 * x[4], x[5]))
+    (c1, _, _, b1), (c2, _, _, b2), (c3, _, _, b3) = qubits
+    q = (p0 * c3 + p1 * b3, p2 * c3 + p3 * b3, p4 * c3 + p5 * b3, p6 * c3 + p7 * b3)
+    o = (p0 * c1 + p4 * b1, p1 * c1 + p5 * b1, p2 * c1 + p6 * b1, p3 * c1 + p7 * b1)
+    m = m10, m11, m20, m21, m30, m31 = (
+        q[0] * c2 + q[1] * b2, q[2] * c2 + q[3] * b2,
+        q[0] * c1 + q[2] * b1, q[1] * c1 + q[3] * b1,
+        o[0] * c2 + o[2] * b2, o[1] * c2 + o[3] * b2,
+    )
+    norms = n1, n2, n3 = _length(m10, m11), _length(m20, m21), _length(m30, m31)
+    if not min(norms) > VANISHING_NORM:
+        return None
+    mhc = h10, h11, h20, h21, h30, h31 = (
+        (m10 / n1).conjugate(), (m11 / n1).conjugate(), (m20 / n2).conjugate(),
+        (m21 / n2).conjugate(), (m30 / n3).conjugate(), (m31 / n3).conjugate(),
+    )
+    z = (p0 * h30 + p1 * h31, p2 * h30 + p3 * h31, p4 * h30 + p5 * h31, p6 * h30 + p7 * h31)
+    g1 = (z[0] * h20 + z[1] * h21, z[2] * h20 + z[3] * h21)
+    r = h10 * g1[0] + h11 * g1[1]
+    return x, r, r.real * r.real + r.imag * r.imag, qubits, m, norms, mhc, q, o, z, g1
 
 
-def _derived_d_directions(psi3: np.ndarray, bras: np.ndarray) -> np.ndarray:
-    """Contraction vectors m (..., 3, 2) of psi with ``bras`` (..., 3, 2), C-contiguous.
+def _jacobian(p, point):
+    """The Jacobian pass: dr/dx (six complex numbers) at a value-pass point.
 
-    m[..., j, :] contracts psi with the bras of the two other qubits;
-    ``bras = conj(u)`` gives m1[a] = sum_{b,c} conj(u2[b] u3[c]) psi[a,b,c]
-    and cyclically.  Choosing D_j+ = perp(m_j) zeroes the three mixed
-    conditions exactly.  Only elementwise arithmetic is used, so each
-    leading index is computed on its own.  The result is C-contiguous: the
-    sums over its last axes that follow depend on that layout.
+    With g_k psi contracted with mhc of the other two qubits (so r =
+    <m_hat_k|g_k>), a change dm_k moves r by (<dm_k|g_k> - Re<m_hat_k|dm_k> r)
+    / |m_k|.  An angle of qubit j moves the m_k of the other two qubits:
+    dm_k is m_k with the bra of u_j replaced by conj(du_j), where
+    du/dtheta = (-s/2, e c/2) and du/dphi = (0, i e s).
     """
-    p = psi3.reshape(8)[_PSI_TERMS]
-    # take, unlike indexing after a slice, returns a C-contiguous gather
-    b = bras.reshape(*bras.shape[:-2], 6).take(_BRA_TERMS, axis=-1)
-    terms = p[0] * b[..., 0, :12] + p[1] * b[..., 1, :12]
-    m = terms[..., :6] * b[..., 0, 12:] + terms[..., 6:] * b[..., 1, 12:]
-    return m.reshape(bras.shape)
+    p0, p1, p2, p3, p4, p5, p6, p7 = p
+    _, r, _, qubits, _, (n1, n2, n3), (h10, h11, h20, h21, h30, h31), q, o, z, g1 = point
+    (c1, s1, e1, b1), (c2, s2, e2, b2), (c3, s3, e3, b3) = qubits
+    y = (p0 * h10 + p4 * h11, p1 * h10 + p5 * h11, p2 * h10 + p6 * h11, p3 * h10 + p7 * h11)
+    g2 = (z[0] * h10 + z[2] * h11, z[1] * h10 + z[3] * h11)
+    g3 = (y[0] * h20 + y[2] * h21, y[1] * h20 + y[3] * h21)
+
+    def moves(dm0, dm1, g, h0, h1, n):
+        return ((dm0.conjugate() * g[0] + dm1.conjugate() * g[1]) - (h0 * dm0 + h1 * dm1).real * r) / n
+
+    def derivative_bras(c, s, e):
+        return (-0.5 * s, (0.5 * e * c).conjugate()), (0.0, (1j * (e * s)).conjugate())
+
+    dr = []
+    # qubit 1 moves m2 through q, and m3 through psi contracted with its bra
+    for d0, d1 in derivative_bras(c1, s1, e1):
+        t = (p0 * d0 + p4 * d1, p1 * d0 + p5 * d1, p2 * d0 + p6 * d1, p3 * d0 + p7 * d1)
+        dr.append(
+            moves(q[0] * d0 + q[2] * d1, q[1] * d0 + q[3] * d1, g2, h20, h21, n2)
+            + moves(t[0] * c2 + t[2] * b2, t[1] * c2 + t[3] * b2, g3, h30, h31, n3)
+        )
+    # qubit 2 moves m1 through q and m3 through o
+    for d0, d1 in derivative_bras(c2, s2, e2):
+        dr.append(
+            moves(q[0] * d0 + q[1] * d1, q[2] * d0 + q[3] * d1, g1, h10, h11, n1)
+            + moves(o[0] * d0 + o[2] * d1, o[1] * d0 + o[3] * d1, g3, h30, h31, n3)
+        )
+    # qubit 3 moves m1 and m2 through psi contracted with its bra
+    for d0, d1 in derivative_bras(c3, s3, e3):
+        t = (p0 * d0 + p1 * d1, p2 * d0 + p3 * d1, p4 * d0 + p5 * d1, p6 * d0 + p7 * d1)
+        dr.append(
+            moves(t[0] * c2 + t[1] * b2, t[2] * c2 + t[3] * b2, g1, h10, h11, n1)
+            + moves(t[0] * c1 + t[2] * b1, t[1] * c1 + t[3] * b1, g2, h20, h21, n2)
+        )
+    return dr
 
 
-def _residual(psi3: np.ndarray, x: np.ndarray) -> _Point:
-    """The value pass: the remaining condition r per attempt at angles ``x`` (A, 6).
-
-    Also returns what the Jacobian pass needs: the U+ kets us, the
-    contraction vectors m, their norms n and mhc = conj(m / n).  ``ok`` is
-    False where a contraction vector vanishes; r is then meaningless and n
-    is set to 1.  g_j contracts psi with mhc of the other two qubits, so
-    r = <m1_hat m2_hat m3_hat|psi> = <m_hat_j|g_j> for every j; f = |r|^2.
-    """
-    us = kets_from_angles(x.reshape(-1, 3, 2))
-    m = _derived_d_directions(psi3, np.conj(us))
-    n = np.sqrt((m.real**2 + m.imag**2).sum(axis=-1))
-    ok = (n > VANISHING_NORM).all(axis=-1)
-    n = np.where(ok[:, None], n, 1.0)
-    mhc = np.conj(m / n[..., None])
-    g = _derived_d_directions(psi3, mhc)
-    r = (mhc[:, 0] * g[:, 0]).sum(axis=-1)
-    return _Point(x, us, m, r, r.real**2 + r.imag**2, ok, n, mhc, g)
-
-
-def _jacobian(psi3: np.ndarray, p: _Point) -> np.ndarray:
-    """The Jacobian pass: dr/dx (A, 6) at a value-pass point.
-
-    A change dm_j moves r by (<dm_j|g_j> - Re<m_hat_j|dm_j> r) / n_j.
-    """
-    bras = np.conj(_u_derivatives(p.x, p.us)).take(_DERIVATIVE_BRAS, axis=1)
-    dm = np.where(_OWN_QUBIT[..., None], 0.0, _derived_d_directions(psi3, bras))
-    moved = (np.conj(dm) * p.g[:, None]).sum(axis=-1)
-    along = (p.mhc[:, None] * dm).sum(axis=-1).real
-    return ((moved - along * p.r[:, None, None]) / p.n[:, None]).sum(axis=-1)
-
-
-def _gauss_newton_step(r: np.ndarray, dr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm solution s of J s = (Re r, Im r) per attempt.
+def _gauss_newton_step(r, dr):
+    """Minimum-norm solution s of J s = (Re r, Im r), or None where J is singular.
 
     J is the 2x6 real Jacobian (Re dr, Im dr) and -s the Gauss-Newton step.
-    Returns (s, regular); where ``regular`` is False, J is singular and s
-    meaningless.
     """
-    jr, ji = dr.real, dr.imag
-    a, b, c = (jr * jr).sum(axis=-1), (jr * ji).sum(axis=-1), (ji * ji).sum(axis=-1)
+    a = b = c = 0.0
+    for d in dr:
+        re, im = d.real, d.imag
+        a += re * re
+        b += re * im
+        c += im * im
     det = a * c - b * b
-    regular = det > SINGULAR_TOL * (a + c) ** 2
-    det = np.where(regular, det, 1.0)
+    if not det > SINGULAR_TOL * (a + c) ** 2:
+        return None
     y0 = (c * r.real - b * r.imag) / det
     y1 = (a * r.imag - b * r.real) / det
-    return jr * y0[:, None] + ji * y1[:, None], regular
+    return [d.real * y0 + d.imag * y1 for d in dr]
 
 
-def _backtrack(psi3, x, f, s):
-    """Armijo backtracking from each row of ``x`` along the Gauss-Newton step -``s``.
+def _backtrack(p, x, f, s):
+    """Armijo backtracking from ``x`` along the Gauss-Newton step -``s``.
 
-    Takes the first t of 1, 1/2, ... (MAX_HALVINGS values, HALVINGS_AT_ONCE
-    per residual evaluation) with |r(x - t s)|^2 <= (1 - 2 ARMIJO t) f.
-    Returns the rows that found such a t, in order (the rest stalled), and
-    the value-pass point of their accepted trials, which the search's next
-    iteration takes as it is instead of evaluating x again.  When every
-    row takes a batch's longest step (t = 1 for most rows), that point is
-    a strided view of the batch's trials rather than a copy.
+    Takes the first t of 1, 1/2, ... (MAX_HALVINGS values) with
+    |r(x - t s)|^2 <= (1 - 2 ARMIJO t) f and returns the value-pass point
+    there, which the next iteration takes as it is; None if the attempt
+    stalls.
     """
-    pending = np.arange(len(x))
-    rows, picked = [], []
-    for t in _STEPS:
-        trials = _residual(psi3, (x[:, None] - t[:, None] * s[:, None]).reshape(-1, 6))
-        good = trials.ok.reshape(-1, HALVINGS_AT_ONCE) & (
-            trials.f.reshape(-1, HALVINGS_AT_ONCE) <= (1.0 - 2.0 * ARMIJO * t) * f[:, None]
-        )
-        if good[:, 0].all():
-            rows.append(pending)
-            picked.append(_Point._make(a[::HALVINGS_AT_ONCE] for a in trials))
-            break
-        found = good.any(axis=1)
-        pick = np.flatnonzero(found) * HALVINGS_AT_ONCE + good[found].argmax(axis=1)
-        rows.append(pending[found])
-        picked.append(_Point._make(a[pick] for a in trials))
-        if found.all():
-            break
-        pending, x, f, s = (a[~found] for a in (pending, x, f, s))
-    if len(rows) == 1:
-        return rows[0], picked[0]
-    moved = np.concatenate(rows)
-    order = np.argsort(moved)
-    return moved[order], _Point._make(np.concatenate(a)[order] for a in zip(*picked))
+    t = 1.0
+    for _ in range(MAX_HALVINGS):
+        trial = _residual(p, [xi - t * si for xi, si in zip(x, s)])
+        if trial is not None and trial[2] <= (1.0 - 2.0 * ARMIJO * t) * f:
+            return trial
+        t *= 0.5
+    return None
 
 
-def _accepted_certificate(vec, us, m, zero_tol) -> HardyCertificate | None:
-    """Certificate of one converged attempt, if its settings lie in the window and verify."""
+def _accepted_certificate(vec, point, zero_tol) -> HardyCertificate | str:
+    """Certificate of a converged attempt, or why its settings were rejected.
+
+    Qubit j gets U+ = u_j and D+ = perp(m_j) = (-conj(m_j[1]), conj(m_j[0])).
+    """
+    qubits, m = point[3], point[4]
+    rows = [
+        (c, b.conjugate(), -m[2 * j + 1].conjugate(), m[2 * j].conjugate())
+        for j, (c, _, _, b) in enumerate(qubits)
+    ]
     try:
-        settings = settings_from_plus_kets(np.stack([us, linalg.perp_qubit(m)], axis=1))
+        settings = settings_from_plus_kets(rows)
     except (WindowViolationError, NormalizationError):
-        return None
+        return "outside_window"
     cert = verify_hardy(vec, settings, zero_tol)
-    return cert if cert.satisfied else None
+    return cert if cert.satisfied else "unverified"
 
 
-def _first_accepted(vec, x, zero_tol, maxiter) -> HardyCertificate | None:
-    """Certificate of the first accepted attempt, in row order, among starts ``x`` (A, 6)."""
-    psi3 = vec.reshape(2, 2, 2)
-    active = np.arange(len(x))  # attempts still iterating, in row order
-    limit = len(x)  # attempts from the winner on stop iterating
-    winner: HardyCertificate | None = None
-    point = _residual(psi3, x)  # of the active attempts; _backtrack gives the later ones
+def _attempt(vec, p, x, zero_tol, maxiter) -> HardyCertificate | str:
+    """One attempt from start angles ``x``: its certificate, or why it failed."""
+    point = _residual(p, x)
+    if point is None:
+        return "vanishing_contraction"
     for iteration in range(maxiter + 1):
-        done = point.ok & (point.f <= 0.1 * zero_tol)
-        # every active attempt precedes the winner so far, so the first
-        # accepted one here becomes the winner
-        for k in np.flatnonzero(done):
-            cert = _accepted_certificate(vec, point.us[k], point.m[k], zero_tol)
-            if cert is not None:
-                winner, limit = cert, active[k]
-                break
-        live = point.ok & ~done & (active < limit)
-        if iteration == maxiter or not live.any():
+        x, r, f = point[:3]
+        if f <= 0.1 * zero_tol:
+            return _accepted_certificate(vec, point, zero_tol)
+        if iteration == maxiter:
             break
-        if not live.all():
-            active, point = active[live], _Point._make(a[live] for a in point)
-        s, regular = _gauss_newton_step(point.r, _jacobian(psi3, point))
-        if not regular.any():
-            break
-        if not regular.all():
-            active, s = active[regular], s[regular]
-            point = _Point._make(a[regular] for a in point)
-        moved, point = _backtrack(psi3, point.x, point.f, s)
-        active = active[moved]
-    return winner
+        s = _gauss_newton_step(r, _jacobian(p, point))
+        if s is None:
+            return "singular_jacobian"
+        point = _backtrack(p, x, f, s)
+        if point is None:
+            return "stalled_backtrack"
+    return "maxiter"
+
+
+def _attempt_outcomes(vec, attempts, seed, zero_tol, maxiter):
+    """Each attempt's certificate or failure reason, in seeded order.
+
+    Attempt i starts from child i of ``SeedSequence(seed)``, spawned only
+    when it runs (``spawn`` continues where its previous call stopped).
+    """
+    p = vec.tolist()
+    seeds = np.random.SeedSequence(seed)
+    for _ in range(attempts):
+        (child,) = seeds.spawn(1)
+        x = random_angles(np.random.default_rng(child), 3).ravel().tolist()
+        yield _attempt(vec, p, x, zero_tol, maxiter)
 
 
 def search_hardy_observables(
     psi,
-    attempts: int = 40,
+    attempts: int = SEARCH_ATTEMPTS,
     seed: int = 0,
     zero_tol: float = ZERO_TOL,
-    maxiter: int = 800,
+    maxiter: int = SEARCH_MAXITER,
 ) -> HardyCertificate | None:
     """Seeded multistart search for settings satisfying the Hardy pattern.
 
-    Only the three U observables are free parameters (six Bloch angles);
-    each D observable is derived as the orthogonal complement of the
-    corresponding contraction vector, which makes three of the four zero
-    conditions exact by construction.  The remaining complex condition r,
-    whose zeros form a four-dimensional manifold, is solved by damped
-    Gauss-Newton: minimum-norm steps of the 2x6 real Jacobian with Armijo
-    backtracking, so |r|^2 never rises, for at most ``maxiter`` iterations
-    per attempt.  Each iterate is evaluated once: the residual of the
-    accepted backtracking trial carries into the next step, and the
-    Jacobian is taken only on attempts still iterating (not converged,
-    failed or behind the winner).  An attempt fails when its Jacobian turns
-    singular, a contraction vector vanishes or no halved step lowers |r|^2
-    enough.  An attempt is accepted when |r|^2 <= zero_tol / 10, its
-    settings lie in the window and they pass verify_hardy at ``zero_tol``;
-    the first accepted attempt in seeded order wins, so the result is
-    deterministic for a fixed seed and the same for any number of attempts
-    that includes the winner.  Attempt 0 usually wins, so it runs alone
-    first; only if it fails do attempts 1 .. attempts-1 run together as one
-    array.  Attempt i starts from child i of ``SeedSequence(seed)`` and
-    keeps its own ``maxiter`` budget in either round, so the rounds change
-    no result.
-    Returns the winner's certificate (its settings and verified
-    probabilities), or None when every attempt fails (expected for fully
-    product states and for maximally entangled pairs).
+    The six Bloch angles of the U observables are the unknowns; each D+ is
+    perpendicular to its contraction vector, which makes three of the four
+    zero conditions exact.  The remaining complex condition r, whose zeros
+    form a four-dimensional manifold, is solved by damped Gauss-Newton:
+    minimum-norm steps of the 2x6 real Jacobian with Armijo backtracking,
+    for at most ``maxiter`` iterations; the accepted trial's value pass
+    carries into the next step.  An attempt fails when a contraction
+    vector vanishes, its Jacobian turns singular or no halved step lowers
+    |r|^2 enough; it is accepted when |r|^2 <= zero_tol / 10, its settings
+    lie in the window and they pass verify_hardy at ``zero_tol``.  The
+    attempts run one at a time in seeded order and the first accepted one
+    wins, so the result is the same for any number of attempts that
+    includes the winner.  Returns the winner's certificate, or None when
+    every attempt fails (expected for product states and maximally
+    entangled pairs).
     """
     attempts, maxiter = int(attempts), int(maxiter)
     if attempts < 0 or maxiter < 0:
@@ -677,17 +686,7 @@ def search_hardy_observables(
     if vec.shape[0] != 8:
         raise DimensionError("search expects a three-qubit ket")
     linalg.require_normalized(vec)
-
-    # spawn continues where the previous call stopped, so round 2 gets
-    # children 1 .. attempts-1 of the same sequence
-    seeds = np.random.SeedSequence(seed)
-    for count in (min(attempts, 1), attempts - 1):
-        if count <= 0:
-            continue
-        x = np.array(
-            [random_angles(np.random.default_rng(c), 3) for c in seeds.spawn(count)]
-        ).reshape(-1, 6)
-        found = _first_accepted(vec, x, zero_tol, maxiter)
-        if found is not None:
-            return found
+    for outcome in _attempt_outcomes(vec, attempts, seed, zero_tol, maxiter):
+        if isinstance(outcome, HardyCertificate):
+            return outcome
     return None

@@ -27,7 +27,6 @@ from hardy3q.errors import (
 )
 from hardy3q.hardy import (
     ARMIJO,
-    HALVINGS_AT_ONCE,
     MAX_HALVINGS,
     SINGULAR_TOL,
     VANISHING_NORM,
@@ -724,9 +723,12 @@ def nelder_mead_search(psi, attempts=40, seed=0, zero_tol=ZERO_TOL, maxiter=800)
     return None
 
 
-# The search's Gauss-Newton pieces as they were before each iterate was
-# evaluated once, frozen so that ``one_batch_search`` stays an independent
-# bit-level oracle of ``hardy.search_hardy_observables``.
+# The search's Gauss-Newton pieces in numpy arrays, as they were before the
+# search ran one attempt at a time in Python complex arithmetic (and before
+# each iterate was evaluated once), frozen so that ``one_batch_search`` stays
+# an independent oracle of ``hardy.search_hardy_observables``.  numpy fuses
+# complex products, so the two agree to rounding, within the bounds the
+# ``hardy`` module docstring gives.
 
 
 def reference_u_derivatives(x, us):
@@ -812,20 +814,25 @@ def reference_gauss_newton_step(r, dr):
     return -(jr * y0[:, None] + ji * y1[:, None]), singular
 
 
+#: step lengths tried in one batched residual evaluation of the oracle
+REFERENCE_HALVINGS_AT_ONCE = 4
+
+
 def reference_backtrack(psi3, x, f, dx):
     """Armijo backtracking from each row of ``x`` along ``dx``.
 
-    Takes the first t of 1, 1/2, ... (MAX_HALVINGS values, HALVINGS_AT_ONCE
-    per residual evaluation) with |r(x + t dx)|^2 <= (1 - 2 ARMIJO t) f.
+    Takes the first t of 1, 1/2, ... (MAX_HALVINGS values,
+    REFERENCE_HALVINGS_AT_ONCE per residual evaluation) with
+    |r(x + t dx)|^2 <= (1 - 2 ARMIJO t) f.
     Returns the new rows and which rows found such a t; the rest stalled.
     """
     new = x.copy()
     pending = np.arange(len(x))
-    for first in range(0, MAX_HALVINGS, HALVINGS_AT_ONCE):
-        t = 0.5 ** np.arange(first, first + HALVINGS_AT_ONCE)
+    for first in range(0, MAX_HALVINGS, REFERENCE_HALVINGS_AT_ONCE):
+        t = 0.5 ** np.arange(first, first + REFERENCE_HALVINGS_AT_ONCE)
         trial = x[pending, None] + t[:, None] * dx[pending, None]
         _, _, r, ok = reference_residual(psi3, trial.reshape(-1, 6))
-        f_trial = (r.real**2 + r.imag**2).reshape(len(pending), HALVINGS_AT_ONCE)
+        f_trial = (r.real**2 + r.imag**2).reshape(len(pending), REFERENCE_HALVINGS_AT_ONCE)
         good = ok.reshape(f_trial.shape) & (
             f_trial <= (1.0 - 2.0 * ARMIJO * t) * f[pending, None]
         )
@@ -849,7 +856,7 @@ def reference_accepted_settings(vec, us, m, zero_tol):
 
 
 def one_batch_search(psi, attempts=40, seed=0, zero_tol=ZERO_TOL, maxiter=800):
-    """The search with every attempt in one array, as a bit-level oracle.
+    """The search with every attempt in one numpy array, as an oracle.
 
     Draws all starts up front and iterates them together with frozen copies
     of the search's Gauss-Newton pieces, which evaluate every accepted

@@ -261,9 +261,35 @@ class TestWitness:
         assert "--tol" in error
 
     def test_found_ghz_state_exits_construction(self, tmp_path, capsys):
+        # the error names the failed recipe candidate and how each of the
+        # search's 40 attempts ended
         path = write_state(tmp_path, FOUND_GHZ)
-        error = assert_rejected(capsys, ["witness", path], code=EXIT_CONSTRUCTION)
-        assert "no valid witness" in error
+        got, report, err = run(capsys, ["witness", path])
+        assert (got, report) == (EXIT_CONSTRUCTION, None)
+        error = json.loads(err)
+        assert error["exit_code"] == EXIT_CONSTRUCTION
+        assert "no valid witness" in error["error"]
+        diagnostics = error["diagnostics"]
+        assert diagnostics["class"] == "D.14"
+        assert diagnostics["failures"][0].startswith("candidate 0: ")
+        assert diagnostics["search"]["attempts"] == 40
+        outcomes = diagnostics["search"]["outcomes"]
+        assert sum(outcomes.values()) == 40 and all(n > 0 for n in outcomes.values())
+
+    def test_label_contradicting_pair_exits_construction_after_the_search(self, tmp_path, capsys):
+        # a C.3 state with sub-CLASS_EPS entries added, labelled B.5: the B
+        # recipe's "equal Schmidt coefficients" error is a failed candidate,
+        # and the search runs before the command exits 6
+        lams = np.array([1.519e-10, 0.70710678, 2.99e-11, 7.60e-10, 0.70710678])
+        path = write_state(
+            tmp_path, {"lambda": (lams / np.linalg.norm(lams)).tolist(), "phi": 0.6555}
+        )
+        got, _, err = run(capsys, ["witness", path])
+        assert got == EXIT_CONSTRUCTION
+        diagnostics = json.loads(err)["diagnostics"]
+        assert diagnostics["class"] == "B.5"
+        assert "Schmidt coefficients of the B.5 pair are equal" in diagnostics["failures"][0]
+        assert sum(diagnostics["search"]["outcomes"].values()) == 40
 
     def test_too_weak_pair_exits_construction(self, tmp_path, capsys):
         # B.3 with l2 = 3e-5: neither the pair lift nor the search reaches P5 > 1e-9

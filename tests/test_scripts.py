@@ -1,5 +1,7 @@
 """The experiment scripts run from a checkout, without PYTHONPATH."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +10,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name):
+    """A script under scripts/ as a module, without running its main."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(*argv):
@@ -50,6 +60,10 @@ def test_reproduce_thresholds_sums_over_seeds():
         ("scripts/class_sweep.py", "--draws", "0"),
         ("scripts/class_sweep.py", "--draws", "-3"),
         ("scripts/class_sweep.py", "--draws", "1", "--seed", "-1"),
+        ("scripts/bench_pair.py", "--parent", ".", "--change", ".", "--workload", "class-witness",
+         "--seeds", "1", "--seconds", "0", "--out", "unwritten.json"),
+        ("scripts/bench_pair.py", "--parent", "tests", "--change", ".", "--workload", "class-witness",
+         "--seeds", "1", "--seconds", "1", "--out", "unwritten.json"),
     ],
 )
 def test_bad_arguments_exit_2(argv):
@@ -67,3 +81,65 @@ def test_class_sweep():
     assert lines[0].split()[-1] == "us/witness"
     # the median witness time in microseconds, after max B
     assert all(float(line.split()[-1]) > 0.0 for line in lines[2:])
+
+
+def perfbench_output(p50, failed=0):
+    """The lines perfbench/run.py prints for one run, with a made-up p50 and throughput."""
+    machine = {"calibration_kernel": "interpreted", "calibration_kernel_median_ms": 1.5, "nproc": 2}
+    result = {
+        "correct": True,
+        "attempted": 120,
+        "failed": failed,
+        "metrics": {
+            "latency_cal_p50": {"value": p50, "unit": "cal"},
+            "throughput_cal": {"value": 1.0 / p50, "unit": "1/cal"},
+        },
+    }
+    return "\n".join([
+        "machine " + json.dumps(machine),
+        "workload near-boundary-witness seed 1: 120 attempted, 0 failed, 0 wrong",
+        "result:",
+        f"  latency_cal_p50 {p50:14.6g} cal",
+        json.dumps(result),
+        "",
+    ])
+
+
+class TestBenchPair:
+    def test_parses_machine_line_and_last_line_json(self):
+        run = load_script("bench_pair").parse_run(perfbench_output(0.5, failed=2))
+        assert run["machine"]["nproc"] == 2
+        assert (run["correct"], run["attempted"], run["failed"]) == (True, 120, 2)
+        assert run["metrics"] == {"latency_cal_p50": 0.5, "throughput_cal": 2.0}
+
+    @pytest.mark.parametrize("text", ["", "machine {}\nresult:\n", '{"correct": true}\n'])
+    def test_output_without_a_result_is_rejected(self, text):
+        with pytest.raises(ValueError):
+            load_script("bench_pair").parse_run(text)
+
+    def test_medians_quartiles_and_pairs_won(self):
+        bench = load_script("bench_pair")
+        p50s = {"parent": [1.4, 1.3, 1.5, 1.2], "change": [0.5, 0.6, 1.6, 0.4]}
+        runs = [
+            {"pair": pair, "side": side, **bench.parse_run(perfbench_output(p50s[side][pair]))}
+            for pair in range(4)
+            for side in bench.SIDES
+        ]
+        summary = bench.summarize(runs, {"latency_cal_p50": "lower", "throughput_cal": "higher"})
+        assert summary["parent"]["latency_cal_p50"] == pytest.approx(
+            {"median": 1.35, "q1": 1.275, "q3": 1.425}
+        )
+        assert summary["change"]["latency_cal_p50"]["median"] == pytest.approx(0.55)
+        # pair 2 reads 1.6 against 1.5: the change wins three pairs of four
+        assert summary["change_better_in"]["latency_cal_p50"] == {"change_better": 3, "pairs": 4}
+        assert summary["change_better_in"]["throughput_cal"] == {"change_better": 3, "pairs": 4}
+
+    def test_one_run_per_side_is_its_own_median_and_quartiles(self):
+        bench = load_script("bench_pair")
+        runs = [
+            {"pair": 0, "side": side, **bench.parse_run(perfbench_output(0.7))}
+            for side in bench.SIDES
+        ]
+        summary = bench.summarize(runs, {"latency_cal_p50": "lower"})
+        assert summary["parent"]["latency_cal_p50"] == {"median": 0.7, "q1": 0.7, "q3": 0.7}
+        assert summary["change_better_in"]["latency_cal_p50"] == {"change_better": 0, "pairs": 1}
