@@ -78,9 +78,15 @@ class BellReport:
 
 
 def bell_value(state, settings: MeasurementSettings) -> BellReport:
-    """Evaluate B = p1 + p2 + p3 + p4 - p5 for a state and settings."""
+    """Evaluate B = p1 + p2 + p3 + p4 - p5 for a state and settings.
+
+    Raises ``ValueError`` when a probability is not finite (B is then NaN
+    or infinite, which would read as a verdict on the local bound).
+    """
     probs = hardy_probabilities(state, settings).tolist()
     value = probs[0] + probs[1] + probs[2] + probs[3] - probs[4]
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite joint probabilities {probs}")
     return BellReport(
         probabilities=_clamped(probs),
         bell_value=value,
@@ -171,13 +177,18 @@ def sample_statistics(state, settings: MeasurementSettings, shots: int, seed: in
     The five terms have five distinct observable-kind triples (physical
     measurement contexts), so each term is read off one multinomial draw
     over its own context's eight outcomes, drawn in term order.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  Raises ``ValueError`` when a context's
+    outcome probabilities are not finite or sum to zero.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
     rng = np.random.default_rng(seed)
     probs = np.clip(_product_probabilities(state, settings.bras), 0.0, None)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    totals = probs.sum(axis=-1, keepdims=True)
+    sums = totals.ravel().tolist()  # five numbers: cheaper checked in Python than in numpy
+    if not (math.isfinite(sum(sums)) and min(sums) > 0.0):
+        raise ValueError(f"outcome probabilities of the contexts sum to {sums}")
+    probs /= totals
     p_hat = [float(rng.multinomial(shots, p)[t] / shots) for p, t in zip(probs, TERM_OUTCOMES)]
     return SampleStatistics(
         frequencies=tuple(p_hat),

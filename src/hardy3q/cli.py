@@ -7,8 +7,8 @@ State files are UTF-8 JSON with exactly one of two forms::
 
 Normalization is enforced; pass --normalize to rescale (the applied factor
 is echoed in the report).  All commands print a single JSON report to
-stdout (``scan`` prints one JSON record per line) and communicate failure
-through exit codes:
+stdout (``scan`` prints one JSON record per line, for each point of its one
+``--grid t=start:stop:steps`` axis) and communicate failure through exit codes:
 
     0  success
     2  parse error (unreadable file, malformed JSON, invalid values)
@@ -16,6 +16,16 @@ through exit codes:
     4  wrong input form for the command
     5  witness expectation mismatch
     6  internal construction failure
+
+Two records are built once and printed by several commands.  The witness
+record is ``certificate``, ``bell`` (B at the certificate's settings),
+``used_fallback`` and ``note``; a fully product state has instead
+``"witness": null`` and the note "no witness: fully product state".
+``witness`` and ``sample`` print it at top level (``sample`` adds
+``sample``, drawn at those settings), and each ``scan`` point under
+``witness`` (a product point carries its null and note at top level).
+The optimization record of ``minimize_bell`` is ``optimize``'s
+``optimization`` and each ``scan --optimize`` point's ``optimized``.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ import numpy as np
 
 from . import __version__, linalg
 from .bell import (
-    BellReport,
     SampleStatistics,
     bell_value,
     lhv_assignments,
@@ -41,9 +50,9 @@ from .bell import (
     sample_statistics,
 )
 from .errors import ClassificationOverlapError, ConstructionFailureError, Hardy3QError
-from .hardy import ZERO_TOL, HardyCertificate, WitnessConstruction, build_witness
+from .hardy import ZERO_TOL, WitnessConstruction, build_witness
 from .observables import MeasurementSettings
-from .states import CLASS_EPS, CanonicalState, classify, normalized_canonical
+from .states import CLASS_EPS, CanonicalState, StateClass, classify, normalized_canonical
 from .visibility import OptimizationResult, minimize_bell
 
 EXIT_OK = 0
@@ -55,9 +64,8 @@ EXIT_CONSTRUCTION = 6
 
 SEED_ENV_VAR = "HARDY3Q_SEED"
 
-#: the most points a ``scan`` grid may have, counted as the product of its
-#: axes' steps; every point builds a witness (about a millisecond each), and
-#: larger grids are rejected before any axis is allocated
+#: the most points a ``scan`` grid may have; every point builds a witness
+#: (about a millisecond each), and larger grids are rejected before allocation
 MAX_GRID_POINTS = 1_000_000
 #: the most starts ``optimize`` and ``scan --optimize`` may ask for; each
 #: start gets its own generator, kets and Anderson histories before any work
@@ -206,23 +214,6 @@ def _settings_payload(settings: MeasurementSettings) -> dict:
     }
 
 
-def _certificate_payload(cert: HardyCertificate) -> dict:
-    return {
-        "probabilities": [float(p) for p in cert.probabilities],
-        "satisfied": bool(cert.satisfied),
-        "zero_tolerance": float(cert.zero_tolerance),
-        "settings": _settings_payload(cert.settings),
-    }
-
-
-def _bell_payload(report: BellReport) -> dict:
-    return {
-        "probabilities": [float(p) for p in report.probabilities],
-        "bell_value": float(report.bell_value),
-        "lhv_bound_satisfied": bool(report.lhv_bound_satisfied),
-    }
-
-
 def _optimization_payload(result: OptimizationResult) -> dict:
     return {
         "best_value": float(result.best_value),
@@ -268,15 +259,35 @@ def _base_report(command: str, args: argparse.Namespace, spec: StateSpec | None)
     return report
 
 
-def _witness_payload(built: WitnessConstruction, psi: np.ndarray) -> dict:
-    report = bell_value(psi, built.settings)
+def _witness_record(
+    state: CanonicalState, cls: StateClass, seed: int, zero_tol: float = ZERO_TOL
+) -> tuple[dict, WitnessConstruction | None]:
+    """The witness record of a classified state, with the construction it reports.
+
+    A fully product state has no witness: ``{"witness": None, "note": ...}``
+    and no construction.  Otherwise the record holds the certificate, the
+    Bell value at its settings, whether the search found them, and the note.
+    """
+    if cls.major == "A":
+        return {"witness": None, "note": "no witness: fully product state"}, None
+    built = build_witness(state, cls, zero_tol=zero_tol, seed=seed)
+    cert = built.certificate
+    bell = bell_value(state.to_ket(), built.settings)
     return {
-        "class": built.state_class.value,
-        "certificate": _certificate_payload(built.certificate),
-        "bell": _bell_payload(report),
+        "certificate": {
+            "probabilities": [float(p) for p in cert.probabilities],
+            "satisfied": bool(cert.satisfied),
+            "zero_tolerance": float(cert.zero_tolerance),
+            "settings": _settings_payload(cert.settings),
+        },
+        "bell": {
+            "probabilities": [float(p) for p in bell.probabilities],
+            "bell_value": float(bell.bell_value),
+            "lhv_bound_satisfied": bool(bell.lhv_bound_satisfied),
+        },
         "used_fallback": bool(built.used_fallback),
         "note": built.note,
-    }
+    }, built
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +312,15 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[dict, int]:
     cls = classify(state)
     report = _base_report("witness", args, spec)
     report["class"] = cls.value
-    if cls.major == "A":
-        report["witness"] = None
-        report["note"] = "no witness: fully product state"
-        report["expectation_met"] = True
-        return report, EXIT_OK
-    built = build_witness(state, cls, zero_tol=args.tol, seed=args.seed)
-    payload = _witness_payload(built, spec.ket)
-    report.update(payload)
-    violated = not payload["bell"]["lhv_bound_satisfied"]
-    if cls.major == "C":
-        expectation_met = (not built.certificate.satisfied) and violated
-    else:
-        expectation_met = built.certificate.satisfied and violated
-    report["expectation_met"] = bool(expectation_met)
+    record, built = _witness_record(state, cls, args.seed, zero_tol=args.tol)
+    report.update(record)
+    # a product state needs no witness; a C pair violates the bound without
+    # the Hardy pattern, every other class with it
+    expectation_met = built is None or (
+        built.certificate.satisfied == (cls.major != "C")
+        and not record["bell"]["lhv_bound_satisfied"]
+    )
+    report["expectation_met"] = expectation_met
     return report, EXIT_OK if expectation_met else EXIT_EXPECTATION
 
 
@@ -358,35 +364,17 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[dict, int]:
     cls = classify(state)
     report = _base_report("sample", args, spec)
     report["class"] = cls.value
-    if cls.major == "A":
-        report["sample"] = None
-        report["note"] = "no witness settings: fully product state"
-        return report, EXIT_OK
-    built = build_witness(state, cls, seed=args.seed)
-    stats = sample_statistics(spec.ket, built.settings, shots=args.shots, seed=args.seed)
-    report["certificate"] = _certificate_payload(built.certificate)
-    report["sample"] = _sample_payload(stats)
+    record, built = _witness_record(state, cls, args.seed)
+    report.update(record)
+    report["sample"] = None if built is None else _sample_payload(
+        sample_statistics(spec.ket, built.settings, shots=args.shots, seed=args.seed)
+    )
     return report, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # family scans
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridAxis:
-    """Inclusive linear grid over one family parameter."""
-
-    name: str
-    start: float
-    stop: float
-    steps: int
-
-    def values(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.steps)
-
 
 def _ghz_family(t: float) -> CanonicalState:
     return CanonicalState((math.cos(t), 0.0, 0.0, 0.0, math.sin(t)), 0.0)
@@ -414,34 +402,38 @@ FAMILIES = {
 }
 
 
-def _parse_grid(values: list[str]) -> list[GridAxis]:
-    axes = []
-    for spec in values:
-        try:
-            name, rest = spec.split("=", 1)
-            start, stop, steps = rest.split(":")
-            axis = GridAxis(name.strip(), float(start), float(stop), int(steps))
-        except ValueError as exc:
-            raise CliError(
-                f"grid spec {spec!r} must look like name=start:stop:steps", EXIT_PARSE
-            ) from exc
-        if not (math.isfinite(axis.start) and math.isfinite(axis.stop) and axis.steps >= 1):
-            raise CliError(
-                f"grid spec {spec!r} needs finite start and stop and at least 1 step",
-                EXIT_PARSE,
-            )
-        axes.append(axis)
-    points = math.prod(axis.steps for axis in axes)
-    if points > MAX_GRID_POINTS:
+def _parse_grid(values: list[str]) -> np.ndarray:
+    """The points of the one ``t=start:stop:steps`` axis, inclusive.
+
+    A second ``--grid``, another axis name, a bad value or more than
+    MAX_GRID_POINTS points exits 2 before anything is allocated.
+    """
+    name, _, rest = values[0].partition("=")
+    if len(values) != 1 or name.strip() != "t":
+        raise CliError(f"--grid takes the one axis 't' of every family, got {values}", EXIT_PARSE)
+    try:
+        start, stop, steps = rest.split(":")
+        start, stop, steps = float(start), float(stop), int(steps)
+    except ValueError as exc:
         raise CliError(
-            f"grid has {points} points, more than the {MAX_GRID_POINTS} a scan may have",
+            f"grid spec {values[0]!r} must look like t=start:stop:steps", EXIT_PARSE
+        ) from exc
+    if not (math.isfinite(start) and math.isfinite(stop) and steps >= 1):
+        raise CliError(
+            f"grid spec {values[0]!r} needs finite start and stop and at least 1 step",
             EXIT_PARSE,
         )
-    return axes
+    if steps > MAX_GRID_POINTS:
+        raise CliError(
+            f"grid has {steps} points, more than the {MAX_GRID_POINTS} a scan may have",
+            EXIT_PARSE,
+        )
+    return np.linspace(start, stop, steps)
 
 
 def _scan_record(args: argparse.Namespace, t: float) -> dict:
-    """Class and witness of the family's state at ``t``; with --optimize, its best B too.
+    """Class and witness record of the family's state at ``t``; with --optimize,
+    its optimization record too.
 
     A point whose state cannot be built or witnessed reports why in its
     ``error`` field, and the scan goes on.
@@ -451,23 +443,11 @@ def _scan_record(args: argparse.Namespace, t: float) -> dict:
         state = FAMILIES[args.family](t)
         cls = classify(state)
         record["class"] = cls.value
-        if cls.major == "A":
-            record["witness"] = None
-            record["note"] = "fully product state; no witness"
-        else:
-            built = build_witness(state, cls, seed=args.seed)
-            record["witness"] = {
-                "satisfied": built.certificate.satisfied,
-                "success_probability": built.certificate.success_probability,
-                "bell_value": bell_value(state.to_ket(), built.settings).bell_value,
-                "used_fallback": built.used_fallback,
-            }
+        witness, built = _witness_record(state, cls, args.seed)
+        record.update(witness if built is None else {"witness": witness})
         if args.optimize:
-            res = minimize_bell(state.to_ket(), starts=args.starts, seed=args.seed)
-            record["optimized"] = {
-                "best_value": res.best_value,
-                "threshold_visibility": res.threshold_visibility,
-            }
+            result = minimize_bell(state.to_ket(), starts=args.starts, seed=args.seed)
+            record["optimized"] = _optimization_payload(result)
     except (Hardy3QError, ValueError) as exc:
         record["error"] = str(exc)
     record["family"] = args.family
@@ -480,17 +460,11 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[dict | None, int]:
             f"unknown family {args.family!r}; choose from {sorted(FAMILIES)}",
             EXIT_PARSE,
         )
-    axes = _parse_grid(args.grid)
-    names = sorted(axis.name for axis in axes)
-    if names != ["t"]:
-        raise CliError(
-            f"grid axes {names} must name each parameter of {args.family!r} once: ['t']",
-            EXIT_PARSE,
-        )
+    grid = _parse_grid(args.grid)
     if args.optimize:
         require_starts(args.starts)
-    for t in axes[0].values():
-        print(json.dumps(_scan_record(args, float(t))))
+    for t in grid.tolist():
+        print(json.dumps(_scan_record(args, t)))
     return None, EXIT_OK
 
 
@@ -550,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         action="append",
         required=True,
-        help="axis spec name=start:stop:steps (repeatable)",
+        help="the family parameter's axis, t=start:stop:steps",
     )
     p.add_argument("--optimize", action="store_true")
     p.add_argument("--starts", type=int, default=16)

@@ -92,8 +92,13 @@ class HardyCertificate:
 
 
 def verify_hardy(state, settings: MeasurementSettings, zero_tol: float = ZERO_TOL) -> HardyCertificate:
-    """Evaluate the five joint probabilities and check the Hardy pattern."""
+    """Evaluate the five joint probabilities and check the Hardy pattern.
+
+    Raises ``ValueError`` when a probability is not finite.
+    """
     probs = hardy_probabilities(state, settings).tolist()
+    if not math.isfinite(sum(probs)):
+        raise ValueError(f"non-finite joint probabilities {probs}")
     return HardyCertificate(
         settings=settings,
         probabilities=_clamped(probs),

@@ -291,6 +291,10 @@ def classify_batch(lams: np.ndarray, phis: np.ndarray, eps: float = CLASS_EPS) -
 # per-class random generators
 # ---------------------------------------------------------------------------
 
+#: how far ``sample_class`` keeps its draws from neighbouring decision boundaries
+SAMPLE_MARGIN = 0.05
+
+
 def _uniform_components(rng, n, lo=0.25, hi=1.0):
     return rng.uniform(lo, hi, n)
 
@@ -305,10 +309,10 @@ def _random_phi(rng, lo=0.05):
     return float(rng.uniform(lo, math.pi - lo))
 
 
-def sample_class(cls: StateClass, rng: np.random.Generator, margin: float = 0.05) -> CanonicalState:
+def sample_class(cls: StateClass, rng: np.random.Generator) -> CanonicalState:
     """Random canonical state lying inside the given class.
 
-    Draws keep a ``margin`` away from neighbouring decision boundaries so
+    Draws keep ``SAMPLE_MARGIN`` away from neighbouring decision boundaries so
     the class is stable under small perturbations; equality-constrained
     classes (A.3, C.*, D.3, D.7, D.11) are drawn exactly on their surfaces.
     """
@@ -334,7 +338,7 @@ def sample_class(cls: StateClass, rng: np.random.Generator, margin: float = 0.05
         return _finish([lams[0], lams[1], 0, lams[2], 0], _random_phi(rng))
     if cls in (StateClass.B3, StateClass.B4):
         t = rng.uniform(0.15, math.pi / 2 - 0.15)
-        while abs(t - math.pi / 4) < margin:
+        while abs(t - math.pi / 4) < SAMPLE_MARGIN:
             t = rng.uniform(0.15, math.pi / 2 - 0.15)
         if cls is StateClass.B3:
             return _finish([math.cos(t), 0, math.sin(t), 0, 0], 0.0)
@@ -347,7 +351,7 @@ def sample_class(cls: StateClass, rng: np.random.Generator, margin: float = 0.05
             m = _pair_matrix(lams[1], lams[2], lams[3], lams[4], phi)
             det = abs(np.linalg.det(m))
             gap = np.max(np.abs(2.0 * (m @ m.conj().T) - np.eye(2)))
-            if det > margin / 4 and gap > margin / 4:
+            if det > SAMPLE_MARGIN / 4 and gap > SAMPLE_MARGIN / 4:
                 return CanonicalState(tuple(lams), phi)
     if cls is StateClass.C1:
         return CanonicalState((2 ** -0.5, 0.0, 2 ** -0.5, 0.0, 0.0), 0.0)
@@ -368,7 +372,7 @@ def sample_class(cls: StateClass, rng: np.random.Generator, margin: float = 0.05
     if cls is StateClass.D2:
         while True:
             lams = u(rng, 5)
-            if abs(lams[2] * lams[3] - lams[1] * lams[4]) > margin / 4:
+            if abs(lams[2] * lams[3] - lams[1] * lams[4]) > SAMPLE_MARGIN / 4:
                 return _finish(lams, 0.0)
     if cls is StateClass.D3:
         l1, l2, l3 = u(rng, 3, 0.35, 1.0)
@@ -382,7 +386,7 @@ def sample_class(cls: StateClass, rng: np.random.Generator, margin: float = 0.05
         while True:
             l0, l1, l3, l4 = u(rng, 4)
             state = _finish([l0, l1, 0, l3, l4], _random_phi(rng))
-            if abs(state.lams[0] - state.lams[4]) > margin / 2:
+            if abs(state.lams[0] - state.lams[4]) > SAMPLE_MARGIN / 2:
                 return state
     if cls is StateClass.D7:
         x = u(rng, 1)[0]
@@ -398,7 +402,7 @@ def sample_class(cls: StateClass, rng: np.random.Generator, margin: float = 0.05
         while True:
             l0, l2, l3, l4 = u(rng, 4)
             state = _finish([l0, 0, l2, l3, l4], 0.0)
-            if abs(state.lams[2] - state.lams[4]) > margin / 2:
+            if abs(state.lams[2] - state.lams[4]) > SAMPLE_MARGIN / 2:
                 return state
     if cls is StateClass.D11:
         x = u(rng, 1)[0]

@@ -232,3 +232,34 @@ class TestSampling:
         psi = random_canonical(rng).to_ket()
         with pytest.raises(ValueError):
             sample_statistics(psi, random_settings(rng), shots=0, seed=0)
+
+
+class TestNonFiniteStates:
+    """An all-NaN state raises ValueError; its NaN B never reads as a verdict."""
+
+    @pytest.fixture(params=[(8,), (8, 8)], ids=["ket", "density"])
+    def state(self, request):
+        return np.full(request.param, np.nan, complex)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bell_value_raises(self, state, rng):
+        with pytest.raises(ValueError, match="non-finite"):
+            bell_value(state, random_settings(rng))
+
+    @pytest.mark.filterwarnings("error")
+    def test_verify_hardy_raises(self, state, rng):
+        from hardy3q.hardy import verify_hardy
+
+        with pytest.raises(ValueError, match="non-finite"):
+            verify_hardy(state, random_settings(rng))
+
+    @pytest.mark.filterwarnings("error")
+    def test_sample_statistics_raises(self, state, rng):
+        with pytest.raises(ValueError, match="sum to"):
+            sample_statistics(state, random_settings(rng), shots=100, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(8,), (8, 8)], ids=["ket", "density"])
+    def test_sample_statistics_rejects_zero_state(self, shape, rng):
+        with pytest.raises(ValueError, match="sum to"):
+            sample_statistics(np.zeros(shape, complex), random_settings(rng), shots=100, seed=0)

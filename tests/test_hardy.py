@@ -559,15 +559,23 @@ class TestBipartiteFallback:
     """A weak B.3 pair whose lift falls below the 1e-9 success tolerance."""
 
     def test_search_rescues_weak_pair(self, caplog):
-        # the lift's P5 is 9.68e-10 here; the search finds settings above 1e-9
+        # the lift's P5 is 9.68e-10 here; over seeds 0-39 the search finds
+        # settings above 1e-9 for all but seeds 10 and 20
+        certified = []
         with caplog.at_level(logging.WARNING, logger="hardy3q.hardy"):
-            built = build_witness(weak_b3(4.4e-5))
+            for seed in range(40):
+                try:
+                    certified.append(build_witness(weak_b3(4.4e-5), seed=seed))
+                except ConstructionFailureError as exc:
+                    assert sum(exc.diagnostics["search"]["outcomes"].values()) == 40
+        assert len(certified) >= 38
         logged = [r for r in caplog.records if "falling back" in r.getMessage()]
-        assert len(logged) == 1
-        assert built.state_class is StateClass.B3
-        assert built.certificate.satisfied
-        assert built.used_fallback
-        assert built.note == "recipe failed validation; settings found by search"
+        assert len(logged) == 40
+        for built in certified:
+            assert built.state_class is StateClass.B3
+            assert built.certificate.satisfied
+            assert built.used_fallback
+            assert built.note == "recipe failed validation; settings found by search"
 
     def test_too_weak_pair_fails_with_diagnostics(self):
         with pytest.raises(ConstructionFailureError) as info:
