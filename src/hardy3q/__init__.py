@@ -35,7 +35,6 @@ from .hardy import (
     HardyCertificate,
     WitnessConstruction,
     build_witness,
-    pair_hardy_probability,
     search_hardy_observables,
     verify_hardy,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "lhv_minimum",
     "minimize_bell",
     "normalized_canonical",
-    "pair_hardy_probability",
     "sample_class",
     "sample_statistics",
     "schmidt_decompose",

@@ -26,7 +26,9 @@ and no witness decision changes (the tests keep that path as their oracle).
 ``build_witness`` runs every class through one pipeline: each recipe
 candidate is self-validated against the actual joint probabilities, and
 when no B or D candidate passes, a seeded numerical search takes over
-(and the event is recorded on the result).
+(and the event is recorded on the result).  Verification alone judges a
+candidate: a B pair that contradicts its label (equal Schmidt
+coefficients, or a product pair) fails it like any other candidate.
 
 The search runs one attempt at a time in Python complex arithmetic, with
 the products of the former numpy search (the tests' oracle) in its order;
@@ -280,15 +282,6 @@ def extract_pair_factorization(psi, product_qubit: int) -> tuple[tuple, tuple]:
     return chi, tuple(z * inv for z in eta)
 
 
-def pair_hardy_probability(a: float, b: float) -> float:
-    """Two-qubit Hardy success probability for Schmidt coefficients a > b.
-
-    Closed form a^2 b^2 (a^2 - b^2)^2 / (a^3 + b^3)^2, re-derived from the
-    zero conditions of the two-qubit construction below.
-    """
-    return a**2 * b**2 * (a**2 - b**2) ** 2 / (a**3 + b**3) ** 2
-
-
 def two_qubit_hardy_coefficients(a: float, b: float) -> tuple[tuple, tuple]:
     """Plus-ket coefficients, in the Schmidt local bases, for the pair.
 
@@ -298,7 +291,9 @@ def two_qubit_hardy_coefficients(a: float, b: float) -> tuple[tuple, tuple]:
         U2+ ~ (b^{3/2}, +a^{3/2})     D2+ ~ (sqrt(a), +sqrt(b))
 
     zeroes P(D1+,U2+), P(U1+,D2+) and P(D1-,D2-) while keeping
-    P(U1+,U2+) = pair_hardy_probability(a, b) > 0.
+    P(U1+,U2+) = a^2 b^2 (a^2 - b^2)^2 / (a^3 + b^3)^2 > 0.  At a = b
+    (a maximally entangled pair) or b = 0 (a product pair) that value is 0,
+    and the candidate fails the window check or ``verify_hardy``.
     """
     sa, sb = math.sqrt(a), math.sqrt(b)
     qa, qb = a * sa, b * sb
@@ -357,17 +352,7 @@ def _recipe_kets(cls: StateClass, state: CanonicalState, psi: np.ndarray) -> lis
     dec = linalg.schmidt_decompose(eta)
     if cls.major == "C":
         return [_lift_pair_kets(chi, dec, PRODUCT_QUBIT[cls], *_MAXIMAL_PAIR_COEFFS)]
-    a, b = dec.coefficients
-    if a - b < 1e-9:
-        raise ConstructionFailureError(
-            f"Schmidt coefficients of the {cls.value} pair are equal; the pair is "
-            "maximally entangled, which contradicts the classification"
-        )
-    if b < 1e-9:
-        raise ConstructionFailureError(
-            f"the {cls.value} pair is a product state, which contradicts the classification"
-        )
-    first, second = two_qubit_hardy_coefficients(a, b)
+    first, second = two_qubit_hardy_coefficients(*dec.coefficients)
     return [_lift_pair_kets(chi, dec, PRODUCT_QUBIT[cls], first, second)]
 
 
@@ -398,16 +383,7 @@ def build_witness(
     psi = state.to_ket()
     best = cert = None
     failures: list[str] = []
-    try:
-        recipes = _recipe_kets(cls, state, psi)
-    except ConstructionFailureError as exc:
-        # a B pair that is maximally entangled or a product state contradicts
-        # its label; the search still looks for a witness
-        if cls.major != "B":
-            raise
-        failures.append(f"recipe: {exc}")
-        recipes = []
-    for idx, kets in enumerate(recipes):
+    for idx, kets in enumerate(_recipe_kets(cls, state, psi)):
         try:
             settings = settings_from_plus_kets(kets)
         except (WindowViolationError, NormalizationError) as exc:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for one, two and three qubits.
+"""Ket checks and the two-qubit Schmidt decomposition.
 
 Kets are plain 1-d complex numpy arrays of length 2, 4 or 8.  Basis
 ordering for multi-qubit kets is |abc> <-> index 4a + 2b + c.  All functions are pure and never
@@ -45,17 +45,6 @@ def require_normalized(k) -> np.ndarray:
     return arr
 
 
-def perp_qubit(k) -> np.ndarray:
-    """The unique (up to phase) single-qubit ket orthogonal to k, per ket on the last axis."""
-    arr = np.asarray(k, dtype=complex)
-    if arr.ndim == 0 or arr.shape[-1] != 2:
-        raise DimensionError("perp_qubit expects single-qubit kets")
-    out = np.empty_like(arr)
-    out[..., 0] = -np.conj(arr[..., 1])
-    out[..., 1] = np.conj(arr[..., 0])
-    return out
-
-
 @dataclass(frozen=True)
 class SchmidtDecomposition:
     """Biorthogonal form a|u0>|v0> + b|u1>|v1> of a two-qubit pure state.
@@ -68,12 +57,6 @@ class SchmidtDecomposition:
     coefficients: tuple[float, float]
     basis_a: tuple[tuple[complex, complex], tuple[complex, complex]]
     basis_b: tuple[tuple[complex, complex], tuple[complex, complex]]
-
-    def reconstruct(self) -> np.ndarray:
-        a, b = self.coefficients
-        return a * np.kron(self.basis_a[0], self.basis_b[0]) + b * np.kron(
-            self.basis_a[1], self.basis_b[1]
-        )
 
 
 def _norm(a: complex, b: complex) -> float:

@@ -130,11 +130,6 @@ def to_ket(state: CanonicalState) -> np.ndarray:
 # classification
 # ---------------------------------------------------------------------------
 
-def _pair_matrix(l1: float, l2: float, l3: float, l4: float, phi: float) -> np.ndarray:
-    """Coefficient matrix of the qubit-2/3 pair when l0 = 0 (without the sqrt(2))."""
-    return np.array([[l1 * np.exp(1j * phi), l2], [l3, l4]], dtype=complex)
-
-
 def _check_eps(eps: float) -> None:
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
@@ -348,10 +343,7 @@ def sample_class(cls: StateClass, rng: np.random.Generator) -> CanonicalState:
             phi = _random_phi(rng)
             lams = np.array([0.0, *u(rng, 4)])
             lams /= np.linalg.norm(lams)
-            m = _pair_matrix(lams[1], lams[2], lams[3], lams[4], phi)
-            det = abs(np.linalg.det(m))
-            gap = np.max(np.abs(2.0 * (m @ m.conj().T) - np.eye(2)))
-            if det > SAMPLE_MARGIN / 4 and gap > SAMPLE_MARGIN / 4:
+            if _pair_split(lams, phi, SAMPLE_MARGIN / 4) == 0:  # neither A.3 nor C.3
                 return CanonicalState(tuple(lams), phi)
     if cls is StateClass.C1:
         return CanonicalState((2 ** -0.5, 0.0, 2 ** -0.5, 0.0, 0.0), 0.0)

@@ -346,7 +346,7 @@ def _inside_window(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     target = min(max(overlap, 2.0 * WINDOW_TOL), 1.0 - 2.0 * WINDOW_TOL)
     if target == overlap:
         return d
-    u_perp = linalg.perp_qubit(u)
+    u_perp = np.array([-np.conj(u[1]), np.conj(u[0])])
     across = np.vdot(u_perp, d)
     phase_along = along / overlap if overlap > 0.0 else 1.0
     phase_across = across / abs(across) if abs(across) > 0.0 else 1.0
@@ -417,8 +417,8 @@ def threshold_visibility(best_value: float) -> float:
     Solves v*B + (1-v)*(3/8) = 0 for a violating B < 0; the affinity of B
     in v is a property of the white-noise mixture and is covered by tests.
     """
-    if best_value >= 0.0:
+    if not -math.inf < best_value < 0.0:
         raise VisibilityUndefinedError(
-            f"threshold visibility needs a violation (B < 0), got B = {best_value!r}"
+            f"threshold visibility needs a finite violation B < 0, got B = {best_value!r}"
         )
     return WHITE_NOISE_BELL_VALUE / (WHITE_NOISE_BELL_VALUE - best_value)

@@ -119,6 +119,17 @@ def fix_global_phase(k, tiny: float = 1e-12) -> np.ndarray:
     return np.where(found, arr * np.conj(lead / np.where(found, lead_size, 1.0)), arr)
 
 
+def perp_qubit(k) -> np.ndarray:
+    """The unique (up to phase) single-qubit ket orthogonal to k, per ket on the last axis."""
+    arr = np.asarray(k, dtype=complex)
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise DimensionError("perp_qubit expects single-qubit kets")
+    out = np.empty_like(arr)
+    out[..., 0] = -np.conj(arr[..., 1])
+    out[..., 1] = np.conj(arr[..., 0])
+    return out
+
+
 def projector(k):
     """Rank-one projector |k><k| for a normalized ket."""
     arr = linalg.ket(k)
@@ -261,6 +272,24 @@ def oracle_classify(lams, phi, eps=1e-9):
     if abs(l2 * l3 - l1 * l4) < eps:
         return StateClass.D3
     return StateClass.D2
+
+
+def reference_sample_b5(rng):
+    """``sample_class(StateClass.B5, rng)`` as a rejection loop on the pair matrix.
+
+    A frozen copy of the sampler before it used the classifier's pair test:
+    the draw is kept when both |det m| and max |2 m m^dag - 1| exceed
+    0.05 / 4, for m = [[l1 e^{i phi}, l2], [l3, l4]] (neither A.3 nor C.3).
+    """
+    while True:
+        phi = float(rng.uniform(0.05, math.pi - 0.05))
+        lams = np.array([0.0, *rng.uniform(0.25, 1.0, 4)])
+        lams /= np.linalg.norm(lams)
+        m = np.array([[lams[1] * np.exp(1j * phi), lams[2]], [lams[3], lams[4]]], dtype=complex)
+        det = abs(np.linalg.det(m))
+        gap = np.max(np.abs(2.0 * (m @ m.conj().T) - np.eye(2)))
+        if det > 0.05 / 4 and gap > 0.05 / 4:
+            return CanonicalState(tuple(lams), phi)
 
 
 def oracle_row_predicates(lam, phi, eps=1e-9):
@@ -414,7 +443,7 @@ def reference_settings_eigenkets(plus_kets):
         raise WindowViolationError(j, overlaps[j])
     eigenkets = np.empty((3, 2, 2, 2), dtype=complex)
     eigenkets[:, :, 0] = plus
-    eigenkets[:, :, 1] = fix_global_phase(linalg.perp_qubit(plus))
+    eigenkets[:, :, 1] = fix_global_phase(perp_qubit(plus))
     return eigenkets
 
 
@@ -513,18 +542,36 @@ def reference_schmidt_decompose(state):
         v0 = cand1 / n1 if n1 >= n2 else cand2 / n2
     lead = 0 if abs(v0[0]) >= abs(v0[1]) else 1
     v0 = v0 * np.conj(v0[lead] / abs(v0[lead]))
-    v1 = linalg.perp_qubit(v0)
+    v1 = perp_qubit(v0)
 
     mv0 = m @ v0
     n0 = np.linalg.norm(mv0)
     u0 = mv0 / n0 if n0 > linalg.ZERO_NORM else np.array([1.0, 0.0], dtype=complex)
-    u1 = linalg.perp_qubit(u0)
+    u1 = perp_qubit(u0)
     phase = np.vdot(u1, m @ v1)
     if abs(phase) > linalg.ZERO_NORM:
         u1 = u1 * (phase / abs(phase))
     return linalg.SchmidtDecomposition(
         coefficients=(s0, s1), basis_a=(u0, u1), basis_b=(np.conj(v0), np.conj(v1))
     )
+
+
+def reconstruct(dec):
+    """The two-qubit ket a|u0>|v0> + b|u1>|v1> of a ``linalg.SchmidtDecomposition``."""
+    a, b = dec.coefficients
+    return a * np.kron(dec.basis_a[0], dec.basis_b[0]) + b * np.kron(
+        dec.basis_a[1], dec.basis_b[1]
+    )
+
+
+def pair_hardy_probability(a: float, b: float) -> float:
+    """Two-qubit Hardy success probability for Schmidt coefficients a > b.
+
+    Closed form a^2 b^2 (a^2 - b^2)^2 / (a^3 + b^3)^2, re-derived from the
+    zero conditions of the two-qubit construction
+    (``hardy.two_qubit_hardy_coefficients``).
+    """
+    return a**2 * b**2 * (a**2 - b**2) ** 2 / (a**3 + b**3) ** 2
 
 
 def reference_lift_pair_kets(chi, dec, product_qubit, first_coeffs, second_coeffs):
@@ -536,7 +583,7 @@ def reference_lift_pair_kets(chi, dec, product_qubit, first_coeffs, second_coeff
 
     chi = np.asarray(chi, dtype=complex)
     first, second = (ax for ax in range(3) if ax != product_qubit)
-    chi_perp = linalg.perp_qubit(chi)
+    chi_perp = perp_qubit(chi)
     kets = np.empty((3, 2, 2), dtype=complex)
     kets[first] = lift(first_coeffs, dec.basis_a)
     kets[second] = lift(second_coeffs, dec.basis_b)
@@ -849,7 +896,7 @@ def reference_backtrack(psi3, x, f, dx):
 def reference_accepted_settings(vec, us, m, zero_tol):
     """Settings of one converged attempt if they pass the window and verify_hardy."""
     try:
-        settings = settings_from_plus_kets(np.stack([us, linalg.perp_qubit(m)], axis=1))
+        settings = settings_from_plus_kets(np.stack([us, perp_qubit(m)], axis=1))
     except (WindowViolationError, NormalizationError):
         return None
     return settings if verify_hardy(vec, settings, zero_tol).satisfied else None

@@ -24,7 +24,6 @@ from hardy3q.hardy import (
     PRODUCT_QUBIT,
     build_witness,
     extract_pair_factorization,
-    pair_hardy_probability,
     search_hardy_observables,
 )
 from hardy3q.linalg import schmidt_decompose
@@ -41,6 +40,7 @@ from hardy3q import cli
 from conftest import (
     mix_with_white_noise,
     oracle_hardy_probabilities,
+    pair_hardy_probability,
     random_settings,
     threshold_visibility_bisection,
 )

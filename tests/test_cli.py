@@ -278,8 +278,8 @@ class TestWitness:
 
     def test_label_contradicting_pair_exits_construction_after_the_search(self, tmp_path, capsys):
         # a C.3 state with sub-CLASS_EPS entries added, labelled B.5: the B
-        # recipe's "equal Schmidt coefficients" error is a failed candidate,
-        # and the search runs before the command exits 6
+        # recipe's candidate commutes on the maximally entangled pair and
+        # fails the window check, and the search runs before the command exits 6
         lams = np.array([1.519e-10, 0.70710678, 2.99e-11, 7.60e-10, 0.70710678])
         path = write_state(
             tmp_path, {"lambda": (lams / np.linalg.norm(lams)).tolist(), "phi": 0.6555}
@@ -288,7 +288,8 @@ class TestWitness:
         assert got == EXIT_CONSTRUCTION
         diagnostics = json.loads(err)["diagnostics"]
         assert diagnostics["class"] == "B.5"
-        assert "Schmidt coefficients of the B.5 pair are equal" in diagnostics["failures"][0]
+        (failure,) = diagnostics["failures"]
+        assert failure.startswith("candidate 0: pair 1: |<U+|D+>| = 1.000000e+00")
         assert sum(diagnostics["search"]["outcomes"].values()) == 40
 
     def test_too_weak_pair_exits_construction(self, tmp_path, capsys):

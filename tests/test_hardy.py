@@ -22,7 +22,6 @@ from hardy3q.hardy import (
     build_witness,
     extract_pair_factorization,
     genuine_candidates,
-    pair_hardy_probability,
     search_hardy_observables,
     two_qubit_hardy_coefficients,
     verify_hardy,
@@ -41,6 +40,7 @@ from conftest import (
     nelder_mead_search,
     one_batch_search,
     oracle_hardy_probabilities,
+    pair_hardy_probability,
     pair_overlaps,
     random_ket,
     reference_backtrack,
@@ -590,16 +590,45 @@ class TestBipartiteFallback:
     def test_label_contradicting_pair_falls_back_to_the_search(self):
         # the C.3 state (0, 1/sqrt2, 0, 0, 1/sqrt2) with sub-CLASS_EPS
         # entries added is labelled B.5, and its pair is maximally
-        # entangled; the B recipe's error is a failed candidate, after
-        # which the search runs (and finds nothing: every attempt converges
-        # outside the window or unverified)
+        # entangled; the B recipe's candidate commutes on the pair and fails
+        # the window check, after which the search runs (and finds nothing:
+        # every attempt converges outside the window or unverified)
         lams = np.array([1.519e-10, 0.70710678, 2.99e-11, 7.60e-10, 0.70710678])
         state = CanonicalState(tuple(lams / np.linalg.norm(lams)), 0.6555)
         assert classify(state) is StateClass.B5
         with pytest.raises(ConstructionFailureError) as info:
             build_witness(state)
         (failure,) = info.value.diagnostics["failures"]
-        assert failure.startswith("recipe: Schmidt coefficients of the B.5 pair are equal")
+        assert failure.startswith("candidate 0: pair 1: |<U+|D+>| = 1.000000e+00")
+        assert sum(info.value.diagnostics["search"]["outcomes"].values()) == 40
+
+    @pytest.mark.parametrize(
+        "state, cls, failure_start",
+        [
+            # the exact C.3 point under a B.5 label: equal Schmidt coefficients
+            (
+                CanonicalState((0.0, INV_SQRT2, 0.0, 0.0, INV_SQRT2), 0.6555),
+                StateClass.B5,
+                "candidate 0: pair 1: |<U+|D+>| = 1.000000e+00",
+            ),
+            # a B.1 pair with Schmidt coefficient b = 1e-10: P5 ~ b^2 / 2
+            (
+                CanonicalState((1e-5, math.sqrt(1 - 2e-10), 1e-5, 0.0, 0.0), 0.3),
+                StateClass.B1,
+                "candidate 0: probabilities",
+            ),
+        ],
+        ids=["exact-c3-as-b5", "weak-b1"],
+    )
+    def test_pair_that_contradicts_its_label_is_a_failed_candidate(
+        self, state, cls, failure_start
+    ):
+        # verification alone judges the B recipe's candidate; no recipe
+        # error stops the search from running
+        with pytest.raises(ConstructionFailureError) as info:
+            build_witness(state, cls)
+        (failure,) = info.value.diagnostics["failures"]
+        assert failure.startswith(failure_start)
         assert sum(info.value.diagnostics["search"]["outcomes"].values()) == 40
 
 
@@ -1043,8 +1072,10 @@ class TestSearchRounds:
         assert self.same(psi, oracle, found, GHZ_W_KET_BOUND)
 
     def test_first_attempt_alone_solves_nine_in_ten(self, deck_searches):
-        # the search runs attempt 0 alone first because it usually wins; a
-        # change to the start draw that breaks this fails here
+        # the search runs its attempts one at a time in seeded order and
+        # stops at the first that certifies; attempt 0 usually wins, so most
+        # searches stop after one attempt.  A change to the start draw that
+        # breaks this fails here
         solved = [first is not None for _, found, first in deck_searches if found is not None]
         assert sum(solved) >= 0.9 * len(solved)
 

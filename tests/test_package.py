@@ -48,6 +48,52 @@ def test_unused_import_check_sees_unused_names():
     assert imported_but_unused(source) == ["line 2: os", "line 2: system", "line 3: b"]
 
 
+def unreferenced_functions(sources: dict[str, str], exported=()) -> list[str]:
+    """Functions and methods that no source reads by name and ``exported`` does not list.
+
+    ``sources`` maps a module name to its text; a name counts as read when
+    any source uses it (``f``) or an attribute of that name (``x.f``).
+    Dunder methods are called by the language, not by name, and pass.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        scopes = [(tree, module)]
+        while scopes:
+            scope, prefix = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    scopes.append((node, f"{prefix}.{node.name}"))
+                    dunder = node.name.startswith("__") and node.name.endswith("__")
+                    if not isinstance(node, ast.ClassDef) and not dunder and node.name not in read:
+                        unread.append(f"{prefix}.{node.name}")
+    return sorted(unread)
+
+
+def test_every_function_in_the_package_is_called_or_exported():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE_DIR.glob("*.py")}
+    assert unreferenced_functions(sources, hardy3q.__all__) == []
+
+
+def test_unreferenced_function_check_sees_unread_definitions():
+    sources = {
+        "a": "def used():\n    pass\n\ndef exported():\n    pass\n\ndef unused():\n"
+        "    def inner():\n        pass\n\nclass K:\n    def __init__(self):\n        pass\n\n"
+        "    def method(self):\n        pass\n\n    def called(self):\n        pass\n",
+        "b": "from .a import used\nused()\nK().called()\n",
+    }
+    assert unreferenced_functions(sources, ["exported"]) == [
+        "a.K.method", "a.unused", "a.unused.inner"
+    ]
+
+
 def package_imports(source: str) -> set[str]:
     """The package members a module imports, relatively or as ``hardy3q.<name>``."""
     found = set()

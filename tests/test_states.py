@@ -28,6 +28,7 @@ from conftest import (
     oracle_classify,
     oracle_row_predicates,
     random_canonical,
+    reference_sample_b5,
     tensor,
 )
 
@@ -123,6 +124,14 @@ class TestClassifyTargeted:
         for _ in range(200):
             state = sample_class(cls, rng)
             assert classify(state) is cls
+
+    def test_b5_sampler_matches_pair_matrix_oracle(self):
+        # the sampler keeps a B.5 draw by the classifier's pair test; the
+        # former rejection loop on the pair matrix keeps exactly the same draws
+        for seed in range(200):
+            state = sample_class(StateClass.B5, np.random.default_rng(seed))
+            assert state == reference_sample_b5(np.random.default_rng(seed))
+            assert classify(state) is StateClass.B5
 
     def test_perturbation_stability_away_from_boundaries(self, rng):
         eps = 1e-9

@@ -1,5 +1,7 @@
 """Tests for Bell-value minimization and threshold visibility."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -74,8 +76,10 @@ class TestThresholdFormula:
         assert threshold_visibility(-1e-12) == pytest.approx(1.0, abs=1e-9)
 
     def test_undefined_without_violation(self):
-        with pytest.raises(VisibilityUndefinedError):
-            threshold_visibility(0.05)
+        # only a finite B < 0 has a threshold
+        for best_value in (0.05, 0.0, math.nan, -math.inf):
+            with pytest.raises(VisibilityUndefinedError):
+                threshold_visibility(best_value)
 
     def test_bisection_cross_check(self, rng):
         for _ in range(10):
