@@ -63,6 +63,14 @@ def hardy_probabilities(state, settings: MeasurementSettings) -> np.ndarray:
     return _product_probabilities(state, settings.hardy_bras)
 
 
+def _finite_probabilities(state, settings: MeasurementSettings) -> list[float]:
+    """The five canonical-order probabilities; ``ValueError`` unless all are finite."""
+    probs = hardy_probabilities(state, settings).tolist()
+    if not math.isfinite(sum(probs)):
+        raise ValueError(f"non-finite joint probabilities {probs}")
+    return probs
+
+
 def _clamped(probs: list[float]) -> tuple[float, ...]:
     """Probabilities clamped to [0, 1] for reporting."""
     return tuple(min(max(p, 0.0), 1.0) for p in probs)
@@ -83,10 +91,8 @@ def bell_value(state, settings: MeasurementSettings) -> BellReport:
     Raises ``ValueError`` when a probability is not finite (B is then NaN
     or infinite, which would read as a verdict on the local bound).
     """
-    probs = hardy_probabilities(state, settings).tolist()
+    probs = _finite_probabilities(state, settings)
     value = probs[0] + probs[1] + probs[2] + probs[3] - probs[4]
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite joint probabilities {probs}")
     return BellReport(
         probabilities=_clamped(probs),
         bell_value=value,
@@ -135,16 +141,9 @@ def lhv_minimum() -> tuple[int, tuple[LhvAssignment, ...]]:
 
     This is the brute-force certificate of the local bound B >= 0.
     """
-    best = None
-    argmins: list[LhvAssignment] = []
-    for a in lhv_assignments():
-        value = lhv_bell_value(a)
-        if best is None or value < best:
-            best = value
-            argmins = [a]
-        elif value == best:
-            argmins.append(a)
-    return int(best), tuple(argmins)
+    values = [(a, lhv_bell_value(a)) for a in lhv_assignments()]
+    best = min(value for _, value in values)
+    return best, tuple(a for a, value in values if value == best)
 
 
 def lhv_hardy_pattern_assignments() -> tuple[LhvAssignment, ...]:

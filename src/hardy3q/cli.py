@@ -53,7 +53,7 @@ from .errors import ClassificationOverlapError, ConstructionFailureError, Hardy3
 from .hardy import ZERO_TOL, WitnessConstruction, build_witness
 from .observables import MeasurementSettings
 from .states import CLASS_EPS, CanonicalState, StateClass, classify, normalized_canonical
-from .visibility import OptimizationResult, minimize_bell
+from .visibility import DEFAULT_STARTS, POLISH_TOL, OptimizationResult, minimize_bell
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -505,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="minimize B and report threshold visibility")
     add_common(p)
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-10, help="optimizer convergence tolerance")
+    p.add_argument("--starts", type=int, default=DEFAULT_STARTS)
+    p.add_argument("--tol", type=float, default=POLISH_TOL, help="optimizer convergence tolerance")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("lhv", help="enumerate all 64 deterministic assignments")

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bell import _clamped, hardy_probabilities
+from .bell import _clamped, _finite_probabilities
 from .errors import (
     ConstructionFailureError,
     DimensionError,
@@ -98,9 +98,7 @@ def verify_hardy(state, settings: MeasurementSettings, zero_tol: float = ZERO_TO
 
     Raises ``ValueError`` when a probability is not finite.
     """
-    probs = hardy_probabilities(state, settings).tolist()
-    if not math.isfinite(sum(probs)):
-        raise ValueError(f"non-finite joint probabilities {probs}")
+    probs = _finite_probabilities(state, settings)
     return HardyCertificate(
         settings=settings,
         probabilities=_clamped(probs),
@@ -109,15 +107,35 @@ def verify_hardy(state, settings: MeasurementSettings, zero_tol: float = ZERO_TO
     )
 
 
+def _verify_rows(vec, rows, zero_tol: float) -> HardyCertificate | Exception:
+    """``verify_hardy``'s certificate of the settings with plus-ket ``rows``.
+
+    Returns instead the window or normalization error of rows that make no
+    settings.  Recipe candidates and converged search attempts are both
+    judged here.
+    """
+    try:
+        settings = settings_from_plus_kets(rows)
+    except (WindowViolationError, NormalizationError) as exc:
+        return exc
+    return verify_hardy(vec, settings, zero_tol)
+
+
 @dataclass(frozen=True)
 class WitnessConstruction:
-    """Settings plus the certificate and provenance of their construction."""
+    """A witness certificate and the provenance of its settings."""
 
-    settings: MeasurementSettings
     certificate: HardyCertificate
     state_class: StateClass
     used_fallback: bool
-    note: str | None = None
+
+    @property
+    def settings(self) -> MeasurementSettings:
+        return self.certificate.settings
+
+    @property
+    def note(self) -> str | None:
+        return "recipe failed validation; settings found by search" if self.used_fallback else None
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +391,9 @@ def build_witness(
     conditions, so its certificate must come back unsatisfied; the fixed
     settings still violate the local bound (B = -0.0184 for every such
     state).  When no B or D candidate is satisfied, the seeded numerical
-    search takes over (``used_fallback``).
+    search takes over (``used_fallback``): each attempt runs once, the first
+    certificate wins, and when none certifies the error's diagnostics count
+    how the attempts ended.
     """
     cls = cls or classify(state)
     if cls.major == "A":
@@ -384,20 +404,17 @@ def build_witness(
     best = cert = None
     failures: list[str] = []
     for idx, kets in enumerate(_recipe_kets(cls, state, psi)):
-        try:
-            settings = settings_from_plus_kets(kets)
-        except (WindowViolationError, NormalizationError) as exc:
-            failures.append(f"candidate {idx}: {exc}")
-            continue
-        cert = verify_hardy(psi, settings, zero_tol)
-        if not cert.satisfied:
+        cert = _verify_rows(psi, kets, zero_tol)
+        if not isinstance(cert, HardyCertificate):
+            failures.append(f"candidate {idx}: {cert}")
+        elif not cert.satisfied:
             failures.append(f"candidate {idx}: probabilities {cert.probabilities}")
         elif best is None or (
             cert.success_probability - best.success_probability
             > CANDIDATE_RTOL * best.success_probability
         ):
             best = cert
-    if cls.major == "C" and cert is not None:
+    if cls.major == "C" and isinstance(cert, HardyCertificate):
         if cert.satisfied:
             raise ConstructionFailureError(
                 "certificate unexpectedly satisfied on a maximally entangled pair; "
@@ -406,31 +423,22 @@ def build_witness(
             )
         best = cert
     if best is not None:
-        return WitnessConstruction(
-            settings=best.settings, certificate=best, state_class=cls, used_fallback=False
-        )
+        return WitnessConstruction(best, cls, used_fallback=False)
 
     logger.warning(
         "recipe for %s failed validation (%s); falling back to numerical search",
         cls.value,
         "; ".join(failures) or "no viable candidate",
     )
-    found = search_hardy_observables(psi, seed=seed, zero_tol=zero_tol)
-    if found is None:
-        # the search returns its winner only; on this error path its
-        # attempts run once more to count how each of them ended
-        outcomes = Counter(_attempt_outcomes(psi, SEARCH_ATTEMPTS, seed, zero_tol, SEARCH_MAXITER))
-        search = {"attempts": SEARCH_ATTEMPTS, "outcomes": dict(sorted(outcomes.items()))}
-        raise ConstructionFailureError(
-            f"no valid witness for class {cls.value}",
-            diagnostics={"class": cls.value, "failures": failures, "state": state.lams, "search": search},
-        )
-    return WitnessConstruction(
-        settings=found.settings,
-        certificate=found,
-        state_class=cls,
-        used_fallback=True,
-        note="recipe failed validation; settings found by search",
+    failed = []
+    for outcome in _attempt_outcomes(psi, seed, zero_tol):
+        if isinstance(outcome, HardyCertificate):
+            return WitnessConstruction(outcome, cls, used_fallback=True)
+        failed.append(outcome)
+    search = {"attempts": SEARCH_ATTEMPTS, "outcomes": dict(sorted(Counter(failed).items()))}
+    raise ConstructionFailureError(
+        f"no valid witness for class {cls.value}",
+        diagnostics={"class": cls.value, "failures": failures, "state": state.lams, "search": search},
     )
 
 
@@ -448,7 +456,7 @@ MAX_HALVINGS = 32
 SINGULAR_TOL = 1e-24
 #: contraction vectors shorter than this fix no D direction
 VANISHING_NORM = 1e-14
-#: the search's default number of attempts and iteration budget per attempt
+#: the search's number of attempts and iteration budget per attempt
 SEARCH_ATTEMPTS = 40
 SEARCH_MAXITER = 800
 
@@ -593,11 +601,9 @@ def _accepted_certificate(vec, point, zero_tol) -> HardyCertificate | str:
         (c, b.conjugate(), -m[2 * j + 1].conjugate(), m[2 * j].conjugate())
         for j, (c, _, _, b) in enumerate(qubits)
     ]
-    try:
-        settings = settings_from_plus_kets(rows)
-    except (WindowViolationError, NormalizationError):
+    cert = _verify_rows(vec, rows, zero_tol)
+    if not isinstance(cert, HardyCertificate):
         return "outside_window"
-    cert = verify_hardy(vec, settings, zero_tol)
     return cert if cert.satisfied else "unverified"
 
 
@@ -621,27 +627,21 @@ def _attempt(vec, p, x, zero_tol, maxiter) -> HardyCertificate | str:
     return "maxiter"
 
 
-def _attempt_outcomes(vec, attempts, seed, zero_tol, maxiter):
-    """Each attempt's certificate or failure reason, in seeded order.
+def _attempt_outcomes(vec, seed, zero_tol):
+    """Each of the SEARCH_ATTEMPTS attempts' certificate or failure reason, in seeded order.
 
     Attempt i starts from child i of ``SeedSequence(seed)``, spawned only
     when it runs (``spawn`` continues where its previous call stopped).
     """
     p = vec.tolist()
     seeds = np.random.SeedSequence(seed)
-    for _ in range(attempts):
+    for _ in range(SEARCH_ATTEMPTS):
         (child,) = seeds.spawn(1)
         x = random_angles(np.random.default_rng(child), 3).ravel().tolist()
-        yield _attempt(vec, p, x, zero_tol, maxiter)
+        yield _attempt(vec, p, x, zero_tol, SEARCH_MAXITER)
 
 
-def search_hardy_observables(
-    psi,
-    attempts: int = SEARCH_ATTEMPTS,
-    seed: int = 0,
-    zero_tol: float = ZERO_TOL,
-    maxiter: int = SEARCH_MAXITER,
-) -> HardyCertificate | None:
+def search_hardy_observables(psi, seed: int = 0, zero_tol: float = ZERO_TOL) -> HardyCertificate | None:
     """Seeded multistart search for settings satisfying the Hardy pattern.
 
     The six Bloch angles of the U observables are the unknowns; each D+ is
@@ -649,25 +649,22 @@ def search_hardy_observables(
     zero conditions exact.  The remaining complex condition r, whose zeros
     form a four-dimensional manifold, is solved by damped Gauss-Newton:
     minimum-norm steps of the 2x6 real Jacobian with Armijo backtracking,
-    for at most ``maxiter`` iterations; the accepted trial's value pass
+    for at most SEARCH_MAXITER iterations; the accepted trial's value pass
     carries into the next step.  An attempt fails when a contraction
     vector vanishes, its Jacobian turns singular or no halved step lowers
     |r|^2 enough; it is accepted when |r|^2 <= zero_tol / 10, its settings
     lie in the window and they pass verify_hardy at ``zero_tol``.  The
-    attempts run one at a time in seeded order and the first accepted one
-    wins, so the result is the same for any number of attempts that
-    includes the winner.  Returns the winner's certificate, or None when
-    every attempt fails (expected for product states and maximally
-    entangled pairs).
+    SEARCH_ATTEMPTS attempts run one at a time in seeded order and the
+    first accepted one wins, so the result is the same for any number of
+    attempts that includes the winner.  Returns the winner's certificate,
+    or None when every attempt fails (expected for product states and
+    maximally entangled pairs).
     """
-    attempts, maxiter = int(attempts), int(maxiter)
-    if attempts < 0 or maxiter < 0:
-        raise ValueError(f"attempts and maxiter must be >= 0, got {attempts} and {maxiter}")
     vec = linalg.ket(psi)
     if vec.shape[0] != 8:
         raise DimensionError("search expects a three-qubit ket")
     linalg.require_normalized(vec)
-    for outcome in _attempt_outcomes(vec, attempts, seed, zero_tol, maxiter):
+    for outcome in _attempt_outcomes(vec, seed, zero_tol):
         if isinstance(outcome, HardyCertificate):
             return outcome
     return None

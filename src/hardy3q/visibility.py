@@ -48,6 +48,12 @@ from .observables import (
     settings_from_plus_kets,
 )
 
+#: starts of ``minimize_bell`` (and of ``hardy3q optimize``) by default
+DEFAULT_STARTS = 64
+#: default stopping tolerance of each start's final polish
+POLISH_TOL = 1e-10
+#: the most sweeps of any one descent of a start
+DESCENT_MAXITER = 4000
 #: basin hops per start after its first descent
 HOPS = 4
 #: rotation angle (radians) of the random SU(2) kick applied to each ket in a
@@ -358,10 +364,9 @@ def _inside_window(u: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def minimize_bell(
     psi,
-    starts: int = 64,
+    starts: int = DEFAULT_STARTS,
     seed: int = 0,
-    tol: float = 1e-10,
-    maxiter: int = 4000,
+    tol: float = POLISH_TOL,
 ) -> OptimizationResult:
     """Multistart see-saw minimization of B over all settings.
 
@@ -369,19 +374,17 @@ def minimize_bell(
     rotations from the generator of child ``i`` of ``SeedSequence(seed)``.
     Every start descends to LOOSE_TOL, takes HOPS basin hops (a hop is kept
     only when it ends lower), and is polished until a plain sweep improves
-    B by at most ``tol`` (see ``_see_saw``); ``maxiter`` caps the sweeps of
-    each of a start's descents.  The first start with the lowest B wins,
-    so the outcome is deterministic for fixed (starts, seed), and a start's
-    result does not depend on how many run beside it.  The winner's
-    settings are moved inside the non-commutation window if they commute,
-    and ``best_value`` is B at the reported settings.
+    B by at most ``tol`` (see ``_see_saw``); DESCENT_MAXITER caps the
+    sweeps of each of a start's descents.  The first start with the lowest
+    B wins, so the outcome is deterministic for fixed (starts, seed), and
+    a start's result does not depend on how many run beside it.  The
+    winner's settings are moved inside the non-commutation window if they
+    commute, and ``best_value`` is B at the reported settings.
     """
     if not starts >= 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if not maxiter >= 1:
-        raise ValueError(f"maxiter must be at least 1, got {maxiter!r}")
     vec = linalg.ket(psi)
     if vec.shape[0] != 8:
         raise DimensionError("optimization expects a three-qubit ket")
@@ -391,7 +394,7 @@ def minimize_bell(
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(int(starts))]
     kets = kets_from_angles(np.stack([random_angles(rng, 6) for rng in rngs])).reshape(-1, 3, 2, 2)
     axes = np.stack([rng.standard_normal((HOPS, 3, 2, 3)) for rng in rngs])
-    kets, value, gain, sweeps = _see_saw(psi3, kets, axes, tol, maxiter)
+    kets, value, gain, sweeps = _see_saw(psi3, kets, axes, tol, DESCENT_MAXITER)
 
     best = int(np.argmin(value))  # the first of equal values, in start order
     settings = settings_from_plus_kets([(u, _inside_window(u, d)) for u, d in kets[best]])

@@ -35,7 +35,7 @@ from hardy3q.states import (
     sample_class,
 )
 from hardy3q.visibility import minimize_bell, threshold_visibility
-from hardy3q import cli
+from hardy3q import cli, hardy
 
 from conftest import (
     mix_with_white_noise,
@@ -343,12 +343,13 @@ class TestCriterion9ProductNullResult:
             f"1000 class-A states with random settings, min B = {worst:.3e} >= -1e-10",
         )
 
-    def test_search_not_found_cases(self):
+    def test_search_not_found_cases(self, monkeypatch):
+        monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 100)
         psi_product = np.zeros(8, complex)
         psi_product[0] = 1.0
-        found_product = search_hardy_observables(psi_product, attempts=100, seed=0)
+        found_product = search_hardy_observables(psi_product, seed=0)
         psi_maximal = CanonicalState((INV_SQRT2, 0, 0, INV_SQRT2, 0), 0.0).to_ket()
-        found_maximal = search_hardy_observables(psi_maximal, attempts=100, seed=0)
+        found_maximal = search_hardy_observables(psi_maximal, seed=0)
         ok = found_product is None and found_maximal is None
         check(
             "criterion 9 (search null results)",

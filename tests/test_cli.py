@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -195,7 +196,6 @@ class TestWitness:
                 zero_tolerance=built.certificate.zero_tolerance,
             )
             return WitnessConstruction(
-                settings=built.settings,
                 certificate=cert,
                 state_class=built.state_class,
                 used_fallback=built.used_fallback,
@@ -321,6 +321,12 @@ class TestOptimize:
         opt = report["optimization"]
         assert opt["best_value"] < -0.17
         assert 0.0 < opt["threshold_visibility"] < 1.0
+
+    def test_defaults_are_minimize_bells(self):
+        defaults = inspect.signature(cli.minimize_bell).parameters
+        args = cli.build_parser().parse_args(["optimize", "state.json"])
+        assert args.starts == defaults["starts"].default
+        assert args.tol == defaults["tol"].default
 
     def test_amplitudes_form_accepted(self, tmp_path, capsys):
         code, report, _ = run(

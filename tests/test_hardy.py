@@ -1,5 +1,6 @@
 """Tests for witness constructions, verification, and the fallback search."""
 
+import dataclasses
 import importlib.util
 import logging
 import math
@@ -19,6 +20,7 @@ from hardy3q.errors import (
 )
 from hardy3q.hardy import (
     PRODUCT_QUBIT,
+    WitnessConstruction,
     build_witness,
     extract_pair_factorization,
     genuine_candidates,
@@ -741,24 +743,28 @@ class TestBuildWitness:
 
 
 class TestSearch:
-    def test_finds_ghz_settings(self):
-        found = search_hardy_observables(GHZ.to_ket(), attempts=10, seed=0)
+    def test_finds_ghz_settings(self, monkeypatch):
+        monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 10)
+        found = search_hardy_observables(GHZ.to_ket(), seed=0)
         assert found is not None
         assert verify_hardy(GHZ.to_ket(), found.settings, zero_tol=1e-8).satisfied
 
-    def test_not_found_for_product_state(self):
+    def test_not_found_for_product_state(self, monkeypatch):
+        monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 25)
         psi = np.zeros(8, complex)
         psi[0] = 1.0
-        assert search_hardy_observables(psi, attempts=25, seed=0) is None
+        assert search_hardy_observables(psi, seed=0) is None
 
-    def test_not_found_for_maximal_pair(self):
+    def test_not_found_for_maximal_pair(self, monkeypatch):
+        monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 25)
         psi = CanonicalState((INV_SQRT2, 0, 0, INV_SQRT2, 0), 0.0).to_ket()
-        assert search_hardy_observables(psi, attempts=25, seed=0) is None
+        assert search_hardy_observables(psi, seed=0) is None
 
-    def test_deterministic(self, rng):
+    def test_deterministic(self, rng, monkeypatch):
+        monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 10)
         state = sample_class(StateClass.D1, rng)
-        a = search_hardy_observables(state.to_ket(), attempts=10, seed=4)
-        b = search_hardy_observables(state.to_ket(), attempts=10, seed=4)
+        a = search_hardy_observables(state.to_ket(), seed=4)
+        b = search_hardy_observables(state.to_ket(), seed=4)
         assert a is not None and b is not None
         assert np.array_equal(a.settings.plus_kets, b.settings.plus_kets)
 
@@ -857,14 +863,6 @@ class TestSearch:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             assert search_hardy_observables(psi, seed=0, zero_tol=1e-9) is None
 
-    def test_negative_counts_rejected(self):
-        psi = GHZ.to_ket()
-        with pytest.raises(ValueError, match="attempts"):
-            search_hardy_observables(psi, attempts=-3)
-        with pytest.raises(ValueError, match="maxiter"):
-            search_hardy_observables(psi, maxiter=-1)
-        assert search_hardy_observables(psi, attempts=0) is None
-
     @staticmethod
     def spy(monkeypatch, name):
         """Count the calls the search makes to ``hardy.<name>``."""
@@ -933,7 +931,8 @@ class TestSearch:
 
         monkeypatch.setattr(hardy, "_residual", evaluated)
         monkeypatch.setattr(hardy, "_jacobian", differentiated)
-        assert search_hardy_observables(state.to_ket(), attempts=10, seed=0) is not None
+        monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 10)
+        assert search_hardy_observables(state.to_ket(), seed=0) is not None
         angles = [tuple(point[0]) for point in points]
         assert len(set(angles)) == len(angles)
         starts = [
@@ -950,40 +949,43 @@ class TestSearch:
         assert search_hardy_observables(psi, seed=0, zero_tol=1e-9) is None
         assert len(draws) == 40
 
-    def test_attempt_count_does_not_change_winner(self):
+    def test_attempt_count_does_not_change_winner(self, monkeypatch):
         checked = 0
         for state in near_boundary_deck(np.random.default_rng(31), 12):
             psi = state.to_ket()
-            a = search_hardy_observables(psi, attempts=10, seed=0, zero_tol=1e-9)
+            monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 10)
+            a = search_hardy_observables(psi, seed=0, zero_tol=1e-9)
             if a is None:
                 continue
-            b = search_hardy_observables(psi, attempts=40, seed=0, zero_tol=1e-9)
+            monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 40)
+            b = search_hardy_observables(psi, seed=0, zero_tol=1e-9)
             assert np.array_equal(a.settings.plus_kets, b.settings.plus_kets)
             checked += 1
         assert checked >= 10
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_damped_steps_solve_stiff_d1_state_quickly(self, seed):
+    def test_damped_steps_solve_stiff_d1_state_quickly(self, seed, monkeypatch):
         # undamped Gauss-Newton steps bounce on this state: from the seed-0
         # start they need 565 iterations, and from 8 of the 40 starts they
         # do not converge in 800; with Armijo backtracking each start needs
         # about 6 to 10
+        monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 1)
+        monkeypatch.setattr(hardy, "SEARCH_MAXITER", 25)
         state = CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI)
-        found = search_hardy_observables(
-            state.to_ket(), attempts=1, seed=seed, zero_tol=1e-9, maxiter=25
-        )
+        found = search_hardy_observables(state.to_ket(), seed=seed, zero_tol=1e-9)
         assert found is not None
         probs = oracle_hardy_probabilities(state.to_ket(), found.settings)
         assert max(probs[:4]) <= 1e-9 < probs[4]
 
-    def test_succeeds_wherever_nelder_mead_oracle_does(self):
+    def test_succeeds_wherever_nelder_mead_oracle_does(self, monkeypatch):
+        monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 8)
         deck = near_boundary_deck(np.random.default_rng(17), 24)
         deck.append(CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI))
         oracle_hits = 0
         for state in deck:
             psi = state.to_ket()
             oracle = nelder_mead_search(psi, attempts=8, seed=0, zero_tol=1e-9)
-            found = search_hardy_observables(psi, attempts=8, seed=0, zero_tol=1e-9)
+            found = search_hardy_observables(psi, seed=0, zero_tol=1e-9)
             if oracle is None:
                 continue
             oracle_hits += 1
@@ -1000,11 +1002,14 @@ def deck_searches():
     rows = []
     for state in near_boundary_deck(np.random.default_rng(17), 120):
         psi = state.to_ket()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hardy, "SEARCH_ATTEMPTS", 1)
+            first = search_hardy_observables(psi, seed=0, zero_tol=1e-9)
         rows.append(
             (
                 one_batch_search(psi, seed=0, zero_tol=1e-9),
                 search_hardy_observables(psi, seed=0, zero_tol=1e-9),
-                search_hardy_observables(psi, attempts=1, seed=0, zero_tol=1e-9),
+                first,
             )
         )
     return rows
@@ -1052,10 +1057,11 @@ class TestSearchRounds:
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("state", [GHZ, W], ids=["ghz", "w"])
-    def test_matches_one_batch_oracle_on_ghz_and_w(self, state, seed):
+    def test_matches_one_batch_oracle_on_ghz_and_w(self, state, seed, monkeypatch):
+        monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 10)
         psi = state.to_ket()
         oracle = one_batch_search(psi, attempts=10, seed=seed)
-        found = search_hardy_observables(psi, attempts=10, seed=seed)
+        found = search_hardy_observables(psi, seed=seed)
         assert found is not None
         assert self.same(psi, oracle, found, GHZ_W_KET_BOUND)
 
@@ -1065,10 +1071,12 @@ class TestSearchRounds:
         [GHZ, W, CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI)],
         ids=["ghz", "w", "stiff-d1"],
     )
-    def test_matches_one_batch_oracle_at_every_budget(self, state, maxiter):
+    def test_matches_one_batch_oracle_at_every_budget(self, state, maxiter, monkeypatch):
+        monkeypatch.setattr(hardy, "SEARCH_ATTEMPTS", 10)
+        monkeypatch.setattr(hardy, "SEARCH_MAXITER", maxiter)
         psi = state.to_ket()
         oracle = one_batch_search(psi, attempts=10, seed=0, zero_tol=1e-9, maxiter=maxiter)
-        found = search_hardy_observables(psi, attempts=10, seed=0, zero_tol=1e-9, maxiter=maxiter)
+        found = search_hardy_observables(psi, seed=0, zero_tol=1e-9)
         assert self.same(psi, oracle, found, GHZ_W_KET_BOUND)
 
     def test_first_attempt_alone_solves_nine_in_ten(self, deck_searches):
@@ -1108,7 +1116,7 @@ class TestSearchWork:
         # machine they do not drift, so a change that does more work per
         # search fails here
         calls = dict.fromkeys(
-            ["search_hardy_observables", "random_angles", "_residual", "_jacobian", "verify_hardy"], 0
+            ["_attempt_outcomes", "random_angles", "_attempt", "_residual", "_jacobian", "verify_hardy"], 0
         )
         for name in calls:
             real = getattr(hardy, name)
@@ -1127,12 +1135,68 @@ class TestSearchWork:
         # Gauss-Newton iterations, 353 value passes (starts and backtracking
         # trials)
         assert calls == {
-            "search_hardy_observables": 44,
+            "_attempt_outcomes": 44,
             "random_angles": 47,
+            "_attempt": 47,
             "_residual": 353,
             "_jacobian": 256,
             "verify_hardy": 78,
         }
+
+
+#: the weak GHZ-type D.14 state at l0 = 3e-5, and the C.3 state with
+#: sub-CLASS_EPS entries added that classify labels B.5
+WEAK_D14 = CanonicalState((3e-5, 0, 0, 0, math.sqrt(1 - 9e-10)), 0.0)
+C3_AS_B5_LAMS = np.array([1.519e-10, 0.70710678, 2.99e-11, 7.60e-10, 0.70710678])
+C3_AS_B5 = CanonicalState(tuple(C3_AS_B5_LAMS / np.linalg.norm(C3_AS_B5_LAMS)), 0.6555)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "state, failure, outcomes",
+        [
+            (
+                WEAK_D14,
+                "candidate 0: pair 2: |<U+|D+>| = 1.000000e+00 is outside the open window (0, 1); "
+                "the observables commute",
+                {"outside_window": 11, "singular_jacobian": 16, "unverified": 13},
+            ),
+            (
+                C3_AS_B5,
+                "candidate 0: pair 1: |<U+|D+>| = 1.000000e+00 is outside the open window (0, 1); "
+                "the observables commute",
+                {"outside_window": 40},
+            ),
+        ],
+        ids=["weak-d14", "c3-as-b5"],
+    )
+    def test_failed_search_runs_each_attempt_once(self, monkeypatch, state, failure, outcomes):
+        # the diagnostics count the outcomes of the one search pass
+        attempts = TestSearch.spy(monkeypatch, "_attempt")
+        with pytest.raises(ConstructionFailureError) as info:
+            build_witness(state)
+        assert len(attempts) == 40
+        assert info.value.diagnostics == {
+            "class": classify(state).value,
+            "failures": [failure],
+            "state": state.lams,
+            "search": {"attempts": 40, "outcomes": outcomes},
+        }
+
+    @pytest.mark.parametrize(
+        "state, used_fallback",
+        [(GHZ, False), (CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI), True)],
+        ids=["recipe", "fallback"],
+    )
+    def test_witness_stores_its_certificate_once(self, state, used_fallback):
+        fields = [f.name for f in dataclasses.fields(WitnessConstruction)]
+        assert fields == ["certificate", "state_class", "used_fallback"]
+        built = build_witness(state)
+        assert built.used_fallback is used_fallback
+        assert built.settings is built.certificate.settings
+        for fallback in (used_fallback, not used_fallback):
+            note = dataclasses.replace(built, used_fallback=fallback).note
+            assert note == ("recipe failed validation; settings found by search" if fallback else None)
 
 
 def contract_deck(name):
