@@ -43,18 +43,22 @@ def _product_probabilities(state, bras: np.ndarray) -> np.ndarray:
     """Outcome probabilities (...) of conjugated product vectors ``bras`` (..., 8).
 
     |<v|psi>|^2 for a ket psi and Re <v|rho|v> for a density rho, one
-    matmul over all of ``bras``.  Unclamped.
+    matmul over all of ``bras``.  Unclamped.  A non-finite state gives
+    non-finite probabilities without a floating-point warning; the callers
+    reject them with ``ValueError``.
     """
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
         if arr.shape[0] != 8:
             raise DimensionError("pure state must be an 8-dimensional ket")
-        amp = bras @ arr
-        return amp.real**2 + amp.imag**2
+        with np.errstate(invalid="ignore", over="ignore"):
+            amp = bras @ arr
+            return amp.real**2 + amp.imag**2
     if arr.ndim == 2:
         if arr.shape != (8, 8):
             raise DimensionError("density operator must be 8x8")
-        return (bras * (np.conj(bras) @ arr.T)).sum(axis=-1).real
+        with np.errstate(invalid="ignore", over="ignore"):
+            return (bras * (np.conj(bras) @ arr.T)).sum(axis=-1).real
     raise DimensionError("state must be a ket or a density operator")
 
 

@@ -185,17 +185,8 @@ def settings_from_plus_kets(kets) -> MeasurementSettings:
 # Bloch-angle parameterization
 # ---------------------------------------------------------------------------
 # A ket's angles are (theta, phi) on the last axis, with
-# |k> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
-
-
-def kets_from_angles(x: np.ndarray) -> np.ndarray:
-    """Kets (..., n, 2) of Bloch angles (..., n, 2)."""
-    theta = x[..., 0]
-    phi = x[..., 1]
-    kets = np.empty(x.shape, dtype=complex)
-    kets[..., 0] = np.cos(theta / 2.0)
-    kets[..., 1] = np.exp(1j * phi) * np.sin(theta / 2.0)
-    return kets
+# |k> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, and Bloch vector
+# (sin theta cos phi, sin theta sin phi, cos theta).
 
 
 def random_angles(rng: np.random.Generator, kets: int) -> np.ndarray:

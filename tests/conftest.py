@@ -13,7 +13,6 @@ from hardy3q.bell import bell_value
 from hardy3q.observables import (
     WINDOW_TOL,
     MeasurementSettings,
-    kets_from_angles,
     random_angles,
     settings_from_plus_kets,
 )
@@ -183,6 +182,30 @@ def state_satisfying_hardy(settings):
         for ks in ((m1, m2, m3), (d1, u2, u3), (u1, d2, u3), (u1, u2, d3), (u1, u2, u3))
     ]
     return orthogonal_complement_pick(vectors[:4], vectors[4])
+
+
+def kets_from_angles(x: np.ndarray) -> np.ndarray:
+    """Kets (..., n, 2) of Bloch angles (..., n, 2): cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
+    theta = x[..., 0]
+    phi = x[..., 1]
+    kets = np.empty(x.shape, dtype=complex)
+    kets[..., 0] = np.cos(theta / 2.0)
+    kets[..., 1] = np.exp(1j * phi) * np.sin(theta / 2.0)
+    return kets
+
+
+def bloch_of_kets(kets):
+    """Bloch vectors (..., 3) of kets (..., 2): (2 Re, 2 Im) of conj(k0) k1, |k0|^2 - |k1|^2."""
+    k0, k1 = kets[..., 0], kets[..., 1]
+    cross = np.conj(k0) * k1
+    return np.stack([2.0 * cross.real, 2.0 * cross.imag, abs(k0) ** 2 - abs(k1) ** 2], axis=-1)
+
+
+def kets_of_bloch(vecs):
+    """Kets (..., 2) of Bloch vectors (..., 3): the top eigenvector of n.sigma, by eigh."""
+    x, y, z = np.moveaxis(np.asarray(vecs, float), -1, 0)
+    n_sigma = np.stack([np.stack([z, x - 1j * y], -1), np.stack([x + 1j * y, -z], -1)], -2)
+    return np.linalg.eigh(n_sigma)[1][..., :, 1]
 
 
 def random_settings(rng):
@@ -610,9 +633,9 @@ def reference_norm2(z):
 
 
 def reference_min_eigpair(p, r, q, fallback):
-    """The 2x2 minimum eigenpair as first written: the eigenvector stacked,
-    then normalized by its own summed squared norm.  ``visibility._min_eigpair``
-    must match it bit for bit."""
+    """The 2x2 minimum eigenpair of [[p, q], [conj(q), r]], the eigenvector
+    stacked, then normalized by its own summed squared norm; ``fallback`` is
+    kept where the matrix is a multiple of the identity."""
     half = 0.5 * (p - r)
     h = np.sqrt(half * half + reference_norm2(q))
     lam = 0.5 * (p + r) - h
@@ -628,8 +651,9 @@ def reference_min_eigpair(p, r, q, fallback):
 
 
 def reference_sweep(psi3, kets):
-    """The see-saw sweep as first written: two eigenpair calls per party and
-    freshly stacked kets.  ``visibility._sweep`` must match it bit for bit."""
+    """The see-saw sweep in ket space, as first written: two 2x2 minimum
+    eigenpairs per party and freshly stacked kets (S, 3, 2, 2).  An oracle
+    independent of the Bloch sweep, which must match it to rounding."""
 
     def perp(k):
         return np.stack([-np.conj(k[..., 1]), np.conj(k[..., 0])], axis=-1)
@@ -664,23 +688,67 @@ def reference_sweep(psi3, kets):
     return kets, na.sum(axis=-1) + lam_d + lam_u
 
 
+def oracle_correlation_tensor(psi):
+    """T[mu, nu, lam] = <psi|sigma_mu x sigma_nu x sigma_lam|psi> by kron products."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    psi = np.asarray(psi, complex)
+    return np.array(
+        [
+            [[np.vdot(psi, tensor(a, b, c) @ psi).real for c in paulis] for b in paulis]
+            for a in paulis
+        ]
+    )
+
+
+#: (b - c3 - c4, a - b, c3 + c4 + a) from the rows (c3, b, c4, a)
+REFERENCE_COMBINE = np.array([[-1.0, 1.0, -1.0, 0.0], [0.0, -1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]])
+
+
+def reference_bloch_sweep(tensors, vecs):
+    """The Bloch see-saw sweep as first written: freshly stacked frame rows
+    (1, u), (1, d), (1, -d) of the other two qubits per party, with
+    ``tensors`` from ``visibility._party_tensors``.  ``visibility._sweep``
+    must match it bit for bit."""
+    vecs = vecs.copy()
+    one = np.ones((len(vecs), 1))
+    for j in range(3):
+        o, t = [k for k in range(3) if k != j]
+        frame_o, frame_t = (
+            np.stack(
+                [
+                    np.hstack([one, vecs[:, q, 0]]),
+                    np.hstack([one, vecs[:, q, 1]]),
+                    np.hstack([one, -vecs[:, q, 1]]),
+                ],
+                axis=1,
+            )
+            for q in (o, t)
+        )
+        pairs = frame_o[:, [1, 0, 0, 2], :, None] * frame_t[:, [0, 0, 1, 2], None, :]
+        terms = REFERENCE_COMBINE @ (pairs.reshape(-1, 4, 16) @ tensors[j])
+        minus_h = terms[:, :2, 1:]
+        size = np.hypot.reduce(minus_h, axis=-1)
+        ok = size[..., None] > 0.0
+        vecs[:, j] = np.where(ok, minus_h / np.where(ok, size[..., None], 1.0), vecs[:, j])
+    return vecs, (terms[:, 2, 0] - size[:, 0] - size[:, 1]) / 8.0
+
+
 def reference_extrapolate(f_hist, g_hist, depth):
     """The Anderson extrapolation as first written, with separate residual
-    and output histories (S, ANDERSON_DEPTH, 24), latest first.
+    and output histories (S, ANDERSON_DEPTH, 18), latest first.
     ``visibility._extrapolate`` must match it bit for bit."""
     lags = np.arange(1, visibility.ANDERSON_DEPTH)
     valid = (lags < depth[:, None])[..., None]
     df = (f_hist[:, :1] - f_hist[:, 1:]) * valid
     dg = (g_hist[:, :1] - g_hist[:, 1:]) * valid
-    gram = (df[:, :, None, :] * df[:, None, :, :]).sum(axis=-1)
+    gram = df @ np.swapaxes(df, 1, 2)
     trace = np.diagonal(gram, axis1=1, axis2=2).sum(axis=-1)
     # a relative ridge, and a unit diagonal on unused differences (gamma_i = 0)
     ridge = (1e-10 * trace + np.finfo(float).tiny)[:, None] + ~valid[..., 0]
     gram = gram + ridge[:, :, None] * np.eye(visibility.ANDERSON_DEPTH - 1)
-    rhs = (df * f_hist[:, :1]).sum(axis=-1)
-    gamma = np.linalg.solve(gram, rhs[..., None])
-    x = (g_hist[:, 0] - (gamma * dg).sum(axis=1)).view(complex).reshape(-1, 3, 2, 2)
-    return x / np.sqrt(reference_norm2(x).sum(axis=-1, keepdims=True))
+    gamma = np.linalg.solve(gram, df @ f_hist[:, 0, :, None])
+    x = (g_hist[:, 0] - (np.swapaxes(gamma, 1, 2) @ dg)[:, 0]).reshape(-1, 3, 2, 3)
+    return x / np.sqrt((x * x).sum(axis=-1, keepdims=True))
 
 
 def nelder_mead_bell(state, starts, seed):
@@ -970,25 +1038,27 @@ def staged_minimize_bell(psi, starts=64, seed=0, tol=1e-10, maxiter=4000):
     six ``staged_descend`` calls over all starts, each until its slowest
     start is done.  Per start this is the same iteration as the package's
     one pipelined loop, so the results must match bit for bit; only
-    ``sweeps`` differs.
+    ``sweeps`` differs.  The correlation tensor and the conversions between
+    angles, Bloch vectors and kets are the package's own.
     """
     vec = linalg.ket(psi)
-    psi3 = vec.reshape(2, 2, 2)
+    tensors = visibility._party_tensors(vec.reshape(2, 2, 2))
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(int(starts))]
-    kets = kets_from_angles(np.stack([random_angles(rng, 6) for rng in rngs])).reshape(-1, 3, 2, 2)
-    kets, value, _, sweeps = staged_descend(psi3, kets, visibility.LOOSE_TOL, maxiter)
+    angles = np.stack([random_angles(rng, 6) for rng in rngs])
+    vecs = visibility._bloch_vectors(angles).reshape(-1, 3, 2, 3)
+    vecs, value, _, sweeps = staged_descend(tensors, vecs, visibility.LOOSE_TOL, maxiter)
     for _ in range(visibility.HOPS):
         hopped, hopped_value, _, hop_sweeps = staged_descend(
-            psi3, staged_kick(kets, rngs), visibility.LOOSE_TOL, maxiter
+            tensors, staged_kick(vecs, rngs), visibility.LOOSE_TOL, maxiter
         )
         lower = hopped_value < value
-        kets[lower], value[lower] = hopped[lower], hopped_value[lower]
+        vecs[lower], value[lower] = hopped[lower], hopped_value[lower]
         sweeps += hop_sweeps
-    kets, value, gain, polish_sweeps = staged_descend(psi3, kets, tol, maxiter)
+    vecs, value, gain, polish_sweeps = staged_descend(tensors, vecs, tol, maxiter)
 
     best = int(np.argmin(value))  # the first of equal values, in start order
     settings = settings_from_plus_kets(
-        [(u, visibility._inside_window(u, d)) for u, d in kets[best]]
+        [(u, visibility._inside_window(u, d)) for u, d in visibility._plus_kets(vecs[best])]
     )
     best_value = bell_value(vec, settings).bell_value
     threshold = (
@@ -1006,78 +1076,78 @@ def staged_minimize_bell(psi, starts=64, seed=0, tol=1e-10, maxiter=4000):
     )
 
 
-def staged_descend(psi3, kets, tol, maxiter):
+def staged_descend(tensors, vecs, tol, maxiter):
     """Sweep each start until a plain sweep lowers its B by at most ``tol``.
 
     The see-saw descent as one staged batch, for ``staged_minimize_bell``,
-    on the frozen ``reference_sweep`` and ``reference_extrapolate``.
+    on the frozen ``reference_bloch_sweep`` and ``reference_extrapolate``.
     The sweeps are a safeguarded Anderson iteration (Walker & Ni, SIAM J.
     Numer. Anal. 49, 1715, 2011) on the sweep map, which sends a start's
-    kets, viewed as 24 reals, to the kets after one ``_sweep``.  Once a
-    plain sweep of a start gains less than ANDERSON_ONSET, its inputs are
-    extrapolated from its last ANDERSON_DEPTH iterates.  An extrapolated
-    input is kept only if the sweep from it lowers B; otherwise the start
-    goes back to its last kept kets and value, forgets its history and
-    sweeps plainly.  A sweep from an extrapolated input never stops a
-    start, and one that gains at most ``tol`` is followed by a plain sweep,
-    so the returned gain is always a plain sweep's.  ``maxiter`` caps the
-    batched sweeps.
+    Bloch vectors, viewed as 18 reals, to the vectors after one sweep.
+    Once a plain sweep of a start gains less than ANDERSON_ONSET, its
+    inputs are extrapolated from its last ANDERSON_DEPTH iterates.  An
+    extrapolated input is kept only if the sweep from it lowers B;
+    otherwise the start goes back to its last kept vectors and value,
+    forgets its history and sweeps plainly.  A sweep from an extrapolated
+    input never stops a start, and one that gains at most ``tol`` is
+    followed by a plain sweep, so the returned gain is always a plain
+    sweep's.  ``maxiter`` caps the batched sweeps.
 
-    Returns the kets, the final B and the last plain sweep's improvement
+    Returns the vectors, the final B and the last plain sweep's improvement
     per start, and the number of batched sweeps run.
     """
-    count = len(kets)
-    kets = kets.copy()  # last kept sweep output (the start kets at first)
-    inputs = kets.copy()  # next sweep input of every start
+    count = len(vecs)
+    vecs = vecs.copy()  # last kept sweep output (the start vectors at first)
+    inputs = vecs.copy()  # next sweep input of every start
     value = np.full(count, np.inf)
     gain = np.full(count, np.inf)  # last plain sweep's
     onset = np.zeros(count, bool)
     extrapolated = np.zeros(count, bool)
     depth = np.zeros(count, int)
-    f_hist = np.zeros((count, visibility.ANDERSON_DEPTH, 24))
-    g_hist = np.zeros((count, visibility.ANDERSON_DEPTH, 24))
+    f_hist = np.zeros((count, visibility.ANDERSON_DEPTH, 18))
+    g_hist = np.zeros((count, visibility.ANDERSON_DEPTH, 18))
     active = np.arange(count)
     sweeps = 0
     while active.size and sweeps < maxiter:
         sweeps += 1
-        out, new = reference_sweep(psi3, inputs[active])
+        out, new = reference_bloch_sweep(tensors, inputs[active])
         plain = ~extrapolated[active]
         lowered = value[active] - new
         kept = plain | (lowered > 0.0)
         keep = active[kept]
         gain[active[plain]] = lowered[plain]
         onset[active[plain & (lowered < visibility.ANDERSON_ONSET)]] = True
-        value[keep], kets[keep] = new[kept], out[kept]
-        g_new = out[kept].view(float).reshape(-1, 24)
+        value[keep], vecs[keep] = new[kept], out[kept]
+        g_new = out[kept].reshape(-1, 18)
         f_hist[keep, 1:], g_hist[keep, 1:] = f_hist[keep, :-1], g_hist[keep, :-1]
-        f_hist[keep, 0] = g_new - inputs[keep].view(float).reshape(-1, 24)
+        f_hist[keep, 0] = g_new - inputs[keep].reshape(-1, 18)
         g_hist[keep, 0] = g_new
         depth[keep] = np.minimum(depth[keep] + 1, visibility.ANDERSON_DEPTH)
         depth[active[~kept]] = 0
 
         going = ~plain | (lowered > tol)
         active, lowered = active[going], lowered[going]
-        inputs[active] = kets[active]
+        inputs[active] = vecs[active]
         extrapolated[:] = False
         # a rejected start has depth 0; one whose sweep gained at most tol sweeps plainly
         fast = active[onset[active] & (depth[active] >= 2) & (lowered > tol)]
         if fast.size:
             inputs[fast] = reference_extrapolate(f_hist[fast], g_hist[fast], depth[fast])
             extrapolated[fast] = True
-    return kets, value, gain, sweeps
+    return vecs, value, gain, sweeps
 
 
-def staged_kick(kets, rngs):
-    """Rotate every ket by KICK_ANGLE about an axis drawn from its start's generator."""
+def staged_kick(vecs, rngs):
+    """Rotate every Bloch vector by KICK_ANGLE about an axis drawn from its
+    start's generator, by Rodrigues' rotation matrix written out."""
     axis = np.stack([rng.standard_normal((3, 2, 3)) for rng in rngs])
-    nx, ny, nz = np.moveaxis(axis / np.linalg.norm(axis, axis=-1, keepdims=True), -1, 0)
-    c, s = math.cos(visibility.KICK_ANGLE / 2.0), math.sin(visibility.KICK_ANGLE / 2.0)
-    k0, k1 = kets[..., 0], kets[..., 1]
-    # exp(-i angle/2 n.sigma) k
-    return np.stack(
-        [
-            c * k0 - 1j * s * (nz * k0 + (nx - 1j * ny) * k1),
-            c * k1 - 1j * s * ((nx + 1j * ny) * k0 - nz * k1),
-        ],
-        axis=-1,
+    n = axis / np.linalg.norm(axis, axis=-1, keepdims=True)
+    nx, ny, nz = np.moveaxis(n, -1, 0)
+    zero = np.zeros_like(nx)
+    cross = np.stack(
+        [np.stack([zero, -nz, ny], -1), np.stack([nz, zero, -nx], -1), np.stack([-ny, nx, zero], -1)],
+        axis=-2,
     )
+    c, s = math.cos(visibility.KICK_ANGLE), math.sin(visibility.KICK_ANGLE)
+    rotation = c * np.eye(3) + s * cross + (1.0 - c) * n[..., :, None] * n[..., None, :]
+    return (rotation @ vecs[..., None])[..., 0]

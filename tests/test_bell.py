@@ -1,5 +1,6 @@
 """Tests for joint probabilities, the Bell expression, LHV bound, sampling."""
 
+import warnings
 from itertools import product
 
 import numpy as np
@@ -257,6 +258,27 @@ class TestNonFiniteStates:
     def test_sample_statistics_raises(self, state, rng):
         with pytest.raises(ValueError, match="sum to"):
             sample_statistics(state, random_settings(rng), shots=100, seed=0)
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 8)], ids=["ket", "density"])
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0.0, np.inf)], ids=["inf", "-inf", "inf-j"])
+    def test_infinite_entry_raises_without_warning(self, shape, entry):
+        # an infinite entry makes NaN or infinite probabilities (inf * 0 is
+        # NaN, and the GHZ witness's product vectors have zero entries);
+        # library callers get the ValueError and no RuntimeWarning from numpy
+        from hardy3q.hardy import build_witness, verify_hardy
+
+        state = np.zeros(shape, complex)
+        state[(0,) * len(shape)] = entry
+        ghz = CanonicalState((INV_SQRT2, 0, 0, 0, INV_SQRT2), 0.0)
+        settings = build_witness(ghz).settings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                bell_value(state, settings)
+            with pytest.raises(ValueError, match="non-finite"):
+                verify_hardy(state, settings)
+            with pytest.raises(ValueError, match="sum to"):
+                sample_statistics(state, settings, shots=100, seed=0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("shape", [(8,), (8, 8)], ids=["ket", "density"])

@@ -17,12 +17,12 @@ from hardy3q.errors import DimensionError, NormalizationError, WindowViolationEr
 from hardy3q.observables import (
     PHASE_TINY,
     WINDOW_TOL,
-    kets_from_angles,
     random_angles,
     settings_from_plus_kets,
 )
 
 from conftest import (
+    kets_from_angles,
     mix_with_white_noise,
     random_canonical,
     random_settings,
