@@ -23,6 +23,7 @@ construction only to rounding (see ``observables``).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -43,23 +44,26 @@ def _product_probabilities(state, bras: np.ndarray) -> np.ndarray:
     """Outcome probabilities (...) of conjugated product vectors ``bras`` (..., 8).
 
     |<v|psi>|^2 for a ket psi and Re <v|rho|v> for a density rho, one
-    matmul over all of ``bras``.  Unclamped.  A non-finite state gives
-    non-finite probabilities without a floating-point warning; the callers
-    reject them with ``ValueError``.
+    matmul over all of ``bras``.  Unclamped.  A state whose entries do not
+    sum to a finite number gets NaN probabilities, which the callers
+    reject: the matmul would meet inf * 0 or inf - inf and make numpy warn,
+    while Python's sum of the entries does not.
     """
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
         if arr.shape[0] != 8:
             raise DimensionError("pure state must be an 8-dimensional ket")
-        with np.errstate(invalid="ignore", over="ignore"):
-            amp = bras @ arr
-            return amp.real**2 + amp.imag**2
-    if arr.ndim == 2:
+    elif arr.ndim == 2:
         if arr.shape != (8, 8):
             raise DimensionError("density operator must be 8x8")
-        with np.errstate(invalid="ignore", over="ignore"):
-            return (bras * (np.conj(bras) @ arr.T)).sum(axis=-1).real
-    raise DimensionError("state must be a ket or a density operator")
+    else:
+        raise DimensionError("state must be a ket or a density operator")
+    if not cmath.isfinite(sum(arr.ravel().tolist())):
+        return np.full(bras.shape[:-1], math.nan)
+    if arr.ndim == 1:
+        amp = bras @ arr
+        return amp.real**2 + amp.imag**2
+    return (bras * (np.conj(bras) @ arr.T)).sum(axis=-1).real
 
 
 def hardy_probabilities(state, settings: MeasurementSettings) -> np.ndarray:

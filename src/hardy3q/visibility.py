@@ -87,12 +87,10 @@ _RIDGE_EYE = np.eye(ANDERSON_DEPTH - 1)
 _TINY = np.finfo(float).tiny
 #: party j of a sweep and the other two qubits o and t
 _PARTIES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-#: per party, the rows of the (qubit, U+/D+/D-) frame stack, first of qubit o,
-#: then of qubit t, whose products give c3 = <D+U+|, b = <U+U+|, c4 = <U+D+|
-#: and a = <D-D-| (o's row first)
-_PICKS = np.array(
-    [np.r_[3 * o + np.array([1, 0, 0, 2]), 3 * t + np.array([0, 0, 1, 2])] for _, o, t in _PARTIES]
-)
+#: per party, the rows 3 o + (1, 0, 0, 2) of qubit o, then 3 t + (0, 0, 1, 2) of
+#: qubit t, of the (qubit, U+/D+/D-) frame stack, whose products give
+#: c3 = <D+U+|, b = <U+U+|, c4 = <U+D+| and a = <D-D-| (o's row first)
+_PICKS = np.array([[4, 3, 3, 5, 6, 6, 7, 8], [1, 0, 0, 2, 6, 6, 7, 8], [1, 0, 0, 2, 3, 3, 4, 5]])
 #: (b - c3 - c4, a - b, c3 + c4 + a) from the rows (c3, b, c4, a)
 _COMBINE = np.array([[-1.0, 1.0, -1.0, 0.0], [0.0, -1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]])
 #: sigma_0 = I and the Pauli matrices sigma_x, sigma_y, sigma_z
@@ -274,8 +272,7 @@ def _see_saw(tensors, vecs, axes, tol, maxiter):
         gain = np.where(plain, lowered, gain)
         onset |= plain & (lowered < ANDERSON_ONSET)
         value = np.where(kept, new, value)
-        kept_vecs = kept[:, None, None, None]
-        vecs = np.where(kept_vecs, out, vecs)
+        vecs = np.where(kept[:, None, None, None], out, vecs)
         # a rejected start's depth drops to 0, so its history needs no undo
         hist[:, 1:] = hist[:, :-1]
         np.subtract(out, inputs, out=hist[:, 0, 0])

@@ -690,7 +690,7 @@ def reference_sweep(psi3, kets):
 
 def oracle_correlation_tensor(psi):
     """T[mu, nu, lam] = <psi|sigma_mu x sigma_nu x sigma_lam|psi> by kron products."""
-    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])]
     psi = np.asarray(psi, complex)
     return np.array(
         [
@@ -1145,7 +1145,11 @@ def staged_kick(vecs, rngs):
     nx, ny, nz = np.moveaxis(n, -1, 0)
     zero = np.zeros_like(nx)
     cross = np.stack(
-        [np.stack([zero, -nz, ny], -1), np.stack([nz, zero, -nx], -1), np.stack([-ny, nx, zero], -1)],
+        [
+            np.stack([zero, -nz, ny], axis=-1),
+            np.stack([nz, zero, -nx], axis=-1),
+            np.stack([-ny, nx, zero], axis=-1),
+        ],
         axis=-2,
     )
     c, s = math.cos(visibility.KICK_ANGLE), math.sin(visibility.KICK_ANGLE)

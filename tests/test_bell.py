@@ -260,7 +260,9 @@ class TestNonFiniteStates:
             sample_statistics(state, random_settings(rng), shots=100, seed=0)
 
     @pytest.mark.parametrize("shape", [(8,), (8, 8)], ids=["ket", "density"])
-    @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0.0, np.inf)], ids=["inf", "-inf", "inf-j"])
+    @pytest.mark.parametrize(
+        "entry", [np.inf, -np.inf, complex(0.0, np.inf)], ids=["inf", "-inf", "inf-j"]
+    )
     def test_infinite_entry_raises_without_warning(self, shape, entry):
         # an infinite entry makes NaN or infinite probabilities (inf * 0 is
         # NaN, and the GHZ witness's product vectors have zero entries);

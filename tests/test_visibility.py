@@ -75,7 +75,8 @@ def product_ket():
 
 def random_vecs(rng, starts):
     """Unit Bloch vectors (starts, 3, 2, 3) of uniformly drawn angles."""
-    return _bloch_vectors(np.stack([random_angles(rng, 6) for _ in range(starts)])).reshape(-1, 3, 2, 3)
+    angles = np.stack([random_angles(rng, 6) for _ in range(starts)])
+    return _bloch_vectors(angles).reshape(-1, 3, 2, 3)
 
 
 class TestThresholdFormula:
@@ -217,7 +218,9 @@ class TestSeeSaw:
     def test_min_eigpair_keeps_fallback_for_multiples_of_identity(self):
         # the ket-space oracle's eigenpair keeps its fallback ket
         fallback = np.array([[0.6, 0.8j]])
-        lam, vec = reference_min_eigpair(np.array([0.25]), np.array([0.25]), np.array([0j]), fallback)
+        lam, vec = reference_min_eigpair(
+            np.array([0.25]), np.array([0.25]), np.array([0j]), fallback
+        )
         assert lam[0] == 0.25
         np.testing.assert_array_equal(vec, fallback)
 
@@ -233,7 +236,8 @@ class TestSeeSaw:
         want = oracle_correlation_tensor(psi)
         assert want[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
         for (j, o, t), got in zip(visibility._PARTIES, _party_tensors(psi.reshape(2, 2, 2))):
-            np.testing.assert_allclose(got, want.transpose(o, t, j).reshape(16, 4), rtol=0, atol=1e-15)
+            want_j = want.transpose(o, t, j).reshape(16, 4)
+            np.testing.assert_allclose(got, want_j, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("z", [1.0, -1.0, -1.0 + 1e-12, 1.0 - 1e-12, 0.0])
     @pytest.mark.parametrize("phi", [0.0, 2.1])
@@ -355,13 +359,15 @@ class TestSeeSaw:
         # HOPS + 2 descents per start, each of 1 to maxiter sweeps
         assert HOPS + 2 <= sweeps <= (HOPS + 2) * maxiter
         for s in range(3):
-            assert value[s] == pytest.approx(oracle_bell_of_kets(psi, kets_of_bloch(out[s])), abs=1e-12)
+            at_out = oracle_bell_of_kets(psi, kets_of_bloch(out[s]))
+            assert value[s] == pytest.approx(at_out, abs=1e-12)
             assert value[s] <= first[s] + 1e-12
 
     def test_descend_stops_on_a_plain_sweep(self):
         vecs = np.concatenate([random_vecs(np.random.default_rng(s), 1) for s in range(4)])
         axes = np.random.default_rng(4).standard_normal((4, HOPS, 3, 2, 3))
-        _, _, gain, sweeps = _see_saw(_party_tensors(w_ket().reshape(2, 2, 2)), vecs, axes, 1e-10, 4000)
+        tensors = _party_tensors(w_ket().reshape(2, 2, 2))
+        _, _, gain, sweeps = _see_saw(tensors, vecs, axes, 1e-10, 4000)
         # all descents together take fewer sweeps than one descent's cap
         assert sweeps < 4000
         assert (gain <= 1e-10).all()
