@@ -87,10 +87,11 @@ _RIDGE_EYE = np.eye(ANDERSON_DEPTH - 1)
 _TINY = np.finfo(float).tiny
 #: party j of a sweep and the other two qubits o and t
 _PARTIES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-#: per party, the rows 3 o + (1, 0, 0, 2) of qubit o, then 3 t + (0, 0, 1, 2) of
-#: qubit t, of the (qubit, U+/D+/D-) frame stack, whose products give
-#: c3 = <D+U+|, b = <U+U+|, c4 = <U+D+| and a = <D-D-| (o's row first)
-_PICKS = np.array([[4, 3, 3, 5, 6, 6, 7, 8], [1, 0, 0, 2, 6, 6, 7, 8], [1, 0, 0, 2, 3, 3, 4, 5]])
+#: rows (U+, D+, D-) of qubits o and t whose products give c3 = <D+U+|,
+#: b = <U+U+|, c4 = <U+D+| and a = <D-D-| (o's row first), and per party their
+#: indices into the (qubit, U+/D+/D-) frame stack, o's then t's
+_O_ROWS, _T_ROWS = np.array([1, 0, 0, 2]), np.array([0, 0, 1, 2])
+_PICKS = np.array([np.r_[3 * o + _O_ROWS, 3 * t + _T_ROWS] for _, o, t in _PARTIES])
 #: (b - c3 - c4, a - b, c3 + c4 + a) from the rows (c3, b, c4, a)
 _COMBINE = np.array([[-1.0, 1.0, -1.0, 0.0], [0.0, -1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]])
 #: sigma_0 = I and the Pauli matrices sigma_x, sigma_y, sigma_z
