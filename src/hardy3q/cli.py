@@ -68,9 +68,10 @@ SEED_ENV_VAR = "HARDY3Q_SEED"
 #: (about a millisecond each), and larger grids are rejected before allocation
 MAX_GRID_POINTS = 1_000_000
 #: the most starts ``optimize`` and ``scan --optimize`` may ask for; each
-#: start gets its own generator, kets and Anderson histories before any work
-#: is done.  On W a start costs about 1.4 ms and 13 kB on a 2-core machine
-#: (4,000 starts: 5.8 s), so this bound keeps a run near 15 s and 150 MB
+#: start gets its own generator, Bloch vectors and Anderson histories before
+#: any work is done.  On W a start costs about 0.5 ms and 8 kB of peak
+#: allocation on a 2-core machine (4,000 starts: 2.1 s), so this bound keeps
+#: a run near 5 s and 80 MB
 MAX_STARTS = 10_000
 #: ``sample --shots`` must be below this: the sampler draws int64 counts
 SHOTS_LIMIT = 2**63

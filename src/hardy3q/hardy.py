@@ -30,14 +30,12 @@ when no B or D candidate passes, a seeded numerical search takes over
 candidate: a B pair that contradicts its label (equal Schmidt
 coefficients, or a product pair) fails it like any other candidate.
 
-The search runs one attempt at a time in Python complex arithmetic, with
-the products of the former numpy search (the tests' oracle) in its order;
-numpy fuses complex products, so the two agree to rounding: both certify
-the same states, with plus-kets at most 1.1e-14 apart on GHZ and W (seeds
-0-19), 9.7e-11 on the tests' 120-state near-boundary deck and 8.9e-9 on
-the benchmark near-boundary deck's 463 fallbacks (seed 1, 100 rounds).
-Near a product state the steps are huge (1e7 radians on the tests' weak
-B.3 pair) and the paths chaotic, so rounding can change which attempt wins.
+The search solves for settings in closed form.  Each D+ is taken
+perpendicular to its contraction vector (psi contracted with the other two
+U+ bras), which zeroes the three mixed conditions.  With two U+ kets fixed,
+the D-D-D- amplitude is a quadratic form in the third, so each root of one
+quadratic zeroes all four conditions; an attempt solves this for each qubit
+from seeded random U+ kets and verifies the roots' settings.
 """
 
 from __future__ import annotations
@@ -75,7 +73,8 @@ logger.addHandler(logging.NullHandler())
 ZERO_TOL = 1e-9
 #: a later satisfied candidate replaces the best one only when its success
 #: probability is larger by more than this relative margin, so candidates
-#: that tie up to rounding (D.8's two roots on most states) keep the first
+#: that tie up to rounding (D.8's two roots on most states) keep the first;
+#: the search verifies its tied candidates in the order it lists them
 CANDIDATE_RTOL = 1e-9
 
 
@@ -111,8 +110,7 @@ def _verify_rows(vec, rows, zero_tol: float) -> HardyCertificate | Exception:
     """``verify_hardy``'s certificate of the settings with plus-ket ``rows``.
 
     Returns instead the window or normalization error of rows that make no
-    settings.  Recipe candidates and converged search attempts are both
-    judged here.
+    settings.  Recipe and search candidates are both judged here.
     """
     try:
         settings = settings_from_plus_kets(rows)
@@ -446,219 +444,150 @@ def build_witness(
 # numerical search
 # ---------------------------------------------------------------------------
 
-#: Armijo constant of the search's backtracking: a step of length t must
-#: lower |r|^2 to at most (1 - 2 ARMIJO t) |r|^2
-ARMIJO = 1e-4
-#: step lengths 1, 1/2, ... tried before an attempt counts as stalled
-MAX_HALVINGS = 32
-#: an attempt whose 2x2 Gram matrix J J^T has det <= SINGULAR_TOL * trace^2
-#: has a singular Jacobian
-SINGULAR_TOL = 1e-24
 #: contraction vectors shorter than this fix no D direction
 VANISHING_NORM = 1e-14
-#: the search's number of attempts and iteration budget per attempt
+#: the search's number of attempts
 SEARCH_ATTEMPTS = 40
-SEARCH_MAXITER = 800
 
-
-def _qubit(half, phi):
-    """(c, s, e, b) = (cos half, sin half, exp(i phi), conj(e s)) of u = (c, e s); (c, b) is its bra."""
-    c, s = math.cos(half), math.sin(half)
-    e = complex(math.cos(phi), math.sin(phi))
-    return c, s, e, (e * s).conjugate()
-
-
-def _length(a: complex, b: complex) -> float:
-    """Length of the vector (a, b), its squares summed per component first."""
-    return math.sqrt((a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag))
-
-
-def _residual(p, x):
-    """The value pass at Bloch angles ``x`` (theta_j, phi_j of each U+ ket u_j).
-
-    ``p`` holds psi's amplitudes, index 4a + 2b + c.  The contraction vector
-    m1[a] = sum_{b,c} conj(u2[b] u3[c]) psi[a,b,c] (and cyclically m2, m3)
-    has D1+ = perp(m1) zero the mixed conditions exactly.  Returns None
-    where some |m_j| <= VANISHING_NORM, else the point
-    (x, r, f, qubits, m, norms, mhc, q, o, z, g1): r = <m1_hat m2_hat m3_hat|psi>,
-    f = |r|^2, ``_qubit`` per qubit, mhc_j = conj(m_j / |m_j|), and psi
-    contracted with the bra of qubit 3 (q[a][b]), of qubit 1 (o[b][c]), with
-    mhc_3 (z[a][b]) and with mhc_2 mhc_3 (g1[a]).  The products are those
-    of the former numpy search (the tests' oracle), in its order.
-    """
-    p0, p1, p2, p3, p4, p5, p6, p7 = p
-    qubits = (_qubit(0.5 * x[0], x[1]), _qubit(0.5 * x[2], x[3]), _qubit(0.5 * x[4], x[5]))
-    (c1, _, _, b1), (c2, _, _, b2), (c3, _, _, b3) = qubits
-    q = (p0 * c3 + p1 * b3, p2 * c3 + p3 * b3, p4 * c3 + p5 * b3, p6 * c3 + p7 * b3)
-    o = (p0 * c1 + p4 * b1, p1 * c1 + p5 * b1, p2 * c1 + p6 * b1, p3 * c1 + p7 * b1)
-    m = m10, m11, m20, m21, m30, m31 = (
-        q[0] * c2 + q[1] * b2, q[2] * c2 + q[3] * b2,
-        q[0] * c1 + q[2] * b1, q[1] * c1 + q[3] * b1,
-        o[0] * c2 + o[2] * b2, o[1] * c2 + o[3] * b2,
+#: per qubit j, its other two qubits k < l
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+#: per qubit j, psi's flat index 4a + 2b + c at bit x of qubit j, y of k and
+#: z of l, listed in the order 4x + 2y + z
+_AXES = tuple(
+    tuple(
+        (x << 2 - j) | (y << 2 - k) | (z << 2 - l)
+        for x in (0, 1) for y in (0, 1) for z in (0, 1)
     )
-    norms = n1, n2, n3 = _length(m10, m11), _length(m20, m21), _length(m30, m31)
-    if not min(norms) > VANISHING_NORM:
-        return None
-    mhc = h10, h11, h20, h21, h30, h31 = (
-        (m10 / n1).conjugate(), (m11 / n1).conjugate(), (m20 / n2).conjugate(),
-        (m21 / n2).conjugate(), (m30 / n3).conjugate(), (m31 / n3).conjugate(),
-    )
-    z = (p0 * h30 + p1 * h31, p2 * h30 + p3 * h31, p4 * h30 + p5 * h31, p6 * h30 + p7 * h31)
-    g1 = (z[0] * h20 + z[1] * h21, z[2] * h20 + z[3] * h21)
-    r = h10 * g1[0] + h11 * g1[1]
-    return x, r, r.real * r.real + r.imag * r.imag, qubits, m, norms, mhc, q, o, z, g1
+    for j, (k, l) in enumerate(_OTHERS)
+)
 
 
-def _jacobian(p, point):
-    """The Jacobian pass: dr/dx (six complex numbers) at a value-pass point.
+def _binary_roots(c0: complex, c1: complex, c2: complex) -> list[tuple[complex, complex]]:
+    """The roots (x, y) of c0 x^2 + c1 x y + c2 y^2 = 0 as unnormalized kets.
 
-    With g_k psi contracted with mhc of the other two qubits (so r =
-    <m_hat_k|g_k>), a change dm_k moves r by (<dm_k|g_k> - Re<m_hat_k|dm_k> r)
-    / |m_k|.  An angle of qubit j moves the m_k of the other two qubits:
-    dm_k is m_k with the bra of u_j replaced by conj(du_j), where
-    du/dtheta = (-s/2, e c/2) and du/dphi = (0, i e s).
+    The stable quadratic formula on the larger end coefficient, taken as
+    c0 (x and y swap roles when |c2| > |c0|): the roots are (q, c0) and
+    (c2, q) for q = -(c1 + s) / 2, with the branch of s = sqrt(c1^2 - 4 c0
+    c2) that gives |c1 + s| >= |c1 - s|.  q = 0 only for a double root at
+    x = 0, which is listed once; with c0 = c2 = 0 the roots are (1, 0) and
+    (0, 1).  No division occurs.
     """
-    p0, p1, p2, p3, p4, p5, p6, p7 = p
-    _, r, _, qubits, _, (n1, n2, n3), (h10, h11, h20, h21, h30, h31), q, o, z, g1 = point
-    (c1, s1, e1, b1), (c2, s2, e2, b2), (c3, s3, e3, b3) = qubits
-    y = (p0 * h10 + p4 * h11, p1 * h10 + p5 * h11, p2 * h10 + p6 * h11, p3 * h10 + p7 * h11)
-    g2 = (z[0] * h10 + z[2] * h11, z[1] * h10 + z[3] * h11)
-    g3 = (y[0] * h20 + y[2] * h21, y[1] * h20 + y[3] * h21)
-
-    def moves(dm0, dm1, g, h0, h1, n):
-        return ((dm0.conjugate() * g[0] + dm1.conjugate() * g[1]) - (h0 * dm0 + h1 * dm1).real * r) / n
-
-    def derivative_bras(c, s, e):
-        return (-0.5 * s, (0.5 * e * c).conjugate()), (0.0, (1j * (e * s)).conjugate())
-
-    dr = []
-    # qubit 1 moves m2 through q, and m3 through psi contracted with its bra
-    for d0, d1 in derivative_bras(c1, s1, e1):
-        t = (p0 * d0 + p4 * d1, p1 * d0 + p5 * d1, p2 * d0 + p6 * d1, p3 * d0 + p7 * d1)
-        dr.append(
-            moves(q[0] * d0 + q[2] * d1, q[1] * d0 + q[3] * d1, g2, h20, h21, n2)
-            + moves(t[0] * c2 + t[2] * b2, t[1] * c2 + t[3] * b2, g3, h30, h31, n3)
-        )
-    # qubit 2 moves m1 through q and m3 through o
-    for d0, d1 in derivative_bras(c2, s2, e2):
-        dr.append(
-            moves(q[0] * d0 + q[1] * d1, q[2] * d0 + q[3] * d1, g1, h10, h11, n1)
-            + moves(o[0] * d0 + o[2] * d1, o[1] * d0 + o[3] * d1, g3, h30, h31, n3)
-        )
-    # qubit 3 moves m1 and m2 through psi contracted with its bra
-    for d0, d1 in derivative_bras(c3, s3, e3):
-        t = (p0 * d0 + p1 * d1, p2 * d0 + p3 * d1, p4 * d0 + p5 * d1, p6 * d0 + p7 * d1)
-        dr.append(
-            moves(t[0] * c2 + t[1] * b2, t[2] * c2 + t[3] * b2, g1, h10, h11, n1)
-            + moves(t[0] * c1 + t[2] * b1, t[1] * c1 + t[3] * b1, g2, h20, h21, n2)
-        )
-    return dr
+    if abs(c0) < abs(c2):
+        return [(y, x) for x, y in _binary_roots(c2, c1, c0)]
+    if c0 == 0:
+        return [(1.0 + 0j, 0j), (0j, 1.0 + 0j)]
+    s = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
+    q = -0.5 * (c1 + s if (c1.conjugate() * s).real >= 0.0 else c1 - s)
+    return [(q, c0), (c2, q)] if q else [(q, c0)]
 
 
-def _gauss_newton_step(r, dr):
-    """Minimum-norm solution s of J s = (Re r, Im r), or None where J is singular.
+def _candidates(p, us, j):
+    """Qubit j's candidates with the other two U+ kets of ``us`` fixed.
 
-    J is the 2x6 real Jacobian (Re dr, Im dr) and -s the Gauss-Newton step.
+    ``p`` holds psi's amplitudes, index 4a + 2b + c.  The contraction
+    vector m_j[x] = sum conj(u_k[y] u_l[z]) psi[x, y, z] (axes j, k, l) is
+    fixed, and m_k, m_l are linear in conj(u_j): m_k[y] = sum_x conj(u_j[x])
+    mk[x][y] with mk psi contracted with u_l's bra, ml likewise with u_k's.
+    With D_i+ = perp(m_i) the three mixed conditions vanish, and the
+    D-D-D- amplitude sum conj(m_j[x] m_k[y] m_l[z]) psi[x, y, z] is the
+    quadratic form u_j^T F u_j, F[x][w] = sum conj(mk[x][y]) g[y][z]
+    conj(ml[w][z]) with g[y][z] = sum_x conj(m_j[x]) psi[x, y, z].  Each
+    root of it yields (P5, kets, ms): the unit U+ kets with u_j the root,
+    the contraction vectors m_i and P5 = |<u_j|m_j>|^2.
     """
-    a = b = c = 0.0
-    for d in dr:
-        re, im = d.real, d.imag
-        a += re * re
-        b += re * im
-        c += im * im
-    det = a * c - b * b
-    if not det > SINGULAR_TOL * (a + c) ** 2:
-        return None
-    y0 = (c * r.real - b * r.imag) / det
-    y1 = (a * r.imag - b * r.real) / det
-    return [d.real * y0 + d.imag * y1 for d in dr]
-
-
-def _backtrack(p, x, f, s):
-    """Armijo backtracking from ``x`` along the Gauss-Newton step -``s``.
-
-    Takes the first t of 1, 1/2, ... (MAX_HALVINGS values) with
-    |r(x - t s)|^2 <= (1 - 2 ARMIJO t) f and returns the value-pass point
-    there, which the next iteration takes as it is; None if the attempt
-    stalls.
-    """
-    t = 1.0
-    for _ in range(MAX_HALVINGS):
-        trial = _residual(p, [xi - t * si for xi, si in zip(x, s)])
-        if trial is not None and trial[2] <= (1.0 - 2.0 * ARMIJO * t) * f:
-            return trial
-        t *= 0.5
-    return None
-
-
-def _accepted_certificate(vec, point, zero_tol) -> HardyCertificate | str:
-    """Certificate of a converged attempt, or why its settings were rejected.
-
-    Qubit j gets U+ = u_j and D+ = perp(m_j) = (-conj(m_j[1]), conj(m_j[0])).
-    """
-    qubits, m = point[3], point[4]
-    rows = [
-        (c, b.conjugate(), -m[2 * j + 1].conjugate(), m[2 * j].conjugate())
-        for j, (c, _, _, b) in enumerate(qubits)
+    k, l = _OTHERS[j]
+    t = [p[i] for i in _AXES[j]]
+    (k0, k1), (l0, l1) = us[k], us[l]
+    k0, k1, l0, l1 = k0.conjugate(), k1.conjugate(), l0.conjugate(), l1.conjugate()
+    mk = [(t[x] * l0 + t[x + 1] * l1, t[x + 2] * l0 + t[x + 3] * l1) for x in (0, 4)]
+    ml = [(t[x] * k0 + t[x + 2] * k1, t[x + 1] * k0 + t[x + 3] * k1) for x in (0, 4)]
+    mj = tuple(a * k0 + b * k1 for a, b in mk)
+    h0, h1 = mj[0].conjugate(), mj[1].conjugate()
+    g = [h0 * t[y] + h1 * t[y + 4] for y in range(4)]  # g[2y + z]
+    e = [  # e[x][z] = sum_y conj(mk[x][y]) g[y][z]
+        (a.conjugate() * g[0] + b.conjugate() * g[2], a.conjugate() * g[1] + b.conjugate() * g[3])
+        for a, b in mk
     ]
-    cert = _verify_rows(vec, rows, zero_tol)
-    if not isinstance(cert, HardyCertificate):
-        return "outside_window"
-    return cert if cert.satisfied else "unverified"
+    f = [[ex[0] * a.conjugate() + ex[1] * b.conjugate() for a, b in ml] for ex in e]
+    found = []
+    for x0, x1 in _binary_roots(f[0][0], f[0][1] + f[1][0], f[1][1]):
+        n = math.hypot(x0.real, x0.imag, x1.real, x1.imag)
+        u0, u1 = x0 / n, x1 / n
+        b0, b1 = u0.conjugate(), u1.conjugate()
+        kets, ms = list(us), [None] * 3
+        kets[j] = (u0, u1)
+        ms[j] = mj
+        ms[k] = (b0 * mk[0][0] + b1 * mk[1][0], b0 * mk[0][1] + b1 * mk[1][1])
+        ms[l] = (b0 * ml[0][0] + b1 * ml[1][0], b0 * ml[0][1] + b1 * ml[1][1])
+        amp = b0 * mj[0] + b1 * mj[1]
+        found.append((amp.real * amp.real + amp.imag * amp.imag, kets, ms))
+    return found
 
 
-def _attempt(vec, p, x, zero_tol, maxiter) -> HardyCertificate | str:
-    """One attempt from start angles ``x``: its certificate, or why it failed."""
-    point = _residual(p, x)
-    if point is None:
-        return "vanishing_contraction"
-    for iteration in range(maxiter + 1):
-        x, r, f = point[:3]
-        if f <= 0.1 * zero_tol:
-            return _accepted_certificate(vec, point, zero_tol)
-        if iteration == maxiter:
-            break
-        s = _gauss_newton_step(r, _jacobian(p, point))
-        if s is None:
-            return "singular_jacobian"
-        point = _backtrack(p, x, f, s)
-        if point is None:
-            return "stalled_backtrack"
-    return "maxiter"
+def _attempt(vec, p, us, zero_tol) -> HardyCertificate | str:
+    """One attempt from the U+ kets ``us``: its certificate, or why it failed.
+
+    The three qubits' quadratics give up to six candidates, verified in
+    the order of their P5, largest first; of candidates whose P5 ties up to
+    ``CANDIDATE_RTOL`` (on GHZ both roots of a qubit do), the first listed
+    goes first.  Qubit i of a candidate gets U+ = u_i and D+ = perp(m_i) =
+    (-conj(m_i[1]), conj(m_i[0])); a candidate with some |m_i| <=
+    VANISHING_NORM fixes no D direction and is skipped.  The failure reason
+    is "unverified" when some candidate made settings, else
+    "outside_window" when one failed the window check, else
+    "vanishing_contraction".
+    """
+    found = [cand for j in range(3) for cand in _candidates(p, us, j)]
+    failure = "vanishing_contraction"
+    while found:
+        top = max(p5 for p5, _, _ in found) * (1.0 - CANDIDATE_RTOL)
+        _, kets, ms = found.pop(next(i for i, (p5, _, _) in enumerate(found) if p5 >= top))
+        if not min(linalg._norm(*m) for m in ms) > VANISHING_NORM:
+            continue
+        rows = [(u0, u1, -m1.conjugate(), m0.conjugate()) for (u0, u1), (m0, m1) in zip(kets, ms)]
+        cert = _verify_rows(vec, rows, zero_tol)
+        if isinstance(cert, HardyCertificate):
+            if cert.satisfied:
+                return cert
+            failure = "unverified"
+        elif failure == "vanishing_contraction":
+            failure = "outside_window"
+    return failure
 
 
 def _attempt_outcomes(vec, seed, zero_tol):
     """Each of the SEARCH_ATTEMPTS attempts' certificate or failure reason, in seeded order.
 
-    Attempt i starts from child i of ``SeedSequence(seed)``, spawned only
-    when it runs (``spawn`` continues where its previous call stopped).
+    Attempt i starts from the U+ kets of the Bloch angles that
+    ``random_angles`` draws from child i of ``SeedSequence(seed)``, spawned
+    only when it runs (``spawn`` continues where its previous call stopped).
     """
     p = vec.tolist()
     seeds = np.random.SeedSequence(seed)
     for _ in range(SEARCH_ATTEMPTS):
         (child,) = seeds.spawn(1)
-        x = random_angles(np.random.default_rng(child), 3).ravel().tolist()
-        yield _attempt(vec, p, x, zero_tol, SEARCH_MAXITER)
+        us = [
+            (complex(math.cos(0.5 * theta)), cmath.exp(1j * phi) * math.sin(0.5 * theta))
+            for theta, phi in random_angles(np.random.default_rng(child), 3).tolist()
+        ]
+        yield _attempt(vec, p, us, zero_tol)
 
 
 def search_hardy_observables(psi, seed: int = 0, zero_tol: float = ZERO_TOL) -> HardyCertificate | None:
     """Seeded multistart search for settings satisfying the Hardy pattern.
 
-    The six Bloch angles of the U observables are the unknowns; each D+ is
-    perpendicular to its contraction vector, which makes three of the four
-    zero conditions exact.  The remaining complex condition r, whose zeros
-    form a four-dimensional manifold, is solved by damped Gauss-Newton:
-    minimum-norm steps of the 2x6 real Jacobian with Armijo backtracking,
-    for at most SEARCH_MAXITER iterations; the accepted trial's value pass
-    carries into the next step.  An attempt fails when a contraction
-    vector vanishes, its Jacobian turns singular or no halved step lowers
-    |r|^2 enough; it is accepted when |r|^2 <= zero_tol / 10, its settings
-    lie in the window and they pass verify_hardy at ``zero_tol``.  The
-    SEARCH_ATTEMPTS attempts run one at a time in seeded order and the
-    first accepted one wins, so the result is the same for any number of
-    attempts that includes the winner.  Returns the winner's certificate,
-    or None when every attempt fails (expected for product states and
-    maximally entangled pairs).
+    Each D+ is perpendicular to its contraction vector, which makes three
+    of the four zero conditions exact.  An attempt draws three random U+
+    kets; for each qubit in turn it fixes the other two and solves the
+    quadratic whose roots zero the D-D-D- probability too (see
+    ``_candidates``), which gives up to six candidates with no iteration.
+    They are verified in the order of their success probability P5,
+    largest first: settings from the plus-kets, in the window, passing
+    verify_hardy at ``zero_tol``.  The SEARCH_ATTEMPTS attempts run one at
+    a time in seeded order and the first certificate wins, so the result
+    is the same for any number of attempts that includes the winner.
+    Returns the winner's certificate, or None when every attempt fails
+    (expected for product states and maximally entangled pairs).
     """
     vec = linalg.ket(psi)
     if vec.shape[0] != 8:

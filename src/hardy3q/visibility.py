@@ -96,6 +96,13 @@ _PICKS = np.array([np.r_[3 * o + _O_ROWS, 3 * t + _T_ROWS] for _, o, t in _PARTI
 _COMBINE = np.array([[-1.0, 1.0, -1.0, 0.0], [0.0, -1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]])
 #: sigma_0 = I and the Pauli matrices sigma_x, sigma_y, sigma_z
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+#: the correlation tensor's contraction and the order ``optimize=True``
+#: picks for it, which depends on the operands' shapes only: found once
+_TENSOR_SUBSCRIPTS = "abc,mad,nbe,lcf,def->mnl"
+_TENSOR_PATH = np.einsum_path(
+    _TENSOR_SUBSCRIPTS, np.ones((2, 2, 2), complex), _PAULI, _PAULI, _PAULI,
+    np.ones((2, 2, 2), complex), optimize=True,
+)[0]
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,7 @@ def _party_tensors(psi3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     flattened into rows, for the parties of ``_PARTIES``.
     """
     tensor = np.einsum(
-        "abc,mad,nbe,lcf,def->mnl", psi3.conj(), _PAULI, _PAULI, _PAULI, psi3, optimize=True
+        _TENSOR_SUBSCRIPTS, psi3.conj(), _PAULI, _PAULI, _PAULI, psi3, optimize=_TENSOR_PATH
     ).real
     return tuple(tensor.transpose(o, t, j).reshape(16, 4) for j, o, t in _PARTIES)
 

@@ -25,12 +25,9 @@ from hardy3q.errors import (
     WindowViolationError,
 )
 from hardy3q.hardy import (
-    ARMIJO,
-    MAX_HALVINGS,
-    SINGULAR_TOL,
+    CANDIDATE_RTOL,
     VANISHING_NORM,
     ZERO_TOL,
-    verify_hardy,
 )
 from hardy3q.states import CanonicalState, StateClass
 
@@ -838,173 +835,96 @@ def nelder_mead_search(psi, attempts=40, seed=0, zero_tol=ZERO_TOL, maxiter=800)
     return None
 
 
-# The search's Gauss-Newton pieces in numpy arrays, as they were before the
-# search ran one attempt at a time in Python complex arithmetic (and before
-# each iterate was evaluated once), frozen so that ``one_batch_search`` stays
-# an independent oracle of ``hardy.search_hardy_observables``.  numpy fuses
-# complex products, so the two agree to rounding, within the bounds the
-# ``hardy`` module docstring gives.
+# The closed-form search in numpy arrays, every attempt's candidates in one
+# einsum batch: an independent oracle of ``hardy.search_hardy_observables``,
+# which computes them one complex number at a time.
+
+#: per qubit j, its other two qubits k < l
+ORACLE_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
-def reference_u_derivatives(x, us):
-    """Derivatives (A, 6, 2) of the U+ kets ``us`` (A, 3, 2) of Bloch angles ``x`` (A, 6).
+def einsum_candidates(psi, us):
+    """Every candidate of the closed-form search from U+ kets ``us`` (A, 3, 2).
 
-    Row i is d u_j / d theta_j or d u_j / d phi_j, in the angle order of ``x``.
+    Qubit j (psi's axes moved to j, k, l) keeps m_j = <u_k u_l|psi>, and
+    its D-D-D- amplitude is the quadratic form u_j^T F u_j, F by einsum.
+    The roots of c0 x^2 + c1 x y + c2 y^2 (c0 = F00, c1 = F01 + F10, c2 =
+    F11) come from the quadratic formula on the larger end coefficient, the
+    root farther from zero in its variable first, a double root twice, and
+    (1, 0), (0, 1) when c0 = c2 = 0.  Returns P5 = |<u_j|m_j>|^2 (A, 6),
+    the candidates' unit U+ kets (A, 6, 3, 2) and contraction vectors m
+    (A, 6, 3, 2), qubit j's two roots at 2j and 2j + 1.
     """
-    dus = np.zeros((len(x), 3, 2, 2), dtype=complex)
-    dus[:, :, 0, 0] = -0.5 * np.sin(0.5 * x[:, 0::2])
-    dus[:, :, 0, 1] = 0.5 * np.exp(1j * x[:, 1::2]) * us[..., 0]
-    dus[:, :, 1, 1] = 1j * us[..., 1]
-    return dus.reshape(len(x), 6, 2)
+    psi3 = np.asarray(psi, dtype=complex).reshape(2, 2, 2)
+    kets = np.repeat(np.asarray(us, dtype=complex)[:, None], 6, axis=1)
+    ms = np.empty_like(kets)
+    p5 = np.empty(kets.shape[:2])
+    for j, (k, l) in enumerate(ORACLE_OTHERS):
+        t = np.moveaxis(psi3, j, 0)
+        mk = np.einsum("xyz,az->axy", t, np.conj(us[:, l]))
+        ml = np.einsum("xyz,ay->axz", t, np.conj(us[:, k]))
+        mj = np.einsum("axy,ay->ax", mk, np.conj(us[:, k]))
+        f = np.einsum("ax,xyz,awy,avz->awv", np.conj(mj), t, np.conj(mk), np.conj(ml))
+        c0, c1, c2 = f[:, 0, 0], f[:, 0, 1] + f[:, 1, 0], f[:, 1, 1]
+        swap = np.abs(c0) < np.abs(c2)
+        a, c = np.where(swap, c2, c0), np.where(swap, c0, c2)
+        s = np.sqrt(c1 * c1 - 4.0 * a * c)
+        far = np.where(np.abs(c1 + s) >= np.abs(c1 - s), -(c1 + s), s - c1)  # 2 a t
+        # homogeneous (t, 1) of the far root t = far / 2a and the near root 2c / far
+        roots = np.stack([np.stack([far, 2.0 * a], -1), np.stack([2.0 * c, far], -1)], 1)
+        double_zero = (far == 0)[:, None]
+        roots[:, 1] = np.where(double_zero, roots[:, 0], roots[:, 1])
+        roots = np.where(swap[:, None, None], roots[..., ::-1], roots)
+        roots = np.where((a == 0)[:, None, None], np.eye(2), roots)
+        roots /= np.linalg.norm(roots, axis=-1, keepdims=True)
+        rows = slice(2 * j, 2 * j + 2)
+        kets[:, rows, j] = roots
+        ms[:, rows, j] = mj[:, None]
+        ms[:, rows, k] = np.einsum("arx,axy->ary", np.conj(roots), mk)
+        ms[:, rows, l] = np.einsum("arx,axz->arz", np.conj(roots), ml)
+        p5[:, rows] = np.abs(np.einsum("arx,ax->ar", np.conj(roots), mj)) ** 2
+    return p5, kets, ms
 
 
-def reference_derived_d_directions(psi3, bras):
-    """Contraction vectors m (..., 3, 2) of psi with ``bras`` (..., 3, 2).
+def one_batch_search(psi, attempts=40, seed=0, zero_tol=ZERO_TOL):
+    """The closed-form search with every attempt's candidates in one batch.
 
-    m[..., j, :] contracts psi with the bras of the two other qubits;
-    ``bras = conj(u)`` gives m1[a] = sum_{b,c} conj(u2[b] u3[c]) psi[a,b,c]
-    and cyclically.  Choosing D_j+ = perp(m_j) zeroes the three mixed
-    conditions exactly.  Only elementwise arithmetic is used, so each
-    leading index is computed on its own.
-    """
-    b = bras[..., None]
-    t = psi3[:, :, 0] * b[..., 2, 0, :, None] + psi3[:, :, 1] * b[..., 2, 1, :, None]
-    s = psi3[0] * b[..., 0, 0, :, None] + psi3[1] * b[..., 0, 1, :, None]
-    m = np.empty(bras.shape, dtype=complex)
-    m[..., 0, :] = t[..., 0] * b[..., 1, 0, :] + t[..., 1] * b[..., 1, 1, :]
-    m[..., 1, :] = t[..., 0, :] * b[..., 0, 0, :] + t[..., 1, :] * b[..., 0, 1, :]
-    m[..., 2, :] = s[..., 0, :] * b[..., 1, 0, :] + s[..., 1, :] * b[..., 1, 1, :]
-    return m
-
-
-#: qubit j's contraction vector does not depend on qubit j's own angles;
-#: row i is angle i = (theta_j, phi_j) for j = i // 2
-REFERENCE_OWN_QUBIT = np.repeat(np.eye(3, dtype=bool), 2, axis=0)
-
-
-def reference_residual(psi3, x, jacobian=False):
-    """The remaining condition r = <m1_hat m2_hat m3_hat|psi> per attempt.
-
-    Returns (us, m, r, ok) and, with ``jacobian``, the complex derivatives
-    dr/dx (A, 6) as well.  ``ok`` is False where a contraction vector
-    vanishes; r is then meaningless.  With m_hat = m / |m| and g_j the
-    contraction of psi with conj(m_hat) of the other two qubits,
-    r = <m_hat_j|g_j> for every j, and a change dm_j moves r by
-    (<dm_j|g_j> - Re<m_hat_j|dm_j> r) / |m_j|.
-    """
-    us = kets_from_angles(x.reshape(-1, 3, 2))
-    m = reference_derived_d_directions(psi3, np.conj(us))
-    n = np.sqrt((m.real**2 + m.imag**2).sum(axis=-1))
-    ok = (n > VANISHING_NORM).all(axis=-1)
-    n = np.where(ok[:, None], n, 1.0)
-    mh = m / n[..., None]
-    g = reference_derived_d_directions(psi3, np.conj(mh))
-    r = (np.conj(mh[:, 0]) * g[:, 0]).sum(axis=-1)
-    if not jacobian:
-        return us, m, r, ok
-    dus = reference_u_derivatives(x, us)
-    # bras with qubit i // 2 swapped for the derivative of its U+ ket
-    bras = np.where(
-        REFERENCE_OWN_QUBIT[..., None], np.conj(dus)[:, :, None], np.conj(us)[:, None]
-    )
-    dm = np.where(REFERENCE_OWN_QUBIT[..., None], 0.0, reference_derived_d_directions(psi3, bras))
-    moved = (np.conj(dm) * g[:, None]).sum(axis=-1)
-    along = (np.conj(mh[:, None]) * dm).sum(axis=-1).real
-    dr = ((moved - along * r[:, None, None]) / n[:, None]).sum(axis=-1)
-    return us, m, r, ok, dr
-
-
-def reference_gauss_newton_step(r, dr):
-    """Minimum-norm solution dx of J dx = -(Re r, Im r) per attempt.
-
-    J is the 2x6 real Jacobian (Re dr, Im dr).  Returns (dx, singular).
-    """
-    jr, ji = dr.real, dr.imag
-    a, b, c = (jr * jr).sum(axis=-1), (jr * ji).sum(axis=-1), (ji * ji).sum(axis=-1)
-    det = a * c - b * b
-    singular = ~(det > SINGULAR_TOL * (a + c) ** 2)
-    det = np.where(singular, 1.0, det)
-    y0 = (c * r.real - b * r.imag) / det
-    y1 = (a * r.imag - b * r.real) / det
-    return -(jr * y0[:, None] + ji * y1[:, None]), singular
-
-
-#: step lengths tried in one batched residual evaluation of the oracle
-REFERENCE_HALVINGS_AT_ONCE = 4
-
-
-def reference_backtrack(psi3, x, f, dx):
-    """Armijo backtracking from each row of ``x`` along ``dx``.
-
-    Takes the first t of 1, 1/2, ... (MAX_HALVINGS values,
-    REFERENCE_HALVINGS_AT_ONCE per residual evaluation) with
-    |r(x + t dx)|^2 <= (1 - 2 ARMIJO t) f.
-    Returns the new rows and which rows found such a t; the rest stalled.
-    """
-    new = x.copy()
-    pending = np.arange(len(x))
-    for first in range(0, MAX_HALVINGS, REFERENCE_HALVINGS_AT_ONCE):
-        t = 0.5 ** np.arange(first, first + REFERENCE_HALVINGS_AT_ONCE)
-        trial = x[pending, None] + t[:, None] * dx[pending, None]
-        _, _, r, ok = reference_residual(psi3, trial.reshape(-1, 6))
-        f_trial = (r.real**2 + r.imag**2).reshape(len(pending), REFERENCE_HALVINGS_AT_ONCE)
-        good = ok.reshape(f_trial.shape) & (
-            f_trial <= (1.0 - 2.0 * ARMIJO * t) * f[pending, None]
-        )
-        found = good.any(axis=1)
-        new[pending[found]] = trial[found, good[found].argmax(axis=1)]
-        pending = pending[~found]
-        if pending.size == 0:
-            break
-    moved = np.ones(len(x), dtype=bool)
-    moved[pending] = False
-    return new, moved
-
-
-def reference_accepted_settings(vec, us, m, zero_tol):
-    """Settings of one converged attempt if they pass the window and verify_hardy."""
-    try:
-        settings = settings_from_plus_kets(np.stack([us, perp_qubit(m)], axis=1))
-    except (WindowViolationError, NormalizationError):
-        return None
-    return settings if verify_hardy(vec, settings, zero_tol).satisfied else None
-
-
-def one_batch_search(psi, attempts=40, seed=0, zero_tol=ZERO_TOL, maxiter=800):
-    """The search with every attempt in one numpy array, as an oracle.
-
-    Draws all starts up front and iterates them together with frozen copies
-    of the search's Gauss-Newton pieces, which evaluate every accepted
-    point a second time for its Jacobian; the first accepted attempt in
-    seeded order wins.  Returns the winning settings, else None.
+    Draws all starts up front and takes their candidates from
+    ``einsum_candidates``.  Each attempt, in seeded order, verifies its
+    candidates with every |m_i| > VANISHING_NORM, largest P5 first (the
+    first of those that tie up to CANDIDATE_RTOL first), with the
+    numpy settings oracle and the kron probability oracle.  Returns the
+    first satisfied candidate's settings (or None) and the failure reasons
+    of the attempts before it, named as the search names them.
     """
     vec = linalg.ket(psi)
-    psi3 = vec.reshape(2, 2, 2)
-    x = np.array(
-        [
-            random_angles(np.random.default_rng(c), 3)
-            for c in np.random.SeedSequence(seed).spawn(attempts)
-        ]
-    ).reshape(-1, 6)
-    active = np.arange(len(x))
-    winner = None
-    for iteration in range(maxiter + 1):
-        us, m, r, ok, dr = reference_residual(psi3, x[active], jacobian=True)
-        f = r.real**2 + r.imag**2
-        done = ok & (f <= 0.1 * zero_tol)
-        for k in np.flatnonzero(done):
-            settings = reference_accepted_settings(vec, us[k], m[k], zero_tol)
-            if settings is not None:
-                winner = (int(active[k]), settings)
-                break
-        dx, singular = reference_gauss_newton_step(r, dr)
-        keep = ok & ~done & ~singular & (active < (len(x) if winner is None else winner[0]))
-        if iteration == maxiter or not keep.any():
-            break
-        active = active[keep]
-        x[active], moved = reference_backtrack(psi3, x[active], f[keep], dx[keep])
-        active = active[moved]
-    return None if winner is None else winner[1]
+    angles = [
+        random_angles(np.random.default_rng(c), 3)
+        for c in np.random.SeedSequence(seed).spawn(attempts)
+    ]
+    p5, kets, ms = einsum_candidates(vec, kets_from_angles(np.reshape(angles, (-1, 3, 2))))
+    reasons = []
+    for a in range(attempts):
+        reason = "vanishing_contraction"
+        left = list(range(6))
+        while left:
+            # the first of the candidates left whose P5 ties with the largest
+            top = p5[a, left].max() * (1.0 - CANDIDATE_RTOL)
+            i = next(i for i in left if p5[a, i] >= top)
+            left.remove(i)
+            if not (np.linalg.norm(ms[a, i], axis=-1) > VANISHING_NORM).all():
+                continue
+            try:
+                settings = reference_settings(np.stack([kets[a, i], perp_qubit(ms[a, i])], axis=1))
+            except (WindowViolationError, NormalizationError):
+                reason = "outside_window" if reason == "vanishing_contraction" else reason
+                continue
+            probs = oracle_hardy_probabilities(vec, settings)
+            if max(probs[:4]) <= zero_tol < probs[4]:
+                return settings, reasons
+            reason = "unverified"
+        reasons.append(reason)
+    return None, reasons
 
 
 def noisy_bell_value(psi, visibility, settings):
