@@ -6,9 +6,9 @@ optimized values next to the reference numbers for this inequality
 (GHZ: -0.175459 / 0.68125, W: -0.192608 / 0.6606676).  With ``--seeds N`` it
 runs seeds ``seed .. seed + N - 1`` and prints, per seed and summed, how many
 starts reached the best value, how many batched see-saw sweeps it took
-(iterations of the one loop in which every start runs its descent, hops and
-polish, ``OptimizationResult.sweeps``), the wall time and the wall time per
-sweep.
+(``OptimizationResult.sweeps``: the iterations of the three batched
+descents, every start's first descent, all starts' hops side by side and
+the polish), the wall time and the wall time per sweep.
 """
 
 import argparse

@@ -16,11 +16,11 @@ sigma_lam|psi> (sigma_0 = I), built once per call.  It is affine in each
 party's two vectors, and P(D-) = I - P(D+), so with two parties fixed the
 best U and D of the third are -h/|h| for two vectors h read off T.  Each
 seeded start escapes local minima by seeded basin hops: random rotations
-of its vectors, each kept only when the re-descent ends lower.  All starts
-sweep together as one array, each at its own stage: a start whose descent
-ends moves on to its next hop or its polish at once, so no start waits for
-the slowest descent of another.  The winner's vectors become plus-kets
-only for the reported settings.
+of its first descent's vectors, each kept only when its re-descent ends
+lower.  The hops do not depend on each other, so all starts' hops descend
+side by side as one batch, and a run is three batched descents: the first
+descents, the hops and the polish of each start's best.  The winner's
+vectors become plus-kets only for the reported settings.
 
 Plain sweeps converge linearly, and slowly near the optimum, so each
 descent is a safeguarded Anderson acceleration (Walker & Ni, SIAM J.
@@ -37,6 +37,7 @@ party one gather, one product, two small matmuls and one normalization.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ DESCENT_MAXITER = 4000
 #: basin hops per start after its first descent
 HOPS = 4
 #: rotation angle (radians) of the random kick applied to each Bloch vector in
-#: a hop; on W at 8 starts, seeds 0-29, 1.5 rad brings 170 of 240 starts to the
-#: global minimum and 1.0 rad 128, in 6,519 and 6,813 batched sweeps
+#: a hop; on W at 8 starts, seeds 0-29, 1.5 rad brings 166 of 240 starts to the
+#: global minimum and 1.0 rad 122, in 4,922 and 5,020 batched sweeps
 KICK_ANGLE = 1.5
 #: stopping tolerance of the descents before the final polish to ``tol``
 LOOSE_TOL = 1e-6
@@ -75,8 +76,9 @@ LOOSE_TOL = 1e-6
 #: (181, 174 and 164 starts) and 3,371, 3,009 and 3,191 on GHZ; extrapolating
 #: from the second sweep on takes 10,182 on W but 4,056 on GHZ, more than
 #: plain sweeps.  With every start at its own stage, depth 5 at onset 1e-4
-#: takes 7,073 on W and 2,626 on GHZ, with the same starts at the minimum;
-#: on Bloch vectors it takes 6,519 and 2,401 (170 and all 240 starts).
+#: took 7,073 on W and 2,626 on GHZ, and 6,519 and 2,401 on Bloch vectors
+#: (170 and all 240 starts); with every start's hops in one batch it takes
+#: 4,922 and 1,151 (166 and all 240 starts).
 ANDERSON_DEPTH = 5
 ANDERSON_ONSET = 1e-4
 #: starts whose final B is this close to the best count as reaching it
@@ -117,7 +119,7 @@ class OptimizationResult:
     seed: int
     #: final B of every start, in start order
     start_values: tuple[float, ...]
-    #: batched sweeps of the one loop that runs every start's descents
+    #: batched sweeps of the three batched descents (first, hops, polish), summed
     sweeps: int
 
     @property
@@ -222,48 +224,28 @@ def _kicks(axes: np.ndarray) -> np.ndarray:
     return c * np.eye(3) + s * cross + (1.0 - c) * n[..., :, None] * n[..., None, :]
 
 
-def _see_saw(tensors, vecs, axes, tol, maxiter):
-    """Run every start through its descents, hops and polish in one batch.
+def _descend(tensors, vecs, stop, maxiter):
+    """Sweep each start until a plain sweep lowers its B by at most ``stop``.
 
-    A descent sweeps a start until a plain sweep lowers its B by at most
-    its stopping tolerance, or for ``maxiter`` sweeps.  The sweeps are a
-    safeguarded Anderson iteration (Walker & Ni, SIAM J. Numer. Anal. 49,
-    1715, 2011) on the sweep map, which sends a start's Bloch vectors,
-    viewed as 18 reals, to the vectors after one ``_sweep``.  Once a plain
-    sweep of a start gains less than ANDERSON_ONSET, its inputs are
-    extrapolated from its last ANDERSON_DEPTH iterates.  An extrapolated
+    A safeguarded Anderson iteration on the sweep map, which sends a start's
+    Bloch vectors, viewed as 18 reals, to the vectors after one ``_sweep``:
+    once a plain sweep of a start gains less than ANDERSON_ONSET, its inputs
+    are extrapolated from its last ANDERSON_DEPTH iterates.  An extrapolated
     input is kept only if the sweep from it lowers B; otherwise the start
     goes back to its last kept vectors and value, forgets its history and
-    sweeps plainly.  A sweep from an extrapolated input never stops a
-    start, and one that gains at most the tolerance is followed by a plain
-    sweep, so a descent always ends on a plain sweep's gain.
+    sweeps plainly.  A descent ends on a plain sweep or after ``maxiter``
+    batched sweeps.  The loop's state holds only the starts still running.
 
-    Each start descends from ``vecs`` to LOOSE_TOL, then takes HOPS basin
-    hops: hop h (from 0) rotates the start's best vectors by KICK_ANGLE
-    about the axes ``axes[:, h]`` (S, HOPS, 3, 2, 3) and descends to
-    LOOSE_TOL, and its vectors are kept only if it ends lower.  The best
-    vectors are then polished to ``tol``.  A start moves to its next stage
-    as soon as its descent ends, while the others keep sweeping, and its
-    Anderson state restarts.  The loop's state holds only the starts still
-    running, in start order; a start leaves it when its polish ends.
-
-    Returns the polished vectors, their B and the last plain sweep's
-    improvement per start, and the number of batched sweeps run.
+    Returns the vectors, their B and the last plain sweep's gain per start,
+    and the number of batched sweeps run.
     """
     count = len(vecs)
-    kicks = _kicks(axes)
     final_vecs = np.empty_like(vecs)
     final_value = np.empty(count)
     final_gain = np.empty(count)
 
     ids = np.arange(count)  # start index of each running start
-    stage = np.zeros(count, int)  # 0 first descent, 1..HOPS hops, HOPS + 1 polish
-    stop = np.full(count, LOOSE_TOL)
-    deadline = np.full(count, maxiter)  # batched sweep at which the descent is capped
-    best_vecs = np.empty_like(vecs)
-    best_value = np.full(count, np.inf)
-    vecs = vecs.copy()  # last kept sweep output of the current descent
-    inputs = vecs.copy()  # next sweep input
+    inputs = vecs  # next sweep input; ``vecs`` is the last kept sweep output
     value = np.full(count, np.inf)
     gain = np.full(count, np.inf)  # last plain sweep's
     onset = np.zeros(count, bool)
@@ -288,7 +270,7 @@ def _see_saw(tensors, vecs, axes, tol, maxiter):
         depth = np.where(kept, np.minimum(depth + 1, ANDERSON_DEPTH), 0)
 
         slow = lowered > stop
-        going = (extrapolated | slow) & (deadline > sweeps)
+        going = (extrapolated | slow) & (sweeps < maxiter)
         inputs = vecs.copy()
         # a rejected start has depth 0; one whose sweep gained at most its
         # tolerance sweeps plainly
@@ -297,34 +279,39 @@ def _see_saw(tensors, vecs, axes, tol, maxiter):
             inputs[extrapolated] = _extrapolate(hist[extrapolated], depth[extrapolated])
         if going.all():
             continue
-        ended = np.flatnonzero(~going)
-        # the first descent sets a start's best; a hop replaces it only if lower
-        lower = ended[value[ended] < best_value[ended]]
-        best_vecs[lower], best_value[lower] = vecs[lower], value[lower]
-        stage[ended] += 1
-        hop = ended[stage[ended] <= HOPS]
-        inputs[hop] = (kicks[ids[hop], stage[hop] - 1] @ best_vecs[hop, ..., None])[..., 0]
-        polish = ended[stage[ended] == HOPS + 1]
-        inputs[polish] = best_vecs[polish]
-        stop[polish] = tol
-        begun = ended[stage[ended] <= HOPS + 1]
-        value[begun] = np.inf
-        onset[begun] = False
-        depth[begun] = 0
-        deadline[begun] = sweeps + maxiter
-        done = stage > HOPS + 1
-        if done.any():
-            final_vecs[ids[done]] = vecs[done]
-            final_value[ids[done]] = value[done]
-            final_gain[ids[done]] = gain[done]
-            run = ~done
-            ids, stage, stop, deadline, best_vecs, best_value = (
-                a[run] for a in (ids, stage, stop, deadline, best_vecs, best_value)
-            )
-            vecs, inputs, value, gain, onset, extrapolated, depth, hist = (
-                a[run] for a in (vecs, inputs, value, gain, onset, extrapolated, depth, hist)
-            )
+        done = ~going
+        final_vecs[ids[done]] = vecs[done]
+        final_value[ids[done]] = value[done]
+        final_gain[ids[done]] = gain[done]
+        ids, vecs, inputs, value, gain, onset, extrapolated, depth, hist = (
+            a[going] for a in (ids, vecs, inputs, value, gain, onset, extrapolated, depth, hist)
+        )
     return final_vecs, final_value, final_gain, sweeps
+
+
+def _see_saw(tensors, vecs, axes, tol, maxiter):
+    """Run every start's first descent, hops and polish as three batched descents.
+
+    The first descents and the hops stop at LOOSE_TOL.  All HOPS hops of all
+    starts run as one batch, start-major: hop h (from 0) rotates a start's
+    first-descent vectors about the axes ``axes[:, h]`` (S, HOPS, 3, 2, 3).
+    A start's best is its first descent's result unless a hop ends strictly
+    lower, hops compared in hop order, and the best is polished to ``tol``.
+    Returns ``_descend``'s result for the polish, with the sweeps of all
+    three descents.
+    """
+    count = len(vecs)
+    first, value, _, sweeps = _descend(tensors, vecs, LOOSE_TOL, maxiter)
+    kicked = (_kicks(axes) @ first[:, None, ..., None])[..., 0]
+    hopped, hopped_value, _, hop_sweeps = _descend(
+        tensors, kicked.reshape(-1, 3, 2, 3), LOOSE_TOL, maxiter
+    )
+    # the first of the lowest values: the first descent, then hops in order
+    tried = np.concatenate([first[:, None], hopped.reshape(count, HOPS, 3, 2, 3)], axis=1)
+    values = np.concatenate([value[:, None], hopped_value.reshape(count, HOPS)], axis=1)
+    best = tried[np.arange(count), values.argmin(axis=1)]
+    vecs, value, gain, polish_sweeps = _descend(tensors, best, tol, maxiter)
+    return vecs, value, gain, sweeps + hop_sweeps + polish_sweeps
 
 
 def _plus_kets(vecs: np.ndarray) -> np.ndarray:
@@ -380,18 +367,20 @@ def minimize_bell(
     Start ``i`` draws the Bloch angles of its first settings and then the
     axes of its HOPS hop rotations from the generator of child ``i`` of
     ``SeedSequence(seed)``.
-    Every start descends to LOOSE_TOL, takes HOPS basin hops (a hop is kept
-    only when it ends lower), and is polished until a plain sweep improves
-    B by at most ``tol`` (see ``_see_saw``); DESCENT_MAXITER caps the
-    sweeps of each of a start's descents.  The first start with the lowest
+    Every start descends to LOOSE_TOL, takes HOPS basin hops from its first
+    descent's vectors (a hop is kept only when it ends lower), and is
+    polished until a plain sweep improves B by at most ``tol`` (see
+    ``_see_saw``); DESCENT_MAXITER caps the sweeps of each of the three
+    batched descents.  ``starts`` must be an integer (not a bool) of at
+    least 1.  The first start with the lowest
     B wins, so the outcome is deterministic for fixed (starts, seed), and
     a start's result does not depend on how many run beside it.  The
     winner's Bloch vectors become plus-kets, which are moved inside the
     non-commutation window if they commute, and ``best_value`` is B at the
     reported settings.
     """
-    if not starts >= 1:
-        raise ValueError(f"starts must be at least 1, got {starts!r}")
+    if isinstance(starts, bool) or not isinstance(starts, numbers.Integral) or starts < 1:
+        raise ValueError(f"starts must be an integer of at least 1, got {starts!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     vec = linalg.ket(psi)

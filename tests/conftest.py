@@ -956,20 +956,23 @@ def staged_minimize_bell(psi, starts=64, seed=0, tol=1e-10, maxiter=4000):
 
     Every start's first descent, each of its HOPS hops and its polish run as
     six ``staged_descend`` calls over all starts, each until its slowest
-    start is done.  Per start this is the same iteration as the package's
-    one pipelined loop, so the results must match bit for bit; only
-    ``sweeps`` differs.  The correlation tensor and the conversions between
-    angles, Bloch vectors and kets are the package's own.
+    start is done.  Every hop kicks the first descent's vectors, and a hop
+    replaces a start's best only when it ends strictly lower, in hop order.
+    Per start this is the same iteration as the package's three batched
+    descents, so the results must match bit for bit; only ``sweeps``
+    differs.  The correlation tensor and the conversions between angles,
+    Bloch vectors and kets are the package's own.
     """
     vec = linalg.ket(psi)
     tensors = visibility._party_tensors(vec.reshape(2, 2, 2))
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(int(starts))]
     angles = np.stack([random_angles(rng, 6) for rng in rngs])
     vecs = visibility._bloch_vectors(angles).reshape(-1, 3, 2, 3)
-    vecs, value, _, sweeps = staged_descend(tensors, vecs, visibility.LOOSE_TOL, maxiter)
+    first, value, _, sweeps = staged_descend(tensors, vecs, visibility.LOOSE_TOL, maxiter)
+    vecs = first.copy()
     for _ in range(visibility.HOPS):
         hopped, hopped_value, _, hop_sweeps = staged_descend(
-            tensors, staged_kick(vecs, rngs), visibility.LOOSE_TOL, maxiter
+            tensors, staged_kick(first, rngs), visibility.LOOSE_TOL, maxiter
         )
         lower = hopped_value < value
         vecs[lower], value[lower] = hopped[lower], hopped_value[lower]

@@ -17,7 +17,9 @@ from hardy3q.visibility import (
     KICK_ANGLE,
     minimize_bell,
     threshold_visibility,
+    LOOSE_TOL,
     _bloch_vectors,
+    _descend,
     _extrapolate,
     _kicks,
     _party_tensors,
@@ -181,7 +183,8 @@ class TestMinimizeBell:
     def test_sweep_counts(self):
         # the plain see-saw needed 765 (W) and 119 (GHZ) batched sweeps here,
         # and Anderson descents run as staged batches 292 and 96; pipelined,
-        # they take 176 and 77 on Bloch vectors (171 and 85 on kets)
+        # they took 176 and 77 on Bloch vectors (171 and 85 on kets); with all
+        # hops in one batch the three batched descents take 152 and 36
         assert minimize_bell(w_ket(), starts=8, seed=0).sweeps <= 180
         assert minimize_bell(GHZ.to_ket(), starts=8, seed=0).sweeps <= 90
 
@@ -194,11 +197,19 @@ class TestMinimizeBell:
             {"tol": -1.0},
             {"tol": float("nan")},
             {"tol": float("inf")},
+            {"starts": 2.5},
+            {"starts": True},
         ],
     )
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             minimize_bell(GHZ.to_ket(), **kwargs)
+
+    def test_accepts_numpy_integer_starts(self):
+        got = minimize_bell(GHZ.to_ket(), starts=np.int64(3), seed=2)
+        want = minimize_bell(GHZ.to_ket(), starts=3, seed=2)
+        assert got.starts == 3
+        assert got.start_values == want.start_values
 
 
 class TestSeeSaw:
@@ -356,8 +367,8 @@ class TestSeeSaw:
         axes = rng.standard_normal((3, HOPS, 3, 2, 3))
         first = _sweep(tensors, vecs)[1]
         out, value, _, sweeps = _see_saw(tensors, vecs, axes, 1e-10, maxiter)
-        # HOPS + 2 descents per start, each of 1 to maxiter sweeps
-        assert HOPS + 2 <= sweeps <= (HOPS + 2) * maxiter
+        # three batched descents, each of 1 to maxiter sweeps
+        assert 3 <= sweeps <= 3 * maxiter
         for s in range(3):
             at_out = oracle_bell_of_kets(psi, kets_of_bloch(out[s]))
             assert value[s] == pytest.approx(at_out, abs=1e-12)
@@ -371,6 +382,78 @@ class TestSeeSaw:
         # all descents together take fewer sweeps than one descent's cap
         assert sweeps < 4000
         assert (gain <= 1e-10).all()
+
+    @pytest.mark.parametrize("maxiter", [1, 3, 20, 4000])
+    @pytest.mark.parametrize("name", ["ghz", "w", "random"])
+    def test_descend_rows_match_one_row_calls(self, name, maxiter):
+        # a batch of 4 * 3 kicked rows, like the hop batch of three starts,
+        # returns each row's one-row result bit for bit
+        rng = np.random.default_rng(maxiter)
+        psi = {"ghz": GHZ.to_ket, "w": w_ket, "random": lambda: random_ket(rng, 8)}[name]()
+        tensors = _party_tensors(psi.reshape(2, 2, 2))
+        axes = rng.standard_normal((3, HOPS, 3, 2, 3))
+        kicked = (_kicks(axes) @ random_vecs(rng, 3)[:, None, ..., None])[..., 0]
+        vecs = kicked.reshape(-1, 3, 2, 3)
+        out, value, gain, sweeps = _descend(tensors, vecs, LOOSE_TOL, maxiter)
+        alone = [_descend(tensors, vecs[r : r + 1], LOOSE_TOL, maxiter) for r in range(len(vecs))]
+        for r, (one_out, one_value, one_gain, _) in enumerate(alone):
+            assert np.array_equal(out[r], one_out[0])
+            assert np.array_equal(value[r], one_value[0])
+            assert np.array_equal(gain[r], one_gain[0])
+        assert sweeps == max(one[3] for one in alone)
+
+    @pytest.mark.parametrize("psi", [GHZ.to_ket(), w_ket()], ids=["ghz", "w"])
+    def test_see_saw_descends_first_then_hops_then_polish(self, psi, monkeypatch):
+        # call 2 kicks call 1's vectors by every hop, start-major; call 3
+        # polishes each start's lowest result of calls 1 and 2
+        calls = []
+
+        def spy(tensors, vecs, stop, maxiter):
+            result = _descend(tensors, vecs, stop, maxiter)
+            calls.append((vecs, stop, result))
+            return result
+
+        monkeypatch.setattr(visibility, "_descend", spy)
+        result = minimize_bell(psi, starts=6, seed=3)
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(6)]
+        for rng in rngs:
+            random_angles(rng, 6)
+        axes = np.stack([rng.standard_normal((HOPS, 3, 2, 3)) for rng in rngs])
+        (_, stop1, (first, first_value, _, s1)), (kicked, stop2, hops), (best, stop3, last) = calls
+        assert (stop1, stop2, stop3) == (LOOSE_TOL, LOOSE_TOL, visibility.POLISH_TOL)
+        want = (_kicks(axes) @ first[:, None, ..., None])[..., 0].reshape(-1, 3, 2, 3)
+        assert np.array_equal(kicked, want)
+        hopped, hopped_value = hops[0].reshape(6, HOPS, 3, 2, 3), hops[1].reshape(6, HOPS)
+        for i in range(6):
+            want_vecs, want_value = first[i], first_value[i]
+            for h in range(HOPS):
+                if hopped_value[i, h] < want_value:
+                    want_vecs, want_value = hopped[i, h], hopped_value[i, h]
+            assert np.array_equal(best[i], want_vecs)
+        assert result.start_values == tuple(last[1])
+        assert result.sweeps == s1 + hops[3] + last[3]
+
+    def test_see_saw_keeps_the_first_of_equal_results(self, monkeypatch):
+        # ties between the first descent and its hops, and between hops, go
+        # to the earlier result: the first descent, then hops in hop order
+        calls = []
+
+        def fake(tensors, vecs, stop, maxiter):
+            calls.append(vecs)
+            value = np.zeros(len(vecs))
+            if len(calls) == 2:  # the hop batch, start-major
+                value = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, -1.0]]).ravel()
+            return vecs, value, np.zeros(len(vecs)), 1
+
+        monkeypatch.setattr(visibility, "_descend", fake)
+        tensors = _party_tensors(w_ket().reshape(2, 2, 2))
+        rng = np.random.default_rng(8)
+        vecs, axes = random_vecs(rng, 2), rng.standard_normal((2, HOPS, 3, 2, 3))
+        _see_saw(tensors, vecs, axes, 1e-10, 10)
+        first, kicked, best = calls
+        kicked = kicked.reshape(2, HOPS, 3, 2, 3)
+        assert np.array_equal(best[0], first[0])
+        assert np.array_equal(best[1], kicked[1, 1])
 
     def test_hop_axes_match_per_hop_normal_draws(self, monkeypatch):
         # start i draws its angles, then HOPS axis sets in hop order, from child i
@@ -420,8 +503,9 @@ class TestQualityGates:
     def test_thirty_seeds_at_eight_starts(self, name, psi, min_at_best, max_sweeps):
         # the see-saw's quality gates, which scripts/reproduce_thresholds.py
         # --starts 8 --seeds 30 prints: starts at the best value (GHZ all 240)
-        # and batched sweeps, summed over seeds 0-29; the Bloch see-saw reads
-        # 240 and 2,401 on GHZ, 170 and 6,519 on W
+        # and batched sweeps, summed over seeds 0-29; the pipelined Bloch
+        # see-saw read 240 and 2,401 on GHZ, 170 and 6,519 on W, and the three
+        # batched descents read 240 and 1,151 on GHZ, 166 and 4,922 on W
         results = [minimize_bell(psi, starts=8, seed=seed) for seed in range(30)]
         assert sum(r.starts_at_best for r in results) >= min_at_best
         assert sum(r.sweeps for r in results) <= max_sweeps
@@ -439,8 +523,8 @@ class TestStagedOracle:
     @pytest.mark.parametrize("starts", [1, 3, 8, 64])
     @pytest.mark.parametrize("name", STAGED_STATES)
     def test_matches_staged_batches_bit_for_bit(self, name, starts, monkeypatch):
-        # one pipelined loop runs each start's descents exactly as the staged
-        # batches did; small caps cut descents at every stage
+        # the three batched descents run each start's descents exactly as
+        # the staged batches do; small caps cut descents at every stage
         psi = STAGED_STATES[name]()
         for seed, maxiter in enumerate([1, 2, 3, 7, 20, 60, 4000]):
             monkeypatch.setattr(visibility, "DESCENT_MAXITER", maxiter)
