@@ -1,6 +1,7 @@
 """Command-line interface: state files in, JSON reports out.
 
-State files are UTF-8 JSON with exactly one of two forms::
+State files are UTF-8 JSON with exactly one of two forms, every value in
+``lambda``, ``phi`` and ``amplitudes`` a JSON number (int or float, not bool)::
 
     {"lambda": [l0, l1, l2, l3, l4], "phi": 0.0, "label": "optional"}
     {"amplitudes": [[re, im], ...8 pairs...], "label": "optional"}
@@ -113,6 +114,16 @@ def _default_seed() -> int:
         raise CliError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}", EXIT_PARSE) from None
 
 
+def _json_numbers(values: list, what: str) -> list[float]:
+    """JSON numbers (int or float, never bool) as floats; anything else exits 2."""
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
+        raise CliError(f"{what} must be JSON numbers", EXIT_PARSE)
+    try:
+        return [float(x) for x in values]
+    except OverflowError as exc:
+        raise CliError(f"{what} out of range: {exc}", EXIT_PARSE) from exc
+
+
 def load_state_spec(path: str, normalize: bool = False) -> StateSpec:
     """Read and validate a state file ('-' reads stdin)."""
     try:
@@ -144,25 +155,24 @@ def load_state_spec(path: str, normalize: bool = False) -> StateSpec:
     factor: float | None = None
     if has_canonical:
         lams = raw["lambda"]
-        phi = raw.get("phi", 0.0)
         if not isinstance(lams, list) or len(lams) != 5:
             raise CliError("'lambda' must be a list of five numbers", EXIT_PARSE)
+        *lams, phi = _json_numbers([*lams, raw.get("phi", 0.0)], "'lambda' and 'phi'")
         try:
             if normalize:
-                state, factor = normalized_canonical([float(x) for x in lams], float(phi))
+                state, factor = normalized_canonical(lams, phi)
             else:
-                state = CanonicalState(tuple(float(x) for x in lams), float(phi))
-        except (TypeError, ValueError, OverflowError, Hardy3QError) as exc:
+                state = CanonicalState(tuple(lams), phi)
+        except (ValueError, Hardy3QError) as exc:
             raise CliError(f"invalid canonical parameters: {exc}", EXIT_PARSE) from exc
         return StateSpec(raw, state, state.to_ket(), label, factor)
 
     amps = raw["amplitudes"]
-    if not isinstance(amps, list) or len(amps) != 8:
+    pairs = isinstance(amps, list) and all(isinstance(p, list) and len(p) == 2 for p in amps)
+    if not pairs or len(amps) != 8:
         raise CliError("'amplitudes' must be a list of eight [re, im] pairs", EXIT_PARSE)
-    try:
-        vec = np.array([complex(float(p[0]), float(p[1])) for p in amps])
-    except (TypeError, ValueError, LookupError, OverflowError) as exc:
-        raise CliError(f"invalid amplitude entry: {exc}", EXIT_PARSE) from exc
+    parts = _json_numbers([x for p in amps for x in p], "amplitude entries")
+    vec = np.array([complex(re, im) for re, im in zip(parts[::2], parts[1::2])])
     if not np.isfinite(vec).all():
         raise CliError("amplitude entries must be finite numbers", EXIT_PARSE)
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below

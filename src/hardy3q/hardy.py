@@ -16,12 +16,16 @@ the Schmidt bases of the pair.  Maximally entangled pairs (class C) cannot
 satisfy the conditions, but a fixed settings choice still certifies a
 negative Bell value.  Fully product states (class A) admit no witness.
 
-The B and C recipes are closed forms in Python complex arithmetic, like the
-D rows.  In the canonical form the product qubit is already a basis state,
-so the pair state is the half of the ket that basis state selects; the
-pair's Schmidt bases come from ``linalg.schmidt_decompose``.  Their kets
-agree with the former numpy path (``tensordot``, ``eigh``) to about 1e-15
-and no witness decision changes (the tests keep that path as their oracle).
+The D rows are plain arithmetic on the canonical amplitudes and e^{i phi},
+homogeneous in the amplitudes, so one code path runs on floats here and on
+exact symbols in the tests; D.8, D.12 and D.13 take the roots of a binary
+quadratic form from ``_binary_roots``, the search's solver.  The B and C
+recipes are closed forms in Python complex arithmetic.  In the canonical
+form the product qubit is already a basis state, so the pair state is the
+half of the ket that basis state selects; the pair's Schmidt bases come
+from ``linalg.schmidt_decompose``.  Their kets agree with the former numpy
+path (``tensordot``, ``eigh``) to about 1e-15 and no witness decision
+changes (the tests keep that path as their oracle).
 
 ``build_witness`` runs every class through one pipeline: each recipe
 candidate is self-validated against the actual joint probabilities, and
@@ -140,23 +144,39 @@ class WitnessConstruction:
 # class D: explicit coefficient recipes
 # ---------------------------------------------------------------------------
 
-def _quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
-    """Both complex roots of a z^2 + b z + c = 0, +sqrt branch first."""
-    disc = cmath.sqrt(b * b - 4.0 * a * c)
-    return (-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)
+def _binary_roots(c0: complex, c1: complex, c2: complex) -> list[tuple[complex, complex]]:
+    """The roots (x, y) of c0 x^2 + c1 x y + c2 y^2 = 0 as unnormalized kets.
+
+    The stable quadratic formula on the larger end coefficient, taken as
+    c0 (x and y swap roles when |c2| > |c0|): the roots are (q, c0) and
+    (c2, q) for q = -(c1 + s) / 2, with the branch of s = sqrt(c1^2 - 4 c0
+    c2) that gives |c1 + s| >= |c1 - s|.  q = 0 only for a double root at
+    x = 0, which is listed once; with c0 = c2 = 0 the roots are (1, 0) and
+    (0, 1).  No division occurs.  The D recipes and the search both take
+    their roots here.
+    """
+    if abs(c0) < abs(c2):
+        return [(y, x) for x, y in _binary_roots(c2, c1, c0)]
+    if c0 == 0:
+        return [(1.0 + 0j, 0j), (0j, 1.0 + 0j)]
+    s = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
+    q = -0.5 * (c1 + s if (c1.conjugate() * s).real >= 0.0 else c1 - s)
+    return [(q, c0), (c2, q)] if q else [(q, c0)]
 
 
-def genuine_candidates(cls: StateClass, state: CanonicalState) -> list[tuple]:
+def genuine_candidates(cls: StateClass, lams, ep) -> list[tuple]:
     """Candidate coefficient rows ((a, b, g, d) per qubit) for a D sub-class.
 
-    A row is the unnormalized plus-kets U+ ~ (a, b) and D+ ~ (g, d).
+    A row is the unnormalized plus-kets U+ ~ (a, b) and D+ ~ (g, d) for the
+    canonical amplitudes ``lams`` and ``ep`` = e^{i phi}.  The rows are
+    plain arithmetic on these, homogeneous in ``lams`` (no normalization
+    identity), so they evaluate on floats and on symbols alike.
 
-    Rows whose recipe involves a quadratic parameter yield one candidate
-    per root, +sqrt branch first.
+    D.8, D.12 and D.13 yield one candidate per root (x, y) of their binary
+    quadratic form, in ``_binary_roots``' order.
     """
-    l0, l1, l2, l3, l4 = state.lams
-    ep = cmath.exp(1j * state.phi)
-    em = cmath.exp(-1j * state.phi)
+    l0, l1, l2, l3, l4 = lams
+    em = ep.conjugate()
     if cls in (StateClass.D1, StateClass.D2, StateClass.D4, StateClass.D5):
         return [
             (
@@ -183,9 +203,9 @@ def genuine_candidates(cls: StateClass, state: CanonicalState) -> list[tuple]:
     if cls is StateClass.D6:
         return [
             (
-                (0.0, 1.0, l1 * em * (l4**2 - l0**2), -l0 * (1.0 - l0**2)),
-                (l3 * (1.0 - l0**2), -l1 * em * (1.0 - l4**2), l3, -l1 * em),
-                (1.0, 0.0, l4 * (1.0 - l4**2), l3 * (l4**2 - l0**2)),
+                (0.0, 1.0, l1 * em * (l4**2 - l0**2), -l0 * (l1**2 + l3**2 + l4**2)),
+                (l3 * (l1**2 + l3**2 + l4**2), -l1 * em * (l0**2 + l1**2 + l3**2), l3, -l1 * em),
+                (1.0, 0.0, l4 * (l0**2 + l1**2 + l3**2), l3 * (l4**2 - l0**2)),
             )
         ]
     if cls is StateClass.D7:
@@ -197,19 +217,18 @@ def genuine_candidates(cls: StateClass, state: CanonicalState) -> list[tuple]:
             )
         ]
     if cls is StateClass.D8:
-        roots = _quadratic_roots(1.0 - l4**2, l4 * (1.0 - l0**2), l4**4)
         return [
             (
-                (0.0, 1.0, l1 * em * (eps_ + l4), -l0 * eps_),
-                (1.0, 1.0, l4, -eps_),
-                (eps_, l1 * em, l4, -l1 * em),
+                (0.0, 1.0, l1 * em * (x + l4 * y), -l0 * x),
+                (1.0, 1.0, l4 * y, -x),
+                (x, l1 * em * y, l4, -l1 * em),
             )
-            for eps_ in roots
+            for x, y in _binary_roots(l0**2 + l1**2, l4 * (l1**2 + l4**2), l4**4)
         ]
     if cls in (StateClass.D9, StateClass.D10):
         return [
             (
-                (l2 * (l2**2 + l4**2) + l4 * (1.0 - l0**2), -l0 * l3 * l4, 1.0, 0.0),
+                (l2 * (l2**2 + l4**2) + l4 * (l2**2 + l3**2 + l4**2), -l0 * l3 * l4, 1.0, 0.0),
                 (1.0, 1.0, l4, -l2),
                 (0.0, 1.0, l3 * l4, l2**2 + l4**2),
             )
@@ -223,26 +242,22 @@ def genuine_candidates(cls: StateClass, state: CanonicalState) -> list[tuple]:
             )
         ]
     if cls is StateClass.D12:
-        roots = _quadratic_roots(l2**4, l2 * l3, l3**4)
         return [
             (
-                (0.0, 1.0, delta * l0 * l2 * l3, l2**3 * delta + l3**3),
-                (1.0, 1.0, l3, -l2 * delta),
-                (1.0, delta, l2, -l3),
+                (0.0, 1.0, x * l0 * l2 * l3, l2**3 * x + l3**3 * y),
+                (1.0, 1.0, l3 * y, -l2 * x),
+                (y, x, l2, -l3),
             )
-            for delta in roots
+            for x, y in _binary_roots(l2**4, l2 * l3 * (l0**2 + l2**2 + l3**2), l3**4)
         ]
     if cls is StateClass.D13:
-        roots = _quadratic_roots(
-            l0**4, l0 * l2 * (l0**2 + l2**2), l2**2 * (l2**2 + l4**2)
-        )
         return [
             (
-                (1.0, 1.0, l2, -l0 * eps_),
-                (1.0, 0.0, l4, -(l0 * eps_ + l2)),
-                (eps_, 1.0, l2, -l0),
+                (1.0, 1.0, l2 * y, -l0 * x),
+                (1.0, 0.0, l4 * y, -(l0 * x + l2 * y)),
+                (x, y, l2, -l0),
             )
-            for eps_ in roots
+            for x, y in _binary_roots(l0**4, l0 * l2 * (l0**2 + l2**2), l2**2 * (l2**2 + l4**2))
         ]
     if cls is StateClass.D14:
         return [
@@ -363,7 +378,7 @@ def _recipe_kets(cls: StateClass, state: CanonicalState, psi: np.ndarray) -> lis
     through the pair's Schmidt bases, C the fixed maximal-pair settings.
     """
     if cls.major == "D":
-        return genuine_candidates(cls, state)
+        return genuine_candidates(cls, state.lams, cmath.exp(1j * state.phi))
     chi, eta = extract_pair_factorization(psi, PRODUCT_QUBIT[cls])
     dec = linalg.schmidt_decompose(eta)
     if cls.major == "C":
@@ -460,25 +475,6 @@ _AXES = tuple(
     )
     for j, (k, l) in enumerate(_OTHERS)
 )
-
-
-def _binary_roots(c0: complex, c1: complex, c2: complex) -> list[tuple[complex, complex]]:
-    """The roots (x, y) of c0 x^2 + c1 x y + c2 y^2 = 0 as unnormalized kets.
-
-    The stable quadratic formula on the larger end coefficient, taken as
-    c0 (x and y swap roles when |c2| > |c0|): the roots are (q, c0) and
-    (c2, q) for q = -(c1 + s) / 2, with the branch of s = sqrt(c1^2 - 4 c0
-    c2) that gives |c1 + s| >= |c1 - s|.  q = 0 only for a double root at
-    x = 0, which is listed once; with c0 = c2 = 0 the roots are (1, 0) and
-    (0, 1).  No division occurs.
-    """
-    if abs(c0) < abs(c2):
-        return [(y, x) for x, y in _binary_roots(c2, c1, c0)]
-    if c0 == 0:
-        return [(1.0 + 0j, 0j), (0j, 1.0 + 0j)]
-    s = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
-    q = -0.5 * (c1 + s if (c1.conjugate() * s).real >= 0.0 else c1 - s)
-    return [(q, c0), (c2, q)] if q else [(q, c0)]
 
 
 def _candidates(p, us, j):

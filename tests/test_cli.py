@@ -75,7 +75,8 @@ def assert_rejected(capsys, argv, code=EXIT_PARSE):
 #: recipe nor the search finds settings with P5 > 1e-9
 FOUND_GHZ = {"lambda": [3e-05, 0, 0, 0, 0.99999999955], "phi": 0.0}
 
-NAN_AMPLITUDES = {"amplitudes": [["NaN", 0.0]] + [[0.0, 0.0]] * 7}
+#: json writes and reads the float NaN as the bare token NaN
+NAN_AMPLITUDES = {"amplitudes": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7}
 
 
 class TestClassify:
@@ -416,10 +417,22 @@ class TestArgumentErrors:
             {"lambda": [10**400, 0, 0, 0, 0]},
             {"amplitudes": [{"re": 1}] * 8},
             {"amplitudes": [[10**400, 0]] * 8},
+            {"lambda": [True, 0, 0, 0, 0]},
+            {"lambda": [1, 0, 0, 0, 0], "phi": "0.0"},
+            {"lambda": [1, 0, 0, 0, 0], "phi": True},
+            {"amplitudes": [[1, 0, 99]] + [[0, 0]] * 7},
+            {"amplitudes": ["10"] + ["00"] * 7},
+            {"amplitudes": [["NaN", 0.0]] + [[0.0, 0.0]] * 7},
         ],
-        ids=["phi-null", "nested-lambda", "huge-lambda", "dict-pair", "huge-amplitude"],
+        ids=[
+            "phi-null", "nested-lambda", "huge-lambda", "dict-pair", "huge-amplitude",
+            "bool-lambda", "string-phi", "bool-phi", "amplitude-triple", "amplitude-strings",
+            "nan-string",
+        ],
     )
     def test_ill_typed_state_values_exit_parse(self, tmp_path, capsys, payload):
+        # only JSON numbers (int or float, never bool) are numbers, and each
+        # amplitude is a list of exactly two
         assert_rejected(capsys, ["optimize", write_state(tmp_path, payload)])
 
     @pytest.mark.parametrize(

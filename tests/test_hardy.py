@@ -1,11 +1,11 @@
 """Tests for witness constructions, verification, and the fallback search."""
 
+import cmath
 import dataclasses
 import importlib.util
 import logging
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,6 +91,35 @@ def retired_d3_row(lams):
         (l1 * tau - l3 * eps_, l3 * tau + l1 * eps_, l3, -l1),
         (l1 + l2, l2 - l1, l2, -l1),
     )
+
+
+def event_amplitudes(sp, lams, ep, rows):
+    """Unnormalized amplitudes of the five canonical events for symbolic ``rows``, report order.
+
+    ``lams`` are the canonical amplitudes and ``ep`` = e^{i phi}, which
+    multiplies l1; ``sp.conjugate`` acts on the rows' entries as on any
+    expression.
+    """
+    l0, l1, l2, l3, l4 = lams
+    psi = {(0, 0, 0): l0, (1, 0, 0): l1 * ep, (1, 0, 1): l2, (1, 1, 0): l3, (1, 1, 1): l4}
+    rows = [[sp.nsimplify(c) for c in row] for row in rows]
+    u = [(a, b) for a, b, _, _ in rows]
+    d = [(g, dl) for _, _, g, dl in rows]
+    d_minus = [(-sp.conjugate(dl), sp.conjugate(g)) for _, _, g, dl in rows]
+
+    def amp(x, y, z):
+        return sum(
+            sp.conjugate(x[a] * y[b] * z[c]) * value
+            for (a, b, c), value in psi.items()
+        )
+
+    return [
+        amp(*d_minus),
+        amp(d[0], u[1], u[2]),
+        amp(u[0], d[1], u[2]),
+        amp(u[0], u[1], d[2]),
+        amp(*u),
+    ]
 
 
 #: deck index 846 of the near-boundary benchmark deck for seed 5001, a D.1
@@ -215,12 +244,13 @@ class TestGenuineConstructions:
         assert built.certificate.satisfied
 
     def test_d12_quadratic_roots_are_real_here(self):
-        # for the W point the defining quadratic z^2 l2^4 + z l2 l3 + l3^4
-        # reduces to z^2 + 3z + 1 = 0; the second-qubit D coefficient is -l2*z
-        cands = genuine_candidates(StateClass.D12, W)
-        deltas = sorted(c[1][3].real / -W.lams[2] for c in cands)
+        # for the W point the defining form l2^4 x^2 + l2 l3 (l0^2 + l2^2 +
+        # l3^2) x y + l3^4 y^2 reduces to z^2 + 3z + 1 = 0 in z = x / y; the
+        # third-qubit U+ is (y, x)
+        cands = genuine_candidates(StateClass.D12, W.lams, 1.0)
+        ratios = sorted((c[2][1] / c[2][0] for c in cands), key=lambda z: z.real)
         roots = sorted(np.roots([1.0, 3.0, 1.0]))
-        assert deltas == pytest.approx(roots, abs=1e-9)
+        assert ratios == pytest.approx(roots, abs=1e-9)
 
     def test_deterministic_for_fixed_seed(self, monkeypatch, caplog):
         # every D recipe validates, so force the seeded fallback search by
@@ -228,7 +258,7 @@ class TestGenuineConstructions:
         monkeypatch.setattr(
             hardy,
             "genuine_candidates",
-            lambda cls, state: [retired_d3_row(state.lams)],
+            lambda cls, lams, ep: [retired_d3_row(lams)],
         )
         state = sample_class(StateClass.D3, np.random.default_rng(5))
         with caplog.at_level(logging.WARNING, logger="hardy3q.hardy"):
@@ -250,38 +280,14 @@ class TestD3Certificate:
         l0, l1, l2, l3 = sp.symbols("l0:4", positive=True)
         return l0, l1, l2, l3, l2 * l3 / l1
 
-    @staticmethod
-    def amplitudes(sp, lams, rows):
-        """Unnormalized amplitudes of the five canonical events, report order."""
-        l0, l1, l2, l3, l4 = lams
-        psi = {(0, 0, 0): l0, (1, 0, 0): l1, (1, 0, 1): l2, (1, 1, 0): l3, (1, 1, 1): l4}
-        rows = [[sp.nsimplify(c) for c in row] for row in rows]
-        u = [(a, b) for a, b, _, _ in rows]
-        d = [(g, dl) for _, _, g, dl in rows]
-        d_minus = [(-sp.conjugate(dl), sp.conjugate(g)) for _, _, g, dl in rows]
-
-        def amp(x, y, z):
-            return sum(
-                sp.conjugate(x[a] * y[b] * z[c]) * value
-                for (a, b, c), value in psi.items()
-            )
-
-        return [
-            amp(*d_minus),
-            amp(d[0], u[1], u[2]),
-            amp(u[0], d[1], u[2]),
-            amp(u[0], u[1], d[2]),
-            amp(*u),
-        ]
-
     def test_recipe_zero_amplitudes_vanish_identically(self):
         sp = pytest.importorskip("sympy")
         lams = self.symbols(sp)
         l0, l1, l2, l3, _ = lams
         # the branch is plain arithmetic, so the program's own row is
         # evaluated on symbols; phi = 0 on D.3
-        (rows,) = genuine_candidates(StateClass.D3, SimpleNamespace(lams=lams, phi=0.0))
-        amps = self.amplitudes(sp, lams, rows)
+        (rows,) = genuine_candidates(StateClass.D3, lams, 1)
+        amps = event_amplitudes(sp, lams, 1, rows)
         for value in amps[:4]:
             assert sp.simplify(value) == 0
         assert sp.simplify(amps[4] - l0 * l2 * l3) == 0
@@ -290,11 +296,11 @@ class TestD3Certificate:
         sp = pytest.importorskip("sympy")
         lams = self.symbols(sp)
         l0, l1, l2, l3, l4 = lams
-        (rows,) = genuine_candidates(StateClass.D3, SimpleNamespace(lams=lams, phi=0.0))
+        (rows,) = genuine_candidates(StateClass.D3, lams, 1)
         rows = [[sp.nsimplify(c) for c in row] for row in rows]
         u_norms = [a**2 + b**2 for a, b, _, _ in rows]
         state_norm = sum(x**2 for x in lams)
-        p5 = self.amplitudes(sp, lams, rows)[4] ** 2 / (
+        p5 = event_amplitudes(sp, lams, 1, rows)[4] ** 2 / (
             u_norms[0] * u_norms[1] * u_norms[2] * state_norm
         )
         expected = (l0 * l2 * l3) ** 2 / (
@@ -306,7 +312,7 @@ class TestD3Certificate:
         sp = pytest.importorskip("sympy")
         lams = self.symbols(sp)
         l0, l1, l2, l3, l4 = lams
-        amps = self.amplitudes(sp, lams, retired_d3_row(lams))
+        amps = event_amplitudes(sp, lams, 1, retired_d3_row(lams))
         # the retired row reads its "1" as the squared norm, so restrict to
         # the unit sphere by eliminating l0
         on_sphere = {l0: sp.sqrt(1 - l1**2 - l2**2 - l3**2 - l4**2)}
@@ -329,6 +335,88 @@ class TestD3Certificate:
             assert built.certificate.success_probability == pytest.approx(
                 expected, rel=1e-12
             )
+
+
+#: per D sub-class, its domain in the canonical amplitudes: the l_i that
+#: vanish, the equality surface as {i: l_i in terms of the others}, and
+#: whether phi = 0 (D.2 and D.3; where l1 = 0, phi drops out of the state)
+D_DOMAINS = {
+    StateClass.D1: ((), lambda l: {}, False),
+    StateClass.D2: ((), lambda l: {}, True),
+    StateClass.D3: ((), lambda l: {4: l[2] * l[3] / l[1]}, True),
+    StateClass.D4: ((4,), lambda l: {}, False),
+    StateClass.D5: ((3,), lambda l: {}, False),
+    StateClass.D6: ((2,), lambda l: {}, False),
+    StateClass.D7: ((2,), lambda l: {0: l[4]}, False),
+    StateClass.D8: ((2, 3), lambda l: {}, False),
+    StateClass.D9: ((1, 2), lambda l: {}, False),
+    StateClass.D10: ((1,), lambda l: {}, False),
+    StateClass.D11: ((1,), lambda l: {2: l[4]}, False),
+    StateClass.D12: ((1, 4), lambda l: {}, False),
+    StateClass.D13: ((1, 3), lambda l: {}, False),
+    StateClass.D14: ((1, 2, 3), lambda l: {}, False),
+}
+#: the D rows that take a root of a binary quadratic form
+QUADRATIC_ROWS = {StateClass.D8, StateClass.D12, StateClass.D13}
+
+
+class TestDRowCertificates:
+    """Exact certificates of every D row on its whole domain, off the unit sphere.
+
+    The program's own ``genuine_candidates`` runs on positive symbols l_i
+    restricted to the sub-class's domain and on a phase symbol whose
+    conjugate is its inverse.  The rows are homogeneous, so no
+    normalization is substituted.  A row that takes a root of
+    c0 x^2 + c1 x y + c2 y^2 gets a symbolic root (x, y), and its
+    amplitudes are proved modulo that form in the root and in the
+    conjugated root (the c_i are real).
+    """
+
+    @staticmethod
+    def domain(sp, cls):
+        zeros, equal, phi_zero = D_DOMAINS[cls]
+        lams = list(sp.symbols("l0:5", positive=True))
+        for i in zeros:
+            lams[i] = sp.Integer(0)
+        for i, value in equal(lams).items():
+            lams[i] = value
+
+        class UnitPhase(sp.Symbol):
+            def _eval_conjugate(self):
+                return 1 / self
+
+        return lams, sp.Integer(1) if phi_zero else UnitPhase("ep")
+
+    @pytest.mark.parametrize("cls", D_CLASSES, ids=[c.value for c in D_CLASSES])
+    def test_zero_amplitudes_vanish_and_success_amplitude_does_not(self, cls, monkeypatch):
+        sp = pytest.importorskip("sympy")
+        lams, ep = self.domain(sp, cls)
+        x, y, xc, yc = sp.symbols("x y xc yc")
+        forms = []
+
+        def symbolic_root(c0, c1, c2):
+            forms.append((x, y, c0, c1, c2))
+            forms.append((xc, yc, c0, c1, c2))
+            return [(x, y)]
+
+        monkeypatch.setattr(hardy, "_binary_roots", symbolic_root)
+        (rows,) = genuine_candidates(cls, lams, ep)
+        assert bool(forms) == (cls in QUADRATIC_ROWS)
+        conjugated = {sp.conjugate(x): xc, sp.conjugate(y): yc}
+
+        def reduced(value):
+            value = sp.numer(sp.together(sp.expand(value.subs(conjugated))))
+            for u, v, c0, c1, c2 in forms:
+                # c0 > 0 on the domain, so the pseudo-remainder vanishes
+                # exactly when the remainder does
+                assert sp.simplify(c0) != 0
+                value = sp.prem(value, c0 * u**2 + c1 * u * v + c2 * v**2, u)
+            return sp.expand(value)
+
+        amps = event_amplitudes(sp, lams, ep, rows)
+        for value in amps[:4]:
+            assert reduced(value) == 0
+        assert reduced(amps[4]) != 0
 
 
 class TestBipartiteConstructions:
@@ -784,14 +872,19 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "c0, c1, c2",
-        [(1, 0, 0), (0, 0, 1), (0, 1, 0), (0, 0, 0), (0, 2, 3), (3, 2, 0), (1, 2, 1), (1e-300, 1, 1e-300)],
-        ids=["x2", "y2", "xy", "zero", "c0-zero", "c2-zero", "double", "tiny-ends"],
+        [
+            (1, 0, 0), (0, 0, 1), (0, 1, 0), (0, 0, 0), (0, 2, 3), (3, 2, 0), (1, 2, 1),
+            (1e-300, 1, 1e-300), (1.0, 3.0, 1.0),
+        ],
+        ids=["x2", "y2", "xy", "zero", "c0-zero", "c2-zero", "double", "tiny-ends", "recipe"],
     )
     def test_binary_roots_zero_the_form(self, c0, c1, c2):
         # unit roots zero c0 x^2 + c1 x y + c2 y^2; the double root at x = 0
         # (or y = 0) is listed once and the identically zero form gives
-        # (1, 0), (0, 1); Python arithmetic raises on any division by zero
-        roots = hardy._binary_roots(complex(c0), complex(c1), complex(c2))
+        # (1, 0), (0, 1); Python arithmetic raises on any division by zero.
+        # Float coefficients go in as they are, like the D recipes' forms
+        coeffs = [c if isinstance(c, float) else complex(c) for c in (c0, c1, c2)]
+        roots = hardy._binary_roots(*coeffs)
         assert len(roots) == (1 if (c0, c1, c2) in ((1, 0, 0), (0, 0, 1)) else 2)
         for x, y in roots:
             n = math.hypot(abs(x), abs(y))
@@ -863,7 +956,9 @@ class TestSearch:
         monkeypatch.setattr(hardy, "verify_hardy", counted)
         state = CanonicalState(STIFF_D1_LAMS, STIFF_D1_PHI)
         built = build_witness(state)
-        assert len(certificates) == len(genuine_candidates(StateClass.D1, state)) + 1
+        assert len(certificates) == len(
+            genuine_candidates(StateClass.D1, state.lams, cmath.exp(1j * state.phi))
+        ) + 1
         assert built.certificate is certificates[-1]
         assert built.certificate.satisfied
         assert built.settings is built.certificate.settings

@@ -1,5 +1,6 @@
 """The experiment scripts run from a checkout, without PYTHONPATH."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -64,6 +65,8 @@ def test_reproduce_thresholds_sums_over_seeds():
          "--seeds", "1", "--seconds", "0", "--out", "unwritten.json"),
         ("scripts/bench_pair.py", "--parent", "tests", "--change", ".", "--workload", "class-witness",
          "--seeds", "1", "--seconds", "1", "--out", "unwritten.json"),
+        ("scripts/identity.py", "--rows", "witness Z.9"),
+        ("scripts/identity.py", "--rows", "lhv", "--against", "tests"),
     ],
 )
 def test_bad_arguments_exit_2(argv):
@@ -143,3 +146,41 @@ class TestBenchPair:
         summary = bench.summarize(runs, {"latency_cal_p50": "lower"})
         assert summary["parent"]["latency_cal_p50"] == {"median": 0.7, "q1": 0.7, "q3": 0.7}
         assert summary["change_better_in"]["latency_cal_p50"] == {"change_better": 0, "pairs": 1}
+
+
+class TestIdentity:
+    def test_rows_cover_every_class_the_references_and_the_exit_6_states(self):
+        names = [row["name"] for row in load_script("identity").rows()]
+        assert len(names) == len(set(names)) == 2 * (25 + 2) + 2 + 1 + 2
+        assert {"witness D.8", "sample D.8", "sample W", "optimize GHZ", "lhv", "witness C.3 as B.5"} <= set(names)
+
+    def test_hashes_are_those_of_the_cli_output(self, tmp_path):
+        names = ["witness GHZ", "lhv", "witness weak GHZ 3e-5"]
+        out = run_script("scripts/identity.py", "--rows", *names, "--out", str(tmp_path / "table.json"))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == ""
+        rows = json.loads((tmp_path / "table.json").read_text())["rows"]
+        assert [row["name"] for row in rows] == names
+        assert [row["exit"] for row in rows] == [0, 0, 6]
+        ghz = rows[0]
+        direct = subprocess.run(
+            [sys.executable, "-m", "hardy3q.cli", *ghz["argv"]],
+            cwd=ROOT,
+            env={**{k: v for k, v in os.environ.items() if not k.startswith("HARDY3Q")}, "PYTHONPATH": str(ROOT / "src")},
+            input=json.dumps(ghz["input"]).encode(),
+            capture_output=True,
+            timeout=120,
+        )
+        assert ghz["stdout_sha256"] == hashlib.sha256(direct.stdout).hexdigest()
+        assert ghz["stderr_sha256"] == hashlib.sha256(b"").hexdigest()
+
+    def test_a_checkout_against_itself_differs_nowhere(self):
+        out = run_script("scripts/identity.py", "--rows", "sample D.13", "--against", ".")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "0 of 1 rows differ from .\n"
+
+    def test_differing_rows_are_named(self):
+        identity = load_script("identity")
+        row = {"name": "witness D.8", "exit": 0, "stdout_sha256": "a", "stderr_sha256": "e"}
+        lines = identity.differences([row, {**row, "name": "lhv"}], [{**row, "stdout_sha256": "b"}, row])
+        assert lines == ["witness D.8: stdout_sha256 (exit 0 -> 0)"]
