@@ -97,8 +97,7 @@ def event_amplitudes(sp, lams, ep, rows):
     """Unnormalized amplitudes of the five canonical events for symbolic ``rows``, report order.
 
     ``lams`` are the canonical amplitudes and ``ep`` = e^{i phi}, which
-    multiplies l1; ``sp.conjugate`` acts on the rows' entries as on any
-    expression.
+    multiplies l1.
     """
     l0, l1, l2, l3, l4 = lams
     psi = {(0, 0, 0): l0, (1, 0, 0): l1 * ep, (1, 0, 1): l2, (1, 1, 0): l3, (1, 1, 1): l4}
