@@ -3,12 +3,22 @@
 
 Each row runs one ``hardy3q`` command in its own process, from a
 checkout's ``src/`` and with the state file on stdin, and records the exit
-code and the sha256 of stdout and stderr.  The rows are ``witness`` and
-``sample --shots 1000 --seed 3`` on one ``sample_class(cls,
-default_rng(0))`` draw per class plus GHZ and W, ``optimize`` on GHZ and W
-at 8 starts, ``lhv``, and ``witness`` on the two states that exit 6 (the
-weak GHZ-type state at l0 = 3e-5 and the B.5-labelled C.3 state).  The
-inputs are drawn by this checkout, so two checkouts run the same inputs.
+code and the sha256 of stdout and stderr.  The rows are:
+
+- ``witness`` and ``sample --shots 1000 --seed 3`` on one
+  ``sample_class(cls, default_rng(0))`` draw per class, on GHZ and W, and
+  on the 22 states of perfbench's ``round_robin(ENTANGLED, default_rng(0), 1)``
+  (the ``deck`` rows)
+- ``optimize`` on GHZ and W at 8 and 64 starts
+- ``lhv`` and ``lhv --verbose``
+- ``scan --grid t=0.1:1.47:5`` on every family, and on ``w`` with
+  ``--optimize --starts 8``
+- ``witness`` on the two states that exit 6 (the weak GHZ-type state at
+  l0 = 3e-5 and the B.5-labelled C.3 state)
+- the two inputs that exit 2: a state file with non-finite constants, and a
+  scan grid whose span overflows
+
+The inputs are drawn by this checkout, so two checkouts run the same inputs.
 
     python3 scripts/identity.py --out identity.json
     python3 scripts/identity.py --against ../parent     # the rows that differ
@@ -21,6 +31,7 @@ differs, like ``diff``.
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -33,7 +44,13 @@ ROOT = Path(__file__).resolve().parents[1]
 # run from a checkout: import the package from its src/ directory
 sys.path.insert(0, str(ROOT / "src"))
 
+from hardy3q.cli import FAMILIES  # noqa: E402
 from hardy3q.states import CLASS_ORDER, sample_class  # noqa: E402
+
+# perfbench/ is no package: load its deck generator from the file, read-only
+_spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+perfbench_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perfbench_inputs)
 
 INV_SQRT2 = 2**-0.5
 #: the B.5-labelled C.3 state: sub-CLASS_EPS entries on a maximally entangled pair
@@ -46,24 +63,42 @@ STATES = {
     "C.3 as B.5": {"lambda": (_C3_AS_B5 / np.linalg.norm(_C3_AS_B5)).tolist(), "phi": 0.6555},
 }
 SAMPLE_FLAGS = ["--shots", "1000", "--seed", "3"]
+SCAN_GRID = ["--grid", "t=0.1:1.47:5"]
+#: a state file whose extra keys hold an overflowing float literal and NaN: raw
+#: text, since json writes neither
+NON_FINITE_CONSTANTS = '{"lambda": [0.7071067811865476, 0, 0, 0, 0.7071067811865476], "phi": 0, "note": 1e400, "x": NaN}'
 
 
 def rows() -> list[dict]:
-    """Every row: its name, the CLI arguments and the state file's content (or None)."""
+    """Every row: its name, the CLI arguments and the state file (an object, raw text or None)."""
     states = {}
     for cls in CLASS_ORDER:
         state = sample_class(cls, np.random.default_rng(0))
         states[cls.value] = {"lambda": [float(x) for x in state.lams], "phi": float(state.phi)}
     states.update(GHZ=STATES["GHZ"], W=STATES["W"])
+    deck = perfbench_inputs.round_robin(perfbench_inputs.ENTANGLED, np.random.default_rng(0), 1)
+    for label, lams, phi in deck:
+        states[f"deck {label}"] = {"lambda": [float(x) for x in lams], "phi": phi}
     out = []
     for name, state in states.items():
         out.append({"name": f"witness {name}", "argv": ["witness", "-"], "input": state})
         out.append({"name": f"sample {name}", "argv": ["sample", "-", *SAMPLE_FLAGS], "input": state})
-    for name in ("GHZ", "W"):
-        out.append({"name": f"optimize {name}", "argv": ["optimize", "-", "--starts", "8"], "input": STATES[name]})
+    for starts in ("8", "64"):
+        for name in ("GHZ", "W"):
+            suffix = "" if starts == "8" else " 64"
+            argv = ["optimize", "-", "--starts", starts]
+            out.append({"name": f"optimize {name}{suffix}", "argv": argv, "input": STATES[name]})
     out.append({"name": "lhv", "argv": ["lhv"], "input": None})
+    out.append({"name": "lhv --verbose", "argv": ["lhv", "--verbose"], "input": None})
+    for family in FAMILIES:
+        out.append({"name": f"scan {family}", "argv": ["scan", "--family", family, *SCAN_GRID], "input": None})
+    argv = ["scan", "--family", "w", *SCAN_GRID, "--optimize", "--starts", "8"]
+    out.append({"name": "scan w --optimize", "argv": argv, "input": None})
     for name in ("weak GHZ 3e-5", "C.3 as B.5"):
         out.append({"name": f"witness {name}", "argv": ["witness", "-"], "input": STATES[name]})
+    out.append({"name": "classify non-finite constants", "argv": ["classify", "-"], "input": NON_FINITE_CONSTANTS})
+    argv = ["scan", "--family", "ghz", "--grid", "t=-1e308:1e308:3"]
+    out.append({"name": "scan non-finite span", "argv": argv, "input": None})
     return out
 
 
@@ -71,11 +106,14 @@ def run_row(checkout: Path, row: dict) -> dict:
     """The row with the exit code and output hashes of its command in ``checkout``."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("HARDY3Q")}
     env["PYTHONPATH"] = str(checkout / "src")
+    stdin = row["input"]
+    if not isinstance(stdin, str):  # a state object, or None for no state file
+        stdin = "" if stdin is None else json.dumps(stdin)
     done = subprocess.run(
         [sys.executable, "-m", "hardy3q.cli", *row["argv"]],
         cwd=checkout,
         env=env,
-        input=b"" if row["input"] is None else json.dumps(row["input"]).encode(),
+        input=stdin.encode(),
         capture_output=True,
     )
     return {

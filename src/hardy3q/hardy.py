@@ -23,9 +23,9 @@ quadratic form from ``_binary_roots``, the search's solver.  The B and C
 recipes are closed forms in Python complex arithmetic.  In the canonical
 form the product qubit is already a basis state, so the pair state is the
 half of the ket that basis state selects; the pair's Schmidt bases come
-from ``linalg.schmidt_decompose``.  Their kets agree with the former numpy
-path (``tensordot``, ``eigh``) to about 1e-15 and no witness decision
-changes (the tests keep that path as their oracle).
+from ``linalg.schmidt_decompose``.  The tests keep a numpy construction
+(``tensordot``, ``eigh``) as their oracle; the kets agree with it to about
+1e-15, and no witness decision differs.
 
 ``build_witness`` runs every class through one pipeline: each recipe
 candidate is self-validated against the actual joint probabilities, and

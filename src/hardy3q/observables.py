@@ -16,9 +16,9 @@ The kets are built one complex number at a time in Python arithmetic,
 which on a dozen numbers costs less than numpy's per-call overhead.  The
 same formulas on numpy arrays give the same kets only to rounding:
 numpy's vectorized complex loops (AVX-512 on x86) round some products
-differently from scalar arithmetic.  Over the benchmark's witness decks
-the kets move by at most 7e-16 and no window, phase or witness decision
-changes (the tests keep the numpy construction as their oracle).
+differently from scalar arithmetic.  The tests keep the numpy construction
+as their oracle; over the benchmark's witness decks the kets differ from it
+by at most 7e-16, and no window, phase or witness decision differs.
 """
 
 from __future__ import annotations

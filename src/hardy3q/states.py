@@ -304,18 +304,40 @@ def _random_phi(rng, lo=0.05):
     return float(rng.uniform(lo, math.pi - lo))
 
 
+#: the indices j of the non-zero l_j of each zero pattern, keyed by the pattern's rows
+_NONZERO = {
+    rows: [j for j, bit in enumerate(code) if bit == "1"] for code, rows in _ROWS_BY_PATTERN.items()
+}
+
+
+def _pattern_draw(rng, nonzero):
+    """uniform(0.25, 1) on the pattern's amplitudes, then a phase only when l1 is among them."""
+    lams = np.zeros(5)
+    lams[nonzero] = _uniform_components(rng, len(nonzero))
+    return _finish(lams, _random_phi(rng) if 1 in nonzero else 0.0)
+
+
 def sample_class(cls: StateClass, rng: np.random.Generator) -> CanonicalState:
     """Random canonical state lying inside the given class.
 
-    Draws keep ``SAMPLE_MARGIN`` away from neighbouring decision boundaries so
-    the class is stable under small perturbations; equality-constrained
-    classes (A.3, C.*, D.3, D.7, D.11) are drawn exactly on their surfaces.
+    A row alone in its zero pattern is one draw on the table's pattern; D.6
+    and D.10 repeat that draw until their split puts it off the surface of
+    D.7 and D.11.  Draws keep ``SAMPLE_MARGIN`` away from neighbouring
+    decision boundaries so the class is stable under small perturbations;
+    equality-constrained classes (A.3, C.*, D.3, D.7, D.11) are drawn
+    exactly on their surfaces.
     """
     u = _uniform_components
-    if cls is StateClass.A1:
-        return _finish([*u(rng, 2), 0, 0, 0], _random_phi(rng))
-    if cls is StateClass.A2:
+    if cls is StateClass.A2:  # draws nothing, so a shared generator's later draws keep their place
         return CanonicalState((1.0, 0.0, 0.0, 0.0, 0.0), 0.0)
+    if cls.value in _NONZERO:
+        return _pattern_draw(rng, _NONZERO[cls.value])
+    if cls in (StateClass.D6, StateClass.D10):
+        rows = "D.6 D.7" if cls is StateClass.D6 else "D.10 D.11"
+        while True:
+            state = _pattern_draw(rng, _NONZERO[rows])
+            if not _SPLITS[rows](state.lams, state.phi, SAMPLE_MARGIN / 2):
+                return state
     if cls is StateClass.A3:
         mode = int(rng.integers(4))
         if mode == 0:  # l1 l4 = l2 l3 with phi = 0
@@ -326,11 +348,6 @@ def sample_class(cls: StateClass, rng: np.random.Generator) -> CanonicalState:
         if mode == 2:
             return _finish([0.0, u(rng, 1)[0], 0.0, u(rng, 1)[0], 0.0], _random_phi(rng))
         return _finish([0.0, 0.0, 0.0, *u(rng, 2)], 0.0)
-    if cls is StateClass.B1:
-        return _finish([*u(rng, 3), 0, 0], _random_phi(rng))
-    if cls is StateClass.B2:
-        lams = u(rng, 3)
-        return _finish([lams[0], lams[1], 0, lams[2], 0], _random_phi(rng))
     if cls in (StateClass.B3, StateClass.B4):
         t = rng.uniform(0.15, math.pi / 2 - 0.15)
         while abs(t - math.pi / 4) < SAMPLE_MARGIN:
@@ -364,49 +381,17 @@ def sample_class(cls: StateClass, rng: np.random.Generator) -> CanonicalState:
     if cls is StateClass.D2:
         while True:
             lams = u(rng, 5)
-            if abs(lams[2] * lams[3] - lams[1] * lams[4]) > SAMPLE_MARGIN / 4:
+            if _SPLITS["D.1 D.2 D.3"](lams, 0.0, SAMPLE_MARGIN / 4) == 1:
                 return _finish(lams, 0.0)
     if cls is StateClass.D3:
         l1, l2, l3 = u(rng, 3, 0.35, 1.0)
         return _finish([u(rng, 1)[0], l1, l2, l3, l2 * l3 / l1], 0.0)
-    if cls is StateClass.D4:
-        return _finish([*u(rng, 4), 0], _random_phi(rng))
-    if cls is StateClass.D5:
-        lams = u(rng, 4)
-        return _finish([lams[0], lams[1], lams[2], 0, lams[3]], _random_phi(rng))
-    if cls is StateClass.D6:
-        while True:
-            l0, l1, l3, l4 = u(rng, 4)
-            state = _finish([l0, l1, 0, l3, l4], _random_phi(rng))
-            if abs(state.lams[0] - state.lams[4]) > SAMPLE_MARGIN / 2:
-                return state
     if cls is StateClass.D7:
         x = u(rng, 1)[0]
         l1, l3 = u(rng, 2)
         return _finish([x, l1, 0, l3, x], _random_phi(rng))
-    if cls is StateClass.D8:
-        lams = u(rng, 3)
-        return _finish([lams[0], lams[1], 0, 0, lams[2]], _random_phi(rng))
-    if cls is StateClass.D9:
-        lams = u(rng, 3)
-        return _finish([lams[0], 0, 0, lams[1], lams[2]], 0.0)
-    if cls is StateClass.D10:
-        while True:
-            l0, l2, l3, l4 = u(rng, 4)
-            state = _finish([l0, 0, l2, l3, l4], 0.0)
-            if abs(state.lams[2] - state.lams[4]) > SAMPLE_MARGIN / 2:
-                return state
     if cls is StateClass.D11:
         x = u(rng, 1)[0]
         l0, l3 = u(rng, 2)
         return _finish([l0, 0, x, l3, x], 0.0)
-    if cls is StateClass.D12:
-        lams = u(rng, 3)
-        return _finish([lams[0], 0, lams[1], lams[2], 0], 0.0)
-    if cls is StateClass.D13:
-        lams = u(rng, 3)
-        return _finish([lams[0], 0, lams[1], 0, lams[2]], 0.0)
-    if cls is StateClass.D14:
-        lams = u(rng, 2)
-        return _finish([lams[0], 0, 0, 0, lams[1]], 0.0)
     raise Hardy3QError(f"unknown class {cls}")  # pragma: no cover

@@ -67,18 +67,12 @@ KICK_ANGLE = 1.5
 #: stopping tolerance of the descents before the final polish to ``tol``
 LOOSE_TOL = 1e-6
 #: iterates per start that the Anderson extrapolation combines, and the
-#: plain-sweep gain below which a start begins to extrapolate.  Measured at
-#: 8 starts, seeds 0-29, when each descent stage ran as a batch until its
-#: slowest start was done: plain sweeps take 22,809 batched sweeps on W (163
-#: starts reach the global minimum) and 3,646 on GHZ.  Depth 3, 5 and 8 at
-#: onset 1e-4 take 11,190, 11,125 and 10,641 on W (175, 174 and 167 starts).
-#: At depth 5, onset 1e-3, 1e-4 and 1e-5 take 10,476, 11,125 and 13,130 on W
-#: (181, 174 and 164 starts) and 3,371, 3,009 and 3,191 on GHZ; extrapolating
-#: from the second sweep on takes 10,182 on W but 4,056 on GHZ, more than
-#: plain sweeps.  With every start at its own stage, depth 5 at onset 1e-4
-#: took 7,073 on W and 2,626 on GHZ, and 6,519 and 2,401 on Bloch vectors
-#: (170 and all 240 starts); with every start's hops in one batch it takes
-#: 4,922 and 1,151 (166 and all 240 starts).
+#: plain-sweep gain below which a start begins to extrapolate.  Of onsets
+#: 1e-3 to 1e-5 at depth 5, 1e-4 took the fewest GHZ sweeps, and depths 3
+#: and 8 gave no fewer W sweeps with as many starts at best; extrapolating
+#: from the second sweep on took more GHZ sweeps than plain sweeps.  At 8
+#: starts, seeds 0-29, it takes 4,922 batched sweeps on W and 1,151 on GHZ,
+#: with 166 and all 240 starts at the global minimum.
 ANDERSON_DEPTH = 5
 ANDERSON_ONSET = 1e-4
 #: starts whose final B is this close to the best count as reaching it

@@ -36,7 +36,7 @@ INV_SQRT2 = 2**-0.5
 
 def write_state(tmp_path, payload, name="state.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -423,16 +423,19 @@ class TestArgumentErrors:
             {"amplitudes": [[1, 0, 99]] + [[0, 0]] * 7},
             {"amplitudes": ["10"] + ["00"] * 7},
             {"amplitudes": [["NaN", 0.0]] + [[0.0, 0.0]] * 7},
+            {"lambda": [1, 0, 0, 0, 0], "x": float("nan")},
+            '{"lambda": [1, 0, 0, 0, 0], "note": 1e400}',
         ],
         ids=[
             "phi-null", "nested-lambda", "huge-lambda", "dict-pair", "huge-amplitude",
             "bool-lambda", "string-phi", "bool-phi", "amplitude-triple", "amplitude-strings",
-            "nan-string",
+            "nan-string", "nan-literal-extra-key", "overflowing-float-extra-key",
         ],
     )
     def test_ill_typed_state_values_exit_parse(self, tmp_path, capsys, payload):
         # only JSON numbers (int or float, never bool) are numbers, and each
-        # amplitude is a list of exactly two
+        # amplitude is a list of exactly two; a non-finite constant anywhere in
+        # the file is refused, since the report echoes the file as JSON
         assert_rejected(capsys, ["optimize", write_state(tmp_path, payload)])
 
     @pytest.mark.parametrize(
@@ -782,7 +785,9 @@ class TestScan:
         code = main(["scan", "--family", "ghz", "--grid", "t=0..1"])
         assert code == EXIT_PARSE
 
-    @pytest.mark.parametrize("grid", ["t=0:1:0", "t=0:1:-2", "t=nan:1:2", "t=0:inf:2"])
+    @pytest.mark.parametrize(
+        "grid", ["t=0:1:0", "t=0:1:-2", "t=nan:1:2", "t=0:inf:2", "t=-1e308:1e308:3"]
+    )
     def test_bad_grid_values_exit_parse(self, capsys, grid):
         assert_rejected(capsys, ["scan", "--family", "ghz", "--grid", grid])
 

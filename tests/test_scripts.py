@@ -151,17 +151,23 @@ class TestBenchPair:
 class TestIdentity:
     def test_rows_cover_every_class_the_references_and_the_exit_6_states(self):
         names = [row["name"] for row in load_script("identity").rows()]
-        assert len(names) == len(set(names)) == 2 * (25 + 2) + 2 + 1 + 2
-        assert {"witness D.8", "sample D.8", "sample W", "optimize GHZ", "lhv", "witness C.3 as B.5"} <= set(names)
+        # witness and sample on 25 classes, GHZ, W and 22 deck states; optimize at 8 and 64
+        # starts; lhv twice; four scans and one optimizing scan; two exit-6 and two exit-2 inputs
+        assert len(names) == len(set(names)) == 2 * (25 + 2 + 22) + 4 + 2 + 5 + 2 + 2
+        assert {
+            "witness D.8", "sample D.8", "sample W", "optimize GHZ", "optimize W 64", "lhv",
+            "lhv --verbose", "witness deck D.1", "scan pair12", "scan w --optimize",
+            "witness C.3 as B.5", "classify non-finite constants", "scan non-finite span",
+        } <= set(names)
 
     def test_hashes_are_those_of_the_cli_output(self, tmp_path):
-        names = ["witness GHZ", "lhv", "witness weak GHZ 3e-5"]
+        names = ["witness GHZ", "lhv", "witness weak GHZ 3e-5", "classify non-finite constants"]
         out = run_script("scripts/identity.py", "--rows", *names, "--out", str(tmp_path / "table.json"))
         assert out.returncode == 0, out.stderr
         assert out.stdout == ""
         rows = json.loads((tmp_path / "table.json").read_text())["rows"]
         assert [row["name"] for row in rows] == names
-        assert [row["exit"] for row in rows] == [0, 0, 6]
+        assert [row["exit"] for row in rows] == [0, 0, 6, 2]
         ghz = rows[0]
         direct = subprocess.run(
             [sys.executable, "-m", "hardy3q.cli", *ghz["argv"]],

@@ -34,6 +34,30 @@ from conftest import (
 
 INV_SQRT2 = 2**-0.5
 
+#: the rows alone in their zero pattern, each with its non-zero amplitudes l_j
+SINGLE_PATTERN_ROWS = {
+    StateClass.A1: [0, 1],
+    StateClass.B1: [0, 1, 2],
+    StateClass.B2: [0, 1, 3],
+    StateClass.D4: [0, 1, 2, 3],
+    StateClass.D5: [0, 1, 2, 4],
+    StateClass.D8: [0, 1, 4],
+    StateClass.D9: [0, 3, 4],
+    StateClass.D12: [0, 2, 3],
+    StateClass.D13: [0, 2, 4],
+    StateClass.D14: [0, 4],
+}
+#: D.6 and D.10: their pattern, and the two amplitudes whose equality is the surface they avoid
+SPLIT_PATTERN_ROWS = {StateClass.D6: ([0, 1, 3, 4], (0, 4)), StateClass.D10: ([0, 2, 3, 4], (2, 4))}
+
+
+def replay_pattern_draw(rng, nonzero):
+    """uniform(0.25, 1) on the pattern, then the phase only when l1 != 0, normalized."""
+    lams = np.zeros(5)
+    lams[nonzero] = rng.uniform(0.25, 1.0, len(nonzero))
+    phi = float(rng.uniform(0.05, math.pi - 0.05)) if 1 in nonzero else 0.0
+    return CanonicalState(tuple(lams / np.linalg.norm(lams)), phi)
+
 
 def canonical(lams, phi=0.0):
     arr = np.asarray(lams, float)
@@ -132,6 +156,27 @@ class TestClassifyTargeted:
             state = sample_class(StateClass.B5, np.random.default_rng(seed))
             assert state == reference_sample_b5(np.random.default_rng(seed))
             assert classify(state) is StateClass.B5
+
+    @pytest.mark.parametrize("cls", SINGLE_PATTERN_ROWS, ids=lambda c: c.value)
+    def test_single_pattern_draws_replay_exactly(self, cls):
+        # every seeded deck of sample_class draws rests on this stream
+        for k in range(20):
+            ours, twin = np.random.default_rng(k), np.random.default_rng(k)
+            for _ in range(5):
+                assert sample_class(cls, ours) == replay_pattern_draw(twin, SINGLE_PATTERN_ROWS[cls])
+
+    @pytest.mark.parametrize("cls", SPLIT_PATTERN_ROWS, ids=lambda c: c.value)
+    def test_split_pattern_draws_replay_off_their_surface(self, cls):
+        nonzero, (i, j) = SPLIT_PATTERN_ROWS[cls]
+        for k in range(20):
+            ours, twin = np.random.default_rng(k), np.random.default_rng(k)
+            for _ in range(5):
+                state = sample_class(cls, ours)
+                assert abs(state.lams[i] - state.lams[j]) >= states.SAMPLE_MARGIN / 2
+                expected = replay_pattern_draw(twin, nonzero)
+                while abs(expected.lams[i] - expected.lams[j]) < states.SAMPLE_MARGIN / 2:
+                    expected = replay_pattern_draw(twin, nonzero)
+                assert state == expected
 
     def test_perturbation_stability_away_from_boundaries(self, rng):
         eps = 1e-9
