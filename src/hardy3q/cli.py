@@ -69,11 +69,11 @@ SEED_ENV_VAR = "HARDY3Q_SEED"
 #: (about a millisecond each), and larger grids are rejected before allocation
 MAX_GRID_POINTS = 1_000_000
 #: the most starts ``optimize`` and ``scan --optimize`` may ask for; each
-#: start gets its own generator, Bloch vectors and Anderson histories before
-#: any work is done, and its HOPS hops descend as HOPS rows of one batch.  On
-#: W a start costs about 0.6 ms and 18 kB of peak allocation on a 2-core
-#: machine (4,000 starts: 2.1-2.4 s), so this bound keeps a run near 7 s and
-#: 180 MB
+#: start gets its own generator and Bloch vectors before any work is done,
+#: and its HOPS hops descend as HOPS rows of one batch, whose Newton systems
+#: are built a bounded number of rows at a time.  On W a start costs about
+#: 0.45 ms and 12 kB of peak allocation on a 2-core machine (4,000 starts:
+#: 1.75 s and 50 MB), so this bound keeps a run near 4.5 s and 125 MB
 MAX_STARTS = 10_000
 #: ``sample --shots`` must be below this: the sampler draws int64 counts
 SHOTS_LIMIT = 2**63

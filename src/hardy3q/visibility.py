@@ -22,16 +22,20 @@ side by side as one batch, and a run is three batched descents: the first
 descents, the hops and the polish of each start's best.  The winner's
 vectors become plus-kets only for the reported settings.
 
-Plain sweeps converge linearly, and slowly near the optimum, so each
-descent is a safeguarded Anderson acceleration (Walker & Ni, SIAM J.
-Numer. Anal. 49, 1715, 2011) of the sweep fixed point: in its linear-rate
-tail a start sweeps from a combination of its last few iterates, which is
-kept only when it lowers B.
+Plain sweeps converge linearly, slowly near the optimum and slower still
+while a start climbs away from a saddle.  B's Riemannian gradient and
+Hessian on the six spheres are closed forms in T (Absil, Mahony &
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 5-7),
+so a start whose plain sweeps contract slowly sweeps from a
+Levenberg-Marquardt-damped Riemannian Newton point instead, which is
+kept only when the sweep from it lowers B.
 
 At the usual few dozen starts a sweep costs numpy calls, not arithmetic,
 so each sweep is a short, fixed sequence of real array operations on all
 running starts: one stack of every qubit's frame rows (1, n), and per
 party one gather, one product, two small matmuls and one normalization.
+A Newton point is one such gather for all three parties, a few batched
+matmuls and one batched 12 x 12 solve.
 """
 
 from __future__ import annotations
@@ -62,25 +66,25 @@ DESCENT_MAXITER = 4000
 HOPS = 4
 #: rotation angle (radians) of the random kick applied to each Bloch vector in
 #: a hop; on W at 8 starts, seeds 0-29, 1.5 rad brings 166 of 240 starts to the
-#: global minimum and 1.0 rad 122, in 4,922 and 5,020 batched sweeps
+#: global minimum and 1.0 rad 105, in 1,181 and 1,154 batched sweeps
 KICK_ANGLE = 1.5
 #: stopping tolerance of the descents before the final polish to ``tol``
 LOOSE_TOL = 1e-6
-#: iterates per start that the Anderson extrapolation combines, and the
-#: plain-sweep gain below which a start begins to extrapolate.  Of onsets
-#: 1e-3 to 1e-5 at depth 5, 1e-4 took the fewest GHZ sweeps, and depths 3
-#: and 8 gave no fewer W sweeps with as many starts at best; extrapolating
-#: from the second sweep on took more GHZ sweeps than plain sweeps.  At 8
-#: starts, seeds 0-29, it takes 4,922 batched sweeps on W and 1,151 on GHZ,
-#: with 166 and all 240 starts at the global minimum.
-ANDERSON_DEPTH = 5
-ANDERSON_ONSET = 1e-4
+#: a row takes a Newton point when its last plain gain exceeds this share of
+#: the plain gain before it.  At 8 starts, seeds 0-29, 0.2 / 0.3 / 0.4 bring
+#: 169 / 166 / 163 W starts to the global minimum in 1,195 / 1,181 / 1,171
+#: batched sweeps (GHZ: all 240 in 815 / 802 / 810)
+_SLOW_RATIO = 0.3
+#: the Levenberg-Marquardt damping of a descent's first Newton point, and its
+#: factors after a point whose sweep is kept and after one that is rejected
+_DAMPING = 1e-2
+_DAMPING_KEPT, _DAMPING_REJECTED = 0.3, 10.0
+#: the most rows whose Newton systems are built at once, which bounds their
+#: memory at large start counts
+_NEWTON_ROWS = 2048
 #: starts whose final B is this close to the best count as reaching it
 AT_BEST_TOL = 1e-9
 
-_LAGS = np.arange(1, ANDERSON_DEPTH)
-_RIDGE_EYE = np.eye(ANDERSON_DEPTH - 1)
-_TINY = np.finfo(float).tiny
 #: party j of a sweep and the other two qubits o and t
 _PARTIES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 #: rows (U+, D+, D-) of qubits o and t whose products give c3 = <D+U+|,
@@ -90,6 +94,37 @@ _O_ROWS, _T_ROWS = np.array([1, 0, 0, 2]), np.array([0, 0, 1, 2])
 _PICKS = np.array([np.r_[3 * o + _O_ROWS, 3 * t + _T_ROWS] for _, o, t in _PARTIES])
 #: (b - c3 - c4, a - b, c3 + c4 + a) from the rows (c3, b, c4, a)
 _COMBINE = np.array([[-1.0, 1.0, -1.0, 0.0], [0.0, -1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]])
+#: the Euclidean gradient (h_U, h_D)/8 of B from the rows (c3, b, c4, a)
+_GRADIENT = -_COMBINE[:2] / 8.0
+#: the rows 4 alpha + beta of a party's (16, 4) tensor with alpha, beta >= 1
+_SPATIAL = np.array([5, 6, 7, 9, 10, 11, 13, 14, 15])
+#: the Hessian blocks (uu, ud, du, dd)/8 of B between the spatial parts of
+#: qubits o and t, and a zero block, from the third qubit's rows (U+, D+, D-)
+_BLOCKS = np.array([[-1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0] * 3]) / 8.0
+#: per party and block, the vectors (2 qubit + U/D) on its left and right
+_LEFT = np.array([[2 * o, 2 * o, 2 * o + 1, 2 * o + 1, 0] for _, o, _ in _PARTIES])
+_RIGHT = np.array([[2 * t, 2 * t + 1, 2 * t, 2 * t + 1, 0] for _, _, t in _PARTIES])
+
+
+def _hessian_picks() -> np.ndarray:
+    """Indices into the flattened (party, block, 2 x 2) stack of the 12 x 12 tangent Hessian.
+
+    Entry (a, b), a = 2 (2 qa + sa) + ka (qubit, U/D, tangent axis), reads
+    block (sa, sb) of party 3 - qa - qb at (ka, kb), or the transpose when
+    qa is that party's t; entries within one qubit read party 0's zero block.
+    """
+    picks = np.full((12, 12), 4 * 4)
+    for a, b in np.ndindex(12, 12):
+        (qa, sa, ka), (qb, sb, kb) = np.unravel_index(a, (3, 2, 2)), np.unravel_index(b, (3, 2, 2))
+        if qa > qb:
+            (sa, ka), (sb, kb) = (sb, kb), (sa, ka)
+        if qa != qb:
+            picks[a, b] = (5 * (3 - qa - qb) + 2 * sa + sb) * 4 + 2 * ka + kb
+    return picks.ravel()
+
+
+_HESSIAN_PICKS = _hessian_picks()
+_FIRST_TWO = np.eye(3)[:, :2]
 #: sigma_0 = I and the Pauli matrices sigma_x, sigma_y, sigma_z
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 #: the correlation tensor's contraction and the order ``optimize=True``
@@ -115,6 +150,11 @@ class OptimizationResult:
     start_values: tuple[float, ...]
     #: batched sweeps of the three batched descents (first, hops, polish), summed
     sweeps: int
+    #: the second-order certificate of the winner's Bloch vectors: the norm of
+    #: B's Riemannian gradient and the smallest eigenvalue of its Hessian on
+    #: the 12-dimensional tangent space (a local minimum has 0 and >= 0)
+    gradient_norm: float
+    min_hessian_eigenvalue: float
 
     @property
     def violation_found(self) -> bool:
@@ -126,8 +166,8 @@ class OptimizationResult:
         return sum(abs(v - self.best_value) <= AT_BEST_TOL for v in self.start_values)
 
 
-def _party_tensors(psi3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi's correlation tensor as one (16, 4) matrix per party of a sweep.
+def _party_tensors(psi3: np.ndarray) -> np.ndarray:
+    """psi's correlation tensor as one (16, 4) matrix per party of a sweep, stacked.
 
     T[mu, nu, lam] = <psi|sigma_mu x sigma_nu x sigma_lam|psi> with sigma_0 =
     I, real (4, 4, 4).  Party j's matrix holds T with axes (o, t, j), o and t
@@ -136,7 +176,7 @@ def _party_tensors(psi3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     tensor = np.einsum(
         _TENSOR_SUBSCRIPTS, psi3.conj(), _PAULI, _PAULI, _PAULI, psi3, optimize=_TENSOR_PATH
     ).real
-    return tuple(tensor.transpose(o, t, j).reshape(16, 4) for j, o, t in _PARTIES)
+    return np.stack([tensor.transpose(o, t, j).reshape(16, 4) for j, o, t in _PARTIES])
 
 
 def _sweep(tensors, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,11 +201,8 @@ def _sweep(tensors, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     count = len(vecs)
     new = vecs.copy()
-    frames = np.empty((count, 9, 4))
-    frames[..., 0] = 1.0
+    frames = _frames(vecs)
     rows = frames.reshape(count, 3, 3, 4)
-    rows[:, :, :2, 1:] = vecs
-    np.negative(vecs[:, :, 1], out=rows[:, :, 2, 1:])
     for j, picks in enumerate(_PICKS):
         pick = frames.take(picks, axis=1)  # o's then t's rows of c3, b, c4, a
         pairs = pick[:, :4, :, None] * pick[:, 4:, None, :]
@@ -179,30 +216,87 @@ def _sweep(tensors, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return new, (terms[:, 2, 0] - size[:, 0] - size[:, 1]) / 8.0
 
 
-def _extrapolate(hist: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """Anderson extrapolation of the sweep map for every start at once.
+def _frames(vecs: np.ndarray) -> np.ndarray:
+    """Every qubit's frame rows (1, u), (1, d), (1, -d) as one (S, 9, 4) stack."""
+    count = len(vecs)
+    frames = np.empty((count, 9, 4))
+    frames[..., 0] = 1.0
+    rows = frames.reshape(count, 3, 3, 4)
+    rows[:, :, :2, 1:] = vecs
+    np.negative(vecs[:, :, 1], out=rows[:, :, 2, 1:])
+    return frames
 
-    ``hist`` (S, ANDERSON_DEPTH, 2, 3, 2, 3) holds a start's last iterates,
-    latest first: the residual f_i = G(x_i) - x_i and the sweep output
-    G(x_i), each read as 18 reals; only the first ``depth`` are valid.  With
-    differences dF_i = f_0 - f_i and dG_i = g_0 - g_i, gamma solves the
-    ridge-regularized normal equations of min |f_0 - dF gamma| and the
-    result is g_0 - dG gamma, returned as (S, 3, 2, 3) unit vectors.  The
-    normal equations are built and solved per start, so a start's result
-    does not depend on the batch.
+
+def _tangent_bases(vecs: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (S, 6, 3, 2) of the tangent planes of unit vectors (S, 3, 2, 3).
+
+    The first two columns of the Householder reflection I - w w^T / (1 +
+    |z|), w = n + sign(z) e_z, which sends e_z to -sign(z) n; w never
+    vanishes, so no vector needs a branch.
     """
-    hist = hist.reshape(len(hist), ANDERSON_DEPTH, 2, 18)
-    valid = _LAGS < depth[:, None]
-    diff = (hist[:, :1] - hist[:, 1:]) * valid[..., None, None]
-    df, dg = diff[:, :, 0], diff[:, :, 1]
-    gram = df @ df.transpose(0, 2, 1)
-    trace = gram.trace(axis1=1, axis2=2)
-    # a relative ridge, and a unit diagonal on unused differences (gamma_i = 0)
-    ridge = (1e-10 * trace + _TINY)[:, None] + ~valid
-    gram = gram + ridge[:, :, None] * _RIDGE_EYE
-    gamma = np.linalg.solve(gram, df @ hist[:, 0, 0, :, None])
-    x = (hist[:, 0, 1] - (gamma.transpose(0, 2, 1) @ dg)[:, 0]).reshape(-1, 3, 2, 3)
-    return x / np.sqrt(np.square(x).sum(axis=-1, keepdims=True))
+    count = len(vecs)
+    w = vecs.reshape(count, 6, 3).copy()
+    w[..., 2] += np.copysign(1.0, w[..., 2])
+    scaled = w[..., :2] / (np.abs(vecs.reshape(count, 6, 3)[..., 2:]) + 1.0)
+    return _FIRST_TWO - w[..., :, None] * scaled[..., None, :]
+
+
+def _derivatives(tensors, vecs: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B's Riemannian gradient (S, 12) and Hessian (S, 12, 12) in the tangent ``bases``.
+
+    B is affine in each qubit's (u, d), so its Euclidean Hessian has zero
+    3 x 3 blocks within a qubit.  The Euclidean gradient is (h_U, h_D)/8
+    of every party at the same vectors, gathered as ``_sweep`` gathers
+    them; the block between qubits o and t is bilinear in T contracted
+    with the third qubit's frame rows, one matmul for all three parties.
+    On the sphere a vector n with Euclidean gradient g has Riemannian
+    gradient g - (n.g) n, and the Hessian gains -(n.g) on n's tangent
+    plane (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, ch. 5-6).
+    """
+    count = len(vecs)
+    frames = _frames(vecs)
+    pick = frames.take(_PICKS, axis=1)  # per party, o's then t's rows of c3, b, c4, a
+    pairs = pick[:, :, :4, :, None] * pick[:, :, 4:, None, :]
+    euclid = (_GRADIENT @ (pairs.reshape(count, 3, 4, 16) @ tensors))[..., 1:, None]
+    grad = (bases.swapaxes(-1, -2) @ euclid.reshape(count, 6, 3, 1)).reshape(count, 12)
+    along = (euclid.reshape(count, 6, 3) * vecs.reshape(count, 6, 3)).sum(axis=-1)
+    blocks = _BLOCKS @ (frames.reshape(count, 3, 3, 4) @ tensors[:, _SPATIAL].transpose(0, 2, 1))
+    blocks = bases.take(_LEFT, axis=1).swapaxes(-1, -2) @ blocks.reshape(count, 3, 5, 3, 3)
+    hess = (blocks @ bases.take(_RIGHT, axis=1)).reshape(count, 60).take(_HESSIAN_PICKS, axis=1)
+    hess[:, ::13] = -along.repeat(2, axis=-1)
+    return grad, hess.reshape(count, 12, 12)
+
+
+def _newton_points(tensors, vecs: np.ndarray, damping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Riemannian Newton points of B on the six spheres, for every row at once.
+
+    The step solves (Hess + damping) eta = -grad in each row's tangent
+    space; |eta| is capped at 1 and each vector moves to (n + eta)/|n +
+    eta|.  Returns the points and whether each row's system was solved: a
+    row whose system is singular, or whose step is not finite, is not
+    moved.  Every row solves its own system, so a row's point does not
+    depend on the batch.
+    """
+    count = len(vecs)
+    bases = _tangent_bases(vecs)
+    grad, hess = _derivatives(tensors, vecs, bases)
+    hess.reshape(count, 144)[:, ::13] += damping[:, None]
+    try:
+        step = np.linalg.solve(hess, -grad[..., None])
+    except np.linalg.LinAlgError:
+        step = np.full((count, 12, 1), np.nan)
+        for r in range(count):
+            try:
+                step[r] = np.linalg.solve(hess[r], -grad[r, :, None])
+            except np.linalg.LinAlgError:
+                pass
+    solved = np.isfinite(step).all(axis=(1, 2))
+    step[~solved] = 0.0
+    size = np.sqrt(np.square(step).sum(axis=1))
+    np.divide(step, size[:, None], out=step, where=size[:, None] > 1.0)
+    moved = vecs + (bases @ step.reshape(count, 6, 2, 1)).reshape(vecs.shape)
+    return moved / np.sqrt(np.square(moved).sum(axis=-1, keepdims=True)), solved
 
 
 def _kicks(axes: np.ndarray) -> np.ndarray:
@@ -219,18 +313,22 @@ def _kicks(axes: np.ndarray) -> np.ndarray:
 
 
 def _descend(tensors, vecs, stop, maxiter):
-    """Sweep each start until a plain sweep lowers its B by at most ``stop``.
+    """Sweep each row until a plain sweep lowers its B by at most ``stop``.
 
-    A safeguarded Anderson iteration on the sweep map, which sends a start's
-    Bloch vectors, viewed as 18 reals, to the vectors after one ``_sweep``:
-    once a plain sweep of a start gains less than ANDERSON_ONSET, its inputs
-    are extrapolated from its last ANDERSON_DEPTH iterates.  An extrapolated
-    input is kept only if the sweep from it lowers B; otherwise the start
-    goes back to its last kept vectors and value, forgets its history and
-    sweeps plainly.  A descent ends on a plain sweep or after ``maxiter``
-    batched sweeps.  The loop's state holds only the starts still running.
+    A row is one start's (or one hop's) six Bloch vectors, and its plain
+    gain is how much a sweep from its kept vectors lowers B.  A row whose
+    last plain gain exceeds _SLOW_RATIO times the plain gain before it
+    converges slowly or is climbing away from a saddle, and sweeps from a
+    damped Newton point of its kept vectors (``_newton_points``) instead,
+    again after every such sweep that lowers B by more than ``stop``.  A
+    sweep from a Newton point is kept only if it lowers B; otherwise the
+    row goes back to its last kept vectors and value and sweeps plainly.
+    Each row's damping starts at _DAMPING and is multiplied by
+    _DAMPING_KEPT after a kept point and by _DAMPING_REJECTED after a
+    rejected one.  A descent ends on a plain sweep or after ``maxiter``
+    batched sweeps.  The loop's state holds only the rows still running.
 
-    Returns the vectors, their B and the last plain sweep's gain per start,
+    Returns the vectors, their B and the last plain sweep's gain per row,
     and the number of batched sweeps run.
     """
     count = len(vecs)
@@ -238,47 +336,47 @@ def _descend(tensors, vecs, stop, maxiter):
     final_value = np.empty(count)
     final_gain = np.empty(count)
 
-    ids = np.arange(count)  # start index of each running start
+    ids = np.arange(count)  # row index of each running row
     inputs = vecs  # next sweep input; ``vecs`` is the last kept sweep output
     value = np.full(count, np.inf)
     gain = np.full(count, np.inf)  # last plain sweep's
-    onset = np.zeros(count, bool)
-    extrapolated = np.zeros(count, bool)
-    depth = np.zeros(count, int)
-    hist = np.zeros((count, ANDERSON_DEPTH, 2, 3, 2, 3))  # f, g of the last iterates
+    earlier = np.full(count, np.inf)  # the plain sweep's before it
+    damping = np.full(count, _DAMPING)
+    newton = np.zeros(count, bool)
     sweeps = 0
     while ids.size:
         sweeps += 1
         out, new = _sweep(tensors, inputs)
-        plain = ~extrapolated
+        plain = ~newton
         lowered = value - new
         kept = plain | (lowered > 0.0)
+        earlier = np.where(plain, gain, earlier)
         gain = np.where(plain, lowered, gain)
-        onset |= plain & (lowered < ANDERSON_ONSET)
+        damping = np.where(plain, damping, damping * np.where(kept, _DAMPING_KEPT, _DAMPING_REJECTED))
         value = np.where(kept, new, value)
         vecs = np.where(kept[:, None, None, None], out, vecs)
-        # a rejected start's depth drops to 0, so its history needs no undo
-        hist[:, 1:] = hist[:, :-1]
-        np.subtract(out, inputs, out=hist[:, 0, 0])
-        hist[:, 0, 1] = out
-        depth = np.where(kept, np.minimum(depth + 1, ANDERSON_DEPTH), 0)
 
         slow = lowered > stop
-        going = (extrapolated | slow) & (sweeps < maxiter)
-        inputs = vecs.copy()
-        # a rejected start has depth 0; one whose sweep gained at most its
-        # tolerance sweeps plainly
-        extrapolated = going & onset & (depth >= 2) & slow
-        if extrapolated.any():
-            inputs[extrapolated] = _extrapolate(hist[extrapolated], depth[extrapolated])
+        going = (newton | slow) & (sweeps < maxiter)
+        # a rejected row, and one whose sweep gained at most ``stop``, sweeps plainly
+        newton = going & slow & (gain > _SLOW_RATIO * earlier)
+        inputs = vecs
+        rows = np.flatnonzero(newton)
+        if rows.size:
+            inputs = vecs.copy()
+        for chunk in range(0, rows.size, _NEWTON_ROWS):
+            part = rows[chunk : chunk + _NEWTON_ROWS]
+            points, solved = _newton_points(tensors, vecs[part], damping[part])
+            inputs[part[solved]] = points[solved]
+            newton[part[~solved]] = False
         if going.all():
             continue
         done = ~going
         final_vecs[ids[done]] = vecs[done]
         final_value[ids[done]] = value[done]
         final_gain[ids[done]] = gain[done]
-        ids, vecs, inputs, value, gain, onset, extrapolated, depth, hist = (
-            a[going] for a in (ids, vecs, inputs, value, gain, onset, extrapolated, depth, hist)
+        ids, vecs, inputs, value, gain, earlier, damping, newton = (
+            a[going] for a in (ids, vecs, inputs, value, gain, earlier, damping, newton)
         )
     return final_vecs, final_value, final_gain, sweeps
 
@@ -389,6 +487,8 @@ def minimize_bell(
     vecs, value, gain, sweeps = _see_saw(tensors, vecs, axes, tol, DESCENT_MAXITER)
 
     best = int(np.argmin(value))  # the first of equal values, in start order
+    winner = vecs[best : best + 1]
+    grad, hess = _derivatives(tensors, winner, _tangent_bases(winner))
     kets = _plus_kets(vecs[best])
     settings = settings_from_plus_kets([(u, _inside_window(u, d)) for u, d in kets])
     best_value = bell_value(vec, settings).bell_value
@@ -404,6 +504,8 @@ def minimize_bell(
         seed=int(seed),
         start_values=tuple(float(v) for v in value),
         sweeps=sweeps,
+        gradient_norm=float(np.linalg.norm(grad)),
+        min_hessian_eigenvalue=float(np.linalg.eigvalsh(hess[0])[0]),
     )
 
 

@@ -730,22 +730,96 @@ def reference_bloch_sweep(tensors, vecs):
     return vecs, (terms[:, 2, 0] - size[:, 0] - size[:, 1]) / 8.0
 
 
-def reference_extrapolate(f_hist, g_hist, depth):
-    """The Anderson extrapolation as first written, with separate residual
-    and output histories (S, ANDERSON_DEPTH, 18), latest first.
-    ``visibility._extrapolate`` must match it bit for bit."""
-    lags = np.arange(1, visibility.ANDERSON_DEPTH)
-    valid = (lags < depth[:, None])[..., None]
-    df = (f_hist[:, :1] - f_hist[:, 1:]) * valid
-    dg = (g_hist[:, :1] - g_hist[:, 1:]) * valid
-    gram = df @ np.swapaxes(df, 1, 2)
-    trace = np.diagonal(gram, axis1=1, axis2=2).sum(axis=-1)
-    # a relative ridge, and a unit diagonal on unused differences (gamma_i = 0)
-    ridge = (1e-10 * trace + np.finfo(float).tiny)[:, None] + ~valid[..., 0]
-    gram = gram + ridge[:, :, None] * np.eye(visibility.ANDERSON_DEPTH - 1)
-    gamma = np.linalg.solve(gram, df @ f_hist[:, 0, :, None])
-    x = (g_hist[:, 0] - (np.swapaxes(gamma, 1, 2) @ dg)[:, 0]).reshape(-1, 3, 2, 3)
-    return x / np.sqrt((x * x).sum(axis=-1, keepdims=True))
+def reference_tangent_bases(vecs):
+    """Orthonormal tangent bases (S, 6, 3, 2) of unit vectors (S, 3, 2, 3), as
+    first written: the first two columns of the Householder reflection
+    I - w w^T / (1 + |z|), w = n + sign(z) e_z."""
+    n = vecs.reshape(len(vecs), 6, 3)
+    w = n.copy()
+    w[..., 2] = w[..., 2] + np.copysign(1.0, n[..., 2])
+    scaled = w[..., :2] / (np.abs(n[..., 2:]) + 1.0)
+    return np.eye(3)[:, :2] - w[..., :, None] * scaled[..., None, :]
+
+
+#: per vector pair (U/D of qubit o, U/D of qubit t): the weights of the third
+#: qubit's frame rows (U+, D+, D-) in the Hessian block of B between them
+REFERENCE_BLOCKS = {
+    (0, 0): [-1.0 / 8, 1.0 / 8, 0.0],
+    (0, 1): [1.0 / 8, 0.0, 0.0],
+    (1, 0): [1.0 / 8, 0.0, 0.0],
+    (1, 1): [0.0, 0.0, 1.0 / 8],
+}
+
+
+def reference_derivatives(tensors, vecs):
+    """B's Riemannian gradient (S, 12) and Hessian (S, 12, 12) on the six
+    spheres, as first written: per party, the Euclidean gradient (h_U, h_D)/8
+    from freshly stacked frame rows and every cross-qubit block from the
+    third qubit's frame rows, assembled entry block by entry block in the
+    bases of ``reference_tangent_bases``.  Tangent index 2 (2 q + s) + k is
+    qubit q, U/D s and axis k.  ``visibility._derivatives`` must match it
+    bit for bit."""
+    count = len(vecs)
+    bases = reference_tangent_bases(vecs)
+    one = np.ones((count, 1))
+    frame = [
+        np.stack(
+            [
+                np.hstack([one, vecs[:, q, 0]]),
+                np.hstack([one, vecs[:, q, 1]]),
+                np.hstack([one, -vecs[:, q, 1]]),
+            ],
+            axis=1,
+        )
+        for q in range(3)
+    ]
+    euclid = np.empty((count, 3, 2, 3))
+    hess = np.zeros((count, 12, 12))
+    for j in range(3):
+        o, t = [k for k in range(3) if k != j]
+        pairs = frame[o][:, [1, 0, 0, 2], :, None] * frame[t][:, [0, 0, 1, 2], None, :]
+        euclid[:, j] = (-REFERENCE_COMBINE[:2] / 8.0 @ (pairs.reshape(-1, 4, 16) @ tensors[j]))[
+            ..., 1:
+        ]
+        spatial = tensors[j].reshape(4, 4, 4)[1:, 1:].reshape(9, 4)
+        rows = frame[j] @ spatial.T  # (S, 3, 9): T contracted with qubit j's frame rows
+        for (s_o, s_t), weights in REFERENCE_BLOCKS.items():
+            block = (np.array([weights]) @ rows).reshape(count, 3, 3)
+            left, right = bases[:, 2 * o + s_o], bases[:, 2 * t + s_t]
+            tangent = np.swapaxes(left, 1, 2) @ block @ right
+            a, b = 2 * (2 * o + s_o), 2 * (2 * t + s_t)
+            hess[:, a : a + 2, b : b + 2] = tangent
+            hess[:, b : b + 2, a : a + 2] = np.swapaxes(tangent, 1, 2)
+    euclid = euclid.reshape(count, 6, 3)
+    grad = (np.swapaxes(bases, -1, -2) @ euclid[..., None]).reshape(count, 12)
+    along = (euclid * vecs.reshape(count, 6, 3)).sum(axis=-1)
+    for v in range(6):
+        hess[:, 2 * v, 2 * v] = hess[:, 2 * v + 1, 2 * v + 1] = -along[:, v]
+    return grad, hess
+
+
+def reference_newton_points(tensors, vecs, damping):
+    """Damped Riemannian Newton points of B, as first written: each row solves
+    (Hess + damping) eta = -grad on its own, eta is capped at length 1 and
+    every vector moves to (n + eta)/|n + eta|.  A row whose system is singular
+    or whose step is not finite is not moved and is not solved."""
+    count = len(vecs)
+    bases = reference_tangent_bases(vecs)
+    grad, hess = reference_derivatives(tensors, vecs)
+    hess = hess + damping[:, None, None] * np.eye(12)
+    step = np.zeros((count, 12, 1))
+    solved = np.zeros(count, bool)
+    for r in range(count):
+        try:
+            eta = np.linalg.solve(hess[r], -grad[r, :, None])
+        except np.linalg.LinAlgError:
+            continue
+        solved[r] = np.isfinite(eta).all()
+        step[r] = eta if solved[r] else 0.0
+    size = np.sqrt((step * step).sum(axis=1, keepdims=True))
+    step = np.where(size > 1.0, step / np.where(size > 1.0, size, 1.0), step)
+    moved = vecs + (bases @ step.reshape(count, 6, 2, 1)).reshape(vecs.shape)
+    return moved / np.sqrt((moved * moved).sum(axis=-1, keepdims=True)), solved
 
 
 def nelder_mead_bell(state, starts, seed):
@@ -980,6 +1054,7 @@ def staged_minimize_bell(psi, starts=64, seed=0, tol=1e-10, maxiter=4000):
     vecs, value, gain, polish_sweeps = staged_descend(tensors, vecs, tol, maxiter)
 
     best = int(np.argmin(value))  # the first of equal values, in start order
+    grad, hess = reference_derivatives(tensors, vecs[best : best + 1])
     settings = settings_from_plus_kets(
         [(u, visibility._inside_window(u, d)) for u, d in visibility._plus_kets(vecs[best])]
     )
@@ -996,6 +1071,8 @@ def staged_minimize_bell(psi, starts=64, seed=0, tol=1e-10, maxiter=4000):
         seed=int(seed),
         start_values=tuple(float(v) for v in value),
         sweeps=sweeps + polish_sweeps,
+        gradient_norm=float(np.linalg.norm(grad)),
+        min_hessian_eigenvalue=float(np.linalg.eigvalsh(hess[0])[0]),
     )
 
 
@@ -1003,18 +1080,18 @@ def staged_descend(tensors, vecs, tol, maxiter):
     """Sweep each start until a plain sweep lowers its B by at most ``tol``.
 
     The see-saw descent as one staged batch, for ``staged_minimize_bell``,
-    on the frozen ``reference_bloch_sweep`` and ``reference_extrapolate``.
-    The sweeps are a safeguarded Anderson iteration (Walker & Ni, SIAM J.
-    Numer. Anal. 49, 1715, 2011) on the sweep map, which sends a start's
-    Bloch vectors, viewed as 18 reals, to the vectors after one sweep.
-    Once a plain sweep of a start gains less than ANDERSON_ONSET, its
-    inputs are extrapolated from its last ANDERSON_DEPTH iterates.  An
-    extrapolated input is kept only if the sweep from it lowers B;
-    otherwise the start goes back to its last kept vectors and value,
-    forgets its history and sweeps plainly.  A sweep from an extrapolated
-    input never stops a start, and one that gains at most ``tol`` is
-    followed by a plain sweep, so the returned gain is always a plain
-    sweep's.  ``maxiter`` caps the batched sweeps.
+    on the frozen ``reference_bloch_sweep`` and ``reference_newton_points``.
+    A start's plain gain is how much a sweep from its kept vectors lowers
+    B.  Once its last plain gain exceeds 0.3 times the one before it, a
+    start sweeps from the damped Riemannian Newton point of its kept
+    vectors, and again after each such sweep that gains more than ``tol``.
+    That sweep is kept only if it lowers B; otherwise the start goes back
+    to its last kept vectors and value and sweeps plainly.  The damping of
+    every start starts at 1e-2 and is multiplied by 0.3 after a kept point
+    and by 10 after a rejected one.  A sweep from a Newton point never
+    stops a start, and one that gains at most ``tol`` is followed by a
+    plain sweep, so the returned gain is always a plain sweep's.
+    ``maxiter`` caps the batched sweeps.
 
     Returns the vectors, the final B and the last plain sweep's improvement
     per start, and the number of batched sweeps run.
@@ -1024,39 +1101,33 @@ def staged_descend(tensors, vecs, tol, maxiter):
     inputs = vecs.copy()  # next sweep input of every start
     value = np.full(count, np.inf)
     gain = np.full(count, np.inf)  # last plain sweep's
-    onset = np.zeros(count, bool)
-    extrapolated = np.zeros(count, bool)
-    depth = np.zeros(count, int)
-    f_hist = np.zeros((count, visibility.ANDERSON_DEPTH, 18))
-    g_hist = np.zeros((count, visibility.ANDERSON_DEPTH, 18))
+    earlier = np.full(count, np.inf)  # the plain sweep's before it
+    damping = np.full(count, 1e-2)
+    newton = np.zeros(count, bool)
     active = np.arange(count)
     sweeps = 0
     while active.size and sweeps < maxiter:
         sweeps += 1
         out, new = reference_bloch_sweep(tensors, inputs[active])
-        plain = ~extrapolated[active]
+        plain = ~newton[active]
         lowered = value[active] - new
         kept = plain | (lowered > 0.0)
         keep = active[kept]
+        earlier[active[plain]] = gain[active[plain]]
         gain[active[plain]] = lowered[plain]
-        onset[active[plain & (lowered < visibility.ANDERSON_ONSET)]] = True
+        damping[active[~plain]] *= np.where(kept[~plain], 0.3, 10.0)
         value[keep], vecs[keep] = new[kept], out[kept]
-        g_new = out[kept].reshape(-1, 18)
-        f_hist[keep, 1:], g_hist[keep, 1:] = f_hist[keep, :-1], g_hist[keep, :-1]
-        f_hist[keep, 0] = g_new - inputs[keep].reshape(-1, 18)
-        g_hist[keep, 0] = g_new
-        depth[keep] = np.minimum(depth[keep] + 1, visibility.ANDERSON_DEPTH)
-        depth[active[~kept]] = 0
 
         going = ~plain | (lowered > tol)
         active, lowered = active[going], lowered[going]
         inputs[active] = vecs[active]
-        extrapolated[:] = False
-        # a rejected start has depth 0; one whose sweep gained at most tol sweeps plainly
-        fast = active[onset[active] & (depth[active] >= 2) & (lowered > tol)]
-        if fast.size:
-            inputs[fast] = reference_extrapolate(f_hist[fast], g_hist[fast], depth[fast])
-            extrapolated[fast] = True
+        newton[:] = False
+        # a rejected start, and one whose sweep gained at most tol, sweeps plainly
+        slow = active[(lowered > tol) & (gain[active] > 0.3 * earlier[active])]
+        if slow.size:
+            points, solved = reference_newton_points(tensors, vecs[slow], damping[slow])
+            inputs[slow[solved]] = points[solved]
+            newton[slow[solved]] = True
     return vecs, value, gain, sweeps
 
 

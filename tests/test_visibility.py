@@ -19,13 +19,15 @@ from hardy3q.visibility import (
     threshold_visibility,
     LOOSE_TOL,
     _bloch_vectors,
+    _derivatives,
     _descend,
-    _extrapolate,
     _kicks,
+    _newton_points,
     _party_tensors,
     _plus_kets,
     _see_saw,
     _sweep,
+    _tangent_bases,
 )
 
 from conftest import (
@@ -39,7 +41,8 @@ from conftest import (
     random_ket,
     random_settings,
     reference_bloch_sweep,
-    reference_extrapolate,
+    reference_derivatives,
+    reference_newton_points,
     reference_min_eigpair,
     reference_sweep,
     staged_minimize_bell,
@@ -184,9 +187,28 @@ class TestMinimizeBell:
         # the plain see-saw needed 765 (W) and 119 (GHZ) batched sweeps here,
         # and Anderson descents run as staged batches 292 and 96; pipelined,
         # they took 176 and 77 on Bloch vectors (171 and 85 on kets); with all
-        # hops in one batch the three batched descents take 152 and 36
+        # hops in one batch the three batched descents took 152 and 36, and
+        # with damped Newton points in place of Anderson they take 37 and 25
         assert minimize_bell(w_ket(), starts=8, seed=0).sweeps <= 180
         assert minimize_bell(GHZ.to_ket(), starts=8, seed=0).sweeps <= 90
+
+    @pytest.mark.parametrize("psi", [GHZ.to_ket(), w_ket()], ids=["ghz", "w"])
+    def test_winner_is_a_second_order_critical_point(self, psi):
+        # the Riemannian gradient vanishes at the winner and its tangent
+        # Hessian has no negative eigenvalue, up to the symmetry zeros
+        result = minimize_bell(psi, starts=8, seed=0)
+        assert result.gradient_norm <= 1e-5
+        assert result.min_hessian_eigenvalue >= -1e-6
+
+    def test_weak_ghz_type_family_reaches_minus_l0_squared(self):
+        # on (l0, 0, 0, 0, sqrt(1 - l0^2)) B_min / l0^2 tends to -1 as l0 -> 0,
+        # and the optimum is at least as low as the constructive witness's -P5
+        l0 = 1e-3
+        state = CanonicalState((l0, 0, 0, 0, math.sqrt(1.0 - l0 * l0)), 0.0)
+        p5 = build_witness(state).certificate.success_probability
+        values = [minimize_bell(state.to_ket(), starts=8, seed=seed).best_value for seed in range(5)]
+        assert np.mean(values) / l0**2 <= -0.999
+        assert max(values) <= -p5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -282,23 +304,119 @@ class TestSeeSaw:
         got = (_kicks(axes) @ bloch_of_kets(kets)[..., None])[..., 0]
         np.testing.assert_allclose(got, bloch_of_kets(kicked), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
-    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
-    def test_extrapolate_matches_reference_bit_for_bit(self, depth, repeated):
-        rng = np.random.default_rng(depth)
-        f_hist = rng.standard_normal((6, visibility.ANDERSON_DEPTH, 18))
-        g_hist = rng.standard_normal((6, visibility.ANDERSON_DEPTH, 18))
-        f_hist[:3] *= 10.0 ** rng.integers(-12, 0, (3, 1, 1))
-        if repeated:
-            # iterates repeated up to the depth: every valid difference is
-            # zero, and only the ridge keeps the Gram matrix invertible
-            f_hist[:, :depth] = f_hist[:, :1]
-            g_hist[:, :depth] = g_hist[:, :1]
-        depths = np.array([depth, depth, 2, 5, depth, 3])
-        hist = np.stack([f_hist, g_hist], axis=2).reshape(6, -1, 2, 3, 2, 3)
-        got = _extrapolate(hist, depths)
-        want = reference_extrapolate(f_hist, g_hist, depths)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    @pytest.mark.parametrize("name", ["ghz", "w", "random"])
+    def test_derivatives_match_kron_oracle(self, name):
+        # B is affine in each qubit's (u, d), so central differences of the
+        # kron-tensor polynomial with unit steps are exact; the sphere then
+        # adds -(n.g) on every tangent plane
+        rng = np.random.default_rng(17)
+        psi = {"ghz": GHZ.to_ket, "w": w_ket, "random": lambda: random_ket(rng, 8)}[name]()
+        tensor = oracle_correlation_tensor(psi)
+        vecs = random_vecs(rng, 4)
+        vecs[0, 1, 0] = [0.0, 0.0, -1.0]  # a pole, where the basis flips
+
+        def polynomial(x):
+            u, d = x.reshape(3, 2, 3)[:, 0], x.reshape(3, 2, 3)[:, 1]
+            rows = [np.stack([np.r_[1.0, u[q]], np.r_[1.0, d[q]], np.r_[1.0, -d[q]]]) for q in range(3)]
+
+            def term(*picks):
+                f0, f1, f2 = (rows[q][k] for q, k in enumerate(picks))
+                return np.einsum("abc,a,b,c->", tensor, f0, f1, f2)
+
+            return (term(1, 0, 0) + term(0, 1, 0) + term(0, 0, 1) + term(2, 2, 2) - term(0, 0, 0)) / 8.0
+
+        grad, hess = _derivatives(_party_tensors(psi.reshape(2, 2, 2)), vecs, _tangent_bases(vecs))
+        eye = np.eye(18)
+        for s in range(len(vecs)):
+            x = vecs[s].reshape(18)
+            euclid = np.array([(polynomial(x + e) - polynomial(x - e)) / 2.0 for e in eye])
+            second = np.array(
+                [
+                    [
+                        polynomial(x + a + b) - polynomial(x + a - b)
+                        - polynomial(x - a + b) + polynomial(x - a - b)
+                        for b in eye
+                    ]
+                    for a in eye
+                ]
+            ) / 4.0
+            bases = _tangent_bases(vecs[s : s + 1])[0]
+            embed = np.zeros((18, 12))
+            for v in range(6):
+                embed[3 * v : 3 * v + 3, 2 * v : 2 * v + 2] = bases[v]
+            along = (euclid.reshape(6, 3) * x.reshape(6, 3)).sum(axis=-1)
+            np.testing.assert_allclose(embed.T @ embed, np.eye(12), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(embed.T @ x, 0.0, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(grad[s], embed.T @ euclid, rtol=0, atol=1e-14)
+            want = embed.T @ second @ embed - np.diag(np.repeat(along, 2))
+            np.testing.assert_allclose(hess[s], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["ghz", "w", "random"])
+    def test_derivatives_match_finite_differences_of_bell_value(self, name):
+        # along the geodesic n cos t + xi sin t of every vector, the first and
+        # second derivatives of B at the reported settings are <grad, xi> and
+        # <xi, Hess xi>; Hessian entries by polarization
+        rng = np.random.default_rng(23)
+        psi = {"ghz": GHZ.to_ket, "w": w_ket, "random": lambda: random_ket(rng, 8)}[name]()
+        vecs = random_vecs(rng, 1)
+        bases = _tangent_bases(vecs)
+        grad, hess = _derivatives(_party_tensors(psi.reshape(2, 2, 2)), vecs, bases)
+
+        def along(xi, t):
+            step = (bases[0] @ xi.reshape(6, 2, 1))[..., 0]
+            size = np.linalg.norm(step, axis=-1, keepdims=True)
+            n = vecs[0].reshape(6, 3)
+            safe = np.where(size > 0.0, size, 1.0)
+            moved = n * np.cos(size * t) + step / safe * np.sin(size * t)
+            kets = settings_from_plus_kets(_plus_kets(moved.reshape(3, 2, 3)))
+            return bell_value(psi, kets).bell_value
+
+        h = 1e-4
+        eye = np.eye(12)
+        first = [(along(e, h) - along(e, -h)) / (2 * h) for e in eye]
+        np.testing.assert_allclose(grad[0], first, rtol=0, atol=1e-8)
+
+        def curvature(xi):
+            return (along(xi, h) - 2.0 * along(xi, 0.0) + along(xi, -h)) / h**2
+
+        want = np.array(
+            [[(curvature(a + b) - curvature(a - b)) / 4.0 for b in eye] for a in eye]
+        )
+        np.testing.assert_allclose(hess[0], want, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("name", ["ghz", "w", "000", "random"])
+    def test_newton_points_match_reference_bit_for_bit(self, name):
+        # the tangent bases, the derivatives and the damped Newton points,
+        # Bloch vectors on both poles included
+        rng = np.random.default_rng(29)
+        psi = {
+            "ghz": GHZ.to_ket,
+            "w": w_ket,
+            "000": product_ket,
+            "random": lambda: random_ket(rng, 8),
+        }[name]()
+        tensors = _party_tensors(psi.reshape(2, 2, 2))
+        for count in (1, 5, 17):
+            vecs = random_vecs(rng, count)
+            vecs[0, 0] = [0.0, 0.0, 1.0]
+            vecs[-1, 2] = [0.0, 0.0, -1.0]
+            damping = 10.0 ** rng.uniform(-8.0, 1.0, count)
+            got = _derivatives(tensors, vecs, _tangent_bases(vecs))
+            for g, w in zip(got, reference_derivatives(tensors, vecs)):
+                assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+            points, solved = _newton_points(tensors, vecs, damping)
+            want_points, want_solved = reference_newton_points(tensors, vecs, damping)
+            assert np.array_equal(points.view(np.uint64), want_points.view(np.uint64))
+            assert np.array_equal(solved, want_solved)
+
+    def test_newton_points_skip_singular_rows(self):
+        # with a zero tensor the undamped Hessian is zero: that row is not
+        # solved and not moved, and the damped rows beside it still are
+        rng = np.random.default_rng(31)
+        vecs = random_vecs(rng, 3)
+        points, solved = _newton_points(np.zeros((3, 16, 4)), vecs, np.array([0.0, 1.0, 0.0]))
+        assert solved.tolist() == [False, True, False]
+        np.testing.assert_allclose(points, vecs, rtol=0, atol=1e-15)
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -504,8 +622,9 @@ class TestQualityGates:
         # the see-saw's quality gates, which scripts/reproduce_thresholds.py
         # --starts 8 --seeds 30 prints: starts at the best value (GHZ all 240)
         # and batched sweeps, summed over seeds 0-29; the pipelined Bloch
-        # see-saw read 240 and 2,401 on GHZ, 170 and 6,519 on W, and the three
-        # batched descents read 240 and 1,151 on GHZ, 166 and 4,922 on W
+        # see-saw read 240 and 2,401 on GHZ, 170 and 6,519 on W, the three
+        # batched Anderson descents 240 and 1,151 on GHZ, 166 and 4,922 on W,
+        # and with damped Newton points 240 and 802 on GHZ, 166 and 1,181 on W
         results = [minimize_bell(psi, starts=8, seed=seed) for seed in range(30)]
         assert sum(r.starts_at_best for r in results) >= min_at_best
         assert sum(r.sweeps for r in results) <= max_sweeps
@@ -535,3 +654,5 @@ class TestStagedOracle:
             assert np.array_equal(got.best_settings.plus_kets, want.best_settings.plus_kets)
             assert got.converged == want.converged
             assert got.threshold_visibility == want.threshold_visibility
+            assert got.gradient_norm == want.gradient_norm
+            assert got.min_hessian_eigenvalue == want.min_hessian_eigenvalue
