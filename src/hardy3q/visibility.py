@@ -124,6 +124,7 @@ def _hessian_picks() -> np.ndarray:
 
 
 _HESSIAN_PICKS = _hessian_picks()
+#: the first two columns of the 3 x 3 identity, which ``_tangent_bases`` reflects
 _FIRST_TWO = np.eye(3)[:, :2]
 #: sigma_0 = I and the Pauli matrices sigma_x, sigma_y, sigma_z
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
