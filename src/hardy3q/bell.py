@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError
-from .observables import BELL_TERMS, TERM_OUTCOMES, MeasurementSettings
+from .observables import BELL_TERMS, TERM_OUTCOMES, TERM_SIGNS, MeasurementSettings
 
 #: Bell value of the maximally mixed state I/8 (four terms of 1/8 minus 1/8)
 WHITE_NOISE_BELL_VALUE = 3.0 / 8.0
@@ -100,7 +101,8 @@ def bell_value(state, settings: MeasurementSettings) -> BellReport:
     or infinite, which would read as a verdict on the local bound).
     """
     probs = _finite_probabilities(state, settings)
-    value = probs[0] + probs[1] + probs[2] + probs[3] - probs[4]
+    # products by +-1 are exact and -0.0 + p1 is p1: this rounds as p1 + p2 + p3 + p4 - p5
+    value = sum(map(operator.mul, TERM_SIGNS, probs), -0.0)
     return BellReport(
         probabilities=_clamped(probs),
         bell_value=value,
@@ -136,8 +138,7 @@ def lhv_term_indicators(a: LhvAssignment) -> tuple[int, int, int, int, int]:
 
 
 def lhv_bell_value(a: LhvAssignment) -> int:
-    t = lhv_term_indicators(a)
-    return t[0] + t[1] + t[2] + t[3] - t[4]
+    return sum(map(operator.mul, TERM_SIGNS, lhv_term_indicators(a)))
 
 
 def lhv_assignments() -> tuple[LhvAssignment, ...]:

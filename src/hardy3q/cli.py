@@ -72,8 +72,8 @@ MAX_GRID_POINTS = 1_000_000
 #: start gets its own generator and Bloch vectors before any work is done,
 #: and its HOPS hops descend as HOPS rows of one batch, whose Newton systems
 #: are built a bounded number of rows at a time.  On W a start costs about
-#: 0.45 ms and 12 kB of peak allocation on a 2-core machine (4,000 starts:
-#: 1.75 s and 50 MB), so this bound keeps a run near 4.5 s and 125 MB
+#: 0.4 ms and 8 kB of peak allocation on a 2-core machine (4,000 starts:
+#: 1.7 s and 34 MB), so this bound keeps a run near 3.5 s and 84 MB
 MAX_STARTS = 10_000
 #: ``sample --shots`` must be below this: the sampler draws int64 counts
 SHOTS_LIMIT = 2**63

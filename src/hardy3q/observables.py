@@ -46,6 +46,8 @@ BELL_TERMS: tuple[tuple[tuple[str, int], ...], ...] = (
     (("U", +1), ("U", +1), ("D", +1)),
     (("U", +1), ("U", +1), ("U", +1)),
 )
+#: each term's sign in B = p1 + p2 + p3 + p4 - p5
+TERM_SIGNS: tuple[int, ...] = (1, 1, 1, 1, -1)
 
 #: each term's observable kinds (U 0, D 1), which make its context
 _TERM_KINDS = np.array([[{"U": 0, "D": 1}[k] for k, _ in term] for term in BELL_TERMS])

@@ -10,32 +10,35 @@ violated is
 The minimization is a see-saw iteration (Werner & Wolf, QIC 2001; Pal &
 Vertesi, PRA 82, 022116, 2010) on real unit Bloch vectors: a start is a
 (3, 2, 3) array, qubit, U/D, vector, and the projector onto a plus-ket of
-Bloch vector n is (I + n.sigma)/2.  B is then a trilinear form in psi's
-real 4x4x4 correlation tensor T[mu, nu, lam] = <psi|sigma_mu x sigma_nu x
-sigma_lam|psi> (sigma_0 = I), built once per call.  It is affine in each
-party's two vectors, and P(D-) = I - P(D+), so with two parties fixed the
-best U and D of the third are -h/|h| for two vectors h read off T.  Each
-seeded start escapes local minima by seeded basin hops: random rotations
-of its first descent's vectors, each kept only when its re-descent ends
-lower.  The hops do not depend on each other, so all starts' hops descend
-side by side as one batch, and a run is three batched descents: the first
-descents, the hops and the polish of each start's best.  The winner's
-vectors become plus-kets only for the reported settings.
+Bloch vector n is (I + n.sigma)/2.  Each term of ``BELL_TERMS`` is then
+linear in psi's real 4x4x4 correlation tensor T[mu, nu, lam] =
+<psi|sigma_mu x sigma_nu x sigma_lam|psi> (sigma_0 = I) and in each
+qubit's real row x = (1, u, d), so B = C(x_1, x_2, x_3) for one real
+7x7x7 Bell tensor C, built once per call from T and the terms with their
+``TERM_SIGNS``.  With two parties fixed, B is affine in the third party's
+U and D, so their best vectors are -g/|g| for the parts g of C contracted
+with the other two rows.  Each seeded start escapes local minima by
+seeded basin hops: random rotations of its first descent's vectors, each
+kept only when its re-descent ends lower.  The hops do not depend on
+each other, so all starts' hops descend side by side as one batch, and a
+run is three batched descents: the first descents, the hops and the
+polish of each start's best.  The winner's vectors become plus-kets only
+for the reported settings.
 
 Plain sweeps converge linearly, slowly near the optimum and slower still
 while a start climbs away from a saddle.  B's Riemannian gradient and
-Hessian on the six spheres are closed forms in T (Absil, Mahony &
-Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 5-7),
-so a start whose plain sweeps contract slowly sweeps from a
+Hessian on the six spheres are contractions of C with the rows (Absil,
+Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+ch. 5-7), so a start whose plain sweeps contract slowly sweeps from a
 Levenberg-Marquardt-damped Riemannian Newton point instead, which is
 kept only when the sweep from it lowers B.
 
 At the usual few dozen starts a sweep costs numpy calls, not arithmetic,
 so each sweep is a short, fixed sequence of real array operations on all
-running starts: one stack of every qubit's frame rows (1, n), and per
-party one gather, one product, two small matmuls and one normalization.
-A Newton point is one such gather for all three parties, a few batched
-matmuls and one batched 12 x 12 solve.
+running starts: per party one outer product of two rows, one (1, 49) @
+(49, 7) matmul per start and one normalization.  A Newton point is that
+contraction for all three parties, C contracted with each third row, a
+few batched matmuls and one batched 12 x 12 solve.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ from . import linalg
 from .bell import VIOLATION_CUTOFF, WHITE_NOISE_BELL_VALUE, bell_value
 from .errors import DimensionError, VisibilityUndefinedError
 from .observables import (
+    BELL_TERMS,
+    TERM_SIGNS,
     WINDOW_TOL,
     MeasurementSettings,
     random_angles,
@@ -87,43 +92,26 @@ AT_BEST_TOL = 1e-9
 
 #: party j of a sweep and the other two qubits o and t
 _PARTIES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-#: rows (U+, D+, D-) of qubits o and t whose products give c3 = <D+U+|,
-#: b = <U+U+|, c4 = <U+D+| and a = <D-D-| (o's row first), and per party their
-#: indices into the (qubit, U+/D+/D-) frame stack, o's then t's
-_O_ROWS, _T_ROWS = np.array([1, 0, 0, 2]), np.array([0, 0, 1, 2])
-_PICKS = np.array([np.r_[3 * o + _O_ROWS, 3 * t + _T_ROWS] for _, o, t in _PARTIES])
-#: (b - c3 - c4, a - b, c3 + c4 + a) from the rows (c3, b, c4, a)
-_COMBINE = np.array([[-1.0, 1.0, -1.0, 0.0], [0.0, -1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]])
-#: the Euclidean gradient (h_U, h_D)/8 of B from the rows (c3, b, c4, a)
-_GRADIENT = -_COMBINE[:2] / 8.0
-#: the rows 4 alpha + beta of a party's (16, 4) tensor with alpha, beta >= 1
-_SPATIAL = np.array([5, 6, 7, 9, 10, 11, 13, 14, 15])
-#: the Hessian blocks (uu, ud, du, dd)/8 of B between the spatial parts of
-#: qubits o and t, and a zero block, from the third qubit's rows (U+, D+, D-)
-_BLOCKS = np.array([[-1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0] * 3]) / 8.0
-#: per party and block, the vectors (2 qubit + U/D) on its left and right
-_LEFT = np.array([[2 * o, 2 * o, 2 * o + 1, 2 * o + 1, 0] for _, o, _ in _PARTIES])
-_RIGHT = np.array([[2 * t, 2 * t + 1, 2 * t, 2 * t + 1, 0] for _, _, t in _PARTIES])
+#: every party's qubits o and t, as index arrays
+_O, _T = np.array(_PARTIES)[:, 1:].T
 
 
-def _hessian_picks() -> np.ndarray:
-    """Indices into the flattened (party, block, 2 x 2) stack of the 12 x 12 tangent Hessian.
-
-    Entry (a, b), a = 2 (2 qa + sa) + ka (qubit, U/D, tangent axis), reads
-    block (sa, sb) of party 3 - qa - qb at (ka, kb), or the transpose when
-    qa is that party's t; entries within one qubit read party 0's zero block.
-    """
-    picks = np.full((12, 12), 4 * 4)
-    for a, b in np.ndindex(12, 12):
-        (qa, sa, ka), (qb, sb, kb) = np.unravel_index(a, (3, 2, 2)), np.unravel_index(b, (3, 2, 2))
-        if qa > qb:
-            (sa, ka), (sb, kb) = (sb, kb), (sa, ka)
-        if qa != qb:
-            picks[a, b] = (5 * (3 - qa - qb) + 2 * sa + sb) * 4 + 2 * ka + kb
-    return picks.ravel()
+def _frame_map(kind: str, sign: int) -> np.ndarray:
+    """The (4, 7) map from a qubit's row (1, u, d) to the frame row (1, sign n)
+    of its projector (I + sign n.sigma)/2, n the Bloch vector u or d of ``kind``."""
+    frame = np.zeros((4, 7))
+    frame[0, 0] = 1.0
+    first = 1 if kind == "U" else 4
+    frame[1:, first : first + 3] = sign * np.eye(3)
+    return frame
 
 
-_HESSIAN_PICKS = _hessian_picks()
+#: the Bell tensor as a linear map (64, 343) of the correlation tensor: a term
+#: <psi|P1 x P2 x P3|psi> is T(f1, f2, f3)/8 for its projectors' frame rows f
+_WEIGHTS = sum(
+    sign / 8.0 * np.einsum("ma,nb,lc->mnlabc", *(_frame_map(*factor) for factor in term))
+    for term, sign in zip(BELL_TERMS, TERM_SIGNS)
+).reshape(64, 343)
 #: the first two columns of the 3 x 3 identity, which ``_tangent_bases`` reflects
 _FIRST_TWO = np.eye(3)[:, :2]
 #: sigma_0 = I and the Pauli matrices sigma_x, sigma_y, sigma_z
@@ -168,64 +156,54 @@ class OptimizationResult:
 
 
 def _party_tensors(psi3: np.ndarray) -> np.ndarray:
-    """psi's correlation tensor as one (16, 4) matrix per party of a sweep, stacked.
+    """psi's Bell tensor as one (49, 7) matrix per party of a sweep, stacked.
 
-    T[mu, nu, lam] = <psi|sigma_mu x sigma_nu x sigma_lam|psi> with sigma_0 =
-    I, real (4, 4, 4).  Party j's matrix holds T with axes (o, t, j), o and t
-    flattened into rows, for the parties of ``_PARTIES``.
+    The correlation tensor T[mu, nu, lam] = <psi|sigma_mu x sigma_nu x
+    sigma_lam|psi> (sigma_0 = I) is real (4, 4, 4), and C = T @ _WEIGHTS is
+    the real (7, 7, 7) Bell tensor with B = C(x_1, x_2, x_3) for the
+    qubits' rows x_q = (1, u_q, d_q).  Party j's matrix holds C with axes
+    (o, t, j), o and t flattened into rows, for the parties of ``_PARTIES``.
     """
     tensor = np.einsum(
         _TENSOR_SUBSCRIPTS, psi3.conj(), _PAULI, _PAULI, _PAULI, psi3, optimize=_TENSOR_PATH
     ).real
-    return np.stack([tensor.transpose(o, t, j).reshape(16, 4) for j, o, t in _PARTIES])
+    bell = (tensor.reshape(64) @ _WEIGHTS).reshape(7, 7, 7)
+    return np.stack([bell.transpose(o, t, j).reshape(49, 7) for j, o, t in _PARTIES])
+
+
+def _rows(vecs: np.ndarray) -> np.ndarray:
+    """Every qubit's row (1, u, d), (S, 3, 7), of Bloch vectors (S, 3, 2, 3)."""
+    return np.concatenate([np.ones((len(vecs), 3, 1)), vecs.reshape(-1, 3, 6)], axis=-1)
 
 
 def _sweep(tensors, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One see-saw sweep over the three parties, for every start at once.
 
     ``vecs`` is (S, 3, 2, 3): start, qubit, U/D, Bloch vector, and
-    ``tensors`` is ``_party_tensors(psi3)``.  A projector is (I + n.sigma)/2,
-    so with the frame rows f = (1, n) of U+ and D+ and (1, -d) of D-, the
-    amplitudes c = <o t|psi> over the other two qubits give the 4-vectors
-    4 c^+ sigma_mu c = T(f_o, f_t), for c3 = <D+U+|, b = <U+U+|, c4 = <U+D+|
-    and a = <D-D-| (o's row first).  With V their vector and C their scalar
-    parts, party j's U and D see h_U = V_c3 + V_c4 - V_b and h_D = V_b -
-    V_a; each moves to -h/|h| (kept where h = 0, when every vector is a
-    minimizer), and then
+    ``tensors`` is ``_party_tensors(psi3)``.  B = C(x_1, x_2, x_3) is
+    linear in each qubit's row x = (1, u, d), so with the rows of qubits o
+    and t fixed, party j sees g = C(x_o, x_t, .) and B = g_0 + g_u.u +
+    g_d.d.  Its U and D move to -g_u/|g_u| and -g_d/|g_d| (kept where g_u
+    or g_d = 0, when every vector is a minimizer), and then
 
-        B = (C_c3 + C_c4 + C_a - |h_U| - |h_D|) / 8.
+        B = g_0 - |g_u| - |g_d|.
 
-    One (S, 9, 4) stack holds every qubit's three frame rows; only the
-    updated party's rows are rewritten.  Returns the new vectors and B
-    after the sweep.  Each start is its own small matmuls and elementwise
-    arithmetic, so a start's result does not depend on the other starts.
+    Only the updated party's row is rewritten.  Returns the new vectors
+    and B after the sweep.  Each start is its own (1, 49) @ (49, 7) matmul
+    and elementwise arithmetic, so a start's result does not depend on the
+    other starts.
     """
     count = len(vecs)
     new = vecs.copy()
-    frames = _frames(vecs)
-    rows = frames.reshape(count, 3, 3, 4)
-    for j, picks in enumerate(_PICKS):
-        pick = frames.take(picks, axis=1)  # o's then t's rows of c3, b, c4, a
-        pairs = pick[:, :4, :, None] * pick[:, 4:, None, :]
-        terms = _COMBINE @ (pairs.reshape(count, 4, 16) @ tensors[j])
-        minus_h = terms[:, :2, 1:]
-        size = np.hypot.reduce(minus_h, axis=-1)
-        np.divide(minus_h, size[..., None], out=new[:, j], where=size[..., None] > 0.0)
-        if j != 2:
-            rows[:, j, :2, 1:] = new[:, j]
-            np.negative(new[:, j, 1], out=rows[:, j, 2, 1:])
-    return new, (terms[:, 2, 0] - size[:, 0] - size[:, 1]) / 8.0
-
-
-def _frames(vecs: np.ndarray) -> np.ndarray:
-    """Every qubit's frame rows (1, u), (1, d), (1, -d) as one (S, 9, 4) stack."""
-    count = len(vecs)
-    frames = np.empty((count, 9, 4))
-    frames[..., 0] = 1.0
-    rows = frames.reshape(count, 3, 3, 4)
-    rows[:, :, :2, 1:] = vecs
-    np.negative(vecs[:, :, 1], out=rows[:, :, 2, 1:])
-    return frames
+    rows = _rows(vecs)
+    for j, o, t in _PARTIES:
+        # one (S, 1, 49) product of the two rows, freed before the next party's
+        g = ((rows[:, o, :, None] * rows[:, t, None, :]).reshape(count, 1, 49) @ tensors[j])[:, 0]
+        slopes = g[:, 1:].reshape(count, 2, 3)
+        size = np.hypot.reduce(slopes, axis=-1)
+        np.divide(slopes, -size[..., None], out=new[:, j], where=size[..., None] > 0.0)
+        rows[:, j, 1:] = new[:, j].reshape(count, 6)
+    return new, g[:, 0] - size[:, 0] - size[:, 1]
 
 
 def _tangent_bases(vecs: np.ndarray) -> np.ndarray:
@@ -245,28 +223,32 @@ def _tangent_bases(vecs: np.ndarray) -> np.ndarray:
 def _derivatives(tensors, vecs: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """B's Riemannian gradient (S, 12) and Hessian (S, 12, 12) in the tangent ``bases``.
 
-    B is affine in each qubit's (u, d), so its Euclidean Hessian has zero
-    3 x 3 blocks within a qubit.  The Euclidean gradient is (h_U, h_D)/8
-    of every party at the same vectors, gathered as ``_sweep`` gathers
-    them; the block between qubits o and t is bilinear in T contracted
-    with the third qubit's frame rows, one matmul for all three parties.
+    B = C(x_1, x_2, x_3) is linear in each qubit's row x = (1, u, d), so
+    the Euclidean gradient in party j's (u, d) is the (g_u, g_d) of
+    ``_sweep`` at the same vectors, and the Euclidean Hessian has zero
+    blocks within a qubit; its block between qubits o and t is C(., ., x_j).
+    Each qubit's (7, 4) tangent map, which sends the tangent coordinates of
+    its U and D to its row, carries that block into the tangent Hessian.
     On the sphere a vector n with Euclidean gradient g has Riemannian
     gradient g - (n.g) n, and the Hessian gains -(n.g) on n's tangent
     plane (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
     Manifolds, 2008, ch. 5-6).
     """
     count = len(vecs)
-    frames = _frames(vecs)
-    pick = frames.take(_PICKS, axis=1)  # per party, o's then t's rows of c3, b, c4, a
-    pairs = pick[:, :, :4, :, None] * pick[:, :, 4:, None, :]
-    euclid = (_GRADIENT @ (pairs.reshape(count, 3, 4, 16) @ tensors))[..., 1:, None]
-    grad = (bases.swapaxes(-1, -2) @ euclid.reshape(count, 6, 3, 1)).reshape(count, 12)
-    along = (euclid.reshape(count, 6, 3) * vecs.reshape(count, 6, 3)).sum(axis=-1)
-    blocks = _BLOCKS @ (frames.reshape(count, 3, 3, 4) @ tensors[:, _SPATIAL].transpose(0, 2, 1))
-    blocks = bases.take(_LEFT, axis=1).swapaxes(-1, -2) @ blocks.reshape(count, 3, 5, 3, 3)
-    hess = (blocks @ bases.take(_RIGHT, axis=1)).reshape(count, 60).take(_HESSIAN_PICKS, axis=1)
-    hess[:, ::13] = -along.repeat(2, axis=-1)
-    return grad, hess.reshape(count, 12, 12)
+    rows = _rows(vecs)
+    pairs = rows[:, _O, :, None] * rows[:, _T, None, :]
+    euclid = (pairs.reshape(count, 3, 1, 49) @ tensors)[:, :, 0, 1:].reshape(count, 6, 3)
+    grad = (bases.swapaxes(-1, -2) @ euclid[..., None]).reshape(count, 12)
+    along = (euclid * vecs.reshape(count, 6, 3)).sum(axis=-1)
+    maps = np.zeros((count, 3, 7, 4))
+    maps[:, :, 1:4, :2], maps[:, :, 4:, 2:] = bases[:, 0::2], bases[:, 1::2]
+    blocks = (tensors @ rows[..., None]).reshape(count, 3, 7, 7)
+    blocks = maps[:, _O].swapaxes(-1, -2) @ blocks @ maps[:, _T]
+    hess = np.zeros((count, 3, 3, 4, 4))
+    hess[:, _O, _T], hess[:, _T, _O] = blocks, blocks.swapaxes(-1, -2)
+    hess = hess.swapaxes(2, 3).reshape(count, 12, 12)
+    hess.reshape(count, 144)[:, ::13] = -along.repeat(2, axis=-1)
+    return grad, hess
 
 
 def _newton_points(tensors, vecs: np.ndarray, damping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -697,15 +697,27 @@ def oracle_correlation_tensor(psi):
     )
 
 
+#: party j of a sweep and the other two qubits o and t
+REFERENCE_PARTIES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 #: (b - c3 - c4, a - b, c3 + c4 + a) from the rows (c3, b, c4, a)
 REFERENCE_COMBINE = np.array([[-1.0, 1.0, -1.0, 0.0], [0.0, -1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]])
 
 
+def reference_party_tensors(psi):
+    """The correlation tensor of ``oracle_correlation_tensor`` as one (16, 4)
+    matrix per party, axes (o, t, j) with o and t flattened into rows: the
+    input of the hand-derived ``reference_bloch_sweep`` and
+    ``reference_derivatives``."""
+    tensor = oracle_correlation_tensor(np.ravel(psi))
+    return np.stack([tensor.transpose(o, t, j).reshape(16, 4) for j, o, t in REFERENCE_PARTIES])
+
+
 def reference_bloch_sweep(tensors, vecs):
-    """The Bloch see-saw sweep as first written: freshly stacked frame rows
-    (1, u), (1, d), (1, -d) of the other two qubits per party, with
-    ``tensors`` from ``visibility._party_tensors``.  ``visibility._sweep``
-    must match it bit for bit."""
+    """The Bloch see-saw sweep as first derived by hand: freshly stacked
+    frame rows (1, u), (1, d), (1, -d) of the other two qubits per party,
+    whose products pick the terms c3 = <D+U+|, b = <U+U+|, c4 = <U+D+| and
+    a = <D-D-| from ``tensors`` of ``reference_party_tensors``.
+    ``visibility._sweep`` must match it to rounding."""
     vecs = vecs.copy()
     one = np.ones((len(vecs), 1))
     for j in range(3):
@@ -753,12 +765,13 @@ REFERENCE_BLOCKS = {
 
 def reference_derivatives(tensors, vecs):
     """B's Riemannian gradient (S, 12) and Hessian (S, 12, 12) on the six
-    spheres, as first written: per party, the Euclidean gradient (h_U, h_D)/8
-    from freshly stacked frame rows and every cross-qubit block from the
-    third qubit's frame rows, assembled entry block by entry block in the
-    bases of ``reference_tangent_bases``.  Tangent index 2 (2 q + s) + k is
-    qubit q, U/D s and axis k.  ``visibility._derivatives`` must match it
-    bit for bit."""
+    spheres, as first derived by hand: per party, the Euclidean gradient
+    (h_U, h_D)/8 from freshly stacked frame rows and every cross-qubit block
+    from the third qubit's frame rows, assembled entry block by entry block
+    in the bases of ``reference_tangent_bases``, with ``tensors`` of
+    ``reference_party_tensors``.  Tangent index 2 (2 q + s) + k is qubit q,
+    U/D s and axis k.  ``visibility._derivatives`` must match it to
+    rounding."""
     count = len(vecs)
     bases = reference_tangent_bases(vecs)
     one = np.ones((count, 1))
@@ -798,14 +811,65 @@ def reference_derivatives(tensors, vecs):
     return grad, hess
 
 
-def reference_newton_points(tensors, vecs, damping):
-    """Damped Riemannian Newton points of B, as first written: each row solves
-    (Hess + damping) eta = -grad on its own, eta is capped at length 1 and
-    every vector moves to (n + eta)/|n + eta|.  A row whose system is singular
-    or whose step is not finite is not moved and is not solved."""
+def frozen_sweep(tensors, vecs):
+    """``visibility._sweep`` as written when it moved to the Bell tensor, for
+    ``tensors`` of ``visibility._party_tensors``: per party, g = C(x_o, x_t, .)
+    as one (1, 49) @ (49, 7) matmul per start, U and D to -g_u/|g_u| and
+    -g_d/|g_d| (kept where that is 0), and B = g_0 - |g_u| - |g_d| of the
+    last party.  ``visibility._sweep`` must match it bit for bit."""
+    count = len(vecs)
+    new = vecs.copy()
+    rows = np.concatenate([np.ones((count, 3, 1)), vecs.reshape(count, 3, 6)], axis=-1)
+    for j, o, t in REFERENCE_PARTIES:
+        pairs = (rows[:, o, :, None] * rows[:, t, None, :]).reshape(count, 1, 49)
+        g = (pairs @ tensors[j])[:, 0]
+        spatial = g[:, 1:].reshape(count, 2, 3)
+        size = np.hypot.reduce(spatial, axis=-1)
+        ok = size[..., None] > 0.0
+        new[:, j] = np.where(ok, spatial / -np.where(ok, size[..., None], 1.0), new[:, j])
+        rows[:, j, 1:] = new[:, j].reshape(count, 6)
+    return new, g[:, 0] - size[:, 0] - size[:, 1]
+
+
+def frozen_derivatives(tensors, vecs):
+    """``visibility._derivatives`` as written when it moved to the Bell tensor,
+    in the bases of ``reference_tangent_bases``: the Euclidean gradient is
+    every party's (g_u, g_d) at the same rows, projected per vector, and the
+    block of the tangent Hessian between qubits o and t is C(., ., x_j)
+    between their (7, 4) tangent maps, one matmul per start and party.
+    ``visibility._derivatives`` must match it bit for bit."""
     count = len(vecs)
     bases = reference_tangent_bases(vecs)
-    grad, hess = reference_derivatives(tensors, vecs)
+    rows = np.concatenate([np.ones((count, 3, 1)), vecs.reshape(count, 3, 6)], axis=-1)
+    others = np.array(REFERENCE_PARTIES)[:, 1:]
+    pairs = rows[:, others[:, 0], :, None] * rows[:, others[:, 1], None, :]
+    euclid = (pairs.reshape(count, 3, 1, 49) @ tensors)[:, :, 0, 1:].reshape(count, 6, 3)
+    grad = (np.swapaxes(bases, -1, -2) @ euclid[..., None]).reshape(count, 12)
+    along = (euclid * vecs.reshape(count, 6, 3)).sum(axis=-1)
+    maps = np.zeros((count, 3, 7, 4))
+    for q in range(3):
+        maps[:, q, 1:4, :2] = bases[:, 2 * q]
+        maps[:, q, 4:7, 2:] = bases[:, 2 * q + 1]
+    blocks = (tensors @ rows[..., None]).reshape(count, 3, 7, 7)
+    blocks = np.swapaxes(maps[:, others[:, 0]], -1, -2) @ blocks @ maps[:, others[:, 1]]
+    hess = np.zeros((count, 12, 12))
+    for j, o, t in REFERENCE_PARTIES:
+        hess[:, 4 * o : 4 * o + 4, 4 * t : 4 * t + 4] = blocks[:, j]
+        hess[:, 4 * t : 4 * t + 4, 4 * o : 4 * o + 4] = np.swapaxes(blocks[:, j], -1, -2)
+    for v in range(6):
+        hess[:, 2 * v, 2 * v] = hess[:, 2 * v + 1, 2 * v + 1] = -along[:, v]
+    return grad, hess
+
+
+def reference_newton_points(tensors, vecs, damping):
+    """Damped Riemannian Newton points of B, as first written, on the frozen
+    ``frozen_derivatives``: each row solves (Hess + damping) eta = -grad on
+    its own, eta is capped at length 1 and every vector moves to (n + eta)/|n
+    + eta|.  A row whose system is singular or whose step is not finite is
+    not moved and is not solved."""
+    count = len(vecs)
+    bases = reference_tangent_bases(vecs)
+    grad, hess = frozen_derivatives(tensors, vecs)
     hess = hess + damping[:, None, None] * np.eye(12)
     step = np.zeros((count, 12, 1))
     solved = np.zeros(count, bool)
@@ -1034,8 +1098,8 @@ def staged_minimize_bell(psi, starts=64, seed=0, tol=1e-10, maxiter=4000):
     replaces a start's best only when it ends strictly lower, in hop order.
     Per start this is the same iteration as the package's three batched
     descents, so the results must match bit for bit; only ``sweeps``
-    differs.  The correlation tensor and the conversions between angles,
-    Bloch vectors and kets are the package's own.
+    differs.  The Bell tensor and the conversions between angles, Bloch
+    vectors and kets are the package's own.
     """
     vec = linalg.ket(psi)
     tensors = visibility._party_tensors(vec.reshape(2, 2, 2))
@@ -1054,7 +1118,7 @@ def staged_minimize_bell(psi, starts=64, seed=0, tol=1e-10, maxiter=4000):
     vecs, value, gain, polish_sweeps = staged_descend(tensors, vecs, tol, maxiter)
 
     best = int(np.argmin(value))  # the first of equal values, in start order
-    grad, hess = reference_derivatives(tensors, vecs[best : best + 1])
+    grad, hess = frozen_derivatives(tensors, vecs[best : best + 1])
     settings = settings_from_plus_kets(
         [(u, visibility._inside_window(u, d)) for u, d in visibility._plus_kets(vecs[best])]
     )
@@ -1080,7 +1144,7 @@ def staged_descend(tensors, vecs, tol, maxiter):
     """Sweep each start until a plain sweep lowers its B by at most ``tol``.
 
     The see-saw descent as one staged batch, for ``staged_minimize_bell``,
-    on the frozen ``reference_bloch_sweep`` and ``reference_newton_points``.
+    on the frozen ``frozen_sweep`` and ``reference_newton_points``.
     A start's plain gain is how much a sweep from its kept vectors lowers
     B.  Once its last plain gain exceeds 0.3 times the one before it, a
     start sweeps from the damped Riemannian Newton point of its kept
@@ -1108,7 +1172,7 @@ def staged_descend(tensors, vecs, tol, maxiter):
     sweeps = 0
     while active.size and sweeps < maxiter:
         sweeps += 1
-        out, new = reference_bloch_sweep(tensors, inputs[active])
+        out, new = frozen_sweep(tensors, inputs[active])
         plain = ~newton[active]
         lowered = value[active] - new
         kept = plain | (lowered > 0.0)

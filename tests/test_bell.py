@@ -121,6 +121,16 @@ class TestBellValue:
         report = bell_value(random_canonical(rng).to_ket(), random_settings(rng))
         assert all(0.0 <= p <= 1.0 for p in report.probabilities)
 
+    def test_value_is_the_five_term_sum_bit_for_bit(self, rng):
+        # the signed sum over TERM_SIGNS rounds as p1 + p2 + p3 + p4 - p5
+        for _ in range(50):
+            psi, settings = random_canonical(rng).to_ket(), random_settings(rng)
+            for state in (psi, mix_with_white_noise(psi, rng.uniform())):
+                p = hardy_probabilities(state, settings)
+                want = p[0] + p[1] + p[2] + p[3] - p[4]
+                got = np.float64(bell_value(state, settings).bell_value)
+                assert got.view(np.uint64) == want.view(np.uint64)
+
 
 class TestOutcomeDistribution:
     def test_contexts_sum_to_one(self, rng):
@@ -186,6 +196,10 @@ class TestLhv:
     def test_enumeration_is_exhaustive_and_nonnegative(self):
         values = [lhv_bell_value(a) for a in lhv_assignments()]
         assert len(values) == 64
+        assert all(type(v) is int for v in values)
+        for a, v in zip(lhv_assignments(), values):
+            t = lhv_term_indicators(a)
+            assert v == t[0] + t[1] + t[2] + t[3] - t[4]
         assert min(values) == 0
         assert all(v >= 0 for v in values)
 

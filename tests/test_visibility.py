@@ -15,6 +15,7 @@ from hardy3q import visibility
 from hardy3q.visibility import (
     HOPS,
     KICK_ANGLE,
+    _PARTIES,
     minimize_bell,
     threshold_visibility,
     LOOSE_TOL,
@@ -32,6 +33,8 @@ from hardy3q.visibility import (
 
 from conftest import (
     bloch_of_kets,
+    frozen_derivatives,
+    frozen_sweep,
     kets_of_bloch,
     nelder_mead_bell,
     oracle_bell_of_kets,
@@ -43,6 +46,7 @@ from conftest import (
     reference_bloch_sweep,
     reference_derivatives,
     reference_newton_points,
+    reference_party_tensors,
     reference_min_eigpair,
     reference_sweep,
     staged_minimize_bell,
@@ -259,6 +263,8 @@ class TestSeeSaw:
 
     @pytest.mark.parametrize("name", ["ghz", "w", "rotated-w", "random", "000"])
     def test_party_tensors_match_kron_oracle(self, name):
+        # C[a, b, c] = C(e_a, e_b, e_c) of the kron-tensor polynomial, with the
+        # frame rows (1, u), (1, d), (1, -d) of a row (x_0, u, d) written out
         psi = {
             "ghz": GHZ.to_ket,
             "w": w_ket,
@@ -266,11 +272,47 @@ class TestSeeSaw:
             "random": lambda: random_ket(np.random.default_rng(3), 8),
             "000": product_ket,
         }[name]()
-        want = oracle_correlation_tensor(psi)
-        assert want[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
-        for (j, o, t), got in zip(visibility._PARTIES, _party_tensors(psi.reshape(2, 2, 2))):
-            want_j = want.transpose(o, t, j).reshape(16, 4)
+        tensor = oracle_correlation_tensor(psi)
+        assert tensor[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+
+        def polynomial(x1, x2, x3):
+            # the frame rows (U+, D+, D-), linear in each row x
+            rows = [
+                np.stack([x[[0, 1, 2, 3]], x[[0, 4, 5, 6]], np.r_[x[0], -x[4:]]]) for x in (x1, x2, x3)
+            ]
+
+            def term(*picks):
+                f0, f1, f2 = (rows[q][k] for q, k in enumerate(picks))
+                return np.einsum("abc,a,b,c->", tensor, f0, f1, f2)
+
+            return (term(1, 0, 0) + term(0, 1, 0) + term(0, 0, 1) + term(2, 2, 2) - term(0, 0, 0)) / 8.0
+
+        eye = np.eye(7)
+        want = np.array([[[polynomial(a, b, c) for c in eye] for b in eye] for a in eye])
+        for (j, o, t), got in zip(_PARTIES, _party_tensors(psi.reshape(2, 2, 2))):
+            want_j = want.transpose(o, t, j).reshape(49, 7)
             np.testing.assert_allclose(got, want_j, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["ghz", "w", "000", "random"])
+    def test_bell_tensor_is_the_bell_value(self, name):
+        # C(x_1, x_2, x_3), read through every party's matrix, is B at the
+        # settings of the Bloch vectors
+        rng = np.random.default_rng(37)
+        psi = {
+            "ghz": GHZ.to_ket,
+            "w": w_ket,
+            "000": product_ket,
+            "random": lambda: random_ket(rng, 8),
+        }[name]
+        for _ in range(50):
+            ket = psi()
+            tensors = _party_tensors(ket.reshape(2, 2, 2))
+            vecs = random_vecs(rng, 1)[0]
+            rows = np.concatenate([np.ones((3, 1)), vecs.reshape(3, 6)], axis=-1)
+            want = bell_value(ket, settings_from_plus_kets(_plus_kets(vecs))).bell_value
+            for (j, o, t), matrix in zip(_PARTIES, tensors):
+                got = np.outer(rows[o], rows[t]).ravel() @ matrix @ rows[j]
+                assert got == pytest.approx(want, abs=1e-14)
 
     @pytest.mark.parametrize("z", [1.0, -1.0, -1.0 + 1e-12, 1.0 - 1e-12, 0.0])
     @pytest.mark.parametrize("phi", [0.0, 2.1])
@@ -396,14 +438,18 @@ class TestSeeSaw:
             "random": lambda: random_ket(rng, 8),
         }[name]()
         tensors = _party_tensors(psi.reshape(2, 2, 2))
+        hand = reference_party_tensors(psi)
         for count in (1, 5, 17):
             vecs = random_vecs(rng, count)
             vecs[0, 0] = [0.0, 0.0, 1.0]
             vecs[-1, 2] = [0.0, 0.0, -1.0]
             damping = 10.0 ** rng.uniform(-8.0, 1.0, count)
             got = _derivatives(tensors, vecs, _tangent_bases(vecs))
-            for g, w in zip(got, reference_derivatives(tensors, vecs)):
+            for g, w in zip(got, frozen_derivatives(tensors, vecs)):
                 assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+            # the hand-derived derivatives of the correlation tensor, to rounding
+            for g, w in zip(got, reference_derivatives(hand, vecs)):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
             points, solved = _newton_points(tensors, vecs, damping)
             want_points, want_solved = reference_newton_points(tensors, vecs, damping)
             assert np.array_equal(points.view(np.uint64), want_points.view(np.uint64))
@@ -414,7 +460,7 @@ class TestSeeSaw:
         # solved and not moved, and the damped rows beside it still are
         rng = np.random.default_rng(31)
         vecs = random_vecs(rng, 3)
-        points, solved = _newton_points(np.zeros((3, 16, 4)), vecs, np.array([0.0, 1.0, 0.0]))
+        points, solved = _newton_points(np.zeros((3, 49, 7)), vecs, np.array([0.0, 1.0, 0.0]))
         assert solved.tolist() == [False, True, False]
         np.testing.assert_allclose(points, vecs, rtol=0, atol=1e-15)
 
@@ -468,10 +514,40 @@ class TestSeeSaw:
         vecs[0] = [0.0, 0.0, 1.0]  # U+ = D+ = |0> on every qubit
         for _ in range(4):
             new, value = _sweep(tensors, vecs)
-            ref, ref_value = reference_bloch_sweep(tensors, vecs)
+            ref, ref_value = frozen_sweep(tensors, vecs)
             np.testing.assert_array_equal(new, ref)
             np.testing.assert_array_equal(value, ref_value)
             vecs = new
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(["random", "w", "000", "ghz"]))
+    def test_sweep_matches_hand_derived_sweep(self, seed, state):
+        # B to rounding everywhere; a vector only where its h is clearly
+        # non-zero: on |000> h is exactly 0 in one formulation and about
+        # 1e-17 in the other, which points the vector anywhere
+        rng = np.random.default_rng(seed)
+        psi = {
+            "random": lambda: random_ket(rng, 8),
+            "w": w_ket,
+            "000": product_ket,
+            "ghz": GHZ.to_ket,
+        }[state]()
+        tensors, hand = _party_tensors(psi.reshape(2, 2, 2)), reference_party_tensors(psi)
+        vecs = random_vecs(rng, 5)
+        vecs[0] = [0.0, 0.0, 1.0]
+        for _ in range(4):
+            new, value = _sweep(tensors, vecs)
+            ref, ref_value = reference_bloch_sweep(hand, vecs)
+            np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-15)
+            clear = np.ones(5, bool)  # starts whose h so far were all clearly non-zero
+            for j, o, t in _PARTIES:
+                # party j saw the new rows of the parties before it
+                seen = np.where(np.arange(3)[:, None, None] < j, new, vecs)
+                rows = np.concatenate([np.ones((5, 3, 1)), seen.reshape(5, 3, 6)], axis=-1)
+                g = np.einsum("sa,sb,abc->sc", rows[:, o], rows[:, t], tensors[j].reshape(7, 7, 7))
+                clear &= (np.linalg.norm(g[:, 1:].reshape(5, 2, 3), axis=-1) > 1e-3).all(axis=-1)
+                np.testing.assert_allclose(new[clear, j], ref[clear, j], rtol=0, atol=1e-12)
+            vecs = ref
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 80))
